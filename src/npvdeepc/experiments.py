@@ -53,6 +53,7 @@ from .npv import (
     problem_size,
     transform_hankel,
 )
+from .optim import check_jacobian
 from .plant import (
     BoxConstraints,
     ExcitationConfig,
@@ -529,8 +530,6 @@ def run_distance_sweep(cfg: RunConfig, out_dir, pipe: Pipeline | None = None) ->
 
 def build_cem_pipeline(cfg: RunConfig):
     """Dataset, model and operators for the dose plant and short horizon."""
-    from .plant import cem_update
-
     cem_cfg = cfg.controllers.cem
     plant = surrogate_from_config(cfg, b_s_override=cfg.cem_scenario.b_s)
     traj = build_dataset(cfg, plant=plant, label="cem-dataset")
@@ -608,10 +607,13 @@ def cem_summary(cfg: RunConfig, records: list[LoopRecord]) -> dict:
     increments = np.diff(np.concatenate([[0.0], cem_series]))
     target = cfg.controllers.cem.target
     # delivery rate stability while the distance is perturbed; steps without
-    # dose count as zero rate, and a window without delivery reports (0, 0)
+    # dose count as zero rate, and a window without delivery reports (0, 0).
+    # Each record holds the dose before its own step, so the dose of the step
+    # taken at records[k].t is cem_series[k + 1] - cem_series[k].
     perturb_lo = scc.d_schedule[1][0] if len(scc.d_schedule) > 1 else 0.0
     perturb_hi = scc.d_schedule[2][0] if len(scc.d_schedule) > 2 else records[-1].t
-    rates = np.array([inc for rec, inc in zip(records, increments) if perturb_lo <= rec.t < perturb_hi])
+    step_t = np.array([rec.t for rec in records[:-1]])
+    rates = np.diff(cem_series)[(perturb_lo <= step_t) & (step_t < perturb_hi)]
     rate_median = float(np.median(rates)) if rates.size else 0.0
     rate_band = (
         (float(np.min(rates) / rate_median), float(np.max(rates) / rate_median))
@@ -768,18 +770,12 @@ def run_verification(cfg: RunConfig, pipe: Pipeline | None = None) -> dict:
     for _ in range(100):
         start = int(rng_j.integers(0, pipe.traj.n_samples - t_ini - horizon))
         w = Window.from_trajectory(pipe.traj, start, t_ini, horizon)
-        nn_in = pipe.model.nn_input_from_window(w)
-        analytic = pipe.model.jacobian_phi_hl_future_u_raw(nn_in)
-        fd = np.zeros_like(analytic)
-        h = 1e-6
-        for j in range(w.u_f.size):
-            e = np.zeros(w.u_f.size)
-            e[j] = h
-            phi_hi = pipe.model.phi_hl(pipe.model.nn_input(w.u_ini, w.y_ini, w.u_f + e, w.p_hist))
-            phi_lo = pipe.model.phi_hl(pipe.model.nn_input(w.u_ini, w.y_ini, w.u_f - e, w.p_hist))
-            fd[:, j] = (phi_hi - phi_lo) / (2 * h)
-        scale = max(float(np.max(np.abs(analytic))), 1e-8)
-        worst_rel = max(worst_rel, float(np.max(np.abs(fd - analytic)) / scale))
+
+        def phi_and_jacobian(u_f):
+            nn_in = pipe.model.nn_input(w.u_ini, w.y_ini, u_f, w.p_hist)
+            return pipe.model.phi_hl(nn_in), pipe.model.jacobian_phi_hl_future_u_raw(nn_in)
+
+        worst_rel = max(worst_rel, check_jacobian(phi_and_jacobian, w.u_f))
     checks["jacobian_fd"] = {"passed": worst_rel < 1e-6, "max_relative_error": worst_rel}
 
     # structural problem size at the configured defaults

@@ -319,6 +319,16 @@ class HyperDnnModel:
 # batched forward/backward used by training
 
 
+def _outer_rows(p, z):
+    """Row-wise outer products p_b ⊗ z_b flattened to (B, nu_p * dim).
+
+    The sensitivity term sum_k p_k S_k z of a modulated layer is linear in
+    this product, so each batched contraction over sens_w (nu_p, out, in)
+    becomes one matrix product.
+    """
+    return (p[:, :, None] * z[:, None, :]).reshape(p.shape[0], -1)
+
+
 def _forward_hidden(layer_specs, params, u, p):
     """Hidden-layer activations for a batch; returns (z_last, all_activations)."""
     z = u
@@ -328,7 +338,7 @@ def _forward_hidden(layer_specs, params, u, p):
             zpre = (
                 z @ params[f"h{i}_base_w"].T
                 + params[f"h{i}_base_b"]
-                + np.einsum("bp,poi,bi->bo", p, params[f"h{i}_sens_w"], z, optimize=True)
+                + _outer_rows(p, z) @ params[f"h{i}_sens_w"].transpose(0, 2, 1).reshape(-1, spec.out_dim)
                 + p @ params[f"h{i}_sens_b"].T
             )
         else:
@@ -356,11 +366,14 @@ def _backward_batch(layer_specs, params, acts, p, d_yhat):
         if spec.kind == "hyper":
             grads[f"h{i}_base_w"] = dpre.T @ z_in
             grads[f"h{i}_base_b"] = dpre.sum(axis=0)
-            grads[f"h{i}_sens_w"] = np.einsum("bp,bo,bi->poi", p, dpre, z_in, optimize=True)
+            grads[f"h{i}_sens_w"] = (
+                (dpre.T @ _outer_rows(p, z_in)).reshape(spec.out_dim, -1, spec.in_dim).transpose(1, 0, 2)
+            )
             grads[f"h{i}_sens_b"] = dpre.T @ p
             if i:
-                dz = dpre @ params[f"h{i}_base_w"] + np.einsum(
-                    "bp,poi,bo->bi", p, params[f"h{i}_sens_w"], dpre, optimize=True
+                dz = (
+                    dpre @ params[f"h{i}_base_w"]
+                    + _outer_rows(p, dpre) @ params[f"h{i}_sens_w"].reshape(-1, spec.in_dim)
                 )
         else:
             grads[f"f{i}_w"] = dpre.T @ z_in

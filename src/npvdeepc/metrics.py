@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,14 +84,13 @@ def cpu_stats(wall_times) -> float:
 
 @dataclass
 class RunMetrics:
-    """Scalar indices of one closed-loop run, plus optional per-step series."""
+    """Scalar indices of one closed-loop run."""
 
     rmse: float
     ise: float
     ju: float
     mean_cpu_s: float
     bfr_percent: float | None = None
-    series: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("rmse", "ise", "ju", "mean_cpu_s"):

@@ -11,7 +11,7 @@ constant can be overridden from the run configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,14 +73,6 @@ class BoxConstraints:
 
     def clip_u(self, u: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(u, dtype=float), self.u_lo, self.u_hi)
-
-    def contains_u(self, u, atol: float = 0.0) -> bool:
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= np.asarray(self.u_lo) - atol) and np.all(u <= np.asarray(self.u_hi) + atol))
-
-    def contains_y(self, y, atol: float = 0.0) -> bool:
-        y = np.asarray(y, dtype=float)
-        return bool(np.all(y >= np.asarray(self.y_lo) - atol) and np.all(y <= np.asarray(self.y_hi) + atol))
 
 
 D_MIN, D_MAX = 2.0, 7.0
@@ -230,10 +222,6 @@ class LtiPlant:
 
     def simulate(self, u_seq: np.ndarray) -> np.ndarray:
         return np.array([self.step(u) for u in np.atleast_2d(u_seq)])
-
-
-def lti_step(plant: LtiPlant, u) -> np.ndarray:
-    return plant.step(u)
 
 
 @dataclass(frozen=True)

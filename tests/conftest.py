@@ -46,9 +46,9 @@ def lti_plant():
 
 
 def random_model(rng, t_ini=2, horizon=3, n_u=2, n_y=2, n_p=1,
-                 hidden=(8,), modulated=(True,), scale=0.5) -> HyperDnnModel:
+                 hidden=(8,), modulated=(True,), scale=0.5, hyper_input="history") -> HyperDnnModel:
     """Small random model with identity-friendly scalers for unit tests."""
-    dims = ModelDims(t_ini=t_ini, horizon=horizon, n_u=n_u, n_y=n_y, n_p=n_p)
+    dims = ModelDims(t_ini=t_ini, horizon=horizon, n_u=n_u, n_y=n_y, n_p=n_p, hyper_input=hyper_input)
     specs = []
     in_dim = dims.nu_u
     for size, mod in zip(hidden, modulated):
@@ -72,7 +72,7 @@ def random_model(rng, t_ini=2, horizon=3, n_u=2, n_y=2, n_p=1,
         p=ChannelScaler(lo=-np.ones(n_p), hi=np.ones(n_p)),
     )
     return HyperDnnModel(dims=dims, layer_specs=specs, params=params, scalers=scalers,
-                         p_train_mean=np.zeros(dims.n_p * t_ini))
+                         p_train_mean=np.zeros(dims.nu_p))
 
 
 def toy_dataset(rng, n_windows=20, t_ini=2, horizon=3, n_u=2, n_y=2, n_p=1) -> WindowDataset:

@@ -86,6 +86,25 @@ class TestCemSummaryBand:
         s = cem_summary(cfg, _dose_records(np.cumsum(rate)))
         assert not _band_ok(s)
 
+    def test_window_selects_doses_by_their_step_time(self):
+        """A record holds the dose before its own step, so the dose of the step
+        at t arrives in the next record.  A burst in the step just before the
+        window stays out of the band; a stall in the last perturbed step counts."""
+        cfg = RunConfig()
+        lo, hi = cfg.cem_scenario.d_schedule[1][0], cfg.cem_scenario.d_schedule[2][0]
+        dt = 0.5
+        t = dt * np.arange(150)
+
+        def band(step_dose):
+            cem = np.concatenate([[0.0], np.cumsum(step_dose)[:-1]])
+            s = cem_summary(cfg, _dose_records(cem, dt))
+            return s["rate_min_over_median"], s["rate_max_over_median"]
+
+        burst_before = np.where(t == lo - dt, 0.008, 0.004)
+        assert band(burst_before) == pytest.approx((1.0, 1.0))
+        stall_last = np.where(t == hi - dt, 0.0, 0.004)
+        assert band(stall_last) == pytest.approx((0.0, 1.0))
+
 
 @pytest.mark.parametrize("name", ["desk.yaml", "paper_scale.yaml"])
 def test_cem_perturbation_inside_delivery_phase(name):

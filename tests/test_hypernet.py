@@ -8,6 +8,9 @@ from npvdeepc.hypernet import (
     DegenerateChannelError,
     NnInput,
     TrainConfig,
+    _backward_batch,
+    _forward_batch,
+    _forward_hidden,
     load_model,
     refit_output_ls,
     save_model,
@@ -143,6 +146,101 @@ class TestPhi:
         model.params["out_w"] *= 2.0
         doubled = model.scalers.y.normalize(model.phi_nn(nn_in).reshape(d.horizon, d.n_y)).ravel()
         assert np.allclose(doubled - b_o, 2.0 * (base - b_o), atol=1e-10)
+
+
+def _batch(rng, model, n):
+    d = model.dims
+    return (rng.uniform(-1, 1, (n, d.nu_u)), rng.uniform(-1, 1, (n, d.nu_p)),
+            rng.uniform(-1, 1, (n, d.nu_y)))
+
+
+class TestBatchedKernels:
+    """The batched training kernels against finite differences and per-sample oracles."""
+
+    @pytest.mark.parametrize("modulated", [(True,), (True, False), (True, True)])
+    def test_gradients_match_central_differences(self, rng, modulated):
+        hidden = (7, 5)[:len(modulated)]
+        model = random_model(rng, n_p=2, hidden=hidden, modulated=modulated)
+        u, p, y = _batch(rng, model, 6)
+        specs, params = model.layer_specs, model.params
+
+        def loss():
+            yhat, _ = _forward_batch(specs, params, u, p)
+            return float(np.mean((yhat - y) ** 2))
+
+        yhat, acts = _forward_batch(specs, params, u, p)
+        grads = _backward_batch(specs, params, acts, p, 2.0 * (yhat - y) / y.size)
+        assert set(grads) == set(params)
+        h = 1e-6
+        for key, value in params.items():
+            fd = np.zeros_like(value)
+            for idx in np.ndindex(value.shape):
+                saved = value[idx]
+                value[idx] = saved + h
+                hi = loss()
+                value[idx] = saved - h
+                lo = loss()
+                value[idx] = saved
+                fd[idx] = (hi - lo) / (2 * h)
+            assert grads[key].shape == value.shape
+            assert np.allclose(grads[key], fd, rtol=1e-6, atol=1e-9), key
+
+    @pytest.mark.parametrize("hyper_input", ["history", "current"])
+    def test_phi_hl_batch_matches_per_sample(self, rng, hyper_input):
+        model = random_model(rng, n_p=2, hidden=(7, 5), modulated=(True, True), hyper_input=hyper_input)
+        u, p, _ = _batch(rng, model, 9)
+        batch = model.phi_hl_batch(u, p)
+        assert batch.shape == (9, model.nu_l)
+        for j in range(9):
+            row = model.phi_hl(NnInput(u_nn=u[j], p_vec=p[j]))
+            assert np.allclose(batch[j], row, rtol=0.0, atol=1e-13)
+        single = model.phi_hl_batch(u[0], p[0])
+        assert single.shape == (1, model.nu_l)
+        assert np.allclose(single[0], model.phi_hl(NnInput(u_nn=u[0], p_vec=p[0])), rtol=0.0, atol=1e-13)
+
+    def test_kernels_match_explicit_weight_loop(self, rng):
+        """Every sample forms W(p) = base_w + sum_k p_k sens_w[k] and b(p) itself."""
+        model = random_model(rng, n_p=2, hidden=(7, 6, 5), modulated=(True, False, True))
+        u, p, _ = _batch(rng, model, 5)
+        specs, params = model.layer_specs, model.params
+        d_out = rng.standard_normal((5, model.dims.nu_y))
+
+        def layer(i, spec, p_b):
+            if spec.kind == "fixed":
+                return params[f"f{i}_w"], params[f"f{i}_b"]
+            w = params[f"h{i}_base_w"] + sum(p_b[k] * params[f"h{i}_sens_w"][k] for k in range(p_b.size))
+            return w, params[f"h{i}_base_b"] + params[f"h{i}_sens_b"] @ p_b
+
+        expected = {key: np.zeros_like(value) for key, value in params.items()}
+        z_last = []
+        for b in range(u.shape[0]):
+            zs = [u[b]]
+            for i, spec in enumerate(specs):
+                w, bias = layer(i, spec, p[b])
+                zs.append(np.tanh(w @ zs[-1] + bias))
+            z_last.append(zs[-1])
+            expected["out_w"] += np.outer(d_out[b], zs[-1])
+            expected["out_b"] += d_out[b]
+            dz = params["out_w"].T @ d_out[b]
+            for i in reversed(range(len(specs))):
+                spec = specs[i]
+                dpre = dz * (1.0 - zs[i + 1] ** 2)
+                if spec.kind == "hyper":
+                    expected[f"h{i}_base_w"] += np.outer(dpre, zs[i])
+                    expected[f"h{i}_base_b"] += dpre
+                    for k in range(p.shape[1]):
+                        expected[f"h{i}_sens_w"][k] += p[b, k] * np.outer(dpre, zs[i])
+                    expected[f"h{i}_sens_b"] += np.outer(dpre, p[b])
+                else:
+                    expected[f"f{i}_w"] += np.outer(dpre, zs[i])
+                    expected[f"f{i}_b"] += dpre
+                dz = layer(i, spec, p[b])[0].T @ dpre
+
+        z, acts = _forward_hidden(specs, params, u, p)
+        assert np.allclose(z, np.array(z_last), rtol=0.0, atol=1e-13)
+        grads = _backward_batch(specs, params, acts, p, d_out)
+        for key, value in expected.items():
+            assert np.allclose(grads[key], value, rtol=1e-12, atol=1e-12), key
 
 
 class TestJacobian:
