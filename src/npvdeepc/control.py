@@ -30,7 +30,7 @@ class ControllerConfig:
     u_hi: tuple[float, ...] = (8.0, 6.0)
     y_lo: tuple[float, ...] = (25.0, 20.0)
     y_hi: tuple[float, ...] = (42.5, 80.0)
-    regularizer: str = "projection"         # projection | two_norm | one_norm
+    regularizer: str = "projection"         # projection | two_norm
     kkt_tol: float = 1e-6
     max_iter: int = 50                      # SQP outer iterations
     qp_max_iter: int = 200
@@ -38,7 +38,7 @@ class ControllerConfig:
     kernel_slack: bool = False              # soften the kernel constraint (neural variants)
 
     def __post_init__(self):
-        if self.regularizer not in ("projection", "two_norm", "one_norm"):
+        if self.regularizer not in ("projection", "two_norm"):
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if any(w < 0 for w in self.q + self.p) or any(w <= 0 for w in self.r):
             raise ValueError("Q and P weights must be >= 0, R weights > 0")

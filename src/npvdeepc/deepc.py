@@ -1,11 +1,19 @@
 """Data-enabled predictive control from raw input/output Hankel data.
 
-The controller solves, each step, a convex QP over (u, y, g, sigma): the
+The DeePC program is a convex QP over (u, y, g, sigma): the
 trajectory-combination vector g must reproduce the measured initial window
 (with slack sigma) and the candidate future window through the partitioned
-data Hankels.  Three regularizers on g are available; the projection form
-penalizes only the component of g orthogonal to the data-consistency row
-space and therefore does not bias the prediction.
+data Hankels.  Only (u, y) carry bounds, and the cost on w = (g, sigma) is a
+constant quadratic, so w is eliminated once per controller: for each
+r = (u_ini, y_ini, u, y) the cheapest w with A_w w = r is linear in r, and
+its cost is a fixed quadratic form in r.  Each step then solves a small QP
+over z = (u, y) with the original box, plus the equality rows that the left
+null space of A_w imposes on exact (rank-deficient) data.  This is the
+direct-to-indirect reduction of Dörfler, Coulson & Markovsky (IEEE TAC 2023).
+
+Two regularizers on g are available; the projection form penalizes only the
+component of g orthogonal to the data-consistency row space and therefore
+does not bias the prediction.
 """
 
 from __future__ import annotations
@@ -32,9 +40,11 @@ def build_projector(hs: HankelSet) -> np.ndarray:
 
 
 class DeepcController:
-    """Receding-horizon DeePC over a fixed Hankel data set.
+    """Receding-horizon DeePC over a fixed Hankel data set, in condensed form.
 
-    Instances carry warm-start state; run one closed loop per instance.
+    Only the condensed operators are kept, as owned arrays no larger than
+    the (u, y) block.  Instances carry warm-start state; run one closed loop
+    per instance.
     """
 
     def __init__(self, hankel_set: HankelSet, cfg: ControllerConfig):
@@ -43,115 +53,63 @@ class DeepcController:
                 f"Hankel horizons ({hankel_set.t_ini}, {hankel_set.horizon}) do not match "
                 f"config ({cfg.t_ini}, {cfg.horizon})"
             )
-        self.hs = hankel_set
         self.cfg = cfg
         self.cost = TrackingCost(cfg)
         self.n_g = hankel_set.n_cols
         self.n_sigma = hankel_set.n_y * cfg.t_ini
-        self._split_g = cfg.regularizer == "one_norm"
-        if cfg.regularizer == "projection":
-            pi = build_projector(hankel_set)
-            self.reg_matrix = np.eye(self.n_g) - pi
-        elif cfg.regularizer == "two_norm":
-            self.reg_matrix = np.eye(self.n_g)
-        else:
-            self.reg_matrix = None
-        self._assemble_static()
-        self._warm = None
-
-    # variable layout: [u, y, g] or [u, y, g_pos, g_neg], then sigma
-    def _assemble_static(self) -> None:
-        cfg, hs = self.cfg, self.hs
-        nu, ny, ng, ns = self.cost.nu, self.cost.ny, self.n_g, self.n_sigma
-        g_cols = 2 * ng if self._split_g else ng
-        n = nu + ny + g_cols + ns
-        self.n_var = n
-        self.off_u, self.off_y, self.off_g, self.off_s = 0, nu, nu + ny, nu + ny + g_cols
-
-        h = np.zeros((n, n))
-        h[:nu, :nu] = self.cost.h_u
-        h[nu:nu + ny, nu:nu + ny] = self.cost.h_y
-        if self._split_g:
-            # the one-norm enters linearly; a tiny elastic ridge keeps the
-            # active-set subproblems well conditioned without visible bias
-            h[self.off_g:self.off_s, self.off_g:self.off_s] = (
-                2.0 * cfg.lambda_g * 1e-6 * np.eye(2 * ng)
-            )
-        else:
-            h[self.off_g:self.off_g + ng, self.off_g:self.off_g + ng] = 2.0 * cfg.lambda_g * self.reg_matrix
-        h[self.off_s:, self.off_s:] = 2.0 * cfg.lambda_sigma * np.eye(ns)
-        self.h = 0.5 * (h + h.T)
-
-        m = hs.n_u * cfg.t_ini + ns + nu + ny
-        a = np.zeros((m, n))
-        row = 0
-        up, yp, uf, yf = hs.up, hs.yp, hs.uf, hs.yf
-
-        def g_block(mat):
-            if self._split_g:
-                return np.hstack([mat, -mat])
-            return mat
-
-        r0 = hs.n_u * cfg.t_ini
-        a[row:row + r0, self.off_g:self.off_s] = g_block(up)
-        row += r0
-        a[row:row + ns, self.off_g:self.off_s] = g_block(yp)
-        a[row:row + ns, self.off_s:] = -np.eye(ns)
-        row += ns
-        a[row:row + nu, self.off_g:self.off_s] = g_block(uf)
-        a[row:row + nu, self.off_u:self.off_u + nu] = -np.eye(nu)
-        row += nu
-        a[row:row + ny, self.off_g:self.off_s] = g_block(yf)
-        a[row:row + ny, self.off_y:self.off_y + ny] = -np.eye(ny)
-        self.a_eq = a
-        self._m_eq = m
-
+        self._condense(hankel_set)
         u_lo, u_hi = self.cost.u_bounds()
         y_lo, y_hi = self.cost.y_bounds()
-        lb = np.full(n, -np.inf)
-        ub = np.full(n, np.inf)
-        lb[:nu], ub[:nu] = u_lo, u_hi
-        lb[nu:nu + ny], ub[nu:nu + ny] = y_lo, y_hi
-        if self._split_g:
-            lb[self.off_g:self.off_s] = 0.0
-        self.lb, self.ub = lb, ub
+        self.lb = np.concatenate([u_lo, y_lo])
+        self.ub = np.concatenate([u_hi, y_hi])
+        self._warm = None
+
+    def _condense(self, hs: HankelSet) -> None:
+        """Eliminate w = (g, sigma) from the QP.
+
+        With A_w w = r the equality rows (r = (u_ini, y_ini, u, y)) and H_w
+        the Hessian of w, the minimizer of 0.5 w'H_w w over A_w w = r is
+        w*(r) = M r for r in the range of A_w, at the cost 0.5 r'P r with
+        P = M'H_w M.  r lies in that range iff N r = 0, N the left null
+        space of A_w.
+        """
+        cfg = self.cfg
+        nu, ny, ng, ns = self.cost.nu, self.cost.ny, self.n_g, self.n_sigma
+        n_ini = hs.n_u * cfg.t_ini + ns
+        a_w = np.zeros((n_ini + nu + ny, ng + ns))
+        a_w[:, :ng] = hs.stacked()
+        a_w[hs.n_u * cfg.t_ini:n_ini, ng:] = -np.eye(ns)
+        reg = np.eye(ng) - build_projector(hs) if cfg.regularizer == "projection" else np.eye(ng)
+        h_w = np.zeros((ng + ns, ng + ns))
+        h_w[:ng, :ng] = 2.0 * cfg.lambda_g * reg
+        h_w[ng:, ng:] = 2.0 * cfg.lambda_sigma * np.eye(ns)
+
+        u, s, vt = np.linalg.svd(a_w)
+        rank = int(np.sum(s > max(a_w.shape) * np.finfo(float).eps * s[0]))
+        # minimum-norm solution, then the cheapest null-space correction
+        m = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+        v_null = vt[rank:].T
+        hv = h_w @ v_null
+        m -= v_null @ (pinv(v_null.T @ hv) @ (hv.T @ m))
+        p = m.T @ h_w @ m
+        p = 0.5 * (p + p.T)
+
+        h_z = np.zeros((nu + ny, nu + ny))
+        h_z[:nu, :nu] = self.cost.h_u
+        h_z[nu:, nu:] = self.cost.h_y
+        self.h_z = h_z + p[n_ini:, n_ini:]
+        self.p_zp = p[n_ini:, :n_ini].copy()
+        self.sigma_map = m[ng:].copy()
+        # N z = -N_p (u_ini, y_ini); no rows when A_w has full row rank
+        left_null = u[:, rank:].T
+        self.eq_z = left_null[:, n_ini:].copy()
+        self.eq_p = left_null[:, :n_ini].copy()
 
     def reset(self) -> None:
         self._warm = None
 
-    def _feasible_start(self, u_ini: np.ndarray, y_ini: np.ndarray) -> np.ndarray:
-        """Exactly equality-feasible start: solve the past/future stack for g.
-
-        Targets the box-center input sequence, so the implied u lies strictly
-        inside its bounds; sigma starts at zero by construction.
-        """
-        u_mid = np.tile(0.5 * (np.asarray(self.cfg.u_lo) + np.asarray(self.cfg.u_hi)), self.cfg.horizon)
-        rhs = np.concatenate([u_ini, y_ini, u_mid])
-        g0, *_ = np.linalg.lstsq(self.hs.past_future_stack(), rhs, rcond=None)
-        x0 = np.zeros(self.n_var)
-        x0[:self.cost.nu] = self.hs.uf @ g0
-        x0[self.off_y:self.off_y + self.cost.ny] = self.hs.yf @ g0
-        if self._split_g:
-            x0[self.off_g:self.off_g + self.n_g] = np.maximum(g0, 0.0)
-            x0[self.off_g + self.n_g:self.off_s] = np.maximum(-g0, 0.0)
-        else:
-            x0[self.off_g:self.off_s] = g0
-        x0[self.off_s:] = self.hs.yp @ g0 - y_ini
-        return x0
-
-    def _g_value(self, x: np.ndarray) -> np.ndarray:
-        if self._split_g:
-            ng = self.n_g
-            return x[self.off_g:self.off_g + ng] - x[self.off_g + ng:self.off_s]
-        return x[self.off_g:self.off_s]
-
-    def _reg_value(self, g: np.ndarray) -> float:
-        if self.cfg.regularizer == "one_norm":
-            return float(np.sum(np.abs(g)))
-        return float(g @ (self.reg_matrix @ g))
-
     def solve_step(self, u_ini, y_ini, r_vec, u_prev) -> tuple[np.ndarray, StepResult]:
-        """Solve the QP for the current window and return the first input."""
+        """Solve the condensed QP for the current window and return the first input."""
         cfg = self.cfg
         u_ini = np.asarray(u_ini, dtype=float).ravel()
         y_ini = np.asarray(y_ini, dtype=float).ravel()
@@ -159,61 +117,38 @@ class DeepcController:
             raise DimensionError(
                 f"initial window lengths ({u_ini.size}, {y_ini.size}) do not match horizons"
             )
-        g_lin = np.zeros(self.n_var)
+        nu = self.cost.nu
+        r_ini = np.concatenate([u_ini, y_ini])
         g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
-        g_lin[:self.cost.nu] = g_u
-        g_lin[self.off_y:self.off_y + self.cost.ny] = g_y
-        if self._split_g:
-            g_lin[self.off_g:self.off_s] = cfg.lambda_g
-
-        b_eq = np.concatenate([u_ini, y_ini, np.zeros(self.cost.nu + self.cost.ny)])
+        g_lin = np.concatenate([g_u, g_y]) + self.p_zp @ r_ini
         prob = QpProblem(
-            h=self.h, g=g_lin, a_eq=self.a_eq, b_eq=b_eq, lb=self.lb, ub=self.ub, validate=False
+            h=self.h_z, g=g_lin, a_eq=self.eq_z, b_eq=-self.eq_p @ r_ini,
+            lb=self.lb, ub=self.ub, validate=False,
         )
-        if cfg.warm_start and self._warm is not None:
-            x0 = self._warm
-        else:
-            x0 = self._feasible_start(u_ini, y_ini)
-        x, diag = solve_qp(prob, x0=x0, tol=min(cfg.kkt_tol, 1e-8), max_iter=cfg.qp_max_iter)
+        z, diag = solve_qp(prob, x0=self._warm, tol=min(cfg.kkt_tol, 1e-8), max_iter=cfg.qp_max_iter)
         if diag.status == "infeasible":
             raise SolverError(
                 f"DeePC step infeasible: kkt_residual={diag.kkt_residual:.3e}, "
                 f"iterations={diag.iterations}"
             )
 
-        u_seq = x[:self.cost.nu].reshape(cfg.horizon, cfg.n_u)
-        y_seq = x[self.off_y:self.off_y + self.cost.ny].reshape(cfg.horizon, cfg.n_y)
-        g_vec = self._g_value(x)
-        sigma = x[self.off_s:]
-        cost_val = self.cost.value(u_seq, y_seq, r_vec, u_prev)
+        u_seq = z[:nu].reshape(cfg.horizon, cfg.n_u)
+        y_seq = z[nu:].reshape(cfg.horizon, cfg.n_y)
+        sigma = self.sigma_map @ np.concatenate([r_ini, z])
         result = StepResult(
             u_apply=u_seq[0].copy(),
             u_seq=u_seq,
             y_pred=y_seq,
-            cost=cost_val,
+            cost=self.cost.value(u_seq, y_seq, r_vec, u_prev),
             status=diag.status,
             iterations=diag.iterations,
             kkt_residual=diag.kkt_residual,
             wall_time_s=diag.wall_time_s,
-            extras={
-                "g_norm": float(np.linalg.norm(g_vec)),
-                "sigma_norm": float(np.linalg.norm(sigma)),
-                "reg_value": self._reg_value(g_vec),
-                "total_cost": cost_val
-                + cfg.lambda_g * self._reg_value(g_vec)
-                + cfg.lambda_sigma * float(sigma @ sigma),
-            },
+            extras={"sigma_norm": float(np.linalg.norm(sigma))},
         )
         if cfg.warm_start:
-            self._warm = self._shift(x)
+            self._warm = np.concatenate([
+                np.vstack([u_seq[1:], u_seq[-1:]]).ravel(),
+                np.vstack([y_seq[1:], y_seq[-1:]]).ravel(),
+            ])
         return result.u_apply, result
-
-    def _shift(self, x: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        shifted = x.copy()
-        nu, ny = self.cost.nu, self.cost.ny
-        u = x[:nu].reshape(cfg.horizon, cfg.n_u)
-        y = x[self.off_y:self.off_y + ny].reshape(cfg.horizon, cfg.n_y)
-        shifted[:nu] = np.vstack([u[1:], u[-1:]]).ravel()
-        shifted[self.off_y:self.off_y + ny] = np.vstack([y[1:], y[-1:]]).ravel()
-        return shifted

@@ -214,18 +214,24 @@ def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter):
     return x, lam, max_iter, "max_iter"
 
 
-def _restore_equalities(prob: QpProblem, x: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Bound-feasible point minimizing the equality residual (phase 1)."""
+def _restore_equalities(
+    prob: QpProblem, x: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, int]:
+    """Bound-feasible point minimizing the equality residual (phase 1).
+
+    Returns the point and the active-set iterations spent on it (0 when the
+    minimum-norm correction already stays inside the bounds).
+    """
     a, b = prob.a_eq, prob.b_eq
     # quick path: minimum-norm correction, valid if it stays inside the bounds
     corr = pinv(a) @ (b - a @ x)
     quick = x + corr
     if np.all(quick >= prob.lb - 1e-12) and np.all(quick <= prob.ub + 1e-12):
-        return np.clip(quick, prob.lb, prob.ub)
+        return np.clip(quick, prob.lb, prob.ub), 0
     h1 = a.T @ a
     g1 = -a.T @ b
-    x1, _, _, _ = _active_set(h1, g1, None, None, prob.lb, prob.ub, x.copy(), tol, max_iter)
-    return x1
+    x1, _, its, _ = _active_set(h1, g1, None, None, prob.lb, prob.ub, x.copy(), tol, max_iter)
+    return x1, its
 
 
 def _qp_kkt_residual(prob: QpProblem, x, lam, working_sides=None) -> float:
@@ -271,12 +277,13 @@ def solve_qp(
     x = np.clip(np.asarray(x0, dtype=float).ravel().copy(), prob.lb, prob.ub)
 
     feas_tol = max(tol, 1e-8) * (1.0 + (np.linalg.norm(prob.b_eq, np.inf) if prob.m_eq else 0.0))
+    phase1_its = 0
     if prob.m_eq and np.linalg.norm(prob.a_eq @ x - prob.b_eq, np.inf) > feas_tol:
-        x = _restore_equalities(prob, x, tol, max_iter)
+        x, phase1_its = _restore_equalities(prob, x, tol, max_iter)
         if np.linalg.norm(prob.a_eq @ x - prob.b_eq, np.inf) > max(1e-6, 1e3 * feas_tol):
             diag = SolveDiagnostics(
                 status="infeasible",
-                iterations=0,
+                iterations=phase1_its,
                 kkt_residual=float(np.linalg.norm(prob.a_eq @ x - prob.b_eq, np.inf)),
                 wall_time_s=time.perf_counter() - t0,
             )
@@ -288,7 +295,7 @@ def solve_qp(
     lam = np.asarray(lam, dtype=float)
     diag = SolveDiagnostics(
         status=status,
-        iterations=its,
+        iterations=phase1_its + its,
         kkt_residual=_qp_kkt_residual(prob, x, lam),
         wall_time_s=time.perf_counter() - t0,
         eq_multipliers=lam if prob.m_eq else None,

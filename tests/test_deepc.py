@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from npvdeepc.control import ControllerConfig
+from npvdeepc.control import ControllerConfig, TrackingCost
 from npvdeepc.deepc import DeepcController, build_projector
-from npvdeepc.hankel import Window, partition
+from npvdeepc.hankel import Trajectory, Window, partition
+from npvdeepc.optim import QpProblem, solve_qp
 
 from conftest import lti_trajectory, make_lti
 
@@ -177,7 +178,7 @@ class TestSolveStep:
 
 
 class TestRegularizers:
-    @pytest.mark.parametrize("reg", ["projection", "two_norm", "one_norm"])
+    @pytest.mark.parametrize("reg", ["projection", "two_norm"])
     def test_each_regularizer_solves(self, lti_hankel, reg):
         cfg = lti_config(regularizer=reg, lambda_g=1.0, qp_max_iter=1000)
         ctrl = DeepcController(lti_hankel, cfg)
@@ -201,3 +202,93 @@ class TestRegularizers:
         _, step = ctrl.solve_step(u_ini, y_ini, np.array([1.0, 0.0]), u_prev=u_hist[-1])
         y_true = plant.copy().simulate(step.u_seq)
         assert np.max(np.abs(y_true - step.y_pred)) < 1e-5
+
+
+def full_deepc_qp(hs, cfg, lb_z, ub_z, u_ini, y_ini, r_vec, u_prev):
+    """The uncondensed DeePC QP over (u, y, g, sigma), solved directly.
+
+    Equality rows: up g = u_ini, yp g - sigma = y_ini, uf g = u, yf g = y.
+    Returns (u_seq, y_pred, sigma).
+    """
+    cost = TrackingCost(cfg)
+    nu, ny, ng, ns = cost.nu, cost.ny, hs.n_cols, hs.n_y * cfg.t_ini
+    off_g, off_s = nu + ny, nu + ny + ng
+    n = off_s + ns
+    h = np.zeros((n, n))
+    h[:nu, :nu] = cost.h_u
+    h[nu:off_g, nu:off_g] = cost.h_y
+    reg = np.eye(ng) - build_projector(hs) if cfg.regularizer == "projection" else np.eye(ng)
+    h[off_g:off_s, off_g:off_s] = 2.0 * cfg.lambda_g * reg
+    h[off_s:, off_s:] = 2.0 * cfg.lambda_sigma * np.eye(ns)
+    n_up = hs.up.shape[0]
+    a = np.zeros((n_up + ns + nu + ny, n))
+    a[:, off_g:off_s] = hs.stacked()
+    a[n_up:n_up + ns, off_s:] = -np.eye(ns)
+    a[n_up + ns:, :off_g] = -np.eye(nu + ny)
+    b = np.concatenate([u_ini, y_ini, np.zeros(nu + ny)])
+    g_u, g_y = cost.linear_terms(r_vec, u_prev)
+    g_lin = np.concatenate([g_u, g_y, np.zeros(ng + ns)])
+    lb = np.concatenate([lb_z, np.full(ng + ns, -np.inf)])
+    ub = np.concatenate([ub_z, np.full(ng + ns, np.inf)])
+    # equality-feasible start on the box-center inputs
+    g0, *_ = np.linalg.lstsq(
+        hs.past_future_stack(), np.concatenate([u_ini, y_ini, 0.5 * (lb_z[:nu] + ub_z[:nu])]), rcond=None
+    )
+    x0 = np.concatenate([hs.uf @ g0, hs.yf @ g0, g0, hs.yp @ g0 - y_ini])
+    x, diag = solve_qp(QpProblem(h=h, g=g_lin, a_eq=a, b_eq=b, lb=lb, ub=ub), x0=x0, tol=1e-10,
+                       max_iter=1000)
+    assert diag.status == "optimal"
+    return (x[:nu].reshape(cfg.horizon, cfg.n_u), x[nu:off_g].reshape(cfg.horizon, cfg.n_y),
+            x[off_s:])
+
+
+def noisy_lti_hankel():
+    traj = lti_trajectory(300, seed=22)
+    rng = np.random.default_rng(23)
+    noisy = Trajectory(u=traj.u, y=traj.y + 0.02 * rng.standard_normal(traj.y.shape), p=traj.p, dt=1.0)
+    return partition(noisy, t_ini=4, horizon=6)
+
+
+class TestCondensedForm:
+    @pytest.mark.parametrize("reg", ["projection", "two_norm"])
+    @pytest.mark.parametrize("case", ["exact_lti", "noisy_lti", "pinned_u", "active_y_bound"])
+    def test_matches_full_qp(self, lti_hankel, case, reg):
+        cfg = lti_config(regularizer=reg, lambda_g=1.0, lambda_sigma=10.0 if case == "noisy_lti" else 1e6)
+        r_vec = np.array([1.0, -0.5])
+        if case == "active_y_bound":
+            cfg = cfg.with_updates(y_hi=(0.6, 50.0))
+            r_vec = np.array([2.0, 0.0])
+        hs = noisy_lti_hankel() if case == "noisy_lti" else lti_hankel
+        ctrl = DeepcController(hs, cfg)
+        plant = make_lti()
+        rng = np.random.default_rng(10)
+        u_hist = rng.uniform(-1, 1, size=(20, 2))
+        y = plant.simulate(u_hist)
+        if case == "noisy_lti":
+            y = y + 0.02 * rng.standard_normal(y.shape)
+        u_ini, y_ini = u_hist[-cfg.t_ini:].ravel(), y[-cfg.t_ini:].ravel()
+        if case == "pinned_u":
+            u_fixed = rng.uniform(-0.5, 0.5, size=cfg.horizon * cfg.n_u)
+            ctrl.lb[:ctrl.cost.nu] = u_fixed
+            ctrl.ub[:ctrl.cost.nu] = u_fixed
+
+        _, step = ctrl.solve_step(u_ini, y_ini, r_vec, u_prev=u_hist[-1])
+        u_ref, y_ref, sigma_ref = full_deepc_qp(hs, cfg, ctrl.lb, ctrl.ub, u_ini, y_ini, r_vec, u_hist[-1])
+        assert step.status == "optimal"
+        assert np.max(np.abs(step.u_seq - u_ref)) < 1e-6
+        assert np.max(np.abs(step.y_pred - y_ref)) < 1e-6
+        assert abs(step.extras["sigma_norm"] - np.linalg.norm(sigma_ref)) < 1e-6
+        if case == "pinned_u":
+            assert np.array_equal(step.u_seq.ravel(), u_fixed)
+        if case == "active_y_bound":
+            assert np.max(step.y_pred[:, 0]) == pytest.approx(0.6, abs=1e-9)
+        if case == "noisy_lti":
+            assert np.linalg.norm(sigma_ref) > 1e-3
+
+    def test_keeps_only_small_owned_arrays(self, lti_hankel):
+        ctrl = DeepcController(lti_hankel, lti_config())
+        arrays = {k: v for k, v in vars(ctrl).items() if isinstance(v, np.ndarray)}
+        assert {"lb", "ub"} <= arrays.keys()
+        for name, arr in arrays.items():
+            assert arr.base is None, name
+            assert max(arr.shape) < ctrl.n_g, name

@@ -4,6 +4,7 @@ import pytest
 from npvdeepc.optim import (
     IndefiniteHessianError,
     QpProblem,
+    _restore_equalities,
     check_jacobian,
     pinv,
     solve_qp,
@@ -109,6 +110,34 @@ class TestSolveQp:
         )
         x, diag = solve_qp(prob)
         assert diag.status == "infeasible"
+
+    def test_phase1_iterations_counted(self):
+        # the minimum-norm correction from x0 leaves the box, so phase 1 runs
+        x0 = np.array([1.0, 0.0])
+        prob = QpProblem(
+            h=2 * np.eye(2), g=np.zeros(2), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.5]),
+            lb=np.zeros(2), ub=np.ones(2),
+        )
+        x1, phase1_its = _restore_equalities(prob, x0, 1e-8, 200)
+        assert phase1_its > 0
+        x_from_x1, diag_x1 = solve_qp(prob, x0=x1)
+        x, diag = solve_qp(prob, x0=x0)
+        assert diag.status == diag_x1.status == "optimal"
+        assert np.allclose(x, [0.75, 0.75], atol=1e-9)
+        assert np.array_equal(x, x_from_x1)
+        assert diag.iterations == phase1_its + diag_x1.iterations
+
+    def test_phase1_iterations_counted_when_infeasible(self):
+        # x0 + x1 = 3 cannot hold inside the unit box
+        x0 = np.array([0.5, 0.5])
+        prob = QpProblem(
+            h=np.eye(2), g=np.zeros(2), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([3.0]),
+            lb=np.zeros(2), ub=np.ones(2),
+        )
+        _, phase1_its = _restore_equalities(prob, x0, 1e-8, 200)
+        _, diag = solve_qp(prob, x0=x0)
+        assert diag.status == "infeasible"
+        assert diag.iterations == phase1_its > 0
 
     def test_bounds_honored_exactly(self):
         rng = np.random.default_rng(4)
