@@ -174,7 +174,7 @@ class MpcController:
         self.cfg = cfg
         self.cost = TrackingCost(cfg)
         self.n_var = self.cost.nu + self.cost.ny
-        self._warm = None
+        self._warm_u = None
         u_lo, u_hi = self.cost.u_bounds()
         y_lo, y_hi = self.cost.y_bounds()
         self.lb = np.concatenate([u_lo, y_lo])
@@ -185,7 +185,7 @@ class MpcController:
         self.h = h
 
     def reset(self) -> None:
-        self._warm = None
+        self._warm_u = None
 
     def solve_step(self, u_ini, y_ini, r_vec, u_prev) -> tuple[np.ndarray, StepResult]:
         cfg = self.cfg
@@ -202,7 +202,11 @@ class MpcController:
         prob = QpProblem(
             h=self.h, g=g_lin, a_eq=a_eq, b_eq=offset, lb=self.lb, ub=self.ub, validate=False
         )
-        x0 = self._warm if (cfg.warm_start and self._warm is not None) else None
+        x0 = None
+        if cfg.warm_start and self._warm_u is not None:
+            # the shifted inputs with their own rollout satisfy every equality
+            # row, so phase 1 runs only when the box clips that point
+            x0 = np.concatenate([self._warm_u, gamma @ self._warm_u + offset])
         x, diag = solve_qp(prob, x0=x0, tol=min(cfg.kkt_tol, 1e-8), max_iter=cfg.qp_max_iter)
         if diag.status == "infeasible":
             raise SolverError(f"MPC step infeasible (kkt={diag.kkt_residual:.3e})")
@@ -221,8 +225,5 @@ class MpcController:
             wall_time_s=diag.wall_time_s,
         )
         if cfg.warm_start:
-            shifted = x.copy()
-            shifted[:nu] = np.vstack([u_seq[1:], u_seq[-1:]]).ravel()
-            shifted[nu:] = np.vstack([y_seq[1:], y_seq[-1:]]).ravel()
-            self._warm = shifted
+            self._warm_u = np.vstack([u_seq[1:], u_seq[-1:]]).ravel()
         return result.u_apply, result

@@ -2,12 +2,19 @@
 
 Each data Hankel column is pushed through the hidden-layer feature map to
 give a neural-space basis; stacking a ones row makes predictions affine in
-the features.  The controller then solves a small nonlinear program over
-(u, y, g_tilde): the predicted outputs must match the data-driven affine map
-of the features of the candidate input, g_tilde absorbs the residual freedom
-and is pinned to the kernel of the feature stack (hard, or softly via a
-penalized slack).  Only the feature map is nonlinear in u, so a Gauss-Newton
-SQP with the analytic feature Jacobian converges in a handful of iterations.
+the features.  The controller then solves a small nonlinear program: the
+predicted outputs y must match the data-driven affine map of the features
+of the candidate input u, up to an output-space correction g_tilde.  The
+structural program (see ``problem_size``) pins g_tilde to the kernel of
+``kmat`` with equality rows, hard or through a penalized slack sigma.  The
+controller solves the same program over (u, y, a) with g_tilde = B a
+instead: B spans null(kmat) in hard mode (no columns when kmat has full
+column rank, so g_tilde vanishes), and in slack mode B = I with
+sigma = kmat g_tilde substituted into its penalty, so the ny prediction
+rows are the only equality constraints (Lemma 2: the kernel component
+does not change the prediction).  The feature map alone is nonlinear in u,
+so a Gauss-Newton SQP with the analytic feature Jacobian converges in a
+handful of iterations.
 
 The fixed-basis variant freezes the hypernet at the training-set mean
 parameter, removing the parameter-varying adaptation but keeping everything
@@ -58,8 +65,8 @@ class NeuralHankel:
     m: np.ndarray             # pinv of col(phi_hl, 1'):  (n_cols, nu_L+1)
     kmat: np.ndarray          # col(phi_hl, 1') @ pinv(yf):  (nu_L+1, n_y*N)
     theta_ls: np.ndarray      # yf @ m:  (n_y*N, nu_L+1)
-    kernel_rows: np.ndarray   # orthonormal basis of row(kmat): same null space,
-    stack_rank: int           # unit-scaled rows keep the multipliers modest
+    null_basis: np.ndarray    # orthonormal basis of null(kmat):  (n_y*N, n_y*N - rank)
+    stack_rank: int
     yf_full_row_rank: bool
 
     @property
@@ -142,7 +149,7 @@ def transform_hankel(
         m=m,
         kmat=kmat,
         theta_ls=hs.yf @ m,
-        kernel_rows=k_vt[:k_rank],
+        null_basis=k_vt[k_rank:].T,
         stack_rank=rank,
         yf_full_row_rank=yf_rank == hs.yf.shape[0],
     )
@@ -198,7 +205,13 @@ def problem_size(cfg: ControllerConfig, nu_l: int) -> dict[str, int]:
 
 
 class NpvController:
-    """Parameter-varying neural DeePC with receding-horizon warm starts."""
+    """Parameter-varying neural DeePC with receding-horizon warm starts.
+
+    Decision variables are (u, y, a) with g_tilde = ``basis @ a``; the only
+    equality rows are the prediction match y = theta_ls [phi(u); 1] + g_tilde.
+    The a-block carries the quadratic g_tilde (and, in slack mode, sigma)
+    penalty, so the cost stays constant and quadratic.
+    """
 
     def __init__(
         self,
@@ -217,31 +230,30 @@ class NpvController:
         self.p_override = None if p_override is None else np.asarray(p_override, dtype=float)
         self.nu_l = model.nu_l
         self.nu, self.ny = self.cost.nu, self.cost.ny
-        self.n_slack = self.nu_l + 1 if cfg.kernel_slack else 0
-        self.n_var = self.nu + 2 * self.ny + self.n_slack
-        self.off_y = self.nu
-        self.off_g = self.nu + self.ny
-        self.off_s = self.off_g + self.ny
+        self.basis = np.eye(self.ny) if cfg.kernel_slack else nh.null_basis
+        self.off_a = self.nu + self.ny
+        self.n_var = self.off_a + self.basis.shape[1]
         self._warm_u = None
         self._assemble_static()
 
     def _assemble_static(self) -> None:
         cfg = self.cfg
-        n = self.n_var
+        n, nu, off_a, b = self.n_var, self.nu, self.off_a, self.basis
         h = np.zeros((n, n))
-        h[:self.nu, :self.nu] = self.cost.h_u
-        h[self.off_y:self.off_g, self.off_y:self.off_g] = self.cost.h_y
-        h[self.off_g:self.off_s, self.off_g:self.off_s] = 2.0 * cfg.lambda_g * np.eye(self.ny)
-        if self.n_slack:
-            h[self.off_s:, self.off_s:] = 2.0 * cfg.lambda_sigma * np.eye(self.n_slack)
+        h[:nu, :nu] = self.cost.h_u
+        h[nu:off_a, nu:off_a] = self.cost.h_y
+        # lambda_g |g_tilde|^2 + lambda_sigma |kmat g_tilde|^2; kmat @ basis
+        # vanishes in hard mode, so the sigma term only acts in slack mode
+        reg = cfg.lambda_g * np.eye(self.ny) + cfg.lambda_sigma * self.nh.kmat.T @ self.nh.kmat
+        h[off_a:, off_a:] = 2.0 * b.T @ reg @ b
         self.h_static = h
 
         u_lo, u_hi = self.cost.u_bounds()
         y_lo, y_hi = self.cost.y_bounds()
         lb = np.full(n, -np.inf)
         ub = np.full(n, np.inf)
-        lb[:self.nu], ub[:self.nu] = u_lo, u_hi
-        lb[self.off_y:self.off_g], ub[self.off_y:self.off_g] = y_lo, y_hi
+        lb[:nu], ub[:nu] = u_lo, u_hi
+        lb[nu:off_a], ub[nu:off_a] = y_lo, y_hi
         self.lb, self.ub = lb, ub
 
     def reset(self) -> None:
@@ -266,33 +278,15 @@ class NpvController:
         return phi, jac
 
     def _constraint_fn(self, u_ini_n, y_ini_n, p_norm):
-        # the slack formulation keeps the raw kernel map (the slack lives on
-        # its rows); the hard constraint uses the orthonormalized row basis,
-        # which pins the same subspace without ill-scaled multipliers
-        kernel = self.nh.kmat if self.n_slack else self.nh.kernel_rows
         theta = self.nh.theta_ls
-        nu, ny, off_y, off_g, off_s = self.nu, self.ny, self.off_y, self.off_g, self.off_s
-        n_kernel = kernel.shape[0]
+        basis = self.basis
+        nu, off_a = self.nu, self.off_a
+        jac_ya = np.hstack([np.eye(self.ny), -basis])
 
         def eq_fn(x):
-            u = x[:nu]
-            y = x[off_y:off_g]
-            g_t = x[off_g:off_s]
-            phi, jac_phi = self._phi_and_jac(u_ini_n, y_ini_n, u, p_norm)
-            y_map = theta @ np.concatenate([phi, [1.0]])
-            c_pred = y - y_map - g_t
-            c_kernel = kernel @ g_t
-            if self.n_slack:
-                c_kernel = c_kernel - x[off_s:]
-            c = np.concatenate([c_kernel, c_pred])
-            jac = np.zeros((n_kernel + ny, self.n_var))
-            jac[:n_kernel, off_g:off_s] = kernel
-            if self.n_slack:
-                jac[:n_kernel, off_s:] = -np.eye(self.n_slack)
-            jac[n_kernel:, :nu] = -(theta[:, :-1] @ jac_phi)
-            jac[n_kernel:, off_y:off_g] = np.eye(ny)
-            jac[n_kernel:, off_g:off_s] = -np.eye(ny)
-            return c, jac
+            phi, jac_phi = self._phi_and_jac(u_ini_n, y_ini_n, x[:nu], p_norm)
+            c = x[nu:off_a] - theta @ np.concatenate([phi, [1.0]]) - basis @ x[off_a:]
+            return c, np.hstack([-(theta[:, :-1] @ jac_phi), jac_ya])
 
         return eq_fn
 
@@ -305,11 +299,9 @@ class NpvController:
         theta_feat = self.nh.theta_ls[:, :-1]
         d = self.model.dims
         nu = self.nu
-        n_kernel = (self.nh.kmat if self.n_slack else self.nh.kernel_rows).shape[0]
 
         def lag_hess(x, lam):
-            lam_pred = lam[n_kernel:] if lam.size else np.zeros(self.ny)
-            a = theta_feat.T @ lam_pred
+            a = theta_feat.T @ lam
             u_f_n = self.model.scalers.u.normalize(
                 x[:nu].reshape(d.horizon, d.n_u)
             ).ravel()
@@ -336,14 +328,14 @@ class NpvController:
         y0 = self.nh.theta_ls @ np.concatenate([phi, [1.0]])
         x0 = np.zeros(self.n_var)
         x0[:self.nu] = u0_flat
-        x0[self.off_y:self.off_g] = y0
+        x0[self.nu:self.off_a] = y0
         return x0
 
     def _cost_fn(self, r_vec, u_prev):
         g_lin = np.zeros(self.n_var)
         g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
         g_lin[:self.nu] = g_u
-        g_lin[self.off_y:self.off_g] = g_y
+        g_lin[self.nu:self.off_a] = g_y
         h = self.h_static
 
         def cost_fn(x):
@@ -374,8 +366,8 @@ class NpvController:
         # non-convergence (including a locally infeasible subproblem) returns
         # the best iterate with its status; the inputs are always box-feasible
         u_seq = x[:self.nu].reshape(cfg.horizon, cfg.n_u)
-        y_seq = x[self.off_y:self.off_g].reshape(cfg.horizon, cfg.n_y)
-        g_t = x[self.off_g:self.off_s]
+        y_seq = x[self.nu:self.off_a].reshape(cfg.horizon, cfg.n_y)
+        g_t = self.basis @ x[self.off_a:]
         cost_val = self.cost.value(u_seq, y_seq, r_vec, u_prev)
         c_final, _ = eq_fn(x)
         result = StepResult(
@@ -495,16 +487,15 @@ class CemController(NpvController):
         self._r_deliver[0] = cfg.y_hi[0]
         self._stage = "deliver"
         self._cem_now = 0.0
-        self.lb[self.off_y:self.off_y + cfg.n_y] = -np.inf
-        self.ub[self.off_y:self.off_y + cfg.n_y] = np.inf
+        self.lb[self.nu:self.nu + cfg.n_y] = -np.inf
+        self.ub[self.nu:self.nu + cfg.n_y] = np.inf
 
     def _dose_cost_fn(self, u_prev):
-        cfg = self.cfg
-        nu, ny, off_y, off_g = self.nu, self.ny, self.off_y, self.off_g
+        nu, off_a = self.nu, self.off_a
         diff, e_prev = self.cost.diff, self.cost.e_prev
         h_u = 2.0 * self.r_du * diff.T @ diff
         g_u = -2.0 * self.r_du * diff.T @ (e_prev @ np.asarray(u_prev, dtype=float))
-        lam_g = cfg.lambda_g
+        h_a = self.h_static[off_a:, off_a:]
         target = self.cem_target
         cem_now = self._cem_now
         dt_min = self.dt_minutes
@@ -512,15 +503,15 @@ class CemController(NpvController):
         reach = self.horizon_reach
 
         def cost_fn(x):
-            g_t = x[off_g:self.off_s]
-            ts = x[off_y:off_g][ts_idx]
+            a = x[off_a:]
+            ts = x[nu:off_a][ts_idx]
             cem_path, dinc = predicted_cem(ts, cem_now, dt_min)
             rho = (target - cem_path[-1]) / reach
             grad = np.zeros(self.n_var)
             hess = np.zeros((self.n_var, self.n_var))
             # Gauss-Newton on the scalar dose-miss residual
             jrho = np.zeros(self.n_var)
-            jrho[off_y:off_g][ts_idx] = -dinc / reach
+            jrho[nu:off_a][ts_idx] = -dinc / reach
             f = rho ** 2
             grad += 2.0 * rho * jrho
             hess += 2.0 * np.outer(jrho, jrho)
@@ -528,14 +519,9 @@ class CemController(NpvController):
             f += 0.5 * float(x[:nu] @ (h_u @ x[:nu])) + float(g_u @ x[:nu])
             grad[:nu] += h_u @ x[:nu] + g_u
             hess[:nu, :nu] += h_u
-            f += lam_g * float(g_t @ g_t)
-            grad[off_g:self.off_s] += 2.0 * lam_g * g_t
-            hess[off_g:self.off_s, off_g:self.off_s] += 2.0 * lam_g * np.eye(ny)
-            if self.n_slack:
-                s = x[self.off_s:]
-                f += cfg.lambda_sigma * float(s @ s)
-                grad[self.off_s:] += 2.0 * cfg.lambda_sigma * s
-                hess[self.off_s:, self.off_s:] += 2.0 * cfg.lambda_sigma * np.eye(self.n_slack)
+            f += 0.5 * float(a @ (h_a @ a))
+            grad[off_a:] += h_a @ a
+            hess[off_a:, off_a:] += h_a
             return f, grad, hess
 
         return cost_fn

@@ -234,21 +234,23 @@ def _restore_equalities(
     return x1, its
 
 
-def _qp_kkt_residual(prob: QpProblem, x, lam, working_sides=None) -> float:
-    grad = prob.h @ x + prob.g
-    r = grad + (prob.a_eq.T @ lam if prob.m_eq else 0.0)
-    res = 0.0
-    if prob.m_eq:
-        res = float(np.linalg.norm(prob.a_eq @ x - prob.b_eq, np.inf))
+def _stationarity(r, x, lb, ub) -> float:
+    """Worst violation of stationarity for the Lagrangian gradient ``r``.
+
+    A variable at its lower bound may keep a positive gradient, one at its
+    upper bound a negative one; a free variable needs a zero gradient.
+    """
     tol_bnd = 1e-10 * (1.0 + np.linalg.norm(x, np.inf))
-    for i in range(prob.n):
-        if x[i] <= prob.lb[i] + tol_bnd:
-            res = max(res, max(0.0, -r[i]))
-        elif x[i] >= prob.ub[i] - tol_bnd:
-            res = max(res, max(0.0, r[i]))
-        else:
-            res = max(res, abs(r[i]))
-    return res
+    at_lo = x <= lb + tol_bnd
+    at_hi = ~at_lo & (x >= ub - tol_bnd)
+    viol = np.where(at_lo, np.maximum(-r, 0.0), np.where(at_hi, np.maximum(r, 0.0), np.abs(r)))
+    return float(np.max(viol, initial=0.0))
+
+
+def _qp_kkt_residual(prob: QpProblem, x, lam) -> float:
+    r = prob.h @ x + prob.g + (prob.a_eq.T @ lam if prob.m_eq else 0.0)
+    res = float(np.linalg.norm(prob.a_eq @ x - prob.b_eq, np.inf)) if prob.m_eq else 0.0
+    return max(res, _stationarity(r, x, prob.lb, prob.ub))
 
 
 def solve_qp(
@@ -348,6 +350,13 @@ def solve_sqp(
         c, jac = eq_fn(xv)
         return np.asarray(c, dtype=float).ravel(), np.atleast_2d(np.asarray(jac, dtype=float))
 
+    def _evaluate(xv):
+        # cost, constraints and the l1 merit at the current penalty; a kept
+        # trial's values become the next iterate's without re-evaluation
+        fg = cost_fn(xv)
+        cj = _eval_c(xv)
+        return fg, cj, fg[0] + mu * float(np.sum(np.abs(cj[0])))
+
     f, grad, hess = cost_fn(x)
     c, jac = _eval_c(x)
     m = c.size
@@ -384,16 +393,7 @@ def solve_sqp(
         lam = qdiag.eq_multipliers if qdiag.eq_multipliers is not None else np.zeros(m)
 
         # KKT residual at the current iterate using the QP multipliers
-        r = grad + (jac.T @ lam if m else 0.0)
-        stat = 0.0
-        tol_bnd = 1e-10 * (1.0 + np.linalg.norm(x, np.inf))
-        for i in range(x.size):
-            if x[i] <= lb[i] + tol_bnd:
-                stat = max(stat, max(0.0, -r[i]))
-            elif x[i] >= ub[i] - tol_bnd:
-                stat = max(stat, max(0.0, r[i]))
-            else:
-                stat = max(stat, abs(r[i]))
+        stat = _stationarity(grad + (jac.T @ lam if m else 0.0), x, lb, ub)
         kkt = max(stat, float(np.linalg.norm(c, np.inf)) if m else 0.0)
         step_norm = float(np.linalg.norm(d, np.inf))
         if kkt <= tol and step_norm <= tol * (1.0 + np.linalg.norm(x, np.inf)):
@@ -418,18 +418,14 @@ def solve_sqp(
             status = "optimal" if kkt <= 10 * tol else "max_iter"
             break
 
-        def _merit_at(xv):
-            f_t, _, _ = cost_fn(xv)
-            c_t, _ = _eval_c(xv)
-            return f_t + mu * float(np.sum(np.abs(c_t))), f_t
-
         trial = np.clip(x + d, lb, ub)
+        fg_t, cj_t, merit_t = _evaluate(trial)
         if m:
             # second-order correction: land each trial back on the constraint
             # manifold, so the merit sees the cost change and not the
             # quadratic violation the linearized step leaves behind; bound-
             # active coordinates stay pinned so activity detection survives
-            c_trial, _ = _eval_c(trial)
+            c_trial = cj_t[0]
             lo_gap = np.where(np.isfinite(lb), trial - lb, np.inf)
             hi_gap = np.where(np.isfinite(ub), ub - trial, np.inf)
             margin = 1e-9 * (1.0 + np.abs(trial))
@@ -439,11 +435,9 @@ def solve_sqp(
                 d_soc = np.zeros_like(trial)
                 d_soc[interior] = d_soc_f
                 trial_soc = np.clip(trial + d_soc, lb, ub)
-                merit_plain, _ = _merit_at(trial)
-                merit_soc, _ = _merit_at(trial_soc)
-                if np.isfinite(merit_soc) and merit_soc <= merit_plain:
-                    trial = trial_soc
-        merit_t, _ = _merit_at(trial)
+                fg_soc, cj_soc, merit_soc = _evaluate(trial_soc)
+                if np.isfinite(merit_soc) and merit_soc <= merit_t:
+                    trial, fg_t, cj_t, merit_t = trial_soc, fg_soc, cj_soc, merit_soc
         accepted = np.isfinite(merit_t) and (merit0 - merit_t) >= 0.1 * pred_red
         if accepted:
             good = (merit0 - merit_t) >= 0.75 * pred_red
@@ -452,18 +446,14 @@ def solve_sqp(
                 radius = min(radius * 2.0, 1e6)
             x = trial
             steps += 1
-            f, grad, hess = cost_fn(x)
-            c, jac = _eval_c(x)
+            (f, grad, hess), (c, jac) = fg_t, cj_t
         else:
             radius = max(0.25 * step_norm, 1e-12)
             if radius <= 1e-11 * (1.0 + np.linalg.norm(x, np.inf)):
                 break
 
-    if status != "optimal":
-        f_cur, _, _ = cost_fn(x)
-        c_cur, _ = _eval_c(x)
-        if f_cur + mu * float(np.sum(np.abs(c_cur))) > best_merit:
-            x = best_x
+    if status != "optimal" and f + mu * float(np.sum(np.abs(c))) > best_merit:
+        x = best_x
     diag = SolveDiagnostics(
         status=status,
         iterations=steps,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from npvdeepc import baseline
 from npvdeepc.baseline import ArxModel, arx_rollout, arx_rollout_affine, identify_arx, MpcController
 from npvdeepc.control import ControllerConfig
 from npvdeepc.hankel import Trajectory
@@ -193,3 +194,25 @@ class TestMpc:
             np.zeros(2 * cfg.t_ini), np.zeros(2 * cfg.t_ini), np.array([5.0, 5.0]), np.zeros(2)
         )
         assert np.all(step.u_seq >= -0.1) and np.all(step.u_seq <= 0.1)
+
+    def test_warm_start_satisfies_rollout_rows(self, monkeypatch):
+        model, plant = self._identified_lti()
+        cfg = mpc_config()
+        ctrl = MpcController(model, cfg)
+        seen = []
+        solve_qp = baseline.solve_qp
+
+        def spy(prob, x0=None, **kw):
+            seen.append((prob, x0))
+            return solve_qp(prob, x0=x0, **kw)
+
+        monkeypatch.setattr(baseline, "solve_qp", spy)
+        rng = np.random.default_rng(3)
+        r_vec = np.array([1.0, -0.5])
+        for _ in range(3):
+            ctrl.solve_step(rng.uniform(-1, 1, 2 * cfg.t_ini), rng.uniform(-1, 1, 2 * cfg.t_ini),
+                            r_vec, np.zeros(2))
+        assert seen[0][1] is None
+        for prob, x0 in seen[1:]:
+            assert x0 is not None
+            assert np.max(np.abs(prob.a_eq @ x0 - prob.b_eq)) <= 1e-9

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from npvdeepc.control import ControllerConfig
+from npvdeepc import npv
+from npvdeepc.control import ControllerConfig, TrackingCost
 from npvdeepc.hankel import Window
 from npvdeepc.hypernet import TrainConfig, WindowDataset, refit_output_ls, train
+from npvdeepc.optim import solve_sqp
 from npvdeepc.npv import (
     CemController,
     NeuralController,
@@ -233,6 +235,132 @@ class TestSolveStep:
         u, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
         assert step.status in ("optimal", "max_iter")
         assert np.all(np.isfinite(u))
+
+
+def _kernel_rank(kmat) -> int:
+    svals = np.linalg.svd(kmat, compute_uv=False)
+    return int(np.sum(svals > max(kmat.shape) * np.finfo(float).eps * svals[0]))
+
+
+def _structural_step(model, nh, cfg, w, r_vec, u_prev):
+    """Cold-start solve of the (u, y, g_tilde[, sigma]) program with explicit kernel rows.
+
+    Hard mode pins g_tilde with the orthonormal rows of row(kmat); slack mode
+    adds sigma = kmat g_tilde as equality rows and penalizes sigma.
+    """
+    cost = TrackingCost(cfg)
+    nu, ny = cost.nu, cost.ny
+    if cfg.kernel_slack:
+        kernel = nh.kmat
+    else:
+        kernel = np.linalg.svd(nh.kmat)[2][:_kernel_rank(nh.kmat)]
+    nk = kernel.shape[0]
+    ns = nk if cfg.kernel_slack else 0
+    off_g = nu + ny
+    off_s = off_g + ny
+    n = off_s + ns
+    h = np.zeros((n, n))
+    h[:nu, :nu] = cost.h_u
+    h[nu:off_g, nu:off_g] = cost.h_y
+    h[off_g:off_s, off_g:off_s] = 2.0 * cfg.lambda_g * np.eye(ny)
+    h[off_s:, off_s:] = 2.0 * cfg.lambda_sigma * np.eye(ns)
+    g_lin = np.concatenate([*cost.linear_terms(r_vec, u_prev), np.zeros(n - off_g)])
+    theta = nh.theta_ls
+
+    def nn_in(x):
+        return model.nn_input(w.u_ini, w.y_ini, x[:nu], w.p_hist)
+
+    def eq_fn(x):
+        z = nn_in(x)
+        g_t = x[off_g:off_s]
+        c_kernel = kernel @ g_t - x[off_s:] if ns else kernel @ g_t
+        c_pred = x[nu:off_g] - theta @ np.append(model.phi_hl(z), 1.0) - g_t
+        jac = np.zeros((nk + ny, n))
+        jac[:nk, off_g:off_s] = kernel
+        jac[:nk, off_s:] = -np.eye(nk, ns)
+        jac[nk:, :nu] = -(theta[:, :-1] @ model.jacobian_phi_hl_future_u_raw(z))
+        jac[nk:, nu:off_g] = np.eye(ny)
+        jac[nk:, off_g:off_s] = -np.eye(ny)
+        return np.concatenate([c_kernel, c_pred]), jac
+
+    def lag_hess(x, lam):
+        block = model.phi_curvature_future_u_raw(nn_in(x), -(theta[:, :-1].T @ lam[nk:]))
+        vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
+        out = np.zeros((n, n))
+        out[:nu, :nu] = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+        return out
+
+    def cost_fn(x):
+        return 0.5 * float(x @ (h @ x)) + float(g_lin @ x), h @ x + g_lin, h
+
+    lb = np.full(n, -np.inf)
+    ub = np.full(n, np.inf)
+    lb[:nu], ub[:nu] = cost.u_bounds()
+    lb[nu:off_g], ub[nu:off_g] = cost.y_bounds()
+    x0 = np.zeros(n)
+    x0[:nu] = np.tile(np.clip(u_prev, cfg.u_lo, cfg.u_hi), cfg.horizon)
+    x0[nu:off_g] = theta @ np.append(model.phi_hl(nn_in(x0)), 1.0)
+    x, _ = solve_sqp(cost_fn, eq_fn, lb, ub, x0, tol=cfg.kkt_tol, max_iter=cfg.max_iter,
+                     qp_max_iter=cfg.qp_max_iter, lag_hess_fn=lag_hess)
+    return x[:nu].reshape(cfg.horizon, cfg.n_u), x[nu:off_g].reshape(cfg.horizon, cfg.n_y), \
+        float(np.linalg.norm(x[off_g:off_s]))
+
+
+@pytest.fixture(scope="module")
+def narrow_setup(setup):
+    """A 4-feature model: kmat is 5 x 10, so null(kmat) has 5 directions."""
+    traj = setup[0]
+    ds = WindowDataset.from_trajectory(traj, T_INI, HORIZON)
+    cfg = TrainConfig(hidden_sizes=(4,), modulated=(True,), max_epochs=100, patience=100)
+    model = train(ds, cfg, seed=0)
+    hs, p_cols = hankel_with_params(traj, T_INI, HORIZON, n_cols=200)
+    return traj, model, hs, p_cols, transform_hankel(model, hs, p_cols)
+
+
+class TestCondensedForm:
+    """The (u, y, a) program the controller solves against the structural one."""
+
+    @pytest.mark.parametrize("which", ["setup", "narrow_setup"])
+    @pytest.mark.parametrize("slack", [False, True])
+    def test_matches_structural_program(self, request, which, slack):
+        traj, model, hs, p_cols, nh = request.getfixturevalue(which)
+        model.theta_ls = nh.theta_ls  # other tests refit against synthetic data
+        cfg = wide_cfg(kernel_slack=slack, lambda_sigma=10.0, warm_start=False)
+        ctrl = NpvController(model, nh, cfg)
+        ny = ctrl.ny
+        n_free = ny if slack else ny - _kernel_rank(nh.kmat)
+        assert ctrl.n_var == ctrl.nu + ny + n_free
+        if which == "setup" and not slack:
+            assert ctrl.n_var == ctrl.nu + ny
+        if which == "narrow_setup" and not slack:
+            assert n_free == ny - (model.nu_l + 1) > 0
+        rng = np.random.default_rng(5)
+        for start in (60, 140, 220):
+            w = Window.from_trajectory(traj, start, T_INI, HORIZON)
+            r_vec = np.array([rng.uniform(28.0, 33.0), 40.0])
+            u_prev = rng.uniform([1.5, 1.0], [8.0, 6.0])
+            _, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, r_vec, u_prev)
+            u_ref, y_ref, g_norm_ref = _structural_step(model, nh, cfg, w, r_vec, u_prev)
+            assert np.max(np.abs(step.u_seq - u_ref)) < 1e-5
+            assert np.max(np.abs(step.y_pred - y_ref)) < 1e-5
+            assert abs(step.extras["g_tilde_norm"] - g_norm_ref) < 1e-5
+
+    def test_only_prediction_rows(self, setup, monkeypatch):
+        traj, model, hs, p_cols, nh = setup
+        seen = []
+
+        def spy(cost_fn, eq_fn, lb, ub, x0, **kw):
+            seen.append(eq_fn(x0))
+            return solve_sqp(cost_fn, eq_fn, lb, ub, x0, **kw)
+
+        monkeypatch.setattr(npv, "solve_sqp", spy)
+        w = Window.from_trajectory(traj, 100, T_INI, HORIZON)
+        for slack in (False, True):
+            ctrl = NpvController(model, nh, wide_cfg(kernel_slack=slack))
+            ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
+            c, jac = seen[-1]
+            assert c.shape == (ctrl.ny,)
+            assert jac.shape == (ctrl.ny, ctrl.n_var)
 
 
 class TestNeuralVariant:
