@@ -70,16 +70,12 @@ def identify_arx(traj: Trajectory, n_a: int, n_b: int) -> ArxModel:
         raise DimensionError(
             f"trajectory too short for ARX({n_a},{n_b}): {traj.n_samples} samples"
         )
-    rows = np.empty((n, n_feat))
-    for k in range(n):
-        t = k + lag
-        feats = []
-        for i in range(1, n_a + 1):
-            feats.append(traj.y[t - i])
-        for j in range(1, n_b + 1):
-            feats.append(traj.u[t - j])
-        feats.append([1.0])
-        rows[k] = np.concatenate(feats)
+    # columns y(k-1..k-n_a), u(k-1..k-n_b), 1 for k = lag .. n_samples-1
+    rows = np.hstack(
+        [traj.y[lag - i:lag - i + n] for i in range(1, n_a + 1)]
+        + [traj.u[lag - j:lag - j + n] for j in range(1, n_b + 1)]
+        + [np.ones((n, 1))]
+    )
     targets = traj.y[lag:]
 
     rank = np.linalg.matrix_rank(rows)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .experiments import (
     write_json,
 )
 from .hankel import DimensionError, load_trajectory_csv, save_trajectory_csv
-from .hypernet import TrainingDivergedError, WindowDataset, load_model, save_model
+from .hypernet import TrainingDivergedError, load_model, save_model
 from .optim import SolverError
 
 EXIT_CONFIG = 2

@@ -8,7 +8,6 @@ computation starts.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass

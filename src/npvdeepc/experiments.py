@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import ArxModel, MpcController, identify_arx
-from .config import RunConfig, config_hash, config_to_dict
+from .config import RunConfig, config_hash
 from .control import ControllerConfig
 from .deepc import DeepcController, build_projector
 from .hankel import (
@@ -28,16 +28,13 @@ from .hankel import (
     Window,
     check_pe,
     partition,
-    save_trajectory_csv,
     willems_membership,
 )
 from .hypernet import (
     HyperDnnModel,
     TrainConfig,
     WindowDataset,
-    assemble_normalized,
     predict_batch,
-    save_model,
     train,
 )
 from .metrics import RunMetrics, bfr, control_energy, cpu_stats, ise, rmse

@@ -75,9 +75,6 @@ class Trajectory:
     def dims(self) -> tuple[int, int, int]:
         return (self.u.shape[1], self.y.shape[1], self.p.shape[1])
 
-    def slice(self, start: int, stop: int) -> "Trajectory":
-        return Trajectory(self.u[start:stop], self.y[start:stop], self.p[start:stop], self.dt)
-
 
 @dataclass
 class Window:

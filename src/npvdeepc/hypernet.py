@@ -14,7 +14,7 @@ helpers accept raw signals and normalize/denormalize at the boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -25,7 +25,6 @@ tracking cost for a terminal dose miss with a smoothed activation switch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from .control import ControllerConfig, StepResult, TrackingCost
 from .hankel import DimensionError, HankelSet, Trajectory, build_hankel, partition
 from .hypernet import HyperDnnModel, NnInput, refit_output_ls
-from .optim import SolverError, pinv, solve_sqp
+from .optim import pinv, solve_sqp
 from .plant import CEM_KAPPA, CEM_REFERENCE_TEMP, CEM_SWITCH_TEMP
 
 __all__ = [

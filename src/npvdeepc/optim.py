@@ -9,7 +9,7 @@ generate.  Everything is dense numpy; problem sizes stay in the hundreds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,26 +148,24 @@ def _kkt_solve(h_ff, grad_f, a_f, r_eq):
 def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter):
     """Primal active-set iteration from a bound-feasible point.
 
-    The equality residual enters the KKT right-hand side each iteration, so
-    mild initial equality infeasibility is repaired along the way.
+    The working set is one integer per variable, ``side``: -1 holds the
+    variable at its lower bound, +1 at its upper bound, 0 leaves it free.
+    Variables with ``lb == ub`` are pinned and never released.  Ties in the
+    multiplier and ratio tests go to the lowest index.  The equality
+    residual enters the KKT right-hand side each iteration, so mild initial
+    equality infeasibility is repaired along the way.
     """
     n = x.size
     m = 0 if a_eq is None else a_eq.shape[0]
+    pinned = lb == ub
+    x[pinned] = lb[pinned]
     # seed the working set with the bounds active at the start point
-    working = {}
-    for i in range(n):
-        if lb[i] == ub[i]:
-            working[i] = "fixed"
-            x[i] = lb[i]
-        elif x[i] == lb[i] and np.isfinite(lb[i]):
-            working[i] = "lower"
-        elif x[i] == ub[i] and np.isfinite(ub[i]):
-            working[i] = "upper"
+    side = np.where(x == lb, -1, np.where(x == ub, 1, 0))
     lam = np.zeros(m)
     feas_tol = tol * (1.0 + (np.linalg.norm(b_eq, np.inf) if m else 0.0))
 
     for it in range(1, max_iter + 1):
-        free = np.array([i for i in range(n) if i not in working], dtype=int)
+        free = np.flatnonzero(side == 0)
         grad = h @ x + g
         r_eq = b_eq - a_eq @ x if m else np.zeros(0)
         a_f = a_eq[:, free] if m else None
@@ -182,34 +180,24 @@ def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter):
         if step_small and (not m or np.linalg.norm(r_eq, np.inf) <= feas_tol):
             # candidate optimum: check bound multipliers
             r = grad + (a_eq.T @ lam if m else 0.0)
-            worst, worst_val = None, -tol
-            for i, side in working.items():
-                if side == "fixed":
-                    continue
-                mult = r[i] if side == "lower" else -r[i]
-                if mult < worst_val:
-                    worst, worst_val = i, mult
-            if worst is None:
+            mult = np.where(pinned, 0.0, -side * r)  # 0 on free and pinned variables
+            if not np.any(mult < -tol):
                 return x, lam, it, "optimal"
-            del working[worst]
+            side[np.argmin(mult)] = 0
             continue
 
-        # ratio test against the bounds on free variables
-        alpha, blocker, block_side = 1.0, None, None
-        for i in free:
-            if p[i] > 1e-14 and np.isfinite(ub[i]):
-                a_i = (ub[i] - x[i]) / p[i]
-                if a_i < alpha:
-                    alpha, blocker, block_side = a_i, i, "upper"
-            elif p[i] < -1e-14 and np.isfinite(lb[i]):
-                a_i = (lb[i] - x[i]) / p[i]
-                if a_i < alpha:
-                    alpha, blocker, block_side = a_i, i, "lower"
-        alpha = max(alpha, 0.0)
-        x = np.clip(x + alpha * p, lb, ub)
-        if blocker is not None:
-            working[blocker] = block_side
-            x[blocker] = ub[blocker] if block_side == "upper" else lb[blocker]
+        # ratio test against the bound each moving variable heads for; p is
+        # zero on the working set and infinite bounds give infinite ratios
+        moving = np.flatnonzero(np.abs(p) > 1e-14)
+        ratio = (np.where(p[moving] > 0, ub[moving], lb[moving]) - x[moving]) / p[moving]
+        if np.any(ratio < 1.0):
+            j = np.argmin(ratio)
+            k = moving[j]
+            x = np.clip(x + max(ratio[j], 0.0) * p, lb, ub)
+            side[k] = 1 if p[k] > 0 else -1
+            x[k] = ub[k] if p[k] > 0 else lb[k]
+        else:
+            x = np.clip(x + p, lb, ub)
 
     return x, lam, max_iter, "max_iter"
 
@@ -369,27 +357,19 @@ def solve_sqp(
             extra = lag_hess_fn(x, lam)
             if extra is not None:
                 h_qp = hess + extra
-        qp = QpProblem(
-            h=h_qp,
-            g=grad,
-            a_eq=jac if m else None,
-            b_eq=-c if m else None,
-            lb=np.maximum(lb - x, -radius),
-            ub=np.minimum(ub - x, radius),
-            validate=False,
-        )
-        d, qdiag = solve_qp(qp, x0=np.zeros(x.size), tol=min(tol, 1e-8), max_iter=qp_max_iter)
-        if qdiag.status == "infeasible":
-            # linearized constraints may not fit inside the trust box; widen once
-            radius *= 16.0
+        # linearized constraints may not fit inside the trust box; widen once
+        for widen in (1.0, 16.0):
+            radius *= widen
             qp = QpProblem(
                 h=h_qp, g=grad, a_eq=jac if m else None, b_eq=-c if m else None,
                 lb=np.maximum(lb - x, -radius), ub=np.minimum(ub - x, radius), validate=False,
             )
             d, qdiag = solve_qp(qp, x0=np.zeros(x.size), tol=min(tol, 1e-8), max_iter=qp_max_iter)
-            if qdiag.status == "infeasible":
-                status = "infeasible"
+            if qdiag.status != "infeasible":
                 break
+        else:
+            status = "infeasible"
+            break
         lam = qdiag.eq_multipliers if qdiag.eq_multipliers is not None else np.zeros(m)
 
         # KKT residual at the current iterate using the QP multipliers

@@ -55,6 +55,23 @@ class TestIdentify:
         fitted = identify_arx(traj, n_a=2, n_b=2)
         assert np.max(np.abs(fitted.b_coefs)) < 0.05
 
+    @pytest.mark.parametrize("n_a, n_b", [(3, 1), (1, 3), (0, 2)])
+    def test_matches_per_sample_regressors(self, n_a, n_b):
+        # reference: one regressor row per sample, newest lag first
+        rng = np.random.default_rng(3)
+        u = rng.uniform(-1, 1, size=(300, 2))
+        y = rng.standard_normal((300, 2))
+        lag = max(n_a, n_b)
+        rows = np.array([
+            np.concatenate([y[t - i] for i in range(1, n_a + 1)]
+                           + [u[t - j] for j in range(1, n_b + 1)] + [[1.0]])
+            for t in range(lag, 300)
+        ])
+        theta = np.linalg.lstsq(rows, y[lag:], rcond=None)[0].T
+        fitted = identify_arx(Trajectory(u=u, y=y, p=np.zeros((300, 1)), dt=1.0), n_a, n_b)
+        fitted_theta = np.hstack([*fitted.a_coefs, *fitted.b_coefs, fitted.intercept[:, None]])
+        assert np.array_equal(fitted_theta, theta)
+
     def test_empty_regressor_rejected(self):
         traj = Trajectory(u=np.zeros((50, 2)), y=np.zeros((50, 2)), p=np.zeros((50, 1)), dt=1.0)
         with pytest.raises(ValueError, match="empty regressor"):

@@ -78,6 +78,46 @@ class TestSolveQp:
         assert diag.status == "optimal"
         assert np.allclose(x, x_oracle, atol=1e-7)
 
+    def test_start_at_upper_corner_releases_bounds(self):
+        # every bound starts on the working set at its upper side; the solve
+        # must release the wrong ones and end with both sides active
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((10, 10))
+        h = m.T @ m + 0.5 * np.eye(10)
+        g = 3 * rng.standard_normal(10)
+        lb = np.full(10, -0.5)
+        ub = np.full(10, 0.5)
+        x_oracle = _projected_gradient_oracle(h, g, lb, ub)
+        x, diag = solve_qp(QpProblem(h=h, g=g, lb=lb, ub=ub), x0=ub, tol=1e-10)
+        assert diag.status == "optimal"
+        assert np.allclose(x, x_oracle, atol=1e-7)
+        at_lo, at_hi = x == lb, x == ub
+        assert at_lo.any() and at_hi.any() and not (at_lo | at_hi).all()
+
+    @pytest.mark.parametrize("start", ["default", "upper"])
+    def test_pinned_variables_stay_put(self, start):
+        # variables 0 and 1 have lb == ub and gradients of opposite sign that
+        # push them out of their bounds; they must never leave the working set
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((5, 5))
+        h = m.T @ m + np.eye(5)
+        g = np.array([8.0, -8.0, 0.3, -4.0, 4.0])
+        lb = np.array([0.2, -0.3, -1.0, -1.0, -1.0])
+        ub = np.array([0.2, -0.3, 1.0, 1.0, 1.0])
+        x0 = None if start == "default" else ub
+        x, diag = solve_qp(QpProblem(h=h, g=g, lb=lb, ub=ub), x0=x0, tol=1e-10)
+        grad = h @ x + g
+        assert grad[0] > 0 and grad[1] < 0
+        assert diag.status == "optimal"
+        assert np.array_equal(x[:2], lb[:2])
+        # the same QP with the pinned variables substituted out
+        h_f, g_f = h[2:, 2:], g[2:] + h[2:, :2] @ lb[:2]
+        x_f, diag_f = solve_qp(
+            QpProblem(h=h_f, g=g_f, lb=lb[2:], ub=ub[2:]), x0=None if x0 is None else ub[2:], tol=1e-10
+        )
+        assert np.allclose(x[2:], x_f, atol=1e-9)
+        assert diag.iterations == diag_f.iterations
+
     def test_equality_constrained(self):
         # min ||x||^2 s.t. x0 + x1 = 1 -> x = (0.5, 0.5)
         prob = QpProblem(
@@ -216,6 +256,22 @@ class TestSolveSqp:
         x, diag = solve_sqp(cost, eq, np.full(2, -10.0), np.full(2, 10.0), x0=np.array([1.0, 1.0]))
         assert abs(x[0] ** 2 + x[1] - 1.0) < 1e-8
         assert diag.status == "optimal"
+
+    @pytest.mark.parametrize("target, status, steps", [(5e3, "optimal", 1), (5e4, "infeasible", 0)])
+    def test_trust_box_widened_once(self, target, status, steps):
+        # x0 + x1 = target from the origin: the initial 1e3 trust box reaches
+        # a sum of 2e3, the box widened once (x16) a sum of 3.2e4
+        def cost(x):
+            return float(x @ x), 2 * x, 2 * np.eye(2)
+
+        def eq(x):
+            return np.array([x[0] + x[1] - target]), np.array([[1.0, 1.0]])
+
+        x, diag = solve_sqp(cost, eq, np.full(2, -1e5), np.full(2, 1e5), x0=np.zeros(2))
+        assert diag.status == status
+        assert diag.iterations == steps
+        if status == "optimal":
+            assert np.allclose(x, [target / 2, target / 2], rtol=1e-12)
 
     def test_jacobian_check_helper(self):
         a = np.array([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]])
