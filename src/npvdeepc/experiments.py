@@ -463,7 +463,7 @@ def run_bench(cfg: RunConfig, out_dir, pipe: Pipeline | None = None) -> dict:
             write_steps_csv(out_dir / f"bench_{noise_label}_{name}_steps.csv", records)
             metrics_doc[noise_label][name] = m.scalar_dict()
             timing_doc[noise_label][name] = m.mean_cpu_s
-            table_rows.append((name, noise_label, m.rmse, m.ise, m.ju, m.mean_cpu_s))
+            table_rows.append((name, noise_label, m.rmse, m.ise, m.ju))
     bench_doc = {
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
@@ -474,9 +474,9 @@ def run_bench(cfg: RunConfig, out_dir, pipe: Pipeline | None = None) -> dict:
     write_json(out_dir / "bench_timing.json", {"timing": timing_doc})
     with (out_dir / "bench_table.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["controller", "noise", "rmse", "ise", "ju", "t_cpu_mean"])
-        for name, noise_label, v_rmse, v_ise, v_ju, v_cpu in table_rows:
-            writer.writerow([name, noise_label, repr(float(v_rmse)), repr(float(v_ise)), repr(float(v_ju)), repr(float(v_cpu))])
+        writer.writerow(["controller", "noise", "rmse", "ise", "ju"])
+        for name, noise_label, *values in table_rows:
+            writer.writerow([name, noise_label] + [repr(float(v)) for v in values])
     return bench_doc
 
 

@@ -236,11 +236,7 @@ class HyperDnnModel:
 
     def phi_hl(self, nn_in: NnInput) -> np.ndarray:
         """Feature vector of the last hidden layer; components in (-1, 1)."""
-        z = np.asarray(nn_in.u_nn, dtype=float).ravel()
-        if not np.all(np.isfinite(z)):
-            raise ValueError("non-finite network input")
-        for w, b in self.hyper_forward(nn_in.p_vec):
-            z = np.tanh(w @ z + b)
+        z, _ = _tanh_stack(self.hyper_forward(nn_in.p_vec), nn_in.u_nn, self.dims.future_u_slice)
         return z
 
     def phi_nn(self, nn_in: NnInput) -> np.ndarray:
@@ -270,40 +266,50 @@ class HyperDnnModel:
         weights are constants with respect to the future inputs and the chain
         rule runs through the tanh layers alone.
         """
-        d = self.dims
-        weights = self.hyper_forward(nn_in.p_vec)
-        z = np.asarray(nn_in.u_nn, dtype=float).ravel()
-        sl = d.future_u_slice
-        jac = None
-        for w, b in weights:
-            z_next = np.tanh(w @ z + b)
-            gain = 1.0 - z_next ** 2
-            jac = gain[:, None] * (w[:, sl] if jac is None else w @ jac)
-            z = z_next
+        _, jac = _tanh_stack(self.hyper_forward(nn_in.p_vec), nn_in.u_nn, self.dims.future_u_slice)
         return jac
 
     def jacobian_phi_hl_future_u_raw(self, nn_in: NnInput) -> np.ndarray:
         """Same Jacobian taken with respect to the raw future input values."""
-        d = self.dims
-        scale = np.tile(self.scalers.u.gain, d.horizon)
-        return self.jacobian_phi_hl_wrt_future_u(nn_in) * scale[None, :]
+        _, jac = self.features(self.hyper_forward(nn_in.p_vec), nn_in.u_nn)
+        return jac
 
     def phi_curvature_future_u_raw(self, nn_in: NnInput, weights: np.ndarray) -> np.ndarray | None:
-        """Weighted second derivative sum_k weights_k * d2(phi_k)/du_f du_f.
+        """Weighted second derivative sum_k weights_k * d2(phi_k)/du_f du_f."""
+        return self.feature_curvature(self.hyper_forward(nn_in.p_vec), nn_in.u_nn, weights)
+
+    # ----- per-step maps under fixed hidden weights -----------------------
+    #
+    # The hidden weights depend only on the measured parameter history, so a
+    # controller step computes ``hyper_forward`` once and passes the layer
+    # list to these for every candidate input of its solve.
+
+    def features(self, layers, u_nn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Feature vector and its raw future-input Jacobian, from one forward pass.
+
+        ``layers`` is the ``hyper_forward`` list of the step's parameter
+        vector and ``u_nn`` the normalized network input.
+        """
+        z, jac = _tanh_stack(layers, u_nn, self.dims.future_u_slice)
+        return z, jac * self._future_u_gain()[None, :]
+
+    def feature_curvature(self, layers, u_nn: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+        """Weighted raw future-input curvature sum_k weights_k * d2(phi_k)/du_f du_f.
 
         Closed form for the single-hidden-layer architecture (d2 tanh =
         -2 tanh (1 - tanh^2)); deeper stacks return None and the caller falls
         back to the Gauss-Newton model.
         """
-        if len(self.layer_specs) != 1:
+        if len(layers) != 1:
             return None
-        d = self.dims
-        w, b = self.hyper_forward(nn_in.p_vec)[0]
-        z = np.tanh(w @ nn_in.u_nn + b)
-        scale = np.tile(self.scalers.u.gain, d.horizon)
-        w_f = w[:, d.future_u_slice] * scale[None, :]
+        z, _ = _tanh_stack(layers, u_nn, self.dims.future_u_slice)
+        w_f = layers[0][0][:, self.dims.future_u_slice] * self._future_u_gain()[None, :]
         coef = -2.0 * z * (1.0 - z ** 2) * np.asarray(weights, dtype=float)
         return (w_f * coef[:, None]).T @ w_f
+
+    def _future_u_gain(self) -> np.ndarray:
+        """d(normalized)/d(raw) of each future input entry."""
+        return np.tile(self.scalers.u.gain, self.dims.horizon)
 
     def effective_output_map(self) -> np.ndarray:
         """Trained output layer folded with denormalization: raw y = map @ [phi; 1]."""
@@ -313,6 +319,22 @@ class HyperDnnModel:
         w_raw = gain[:, None] * self.params["out_w"]
         b_raw = gain * self.params["out_b"] + offset
         return np.hstack([w_raw, b_raw[:, None]])
+
+
+def _tanh_stack(layers, u_nn, future: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Last hidden activation of one input and its Jacobian wrt ``u_nn[future]``.
+
+    The only per-sample pass through the tanh layers; every per-sample map of
+    ``HyperDnnModel`` goes through it.
+    """
+    z = np.asarray(u_nn, dtype=float).ravel()
+    if not np.all(np.isfinite(z)):
+        raise ValueError("non-finite network input")
+    jac = None
+    for w, b in layers:
+        z = np.tanh(w @ z + b)
+        jac = (1.0 - z ** 2)[:, None] * (w[:, future] if jac is None else w @ jac)
+    return z, jac
 
 
 # --------------------------------------------------------------------------

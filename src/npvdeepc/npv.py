@@ -31,7 +31,7 @@ import numpy as np
 
 from .control import ControllerConfig, StepResult, TrackingCost
 from .hankel import DimensionError, HankelSet, Trajectory, build_hankel, partition
-from .hypernet import HyperDnnModel, NnInput, refit_output_ls
+from .hypernet import HyperDnnModel, refit_output_ls
 from .optim import pinv, solve_sqp
 from .plant import CEM_KAPPA, CEM_REFERENCE_TEMP, CEM_SWITCH_TEMP
 
@@ -210,6 +210,11 @@ class NpvController:
     equality rows are the prediction match y = theta_ls [phi(u); 1] + g_tilde.
     The a-block carries the quadratic g_tilde (and, in slack mode, sigma)
     penalty, so the cost stays constant and quadratic.
+
+    The hidden weights depend only on the measured parameter history, so
+    each step computes them once (one ``hyper_forward`` call) and hands the
+    layer list to the constraint and curvature callbacks and to the initial
+    point; every candidate input of the solve reuses them.
     """
 
     def __init__(
@@ -265,47 +270,40 @@ class NpvController:
         src = self.p_override if self.p_override is not None else p_hist
         return self.model.normalize_p(src)
 
-    def _phi_and_jac(self, u_ini_n, y_ini_n, u_seq_raw, p_norm):
-        """Feature vector and its raw-u Jacobian at the candidate input."""
+    def _network_input(self, u_ini_n, y_ini_n, u_seq_raw) -> np.ndarray:
+        """Normalized network input for a raw candidate input sequence."""
         d = self.model.dims
         u_f_n = self.model.scalers.u.normalize(
             np.asarray(u_seq_raw, dtype=float).reshape(d.horizon, d.n_u)
         ).ravel()
-        nn_in = NnInput(u_nn=np.concatenate([u_ini_n, y_ini_n, u_f_n]), p_vec=p_norm)
-        phi = self.model.phi_hl(nn_in)
-        jac = self.model.jacobian_phi_hl_future_u_raw(nn_in)
-        return phi, jac
+        return np.concatenate([u_ini_n, y_ini_n, u_f_n])
 
-    def _constraint_fn(self, u_ini_n, y_ini_n, p_norm):
+    def _constraint_fn(self, u_ini_n, y_ini_n, layers):
         theta = self.nh.theta_ls
         basis = self.basis
         nu, off_a = self.nu, self.off_a
         jac_ya = np.hstack([np.eye(self.ny), -basis])
 
         def eq_fn(x):
-            phi, jac_phi = self._phi_and_jac(u_ini_n, y_ini_n, x[:nu], p_norm)
+            phi, jac_phi = self.model.features(layers, self._network_input(u_ini_n, y_ini_n, x[:nu]))
             c = x[nu:off_a] - theta @ np.concatenate([phi, [1.0]]) - basis @ x[off_a:]
             return c, np.hstack([-(theta[:, :-1] @ jac_phi), jac_ya])
 
         return eq_fn
 
-    def _lag_hess_fn(self, u_ini_n, y_ini_n, p_norm):
+    def _lag_hess_fn(self, u_ini_n, y_ini_n, layers):
         """Constraint-curvature term for the QP Hessian (single hidden layer).
 
         The prediction rows are -theta[:, :-1] phi(u) in u; their weighted
         curvature is PSD-clipped on the input block before entering the QP.
         """
         theta_feat = self.nh.theta_ls[:, :-1]
-        d = self.model.dims
         nu = self.nu
 
         def lag_hess(x, lam):
             a = theta_feat.T @ lam
-            u_f_n = self.model.scalers.u.normalize(
-                x[:nu].reshape(d.horizon, d.n_u)
-            ).ravel()
-            nn_in = NnInput(u_nn=np.concatenate([u_ini_n, y_ini_n, u_f_n]), p_vec=p_norm)
-            block = self.model.phi_curvature_future_u_raw(nn_in, -a)
+            u_nn = self._network_input(u_ini_n, y_ini_n, x[:nu])
+            block = self.model.feature_curvature(layers, u_nn, -a)
             if block is None:
                 return None
             vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
@@ -316,14 +314,14 @@ class NpvController:
 
         return lag_hess
 
-    def _initial_point(self, u_ini_n, y_ini_n, p_norm, u_prev) -> np.ndarray:
+    def _initial_point(self, u_ini_n, y_ini_n, layers, u_prev) -> np.ndarray:
         cfg = self.cfg
         if cfg.warm_start and self._warm_u is not None:
             u0 = np.vstack([self._warm_u[1:], self._warm_u[-1:]])
         else:
             u0 = np.tile(np.clip(u_prev, cfg.u_lo, cfg.u_hi), (cfg.horizon, 1))
         u0_flat = u0.ravel()
-        phi, _ = self._phi_and_jac(u_ini_n, y_ini_n, u0_flat, p_norm)
+        phi, _ = self.model.features(layers, self._network_input(u_ini_n, y_ini_n, u0_flat))
         y0 = self.nh.theta_ls @ np.concatenate([phi, [1.0]])
         x0 = np.zeros(self.n_var)
         x0[:self.nu] = u0_flat
@@ -351,16 +349,17 @@ class NpvController:
         y_ini_n = self.model.scalers.y.normalize(
             np.asarray(y_ini, dtype=float).reshape(d.t_ini, d.n_y)
         ).ravel()
-        p_norm = self._p_norm_for_step(p_hist)
+        # the hidden weights depend on the measured parameter history only
+        layers = self.model.hyper_forward(self._p_norm_for_step(p_hist))
         u_prev = np.asarray(u_prev, dtype=float)
 
-        eq_fn = self._constraint_fn(u_ini_n, y_ini_n, p_norm)
+        eq_fn = self._constraint_fn(u_ini_n, y_ini_n, layers)
         cost_fn = self._cost_fn(r_vec, u_prev)
-        x0 = self._initial_point(u_ini_n, y_ini_n, p_norm, u_prev)
+        x0 = self._initial_point(u_ini_n, y_ini_n, layers, u_prev)
         x, diag = solve_sqp(
             cost_fn, eq_fn, self.lb, self.ub, x0,
             tol=cfg.kkt_tol, max_iter=cfg.max_iter, qp_max_iter=cfg.qp_max_iter,
-            lag_hess_fn=self._lag_hess_fn(u_ini_n, y_ini_n, p_norm),
+            lag_hess_fn=self._lag_hess_fn(u_ini_n, y_ini_n, layers),
         )
         # non-convergence (including a locally infeasible subproblem) returns
         # the best iterate with its status; the inputs are always box-feasible

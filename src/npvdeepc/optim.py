@@ -145,7 +145,7 @@ def _kkt_solve(h_ff, grad_f, a_f, r_eq):
     return sol[:nf], sol[nf:]
 
 
-def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter):
+def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter, phase1_rows=None):
     """Primal active-set iteration from a bound-feasible point.
 
     The working set is one integer per variable, ``side``: -1 holds the
@@ -154,6 +154,11 @@ def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter):
     multiplier and ratio tests go to the lowest index.  The equality
     residual enters the KKT right-hand side each iteration, so mild initial
     equality infeasibility is repaired along the way.
+
+    ``phase1_rows = (A, b)`` marks a phase-1 solve of ``0.5 |Ax - b|^2``: it
+    returns as soon as ``|Ax - b|_inf`` is within the feasibility tolerance.
+    Its Hessian ``A'A`` is singular, so past that point the damped KKT solves
+    only turn rounding into null-space steps until the iteration cap.
     """
     n = x.size
     m = 0 if a_eq is None else a_eq.shape[0]
@@ -163,6 +168,9 @@ def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter):
     side = np.where(x == lb, -1, np.where(x == ub, 1, 0))
     lam = np.zeros(m)
     feas_tol = tol * (1.0 + (np.linalg.norm(b_eq, np.inf) if m else 0.0))
+    if phase1_rows is not None:
+        a1, b1 = phase1_rows
+        feas1 = tol * (1.0 + np.linalg.norm(b1, np.inf))
 
     for it in range(1, max_iter + 1):
         free = np.flatnonzero(side == 0)
@@ -198,6 +206,8 @@ def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter):
             x[k] = ub[k] if p[k] > 0 else lb[k]
         else:
             x = np.clip(x + p, lb, ub)
+        if phase1_rows is not None and np.linalg.norm(a1 @ x - b1, np.inf) <= feas1:
+            return x, lam, it, "optimal"
 
     return x, lam, max_iter, "max_iter"
 
@@ -218,8 +228,32 @@ def _restore_equalities(
         return np.clip(quick, prob.lb, prob.ub), 0
     h1 = a.T @ a
     g1 = -a.T @ b
-    x1, _, its, _ = _active_set(h1, g1, None, None, prob.lb, prob.ub, x.copy(), tol, max_iter)
+    x1, _, its, _ = _active_set(
+        h1, g1, None, None, prob.lb, prob.ub, x.copy(), tol, max_iter, phase1_rows=(a, b)
+    )
     return x1, its
+
+
+def _min_norm_step(jac, c, cols) -> np.ndarray:
+    """Minimum-norm d with ``c + jac d = 0``, moving only the ``cols`` coordinates.
+
+    Solves the normal equations ``J_I J_I' w = -c`` and returns ``d_I = J_I' w``
+    with zeros elsewhere.  A singular or inaccurate solve (redundant rows, or
+    fewer free coordinates than rows) falls back to least squares.
+    """
+    j_i = jac[:, cols]
+    d = np.zeros(jac.shape[1])
+    try:
+        gram = j_i @ j_i.T
+        w = np.linalg.solve(gram, -c)
+        if not np.all(np.isfinite(w)) or (
+            np.linalg.norm(gram @ w + c, np.inf) > 1e-8 * (1.0 + np.linalg.norm(c, np.inf))
+        ):
+            raise np.linalg.LinAlgError
+        d[cols] = j_i.T @ w
+    except np.linalg.LinAlgError:
+        d[cols], *_ = np.linalg.lstsq(j_i, -c, rcond=None)
+    return d
 
 
 def _stationarity(r, x, lb, ub) -> float:
@@ -317,10 +351,14 @@ def solve_sqp(
             to the QP Hessian; restores fast local convergence when the
             equality constraints are meaningfully nonlinear.
 
-    Every trial step gets a second-order correction (minimum-norm constraint
-    restoration over the coordinates the step left strictly inside their
-    bounds), so the merit compares costs on the constraint manifold.
-    Returns the best iterate; exhaustion yields status ``max_iter``.
+    Each QP subproblem starts on its linearized rows: at the minimum-norm
+    correction of ``c + J d = 0`` over the coordinates strictly inside the
+    trust box, zero elsewhere, so phase 1 runs only when that point leaves
+    the box.  Every trial step gets a second-order correction (the same
+    minimum-norm restoration over the coordinates the step left strictly
+    inside their bounds), so the merit compares costs on the constraint
+    manifold.  Returns the best iterate; exhaustion yields status
+    ``max_iter``.
     """
     t0 = time.perf_counter()
     lb = np.asarray(lb, dtype=float).ravel()
@@ -364,7 +402,8 @@ def solve_sqp(
                 h=h_qp, g=grad, a_eq=jac if m else None, b_eq=-c if m else None,
                 lb=np.maximum(lb - x, -radius), ub=np.minimum(ub - x, radius), validate=False,
             )
-            d, qdiag = solve_qp(qp, x0=np.zeros(x.size), tol=min(tol, 1e-8), max_iter=qp_max_iter)
+            d0 = _min_norm_step(jac, c, (qp.lb < 0.0) & (qp.ub > 0.0)) if m else np.zeros(x.size)
+            d, qdiag = solve_qp(qp, x0=d0, tol=min(tol, 1e-8), max_iter=qp_max_iter)
             if qdiag.status != "infeasible":
                 break
         else:
@@ -411,10 +450,7 @@ def solve_sqp(
             margin = 1e-9 * (1.0 + np.abs(trial))
             interior = (lo_gap > margin) & (hi_gap > margin)
             if np.all(np.isfinite(c_trial)) and np.any(interior):
-                d_soc_f, *_ = np.linalg.lstsq(jac[:, interior], -c_trial, rcond=None)
-                d_soc = np.zeros_like(trial)
-                d_soc[interior] = d_soc_f
-                trial_soc = np.clip(trial + d_soc, lb, ub)
+                trial_soc = np.clip(trial + _min_norm_step(jac, c_trial, interior), lb, ub)
                 fg_soc, cj_soc, merit_soc = _evaluate(trial_soc)
                 if np.isfinite(merit_soc) and merit_soc <= merit_t:
                     trial, fg_t, cj_t, merit_t = trial_soc, fg_soc, cj_soc, merit_soc

@@ -241,11 +241,12 @@ def test_criterion_12_determinism(cfg, pipe, tmp_path_factory):
     run_bench(small, out_a, pipe=pipe)
     run_bench(small, out_b, pipe=pipe)
     mismatches = []
-    for name in ["bench_metrics.json"] + [p.name for p in sorted(Path(out_a).glob("*_steps.csv"))]:
+    names = ["bench_metrics.json", "bench_table.csv"] + [p.name for p in sorted(Path(out_a).glob("*_steps.csv"))]
+    for name in names:
         if (Path(out_a) / name).read_bytes() != (Path(out_b) / name).read_bytes():
             mismatches.append(name)
     _report(
         "criterion 12: identical config+seed reruns produce byte-identical metric files",
         not mismatches,
-        f"compared {1 + len(list(Path(out_a).glob('*_steps.csv')))} files" + (f"; mismatches {mismatches}" if mismatches else ""),
+        f"compared {len(names)} files" + (f"; mismatches {mismatches}" if mismatches else ""),
     )

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from npvdeepc import npv
+from npvdeepc import npv, optim
 from npvdeepc.control import ControllerConfig, TrackingCost
 from npvdeepc.hankel import Window
-from npvdeepc.hypernet import TrainConfig, WindowDataset, refit_output_ls, train
+from npvdeepc.hypernet import HyperDnnModel, TrainConfig, WindowDataset, refit_output_ls, train
 from npvdeepc.optim import solve_sqp
 from npvdeepc.npv import (
     CemController,
@@ -361,6 +361,56 @@ class TestCondensedForm:
             c, jac = seen[-1]
             assert c.shape == (ctrl.ny,)
             assert jac.shape == (ctrl.ny, ctrl.n_var)
+
+
+class TestStepWork:
+    """Work that one step must not repeat."""
+
+    @pytest.mark.parametrize("kind", ["npv", "neural", "cem"])
+    def test_one_hyper_forward_per_step(self, setup, monkeypatch, kind):
+        traj, model, hs, p_cols, nh = setup
+        hyper_forward = HyperDnnModel.hyper_forward
+        calls = []
+
+        def counted(self, p_vec):
+            calls.append(p_vec)
+            return hyper_forward(self, p_vec)
+
+        monkeypatch.setattr(HyperDnnModel, "hyper_forward", counted)
+        if kind == "cem":
+            cfg = wide_cfg(y_lo=(24.0, 19.0), y_hi=(30.0, 80.0))
+            ctrl = CemController(model, nh, cfg, cem_target=0.3, dt=traj.dt)
+        else:
+            cfg = wide_cfg()
+            ctrl = (NpvController if kind == "npv" else NeuralController)(model, nh, cfg)
+        starts = (60, 61, 62, 150)
+        for start in starts:
+            w = Window.from_trajectory(traj, start, T_INI, HORIZON)
+            if kind == "cem":
+                _, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, cem_now=0.0, u_prev=[4.0, 3.0])
+            else:
+                _, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
+            assert step.iterations > 0
+        assert len(calls) == len(starts)
+
+    def test_subproblems_start_on_linearized_rows(self, setup, monkeypatch):
+        traj, model, hs, p_cols, nh = setup
+        restore = optim._restore_equalities
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return restore(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "_restore_equalities", counted)
+        ctrl = NpvController(model, nh, wide_cfg())
+        iterations = 0
+        for start in (60, 61, 62, 63, 150, 151):
+            w = Window.from_trajectory(traj, start, T_INI, HORIZON)
+            _, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([31.0, 40.0]), [4.0, 3.0])
+            iterations += step.iterations
+        assert iterations > 0
+        assert calls == []
 
 
 class TestNeuralVariant:

@@ -4,6 +4,7 @@ import pytest
 from npvdeepc.optim import (
     IndefiniteHessianError,
     QpProblem,
+    _min_norm_step,
     _restore_equalities,
     check_jacobian,
     pinv,
@@ -179,6 +180,26 @@ class TestSolveQp:
         assert diag.status == "infeasible"
         assert diag.iterations == phase1_its > 0
 
+    def test_phase1_stops_once_feasible(self):
+        # A = [T, I] keeps full row rank on the free coordinates, so one step
+        # reaches A x = b; past it, the singular A'A only yields null-space
+        # steps of rounding size, which must not run on to the cap.  The
+        # minimum-norm quick path (0 iterations) serves 8 of the 100 problems.
+        n = 20
+        ran = 0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            a = np.hstack([0.3 * rng.standard_normal((n, n)), np.eye(n)])
+            b = 0.01 * rng.standard_normal(n)
+            ub = np.ones(2 * n)
+            ub[:3] = 0.0
+            prob = QpProblem(h=np.eye(2 * n), g=np.zeros(2 * n), a_eq=a, b_eq=b, lb=-np.ones(2 * n), ub=ub)
+            x1, phase1_its = _restore_equalities(prob, np.zeros(2 * n), 1e-8, 200)
+            assert phase1_its <= 1, seed
+            ran += phase1_its
+            assert np.linalg.norm(a @ x1 - b, np.inf) <= 1e-8 * (1.0 + np.linalg.norm(b, np.inf))
+        assert ran >= 90
+
     def test_bounds_honored_exactly(self):
         rng = np.random.default_rng(4)
         for trial in range(10):
@@ -203,6 +224,42 @@ class TestSolveQp:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             QpProblem(h=np.array([[1.0, 0.5], [0.0, 1.0]]), g=np.zeros(2))
+
+
+class TestMinNormStep:
+    def test_matches_lstsq_on_column_subset(self):
+        rng = np.random.default_rng(6)
+        jac = rng.standard_normal((4, 9))
+        c = rng.standard_normal(4)
+        cols = np.array([True, False, True, True, False, True, True, False, True])
+        d = _min_norm_step(jac, c, cols)
+        ref, *_ = np.linalg.lstsq(jac[:, cols], -c, rcond=None)
+        assert np.all(d[~cols] == 0.0)
+        assert np.allclose(d[cols], ref, rtol=0.0, atol=1e-12)
+        assert np.allclose(jac @ d, -c, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_repeated_row_falls_back_to_lstsq(self, monkeypatch, consistent):
+        rng = np.random.default_rng(7)
+        jac = rng.standard_normal((3, 6))
+        jac = np.vstack([jac, jac[1]])
+        c = rng.standard_normal(4)
+        if consistent:
+            c[3] = c[1]
+        cols = np.array([True, True, False, True, True, True])
+        lstsq = np.linalg.lstsq
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        d = _min_norm_step(jac, c, cols)
+        assert len(calls) == 1
+        ref, *_ = lstsq(jac[:, cols], -c, rcond=None)
+        assert np.all(d[~cols] == 0.0)
+        assert np.allclose(d[cols], ref, rtol=0.0, atol=1e-12)
 
 
 class TestSolveSqp:
