@@ -157,7 +157,14 @@ def arx_rollout_affine(model: ArxModel, y_hist, u_hist, horizon: int):
 
 
 class MpcController:
-    """Receding-horizon MPC on the identified ARX model (condensed QP)."""
+    """Receding-horizon MPC on the identified ARX model (condensed QP).
+
+    The rollout map ``y = gamma u + offset`` has a ``gamma`` that depends only
+    on the ARX coefficients and the horizon, so ``gamma`` and the equality
+    rows ``[-gamma, I]`` are built once per controller.  A step computes only
+    the free response ``offset`` (the rollout of its history under zero
+    future input).
+    """
 
     def __init__(self, model: ArxModel, cfg: ControllerConfig):
         if model.n_y != cfg.n_y or model.n_u != cfg.n_u:
@@ -179,6 +186,11 @@ class MpcController:
         h[:self.cost.nu, :self.cost.nu] = self.cost.h_u
         h[self.cost.nu:, self.cost.nu:] = self.cost.h_y
         self.h = h
+        # the sensitivities never see the history, so a zero one gives gamma
+        self.gamma = arx_rollout_affine(
+            model, np.zeros((cfg.t_ini, cfg.n_y)), np.zeros((cfg.t_ini, cfg.n_u)), cfg.horizon
+        )[0]
+        self.a_eq = np.hstack([-self.gamma, np.eye(self.cost.ny)])
 
     def reset(self) -> None:
         self._warm_u = None
@@ -187,22 +199,21 @@ class MpcController:
         cfg = self.cfg
         u_hist = np.asarray(u_ini, dtype=float).reshape(cfg.t_ini, cfg.n_u)
         y_hist = np.asarray(y_ini, dtype=float).reshape(cfg.t_ini, cfg.n_y)
-        gamma, offset = arx_rollout_affine(self.model, y_hist, u_hist, cfg.horizon)
+        offset = arx_rollout(self.model, y_hist, u_hist, np.zeros((cfg.horizon, cfg.n_u))).ravel()
 
         nu, ny = self.cost.nu, self.cost.ny
         g_lin = np.zeros(self.n_var)
         g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
         g_lin[:nu] = g_u
         g_lin[nu:] = g_y
-        a_eq = np.hstack([-gamma, np.eye(ny)])
         prob = QpProblem(
-            h=self.h, g=g_lin, a_eq=a_eq, b_eq=offset, lb=self.lb, ub=self.ub, validate=False
+            h=self.h, g=g_lin, a_eq=self.a_eq, b_eq=offset, lb=self.lb, ub=self.ub, validate=False
         )
         x0 = None
         if cfg.warm_start and self._warm_u is not None:
             # the shifted inputs with their own rollout satisfy every equality
             # row, so phase 1 runs only when the box clips that point
-            x0 = np.concatenate([self._warm_u, gamma @ self._warm_u + offset])
+            x0 = np.concatenate([self._warm_u, self.gamma @ self._warm_u + offset])
         x, diag = solve_qp(prob, x0=x0, tol=min(cfg.kkt_tol, 1e-8), max_iter=cfg.qp_max_iter)
         if diag.status == "infeasible":
             raise SolverError(f"MPC step infeasible (kkt={diag.kkt_residual:.3e})")

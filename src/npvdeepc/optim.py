@@ -52,7 +52,11 @@ def pinv(a: np.ndarray, rcond: float | None = None) -> np.ndarray:
 
 @dataclass
 class SolveDiagnostics:
-    """Outcome of a QP/SQP solve; feeds the per-step CPU-time metric."""
+    """Outcome of a QP/SQP solve.
+
+    ``kkt_residual`` belongs to the returned point.  ``wall_time_s`` reaches
+    only the ``*_timing.json`` files; every other field is deterministic.
+    """
 
     status: str                      # optimal | max_iter | infeasible
     iterations: int
@@ -125,6 +129,8 @@ def _kkt_solve(h_ff, grad_f, a_f, r_eq):
 
     Falls back to a minimum-norm least-squares solve when the KKT matrix is
     singular (redundant equality rows from pseudo-inverse-based data).
+    Returns the step, the equality multipliers and whether the direct solve
+    passed its residual test (False after the least-squares fallback).
     """
     nf = grad_f.size
     m = 0 if a_f is None else a_f.shape[0]
@@ -142,7 +148,8 @@ def _kkt_solve(h_ff, grad_f, a_f, r_eq):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[:nf], sol[nf:]
+        return sol[:nf], sol[nf:], False
+    return sol[:nf], sol[nf:], True
 
 
 def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter, phase1_rows=None):
@@ -154,6 +161,13 @@ def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter, phase1_rows=None):
     multiplier and ratio tests go to the lowest index.  The equality
     residual enters the KKT right-hand side each iteration, so mild initial
     equality infeasibility is repaired along the way.
+
+    An unblocked step lands on the minimizer over the unchanged working set,
+    where the KKT system has the solution ``(0, lam)``.  So after such a step,
+    if its direct solve passed the residual test and the equality residual is
+    within tolerance, the next iteration skips the KKT solve and goes straight
+    to the multiplier test with the previous ``lam`` (it still counts as an
+    iteration).  Phase 1 never reuses a solve.
 
     ``phase1_rows = (A, b)`` marks a phase-1 solve of ``0.5 |Ax - b|^2``: it
     returns as soon as ``|Ax - b|_inf`` is within the feasibility tolerance.
@@ -171,18 +185,23 @@ def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter, phase1_rows=None):
     if phase1_rows is not None:
         a1, b1 = phase1_rows
         feas1 = tol * (1.0 + np.linalg.norm(b1, np.inf))
+    reuse = False  # the last iteration took an unblocked step from an exact solve
 
     for it in range(1, max_iter + 1):
         free = np.flatnonzero(side == 0)
         grad = h @ x + g
         r_eq = b_eq - a_eq @ x if m else np.zeros(0)
-        a_f = a_eq[:, free] if m else None
         p = np.zeros(n)
-        if free.size:
-            p_f, lam = _kkt_solve(h[np.ix_(free, free)], grad[free], a_f, r_eq)
+        exact = False
+        if reuse and (not m or np.linalg.norm(r_eq, np.inf) <= feas_tol):
+            pass  # p = 0 and the previous lam solve this KKT system
+        elif free.size:
+            a_f = a_eq[:, free] if m else None
+            p_f, lam, exact = _kkt_solve(h[np.ix_(free, free)], grad[free], a_f, r_eq)
             p[free] = p_f
         elif m:
             lam, *_ = np.linalg.lstsq(a_eq.T, -grad, rcond=None)
+        reuse = False
 
         step_small = np.linalg.norm(p, np.inf) <= tol * (1.0 + np.linalg.norm(x, np.inf))
         if step_small and (not m or np.linalg.norm(r_eq, np.inf) <= feas_tol):
@@ -206,6 +225,7 @@ def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter, phase1_rows=None):
             x[k] = ub[k] if p[k] > 0 else lb[k]
         else:
             x = np.clip(x + p, lb, ub)
+            reuse = exact and phase1_rows is None
         if phase1_rows is not None and np.linalg.norm(a1 @ x - b1, np.inf) <= feas1:
             return x, lam, it, "optimal"
 
@@ -357,8 +377,8 @@ def solve_sqp(
     the box.  Every trial step gets a second-order correction (the same
     minimum-norm restoration over the coordinates the step left strictly
     inside their bounds), so the merit compares costs on the constraint
-    manifold.  Returns the best iterate; exhaustion yields status
-    ``max_iter``.
+    manifold.  Returns the best iterate with the KKT residual at that
+    point; exhaustion yields status ``max_iter``.
     """
     t0 = time.perf_counter()
     lb = np.asarray(lb, dtype=float).ravel()
@@ -367,7 +387,7 @@ def solve_sqp(
     mu = 1.0
     radius = 1e3
     steps = 0
-    kkt = np.inf
+    kkt = np.inf  # KKT residual at x; inf until computed there
     status = "max_iter"
 
     def _eval_c(xv):
@@ -383,10 +403,15 @@ def solve_sqp(
         cj = _eval_c(xv)
         return fg, cj, fg[0] + mu * float(np.sum(np.abs(cj[0])))
 
+    def _kkt_at_x(lam_):
+        # KKT residual at the current iterate for the multipliers lam_
+        stat = _stationarity(grad + (jac.T @ lam_ if m else 0.0), x, lb, ub)
+        return max(stat, float(np.linalg.norm(c, np.inf)) if m else 0.0)
+
     f, grad, hess = cost_fn(x)
     c, jac = _eval_c(x)
     m = c.size
-    best_x, best_merit = x.copy(), np.inf
+    best_x, best_merit, best_kkt = x.copy(), np.inf, np.inf
     lam = np.zeros(m)
 
     for _ in range(max_iter):
@@ -411,9 +436,7 @@ def solve_sqp(
             break
         lam = qdiag.eq_multipliers if qdiag.eq_multipliers is not None else np.zeros(m)
 
-        # KKT residual at the current iterate using the QP multipliers
-        stat = _stationarity(grad + (jac.T @ lam if m else 0.0), x, lb, ub)
-        kkt = max(stat, float(np.linalg.norm(c, np.inf)) if m else 0.0)
+        kkt = _kkt_at_x(lam)
         step_norm = float(np.linalg.norm(d, np.inf))
         if kkt <= tol and step_norm <= tol * (1.0 + np.linalg.norm(x, np.inf)):
             status = "optimal"
@@ -424,7 +447,7 @@ def solve_sqp(
         c_l1 = float(np.sum(np.abs(c)))
         merit0 = f + mu * c_l1
         if merit0 < best_merit:
-            best_x, best_merit = x.copy(), merit0
+            best_x, best_merit, best_kkt = x.copy(), merit0, kkt
         # model reduction of the l1 merit; the QP drives c + J d to zero
         model_cost_change = float(grad @ d) + 0.5 * float(d @ (h_qp @ d))
         resid_after = float(np.sum(np.abs(c + jac @ d))) if m else 0.0
@@ -463,17 +486,22 @@ def solve_sqp(
             x = trial
             steps += 1
             (f, grad, hess), (c, jac) = fg_t, cj_t
+            kkt = np.inf
         else:
             radius = max(0.25 * step_norm, 1e-12)
             if radius <= 1e-11 * (1.0 + np.linalg.norm(x, np.inf)):
                 break
 
     if status != "optimal" and f + mu * float(np.sum(np.abs(c))) > best_merit:
-        x = best_x
+        x, kkt = best_x, best_kkt
+    elif kkt == np.inf:
+        # no residual at x yet (an accepted last step, or no QP solved):
+        # take it with the latest multipliers
+        kkt = _kkt_at_x(lam)
     diag = SolveDiagnostics(
         status=status,
         iterations=steps,
-        kkt_residual=float(kkt) if np.isfinite(kkt) else 0.0,
+        kkt_residual=float(kkt),
         wall_time_s=time.perf_counter() - t0,
     )
     return x, diag

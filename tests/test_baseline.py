@@ -233,3 +233,88 @@ class TestMpc:
         for prob, x0 in seen[1:]:
             assert x0 is not None
             assert np.max(np.abs(prob.a_eq @ x0 - prob.b_eq)) <= 1e-9
+
+
+class TestMpcRolloutMap:
+    """Gamma is built once per controller; a step computes only the free response."""
+
+    def _closed_loop(self, ctrl, steps=12, seed=5):
+        # ARX plant driven by the controller, with a reference it cannot reach
+        # so the input box and warm starts take part
+        model, cfg = ctrl.model, ctrl.cfg
+        rng = np.random.default_rng(seed)
+        hist_u = list(rng.uniform(-1, 1, (cfg.t_ini, 2)))
+        hist_y = list(rng.uniform(-1, 1, (cfg.t_ini, 2)))
+        r_vec = np.array([4.0, -2.0])
+        for _ in range(steps):
+            u, _ = ctrl.solve_step(
+                np.array(hist_u[-cfg.t_ini:]).ravel(), np.array(hist_y[-cfg.t_ini:]).ravel(),
+                r_vec, hist_u[-1],
+            )
+            y_past = np.array(hist_y[::-1][:model.n_a])
+            hist_y.append(model.one_step(y_past, np.array([u] + hist_u[::-1][:model.n_b - 1])))
+            hist_u.append(u)
+
+    def test_step_builds_no_rollout_map(self, monkeypatch):
+        ctrl = MpcController(known_arx(), mpc_config(u_lo=(-1.0, -1.0), u_hi=(1.0, 1.0)))
+        calls = []
+        affine = baseline.arx_rollout_affine
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return affine(*args, **kwargs)
+
+        monkeypatch.setattr(baseline, "arx_rollout_affine", spy)
+        self._closed_loop(ctrl)
+        assert calls == []
+
+    def test_stored_gamma_equals_per_history_map(self):
+        model = known_arx()
+        cfg = mpc_config()
+        ctrl = MpcController(model, cfg)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            y_hist = 10 * rng.standard_normal((cfg.t_ini, 2))
+            u_hist = 10 * rng.standard_normal((cfg.t_ini, 2))
+            gamma, _ = arx_rollout_affine(model, y_hist, u_hist, cfg.horizon)
+            assert np.array_equal(ctrl.gamma, gamma)
+        assert np.array_equal(ctrl.a_eq, np.hstack([-gamma, np.eye(cfg.horizon * 2)]))
+
+    def test_step_matches_per_step_map(self, monkeypatch):
+        # reference: the QP with gamma and offset rebuilt from each history
+        model = known_arx()
+        cfg = mpc_config(u_lo=(-1.0, -1.0), u_hi=(1.0, 1.0))
+        ctrl = MpcController(model, cfg)
+        seen = []
+        solve_qp = baseline.solve_qp
+
+        def spy(prob, x0=None, **kw):
+            x, diag = solve_qp(prob, x0=x0, **kw)
+            seen.append((prob, x0, x, kw))
+            return x, diag
+
+        step = ctrl.solve_step
+
+        def spy_step(u_ini, y_ini, r_vec, u_prev):
+            hists.append((np.reshape(y_ini, (cfg.t_ini, 2)), np.reshape(u_ini, (cfg.t_ini, 2))))
+            return step(u_ini, y_ini, r_vec, u_prev)
+
+        hists = []
+        monkeypatch.setattr(baseline, "solve_qp", spy)
+        ctrl.solve_step = spy_step
+        self._closed_loop(ctrl)
+        assert len(seen) == len(hists) == 12
+        nu, ny = ctrl.cost.nu, ctrl.cost.ny
+        assert seen[0][1] is None and all(x0 is not None for _, x0, _, _ in seen[1:])
+        assert any(np.any(np.abs(x[:nu]) == 1.0) for _, _, x, _ in seen)
+        for (prob, x0, x, kw), (y_hist, u_hist) in zip(seen, hists):
+            gamma, offset = arx_rollout_affine(model, y_hist, u_hist, cfg.horizon)
+            assert np.allclose(prob.b_eq, offset, rtol=0.0, atol=1e-12)
+            ref_prob = baseline.QpProblem(
+                h=ctrl.h, g=prob.g, a_eq=np.hstack([-gamma, np.eye(ny)]), b_eq=offset,
+                lb=ctrl.lb, ub=ctrl.ub, validate=False,
+            )
+            x0_ref = None if x0 is None else np.concatenate([x0[:nu], gamma @ x0[:nu] + offset])
+            x_ref, diag_ref = solve_qp(ref_prob, x0=x0_ref, **kw)
+            assert diag_ref.status == "optimal"
+            assert np.max(np.abs(x - x_ref)) <= 1e-9

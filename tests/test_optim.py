@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from npvdeepc import optim
 from npvdeepc.optim import (
     IndefiniteHessianError,
     QpProblem,
@@ -217,6 +218,71 @@ class TestSolveQp:
         x, diag = solve_qp(QpProblem(h=2 * np.eye(2), g=np.zeros(2), a_eq=a, b_eq=b))
         assert np.allclose(x, [0.5, 0.5], atol=1e-8)
 
+    @staticmethod
+    def _count_kkt_solves(monkeypatch):
+        calls = []
+        kkt_solve = optim._kkt_solve
+
+        def spy(*args):
+            out = kkt_solve(*args)
+            calls.append(out[2])
+            return out
+
+        monkeypatch.setattr(optim, "_kkt_solve", spy)
+        return calls
+
+    @pytest.mark.parametrize("with_row", [False, True])
+    def test_interior_minimizer_reuses_solve(self, monkeypatch, with_row):
+        # the first solve steps straight onto the interior minimizer; the
+        # second iteration takes p = 0 and the same multipliers without a solve
+        rng = np.random.default_rng(9)
+        m = rng.standard_normal((6, 6))
+        h = m.T @ m + np.eye(6)
+        g = rng.standard_normal(6)
+        a = rng.standard_normal((1, 6)) if with_row else None
+        b = np.array([0.3]) if with_row else None
+        calls = self._count_kkt_solves(monkeypatch)
+        x, diag = solve_qp(QpProblem(h=h, g=g, a_eq=a, b_eq=b, lb=np.full(6, -10.0), ub=np.full(6, 10.0)))
+        if with_row:
+            sol = np.linalg.solve(np.block([[h, a.T], [a, np.zeros((1, 1))]]), np.concatenate([-g, b]))
+            x_ref, lam_ref = sol[:6], sol[6:]
+            assert np.allclose(diag.eq_multipliers, lam_ref, rtol=0.0, atol=1e-8)
+        else:
+            x_ref = np.linalg.solve(h, -g)
+        assert np.all(np.abs(x_ref) < 9.0)
+        assert np.allclose(x, x_ref, rtol=0.0, atol=1e-8)
+        assert diag.status == "optimal"
+        assert diag.iterations == 2
+        assert calls == [True]
+
+    def test_lstsq_fallback_does_not_reuse(self, monkeypatch):
+        # the duplicated row makes the KKT matrix singular: the first solve
+        # (from a feasible corner) falls back to least squares, so the second
+        # iteration solves again
+        a = np.array([[1.0, 1.0], [2.0, 2.0]])
+        b = np.array([1.0, 2.0])
+        calls = self._count_kkt_solves(monkeypatch)
+        x, diag = solve_qp(QpProblem(h=2 * np.eye(2), g=np.zeros(2), a_eq=a, b_eq=b), x0=np.array([1.0, 0.0]))
+        assert np.allclose(x, [0.5, 0.5], atol=1e-8)
+        assert diag.status == "optimal"
+        assert calls[0] is False
+        assert len(calls) == diag.iterations == 2
+
+    def test_phase1_does_not_reuse(self, monkeypatch):
+        # inconsistent rows with an interior least-squares point: phase 1 steps
+        # onto it unblocked, stays infeasible, and must solve again to stop
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((8, 3))
+        b = rng.standard_normal(8)
+        calls = self._count_kkt_solves(monkeypatch)
+        x1, _, its, status = optim._active_set(
+            a.T @ a, -a.T @ b, None, None, np.full(3, -10.0), np.full(3, 10.0), np.zeros(3),
+            1e-8, 200, phase1_rows=(a, b),
+        )
+        assert np.allclose(x1, np.linalg.lstsq(a, b, rcond=None)[0], rtol=0.0, atol=1e-8)
+        assert status == "optimal"
+        assert calls == [True, True] and its == 2
+
     def test_indefinite_rejected(self):
         with pytest.raises(IndefiniteHessianError):
             QpProblem(h=np.diag([1.0, -1.0]), g=np.zeros(2))
@@ -329,6 +395,31 @@ class TestSolveSqp:
         assert diag.iterations == steps
         if status == "optimal":
             assert np.allclose(x, [target / 2, target / 2], rtol=1e-12)
+
+    def test_kkt_residual_covers_returned_point(self):
+        # min |x - a|^2 s.t. |x|^2 = k, cut off after a few iterations: the
+        # reported residual must belong to the returned point, whether that
+        # is the best iterate restored, an accepted last step or the start
+        statuses = set()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            dim = int(rng.integers(2, 6))
+            a = 3.0 * rng.standard_normal(dim)
+            k = float(rng.uniform(0.5, 10.0))
+
+            def cost(x):
+                return float((x - a) @ (x - a)), 2.0 * (x - a), 2.0 * np.eye(dim)
+
+            def eq(x):
+                return np.array([x @ x - k]), 2.0 * x[None, :]
+
+            x, diag = solve_sqp(
+                cost, eq, np.full(dim, -10.0), np.full(dim, 10.0),
+                x0=rng.standard_normal(dim), max_iter=int(rng.integers(1, 5)),
+            )
+            statuses.add(diag.status)
+            assert diag.kkt_residual >= abs(x @ x - k), seed
+        assert statuses == {"max_iter", "infeasible"}
 
     def test_jacobian_check_helper(self):
         a = np.array([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]])
