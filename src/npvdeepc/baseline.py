@@ -1,4 +1,4 @@
-"""LTI-MPC benchmark: ARX least-squares identification plus a condensed QP.
+"""LTI-MPC benchmark: ARX least-squares identification plus the condensed linear QP step.
 
 The baseline deliberately fits one linear time-invariant model to data from
 the nonlinear parameter-varying plant, so its closed-loop role is the
@@ -12,11 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControllerConfig, StepResult, TrackingCost
+from .control import ControllerConfig, LinearQpController
 from .hankel import DimensionError, Trajectory
-from .optim import QpProblem, SolverError, solve_qp
+from .optim import solve_qp  # noqa: F401  (kept: perfbench tests read baseline.solve_qp)
 
-__all__ = ["ArxModel", "identify_arx", "arx_rollout", "arx_rollout_affine", "MpcController"]
+__all__ = [
+    "ArxModel", "identify_arx", "arx_rollout", "arx_prediction_map", "arx_rollout_affine", "MpcController",
+]
 
 
 @dataclass
@@ -95,142 +97,87 @@ def identify_arx(traj: Trajectory, n_a: int, n_b: int) -> ArxModel:
     return ArxModel(a_coefs=a_coefs, b_coefs=b_coefs, intercept=theta[:, -1], fit_residual=residual)
 
 
-def arx_rollout(model: ArxModel, y_hist: np.ndarray, u_hist: np.ndarray, u_fut: np.ndarray) -> np.ndarray:
-    """Multi-step prediction by repeated one-step predictions.
+def arx_prediction_map(model: ArxModel, t_ini: int, horizon: int) -> np.ndarray:
+    """Matrix M with y_stack = M @ (u_ini, y_ini, u_stack, 1) for the ARX rollout.
 
-    ``y_hist``/``u_hist`` are (lag, channels) oldest-first; ``u_fut`` is the
-    (N, n_u) candidate input sequence.
+    ``u_ini``/``y_ini`` hold the last ``t_ini`` samples oldest-first and
+    ``u_stack`` the ``horizon`` candidate inputs, all flattened.  The ARX
+    recursion runs once, on the row blocks of M instead of on values, so the
+    input map ``gamma = M[:, n_ini:-1]`` and the free response
+    ``M[:, :n_ini] @ w_ini + M[:, -1]`` (n_ini = len(w_ini)) are both fixed
+    matrices of the coefficients.
     """
-    y_hist = np.atleast_2d(np.asarray(y_hist, dtype=float))
-    u_hist = np.atleast_2d(np.asarray(u_hist, dtype=float))
-    u_fut = np.atleast_2d(np.asarray(u_fut, dtype=float))
-    y_all = list(y_hist)
-    u_all = list(u_hist)
-    preds = []
-    for i in range(u_fut.shape[0]):
-        y_past = np.array([y_all[-j] for j in range(1, model.n_a + 1)])
-        u_past = np.array([u_all[-j] for j in range(1, model.n_b + 1)])
-        # the input applied at the predicted step enters the NEXT prediction
-        y_next = model.one_step(y_past, u_past)
-        preds.append(y_next)
-        y_all.append(y_next)
-        u_all.append(u_fut[i])
-    return np.array(preds)
+    if max(model.n_a, model.n_b) > t_ini:
+        raise DimensionError(f"ARX lag {max(model.n_a, model.n_b)} exceeds the past horizon {t_ini}")
+    n_y, n_u = model.n_y, model.n_u
+    n_ui, n_ini = t_ini * n_u, t_ini * (n_u + n_y)
+    sel = np.eye(n_ini + horizon * n_u + 1)
+    # each sample as the rows of M that produce it
+    u_rows = [sel[k * n_u:(k + 1) * n_u] for k in range(t_ini)]
+    u_rows += [sel[n_ini + i * n_u:n_ini + (i + 1) * n_u] for i in range(horizon)]
+    y_rows = [sel[n_ui + k * n_y:n_ui + (k + 1) * n_y] for k in range(t_ini)]
+    for t in range(t_ini, t_ini + horizon):
+        rows = np.outer(model.intercept, sel[-1])
+        for lag in range(1, model.n_a + 1):
+            rows += model.a_coefs[lag - 1] @ y_rows[t - lag]
+        for lag in range(1, model.n_b + 1):
+            rows += model.b_coefs[lag - 1] @ u_rows[t - lag]
+        y_rows.append(rows)
+    return np.vstack(y_rows[t_ini:])
 
 
 def arx_rollout_affine(model: ArxModel, y_hist, u_hist, horizon: int):
-    """Condensed rollout: y_stack = gamma @ u_stack + offset.
+    """Condensed rollout from one history: y_stack = gamma @ u_stack + offset.
 
-    Propagates the prediction sensitivities so the multi-step map is exact
-    and matches :func:`arx_rollout` to machine precision.
+    ``y_hist``/``u_hist`` are equal-length (lag, channels) windows,
+    oldest-first.
     """
-    n_y, n_u = model.n_y, model.n_u
-    y_hist = np.atleast_2d(np.asarray(y_hist, dtype=float))
-    u_hist = np.atleast_2d(np.asarray(u_hist, dtype=float))
-    n_fut = horizon * n_u
-    # each known signal value carries a constant part and a gradient wrt u_fut
-    y_vals = [(y, np.zeros((n_y, n_fut))) for y in y_hist]
-    u_vals = [(u, np.zeros((n_u, n_fut))) for u in u_hist]
-    for i in range(horizon):
-        grad_u = np.zeros((n_u, n_fut))
-        grad_u[:, i * n_u:(i + 1) * n_u] = np.eye(n_u)
-        u_vals.append((np.zeros(n_u), grad_u))
-
-    gamma = np.zeros((horizon * n_y, n_fut))
-    offset = np.zeros(horizon * n_y)
-    for i in range(horizon):
-        t = len(y_vals)
-        val = model.intercept.copy()
-        grad = np.zeros((n_y, n_fut))
-        for lag in range(1, model.n_a + 1):
-            v, g = y_vals[t - lag]
-            val = val + model.a_coefs[lag - 1] @ v
-            grad = grad + model.a_coefs[lag - 1] @ g
-        for lag in range(1, model.n_b + 1):
-            v, g = u_vals[len(u_hist) + i - lag]
-            val = val + model.b_coefs[lag - 1] @ v
-            grad = grad + model.b_coefs[lag - 1] @ g
-        y_vals.append((val, grad))
-        gamma[i * n_y:(i + 1) * n_y] = grad
-        offset[i * n_y:(i + 1) * n_y] = val
-    return gamma, offset
+    y_hist, u_hist = np.atleast_2d(y_hist), np.atleast_2d(u_hist)
+    if len(y_hist) != len(u_hist):
+        raise DimensionError(f"history lengths {len(y_hist)} (y) and {len(u_hist)} (u) differ")
+    w_ini = np.concatenate([u_hist.ravel(), y_hist.ravel()]).astype(float)
+    m = arx_prediction_map(model, len(y_hist), horizon)
+    return m[:, w_ini.size:-1], m[:, :w_ini.size] @ w_ini + m[:, -1]
 
 
-class MpcController:
-    """Receding-horizon MPC on the identified ARX model (condensed QP).
+def arx_rollout(model: ArxModel, y_hist, u_hist, u_fut) -> np.ndarray:
+    """Multi-step prediction for the (N, n_u) candidate inputs ``u_fut``.
 
-    The rollout map ``y = gamma u + offset`` has a ``gamma`` that depends only
-    on the ARX coefficients and the horizon, so ``gamma`` and the equality
-    rows ``[-gamma, I]`` are built once per controller.  A step computes only
-    the free response ``offset`` (the rollout of its history under zero
-    future input).
+    Windows as in :func:`arx_rollout_affine`; returns the (N, n_y) outputs.
+    """
+    u_fut = np.atleast_2d(np.asarray(u_fut, dtype=float))
+    gamma, offset = arx_rollout_affine(model, y_hist, u_hist, len(u_fut))
+    return (gamma @ u_fut.ravel() + offset).reshape(-1, model.n_y)
+
+
+class MpcController(LinearQpController):
+    """Receding-horizon MPC on the identified ARX model, in condensed form.
+
+    The ARX rollout ``y = gamma u + B_ini w_ini + b_0`` is affine in the
+    future inputs and the past window, with matrices that depend only on the
+    ARX coefficients and the horizons, so all of it is built once per
+    controller: the equality rows are ``[-gamma, I]`` and no rollout runs in
+    a step.  The shared step is :meth:`LinearQpController.solve_step`.
     """
 
     def __init__(self, model: ArxModel, cfg: ControllerConfig):
         if model.n_y != cfg.n_y or model.n_u != cfg.n_u:
             raise DimensionError("ARX channel counts do not match the controller config")
-        if max(model.n_a, model.n_b) > cfg.t_ini:
-            raise DimensionError(
-                f"ARX lag {max(model.n_a, model.n_b)} exceeds the past horizon {cfg.t_ini}"
-            )
+        m = arx_prediction_map(model, cfg.t_ini, cfg.horizon)
+        super().__init__(cfg)
         self.model = model
-        self.cfg = cfg
-        self.cost = TrackingCost(cfg)
-        self.n_var = self.cost.nu + self.cost.ny
-        self._warm_u = None
-        u_lo, u_hi = self.cost.u_bounds()
-        y_lo, y_hi = self.cost.y_bounds()
-        self.lb = np.concatenate([u_lo, y_lo])
-        self.ub = np.concatenate([u_hi, y_hi])
-        h = np.zeros((self.n_var, self.n_var))
-        h[:self.cost.nu, :self.cost.nu] = self.cost.h_u
-        h[self.cost.nu:, self.cost.nu:] = self.cost.h_y
-        self.h = h
-        # the sensitivities never see the history, so a zero one gives gamma
-        self.gamma = arx_rollout_affine(
-            model, np.zeros((cfg.t_ini, cfg.n_y)), np.zeros((cfg.t_ini, cfg.n_u)), cfg.horizon
-        )[0]
+        n_ini = cfg.t_ini * (cfg.n_u + cfg.n_y)
+        self.gamma = m[:, n_ini:-1].copy()
         self.a_eq = np.hstack([-self.gamma, np.eye(self.cost.ny)])
+        self.b_ini = m[:, :n_ini].copy()
+        self.b_0 = m[:, -1].copy()
+        self.g_ini = np.zeros((self.lb.size, n_ini))
 
-    def reset(self) -> None:
-        self._warm_u = None
+    def _warm_start(self, shifted: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
+        # the shifted inputs with their own rollout satisfy every equality
+        # row, so phase 1 runs only when the box clips that point
+        u = shifted[:self.cost.nu]
+        return np.concatenate([u, self.gamma @ u + b_eq])
 
-    def solve_step(self, u_ini, y_ini, r_vec, u_prev) -> tuple[np.ndarray, StepResult]:
-        cfg = self.cfg
-        u_hist = np.asarray(u_ini, dtype=float).reshape(cfg.t_ini, cfg.n_u)
-        y_hist = np.asarray(y_ini, dtype=float).reshape(cfg.t_ini, cfg.n_y)
-        offset = arx_rollout(self.model, y_hist, u_hist, np.zeros((cfg.horizon, cfg.n_u))).ravel()
-
-        nu, ny = self.cost.nu, self.cost.ny
-        g_lin = np.zeros(self.n_var)
-        g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
-        g_lin[:nu] = g_u
-        g_lin[nu:] = g_y
-        prob = QpProblem(
-            h=self.h, g=g_lin, a_eq=self.a_eq, b_eq=offset, lb=self.lb, ub=self.ub, validate=False
-        )
-        x0 = None
-        if cfg.warm_start and self._warm_u is not None:
-            # the shifted inputs with their own rollout satisfy every equality
-            # row, so phase 1 runs only when the box clips that point
-            x0 = np.concatenate([self._warm_u, self.gamma @ self._warm_u + offset])
-        x, diag = solve_qp(prob, x0=x0, tol=min(cfg.kkt_tol, 1e-8), max_iter=cfg.qp_max_iter)
-        if diag.status == "infeasible":
-            raise SolverError(f"MPC step infeasible (kkt={diag.kkt_residual:.3e})")
-
-        u_seq = x[:nu].reshape(cfg.horizon, cfg.n_u)
-        y_seq = x[nu:].reshape(cfg.horizon, cfg.n_y)
-        cost_val = self.cost.value(u_seq, y_seq, r_vec, u_prev)
-        result = StepResult(
-            u_apply=u_seq[0].copy(),
-            u_seq=u_seq,
-            y_pred=y_seq,
-            cost=cost_val,
-            status=diag.status,
-            iterations=diag.iterations,
-            kkt_residual=diag.kkt_residual,
-            wall_time_s=diag.wall_time_s,
-        )
-        if cfg.warm_start:
-            self._warm_u = np.vstack([u_seq[1:], u_seq[-1:]]).ravel()
-        return result.u_apply, result
+    # an entry of its own, so profilers and perfbench time each controller apart
+    solve_step = LinearQpController.solve_step

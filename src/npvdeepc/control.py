@@ -1,9 +1,12 @@
-"""Shared controller configuration, step results and tracking-cost assembly.
+"""Shared controller configuration, step results, tracking cost and linear QP step.
 
 All receding-horizon controllers in this package minimize the same stage
 cost: weighted squared tracking error plus weighted squared input moves,
 with a terminal weight on the last predicted output.  The quadratic pieces
 are assembled here once so every controller prices moves identically.
+The two linear controllers (DeePC and ARX-MPC) also share one step: a
+single condensed QP over the predicted (u, y), see
+:class:`LinearQpController`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["ControllerConfig", "StepResult", "TrackingCost"]
+from .hankel import DimensionError
+from .optim import QpProblem, SolverError, solve_qp
+
+__all__ = ["ControllerConfig", "LinearQpController", "StepResult", "TrackingCost"]
 
 
 @dataclass(frozen=True)
@@ -137,3 +143,89 @@ class TrackingCost:
     def y_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.cfg.horizon
         return np.tile(self.cfg.y_lo, n).astype(float), np.tile(self.cfg.y_hi, n).astype(float)
+
+
+class LinearQpController:
+    """Receding-horizon control by one condensed QP over z = (u, y) per step.
+
+    With w_ini = (u_ini, y_ini) the past window and g(r, u_prev) the linear
+    term of :class:`TrackingCost`, a step solves
+
+        min 0.5 z'H z + (g(r, u_prev) + G_ini w_ini)'z
+        s.t. A z = B_ini w_ini + b_0,  lb <= z <= ub
+
+    and applies the first input.  A subclass constructor builds the fixed
+    operators ``h`` (which starts as the tracking Hessian), ``g_ini``,
+    ``a_eq``, ``b_ini`` and ``b_0``; a step forms only the two
+    window-dependent vectors.  Subclasses may override :meth:`_warm_start`
+    and :meth:`_extras`.  Instances carry warm-start state; run one closed
+    loop per instance.
+    """
+
+    def __init__(self, cfg: ControllerConfig):
+        self.cfg = cfg
+        self.cost = TrackingCost(cfg)
+        u_lo, u_hi = self.cost.u_bounds()
+        y_lo, y_hi = self.cost.y_bounds()
+        self.lb = np.concatenate([u_lo, y_lo])
+        self.ub = np.concatenate([u_hi, y_hi])
+        nu = self.cost.nu
+        self.h = np.zeros((self.lb.size, self.lb.size))
+        self.h[:nu, :nu] = self.cost.h_u
+        self.h[nu:, nu:] = self.cost.h_y
+        self._shifted = None
+
+    def reset(self) -> None:
+        self._shifted = None
+
+    def _warm_start(self, shifted: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
+        """QP start from the last solution shifted by one step."""
+        return shifted
+
+    def _extras(self, w_ini: np.ndarray, z: np.ndarray) -> dict:
+        """Controller-specific entries of :attr:`StepResult.extras`."""
+        return {}
+
+    def solve_step(self, u_ini, y_ini, r_vec, u_prev) -> tuple[np.ndarray, StepResult]:
+        """Solve the condensed QP for the current window and return the first input."""
+        cfg = self.cfg
+        u_ini = np.asarray(u_ini, dtype=float).ravel()
+        y_ini = np.asarray(y_ini, dtype=float).ravel()
+        if u_ini.size != cfg.n_u * cfg.t_ini or y_ini.size != cfg.n_y * cfg.t_ini:
+            raise DimensionError(
+                f"initial window lengths ({u_ini.size}, {y_ini.size}) do not match horizons"
+            )
+        nu = self.cost.nu
+        w_ini = np.concatenate([u_ini, y_ini])
+        g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
+        prob = QpProblem(
+            h=self.h, g=np.concatenate([g_u, g_y]) + self.g_ini @ w_ini, a_eq=self.a_eq,
+            b_eq=self.b_ini @ w_ini + self.b_0, lb=self.lb, ub=self.ub, validate=False,
+        )
+        x0 = None if self._shifted is None else self._warm_start(self._shifted, prob.b_eq)
+        z, diag = solve_qp(prob, x0=x0, tol=min(cfg.kkt_tol, 1e-8), max_iter=cfg.qp_max_iter)
+        if diag.status == "infeasible":
+            raise SolverError(
+                f"{type(self).__name__} step infeasible: kkt_residual={diag.kkt_residual:.3e}, "
+                f"iterations={diag.iterations}"
+            )
+
+        u_seq = z[:nu].reshape(cfg.horizon, cfg.n_u)
+        y_seq = z[nu:].reshape(cfg.horizon, cfg.n_y)
+        result = StepResult(
+            u_apply=u_seq[0].copy(),
+            u_seq=u_seq,
+            y_pred=y_seq,
+            cost=self.cost.value(u_seq, y_seq, r_vec, u_prev),
+            status=diag.status,
+            iterations=diag.iterations,
+            kkt_residual=diag.kkt_residual,
+            wall_time_s=diag.wall_time_s,
+            extras=self._extras(w_ini, z),
+        )
+        if cfg.warm_start:
+            self._shifted = np.concatenate([
+                np.vstack([u_seq[1:], u_seq[-1:]]).ravel(),
+                np.vstack([y_seq[1:], y_seq[-1:]]).ravel(),
+            ])
+        return result.u_apply, result

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .control import ControllerConfig, StepResult, TrackingCost
+from .control import ControllerConfig, LinearQpController
 from .hankel import DimensionError, HankelSet
-from .optim import QpProblem, SolverError, pinv, solve_qp
+from .optim import pinv, solve_qp  # noqa: F401  (solve_qp kept: perfbench tests read deepc.solve_qp)
 
 __all__ = ["build_projector", "DeepcController"]
 
@@ -39,12 +39,13 @@ def build_projector(hs: HankelSet) -> np.ndarray:
     return pinv(mat) @ mat
 
 
-class DeepcController:
+class DeepcController(LinearQpController):
     """Receding-horizon DeePC over a fixed Hankel data set, in condensed form.
 
     Only the condensed operators are kept, as owned arrays no larger than
-    the (u, y) block.  Instances carry warm-start state; run one closed loop
-    per instance.
+    the (u, y) block: ``g_ini`` prices the window through the eliminated
+    (g, sigma) cost, and ``a_eq z = b_ini w_ini`` are the left-null-space rows.
+    The shared step is :meth:`LinearQpController.solve_step`.
     """
 
     def __init__(self, hankel_set: HankelSet, cfg: ControllerConfig):
@@ -53,16 +54,9 @@ class DeepcController:
                 f"Hankel horizons ({hankel_set.t_ini}, {hankel_set.horizon}) do not match "
                 f"config ({cfg.t_ini}, {cfg.horizon})"
             )
-        self.cfg = cfg
-        self.cost = TrackingCost(cfg)
+        super().__init__(cfg)
         self.n_g = hankel_set.n_cols
-        self.n_sigma = hankel_set.n_y * cfg.t_ini
         self._condense(hankel_set)
-        u_lo, u_hi = self.cost.u_bounds()
-        y_lo, y_hi = self.cost.y_bounds()
-        self.lb = np.concatenate([u_lo, y_lo])
-        self.ub = np.concatenate([u_hi, y_hi])
-        self._warm = None
 
     def _condense(self, hs: HankelSet) -> None:
         """Eliminate w = (g, sigma) from the QP.
@@ -74,7 +68,8 @@ class DeepcController:
         space of A_w.
         """
         cfg = self.cfg
-        nu, ny, ng, ns = self.cost.nu, self.cost.ny, self.n_g, self.n_sigma
+        nu, ny, ng = self.cost.nu, self.cost.ny, self.n_g
+        ns = hs.n_y * cfg.t_ini
         n_ini = hs.n_u * cfg.t_ini + ns
         a_w = np.zeros((n_ini + nu + ny, ng + ns))
         a_w[:, :ng] = hs.stacked()
@@ -94,61 +89,18 @@ class DeepcController:
         p = m.T @ h_w @ m
         p = 0.5 * (p + p.T)
 
-        h_z = np.zeros((nu + ny, nu + ny))
-        h_z[:nu, :nu] = self.cost.h_u
-        h_z[nu:, nu:] = self.cost.h_y
-        self.h_z = h_z + p[n_ini:, n_ini:]
-        self.p_zp = p[n_ini:, :n_ini].copy()
+        self.h += p[n_ini:, n_ini:]
+        self.g_ini = p[n_ini:, :n_ini].copy()
         self.sigma_map = m[ng:].copy()
         # N z = -N_p (u_ini, y_ini); no rows when A_w has full row rank
         left_null = u[:, rank:].T
-        self.eq_z = left_null[:, n_ini:].copy()
-        self.eq_p = left_null[:, :n_ini].copy()
+        self.a_eq = left_null[:, n_ini:].copy()
+        self.b_ini = -left_null[:, :n_ini]
+        self.b_0 = np.zeros(self.a_eq.shape[0])
 
-    def reset(self) -> None:
-        self._warm = None
+    def _extras(self, w_ini: np.ndarray, z: np.ndarray) -> dict:
+        sigma = self.sigma_map @ np.concatenate([w_ini, z])
+        return {"sigma_norm": float(np.linalg.norm(sigma))}
 
-    def solve_step(self, u_ini, y_ini, r_vec, u_prev) -> tuple[np.ndarray, StepResult]:
-        """Solve the condensed QP for the current window and return the first input."""
-        cfg = self.cfg
-        u_ini = np.asarray(u_ini, dtype=float).ravel()
-        y_ini = np.asarray(y_ini, dtype=float).ravel()
-        if u_ini.size != cfg.n_u * cfg.t_ini or y_ini.size != self.n_sigma:
-            raise DimensionError(
-                f"initial window lengths ({u_ini.size}, {y_ini.size}) do not match horizons"
-            )
-        nu = self.cost.nu
-        r_ini = np.concatenate([u_ini, y_ini])
-        g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
-        g_lin = np.concatenate([g_u, g_y]) + self.p_zp @ r_ini
-        prob = QpProblem(
-            h=self.h_z, g=g_lin, a_eq=self.eq_z, b_eq=-self.eq_p @ r_ini,
-            lb=self.lb, ub=self.ub, validate=False,
-        )
-        z, diag = solve_qp(prob, x0=self._warm, tol=min(cfg.kkt_tol, 1e-8), max_iter=cfg.qp_max_iter)
-        if diag.status == "infeasible":
-            raise SolverError(
-                f"DeePC step infeasible: kkt_residual={diag.kkt_residual:.3e}, "
-                f"iterations={diag.iterations}"
-            )
-
-        u_seq = z[:nu].reshape(cfg.horizon, cfg.n_u)
-        y_seq = z[nu:].reshape(cfg.horizon, cfg.n_y)
-        sigma = self.sigma_map @ np.concatenate([r_ini, z])
-        result = StepResult(
-            u_apply=u_seq[0].copy(),
-            u_seq=u_seq,
-            y_pred=y_seq,
-            cost=self.cost.value(u_seq, y_seq, r_vec, u_prev),
-            status=diag.status,
-            iterations=diag.iterations,
-            kkt_residual=diag.kkt_residual,
-            wall_time_s=diag.wall_time_s,
-            extras={"sigma_norm": float(np.linalg.norm(sigma))},
-        )
-        if cfg.warm_start:
-            self._warm = np.concatenate([
-                np.vstack([u_seq[1:], u_seq[-1:]]).ravel(),
-                np.vstack([y_seq[1:], y_seq[-1:]]).ravel(),
-            ])
-        return result.u_apply, result
+    # an entry of its own, so profilers and perfbench time each controller apart
+    solve_step = LinearQpController.solve_step

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from npvdeepc import baseline
+from npvdeepc import baseline, control
 from npvdeepc.baseline import ArxModel, arx_rollout, arx_rollout_affine, identify_arx, MpcController
 from npvdeepc.control import ControllerConfig
-from npvdeepc.hankel import Trajectory
+from npvdeepc.deepc import DeepcController
+from npvdeepc.hankel import DimensionError, Trajectory, partition
+from npvdeepc.optim import QpProblem
 
-from conftest import make_lti
+from conftest import lti_trajectory, make_lti
 
 
 def simulate_arx(model: ArxModel, u: np.ndarray, rng=None, noise=0.0) -> np.ndarray:
@@ -217,13 +219,13 @@ class TestMpc:
         cfg = mpc_config()
         ctrl = MpcController(model, cfg)
         seen = []
-        solve_qp = baseline.solve_qp
+        solve_qp = control.solve_qp
 
         def spy(prob, x0=None, **kw):
             seen.append((prob, x0))
             return solve_qp(prob, x0=x0, **kw)
 
-        monkeypatch.setattr(baseline, "solve_qp", spy)
+        monkeypatch.setattr(control, "solve_qp", spy)
         rng = np.random.default_rng(3)
         r_vec = np.array([1.0, -0.5])
         for _ in range(3):
@@ -236,7 +238,7 @@ class TestMpc:
 
 
 class TestMpcRolloutMap:
-    """Gamma is built once per controller; a step computes only the free response."""
+    """Gamma and the free-response map are built once per controller; a step runs no rollout."""
 
     def _closed_loop(self, ctrl, steps=12, seed=5):
         # ARX plant driven by the controller, with a reference it cannot reach
@@ -258,27 +260,44 @@ class TestMpcRolloutMap:
     def test_step_builds_no_rollout_map(self, monkeypatch):
         ctrl = MpcController(known_arx(), mpc_config(u_lo=(-1.0, -1.0), u_hi=(1.0, 1.0)))
         calls = []
-        affine = baseline.arx_rollout_affine
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return affine(*args, **kwargs)
+        def spy(name):
+            fn = getattr(baseline, name)
 
-        monkeypatch.setattr(baseline, "arx_rollout_affine", spy)
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(baseline, name, wrapped)
+
+        for name in ("arx_prediction_map", "arx_rollout_affine", "arx_rollout"):
+            spy(name)
         self._closed_loop(ctrl)
         assert calls == []
 
     def test_stored_gamma_equals_per_history_map(self):
-        model = known_arx()
+        # the free-response map too, also for n_a != n_b
+        short_b = known_arx()
+        short_b.b_coefs = short_b.b_coefs[:1]
         cfg = mpc_config()
-        ctrl = MpcController(model, cfg)
         rng = np.random.default_rng(8)
-        for _ in range(5):
-            y_hist = 10 * rng.standard_normal((cfg.t_ini, 2))
-            u_hist = 10 * rng.standard_normal((cfg.t_ini, 2))
-            gamma, _ = arx_rollout_affine(model, y_hist, u_hist, cfg.horizon)
-            assert np.array_equal(ctrl.gamma, gamma)
-        assert np.array_equal(ctrl.a_eq, np.hstack([-gamma, np.eye(cfg.horizon * 2)]))
+        for model in (known_arx(), short_b):
+            ctrl = MpcController(model, cfg)
+            for _ in range(5):
+                y_hist = 10 * rng.standard_normal((cfg.t_ini, 2))
+                u_hist = 10 * rng.standard_normal((cfg.t_ini, 2))
+                gamma, offset = arx_rollout_affine(model, y_hist, u_hist, cfg.horizon)
+                assert np.array_equal(ctrl.gamma, gamma)
+                free = ctrl.b_ini @ np.concatenate([u_hist.ravel(), y_hist.ravel()]) + ctrl.b_0
+                assert np.allclose(free, offset, rtol=0.0, atol=1e-12)
+                # oracle: one-step predictions fed back under zero future input
+                y_all, u_all = list(y_hist), list(u_hist) + [np.zeros(2)] * cfg.horizon
+                for t in range(cfg.t_ini, cfg.t_ini + cfg.horizon):
+                    y_past = np.array([y_all[t - j] for j in range(1, model.n_a + 1)])
+                    u_past = np.array([u_all[t - j] for j in range(1, model.n_b + 1)])
+                    y_all.append(model.one_step(y_past, u_past))
+                assert np.allclose(free, np.ravel(y_all[cfg.t_ini:]), rtol=0.0, atol=1e-10)
+            assert np.array_equal(ctrl.a_eq, np.hstack([-gamma, np.eye(cfg.horizon * 2)]))
 
     def test_step_matches_per_step_map(self, monkeypatch):
         # reference: the QP with gamma and offset rebuilt from each history
@@ -286,7 +305,7 @@ class TestMpcRolloutMap:
         cfg = mpc_config(u_lo=(-1.0, -1.0), u_hi=(1.0, 1.0))
         ctrl = MpcController(model, cfg)
         seen = []
-        solve_qp = baseline.solve_qp
+        solve_qp = control.solve_qp
 
         def spy(prob, x0=None, **kw):
             x, diag = solve_qp(prob, x0=x0, **kw)
@@ -300,7 +319,7 @@ class TestMpcRolloutMap:
             return step(u_ini, y_ini, r_vec, u_prev)
 
         hists = []
-        monkeypatch.setattr(baseline, "solve_qp", spy)
+        monkeypatch.setattr(control, "solve_qp", spy)
         ctrl.solve_step = spy_step
         self._closed_loop(ctrl)
         assert len(seen) == len(hists) == 12
@@ -310,7 +329,7 @@ class TestMpcRolloutMap:
         for (prob, x0, x, kw), (y_hist, u_hist) in zip(seen, hists):
             gamma, offset = arx_rollout_affine(model, y_hist, u_hist, cfg.horizon)
             assert np.allclose(prob.b_eq, offset, rtol=0.0, atol=1e-12)
-            ref_prob = baseline.QpProblem(
+            ref_prob = QpProblem(
                 h=ctrl.h, g=prob.g, a_eq=np.hstack([-gamma, np.eye(ny)]), b_eq=offset,
                 lb=ctrl.lb, ub=ctrl.ub, validate=False,
             )
@@ -318,3 +337,16 @@ class TestMpcRolloutMap:
             x_ref, diag_ref = solve_qp(ref_prob, x0=x0_ref, **kw)
             assert diag_ref.status == "optimal"
             assert np.max(np.abs(x - x_ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["deepc", "mpc"])
+def test_wrong_window_length_raises_dimension_error(kind):
+    cfg = mpc_config()
+    if kind == "deepc":
+        ctrl = DeepcController(partition(lti_trajectory(300, seed=21), cfg.t_ini, cfg.horizon), cfg)
+    else:
+        ctrl = MpcController(known_arx(), cfg)
+    n = 2 * cfg.t_ini
+    for u_ini, y_ini in ((np.zeros(n - 1), np.zeros(n)), (np.zeros(n), np.zeros(n + 2))):
+        with pytest.raises(DimensionError, match="initial window lengths"):
+            ctrl.solve_step(u_ini, y_ini, np.zeros(2), np.zeros(2))
