@@ -101,13 +101,16 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out: Path) -> int:
+def _pipeline_for_run(cfg: RunConfig, out: Path):
     try:
         traj, model = _load_pipeline_inputs(cfg, out)
-        pipe = build_pipeline(cfg, traj=traj, model=model)
     except DataError:
-        pipe = build_pipeline(cfg)
-    report = run_verification(cfg, pipe)
+        return build_pipeline(cfg)
+    return build_pipeline(cfg, traj=traj, model=model)
+
+
+def cmd_verify(cfg: RunConfig, out: Path) -> int:
+    report = run_verification(cfg, _pipeline_for_run(cfg, out))
     write_json(out / "verify_report.json", report)
     for name, entry in report["checks"].items():
         print(f"[{'PASS' if entry['passed'] else 'FAIL'}] {name}")
@@ -115,14 +118,6 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
         print("verification failed", file=sys.stderr)
         return EXIT_VERIFY
     return 0
-
-
-def _pipeline_for_run(cfg: RunConfig, out: Path):
-    try:
-        traj, model = _load_pipeline_inputs(cfg, out)
-    except DataError:
-        return build_pipeline(cfg)
-    return build_pipeline(cfg, traj=traj, model=model)
 
 
 def cmd_track(cfg: RunConfig, out: Path) -> int:

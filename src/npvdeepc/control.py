@@ -18,7 +18,7 @@ import numpy as np
 from .hankel import DimensionError
 from .optim import QpProblem, SolverError, solve_qp
 
-__all__ = ["ControllerConfig", "LinearQpController", "StepResult", "TrackingCost"]
+__all__ = ["ControllerConfig", "LinearQpController", "StepResult", "TrackingCost", "check_window"]
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,25 @@ class StepResult:
     kkt_residual: float
     wall_time_s: float
     extras: dict = field(default_factory=dict)
+
+
+def check_window(cfg: ControllerConfig, u_ini, y_ini, p_hist=None, n_p: int = 0):
+    """The past window as flat float vectors; DimensionError on a wrong length.
+
+    ``u_ini`` and ``y_ini`` must hold ``t_ini`` samples of every channel.  A
+    given ``p_hist`` must hold ``n_p * t_ini`` values.
+    """
+    u_ini = np.asarray(u_ini, dtype=float).ravel()
+    y_ini = np.asarray(y_ini, dtype=float).ravel()
+    if u_ini.size != cfg.n_u * cfg.t_ini or y_ini.size != cfg.n_y * cfg.t_ini:
+        raise DimensionError(
+            f"initial window lengths ({u_ini.size}, {y_ini.size}) do not match horizons"
+        )
+    if p_hist is not None and np.size(p_hist) != n_p * cfg.t_ini:
+        raise DimensionError(
+            f"parameter history length {np.size(p_hist)} does not match n_p * t_ini = {n_p * cfg.t_ini}"
+        )
+    return u_ini, y_ini
 
 
 class TrackingCost:
@@ -160,6 +179,10 @@ class LinearQpController:
     window-dependent vectors.  Subclasses may override :meth:`_warm_start`
     and :meth:`_extras`.  Instances carry warm-start state; run one closed
     loop per instance.
+
+    The step takes the signature every controller shares,
+    ``solve_step(u_ini, y_ini, p_hist, r_vec, u_prev)``.  Neither linear
+    predictor uses the parameter, so ``p_hist`` is ignored.
     """
 
     def __init__(self, cfg: ControllerConfig):
@@ -186,15 +209,10 @@ class LinearQpController:
         """Controller-specific entries of :attr:`StepResult.extras`."""
         return {}
 
-    def solve_step(self, u_ini, y_ini, r_vec, u_prev) -> tuple[np.ndarray, StepResult]:
+    def solve_step(self, u_ini, y_ini, p_hist, r_vec, u_prev) -> tuple[np.ndarray, StepResult]:
         """Solve the condensed QP for the current window and return the first input."""
         cfg = self.cfg
-        u_ini = np.asarray(u_ini, dtype=float).ravel()
-        y_ini = np.asarray(y_ini, dtype=float).ravel()
-        if u_ini.size != cfg.n_u * cfg.t_ini or y_ini.size != cfg.n_y * cfg.t_ini:
-            raise DimensionError(
-                f"initial window lengths ({u_ini.size}, {y_ini.size}) do not match horizons"
-            )
+        u_ini, y_ini = check_window(cfg, u_ini, y_ini)
         nu = self.cost.nu
         w_ini = np.concatenate([u_ini, y_ini])
         g_u, g_y = self.cost.linear_terms(r_vec, u_prev)

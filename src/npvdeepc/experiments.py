@@ -58,6 +58,7 @@ from .plant import (
     PlantState,
     SurrogateConstants,
     SurrogatePlant,
+    cem_update,
     collect_open_loop,
     surrogate_steady_state,
 )
@@ -305,6 +306,61 @@ class LoopRecord:
     cem_est: float = 0.0
 
 
+def _run_loop(plant: SurrogatePlant, controller, u_start: np.ndarray, goal, reference, d_schedule,
+              n_steps: int, noise_sigma: float, rng_noise, u_prev=None) -> list[LoopRecord]:
+    """One closed loop from the plant's current state; every scenario runs through it.
+
+    ``t_ini`` warm-up steps hold ``u_start``.  Each step then calls
+    ``controller.solve_step(u_ini, y_ini, p_hist, goal(r_ts, cem_est), u_prev)``,
+    looked up on the instance every time, with the measured window, its
+    scheduled distances, the ``reference`` value ``r_ts`` and the dose
+    ``cem_est`` accumulated from the measured surface temperature.  Moves are
+    priced against ``u_prev`` if given, else against the last applied input
+    (``u_start`` at the first step).
+    """
+    box, dt = plant.box, plant.dt
+    t_ini = controller.cfg.t_ini
+
+    def measure(cem_est):
+        y_true = plant.outputs()
+        y_meas = y_true + (rng_noise.normal(0.0, noise_sigma, 2) if noise_sigma else 0.0)
+        return y_true, y_meas, cem_update(cem_est, y_meas[0], dt / 60.0)
+
+    hist_u, hist_y, hist_p = [], [], []
+    cem_est = 0.0
+    for k in range(t_ini):
+        _, y_meas, cem_est = measure(cem_est)
+        hist_u.append(u_start)
+        hist_y.append(y_meas)
+        hist_p.append(piecewise(d_schedule, k * dt))
+        plant.step(u_start, hist_p[-1])
+
+    records = []
+    u_last = u_start
+    for k in range(t_ini, t_ini + n_steps):
+        t = k * dt
+        r_ts = piecewise(reference, t)
+        d_now = piecewise(d_schedule, t)
+        u, step = controller.solve_step(
+            np.asarray(hist_u[-t_ini:]).ravel(), np.asarray(hist_y[-t_ini:]).ravel(),
+            np.array(hist_p[-t_ini:]), goal(r_ts, cem_est), u_last if u_prev is None else u_prev,
+        )
+        u = box.clip_u(u)
+        y_true, y_meas, cem_est = measure(cem_est)
+        records.append(LoopRecord(
+            k=k, t=t, r_ts=r_ts, d=d_now, y_true=y_true, y_meas=y_meas, u=u,
+            cost=step.cost, iterations=step.iterations,
+            kkt_residual=step.kkt_residual, status=step.status,
+            wall_time_s=step.wall_time_s, cem_true=plant.state.cem, cem_est=cem_est,
+        ))
+        hist_u.append(u)
+        hist_y.append(y_meas)
+        hist_p.append(d_now)
+        plant.step(u, d_now)
+        u_last = u
+    return records
+
+
 def run_tracking_loop(
     cfg: RunConfig,
     controller,
@@ -317,7 +373,9 @@ def run_tracking_loop(
     """Closed-loop surface-temperature tracking on the surrogate plant.
 
     The controller sees measurements and the scheduled distance only through
-    its past window; metrics are computed on the true outputs afterwards.
+    its past window; its goal is the reference ``[r(t), 45.0]``, whose second
+    channel carries zero weight.  Metrics are computed on the true outputs
+    afterwards.
     """
     sc = cfg.scenario
     reference = reference if reference is not None else sc.reference
@@ -325,60 +383,21 @@ def run_tracking_loop(
     n_steps = n_steps if n_steps is not None else sc.n_steps
 
     plant = surrogate_from_config(cfg)
-    box = plant.box
-    dt = plant.dt
-    t_ini = controller.cfg.t_ini
-    rng_noise = np.random.default_rng(seed_for(cfg.seed, "measurement-noise", noise_label))
-
     r0 = piecewise(reference, 0.0)
     d0 = piecewise(d_schedule, 0.0)
     if sc.initial == "steady_state":
-        u_start = steady_input_for(r0, d0, plant.constants, box)
+        u_start = steady_input_for(r0, d0, plant.constants, plant.box)
         ts0, tg0 = surrogate_steady_state(u_start, d0, plant.constants)
         plant.reset(PlantState(ts=ts0, tg=tg0, d=d0))
     else:
-        u_start = np.asarray(box.u_lo, dtype=float)
+        u_start = np.asarray(plant.box.u_lo, dtype=float)
         plant.reset(PlantState(d=d0))
-
-    hist_u, hist_y, hist_p = [], [], []
-    for k in range(t_ini):
-        y_true = plant.outputs()
-        y_meas = y_true + (rng_noise.normal(0.0, noise_sigma, 2) if noise_sigma else 0.0)
-        hist_u.append(u_start.copy())
-        hist_y.append(y_meas)
-        hist_p.append(piecewise(d_schedule, k * dt))
-        plant.step(u_start, hist_p[-1])
-
-    records = []
-    u_prev = u_start.copy()
-    is_neural = isinstance(controller, NpvController)
-    for k in range(n_steps):
-        t = (t_ini + k) * dt
-        r_ts = piecewise(reference, t)
-        d_now = piecewise(d_schedule, t)
-        r_vec = np.array([r_ts, 45.0])  # second channel carries zero weight
-        u_ini = np.asarray(hist_u[-t_ini:]).ravel()
-        y_ini = np.asarray(hist_y[-t_ini:]).ravel()
-        if is_neural:
-            p_hist = np.asarray(hist_p[-t_ini:]).reshape(-1, 1).ravel()
-            u, step = controller.solve_step(u_ini, y_ini, p_hist, r_vec, u_prev)
-        else:
-            u, step = controller.solve_step(u_ini, y_ini, r_vec, u_prev)
-        u = box.clip_u(u)
-        y_true = plant.outputs()
-        y_meas = y_true + (rng_noise.normal(0.0, noise_sigma, 2) if noise_sigma else 0.0)
-        records.append(LoopRecord(
-            k=t_ini + k, t=t, r_ts=r_ts, d=d_now,
-            y_true=y_true, y_meas=y_meas, u=np.asarray(u, dtype=float),
-            cost=step.cost, iterations=step.iterations,
-            kkt_residual=step.kkt_residual, status=step.status,
-            wall_time_s=step.wall_time_s,
-        ))
-        hist_u.append(np.asarray(u, dtype=float))
-        hist_y.append(y_meas)
-        hist_p.append(d_now)
-        plant.step(u, d_now)
-    return records
+    rng_noise = np.random.default_rng(seed_for(cfg.seed, "measurement-noise", noise_label))
+    return _run_loop(
+        plant, controller, u_start, lambda r_ts, cem_est: np.array([r_ts, 45.0]),
+        reference, d_schedule, n_steps, noise_sigma, rng_noise,
+        u_prev=u_start,  # never advanced: see the u_prev defect in ROADMAP.md
+    )
 
 
 def tracking_metrics(records: list[LoopRecord], t_ini: int) -> RunMetrics:
@@ -497,6 +516,7 @@ def sweep_reference(d: float, constants: SurrogateConstants) -> tuple[tuple[floa
 def run_distance_sweep(cfg: RunConfig, out_dir, pipe: Pipeline | None = None) -> dict:
     """Fixed-distance tracking runs across the distance range, noise-free."""
     out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     pipe = pipe if pipe is not None else build_pipeline(cfg)
     plant = surrogate_from_config(cfg)
     box = plant.box
@@ -540,62 +560,25 @@ def build_cem_pipeline(cfg: RunConfig):
 
 
 def run_cem_loop(cfg: RunConfig, model, nh, noise_sigma: float, noise_label: str) -> list[LoopRecord]:
-    from .plant import cem_update
+    """Closed-loop thermal-dose delivery from ambient on the dose plant.
 
+    The controller's goal is the measured dose estimate, and each step
+    prices its moves against the input applied before it.
+    """
     cem_cfg = cfg.controllers.cem
     scc = cfg.cem_scenario
     plant = surrogate_from_config(cfg, b_s_override=scc.b_s)
-    box = plant.box
-    dt = plant.dt
-    ctl_cfg = controller_config(cem_cfg, 1.0, cem_cfg.y_ub_margin, box)
+    ctl_cfg = controller_config(cem_cfg, 1.0, cem_cfg.y_ub_margin, plant.box)
     controller = CemController(
         model, nh, ctl_cfg,
-        cem_target=cem_cfg.target + cem_cfg.target_margin, dt=dt, r_du=cem_cfg.r_du,
+        cem_target=cem_cfg.target + cem_cfg.target_margin, dt=plant.dt, r_du=cem_cfg.r_du,
     )
+    plant.reset(PlantState(d=piecewise(scc.d_schedule, 0.0)))
     rng_noise = np.random.default_rng(seed_for(cfg.seed, "cem-noise", noise_label))
-    d0 = piecewise(scc.d_schedule, 0.0)
-    plant.reset(PlantState(d=d0))
-    t_ini = ctl_cfg.t_ini
-    u_start = np.asarray(box.u_lo, dtype=float)
-
-    hist_u, hist_y, hist_p = [], [], []
-    cem_est = 0.0
-    for k in range(t_ini):
-        y_true = plant.outputs()
-        y_meas = y_true + (rng_noise.normal(0.0, noise_sigma, 2) if noise_sigma else 0.0)
-        cem_est = cem_update(cem_est, y_meas[0], dt / 60.0)
-        hist_u.append(u_start.copy())
-        hist_y.append(y_meas)
-        hist_p.append(piecewise(scc.d_schedule, k * dt))
-        plant.step(u_start, hist_p[-1])
-
-    records = []
-    u_prev = u_start.copy()
-    for k in range(scc.n_steps):
-        t = (t_ini + k) * dt
-        d_now = piecewise(scc.d_schedule, t)
-        u_ini = np.asarray(hist_u[-t_ini:]).ravel()
-        y_ini = np.asarray(hist_y[-t_ini:]).ravel()
-        p_hist = np.asarray(hist_p[-t_ini:]).reshape(-1, 1).ravel()
-        u, step = controller.solve_step(u_ini, y_ini, p_hist, cem_now=cem_est, u_prev=u_prev)
-        u = box.clip_u(u)
-        y_true = plant.outputs()
-        y_meas = y_true + (rng_noise.normal(0.0, noise_sigma, 2) if noise_sigma else 0.0)
-        cem_est = cem_update(cem_est, y_meas[0], dt / 60.0)
-        records.append(LoopRecord(
-            k=t_ini + k, t=t, r_ts=0.0, d=d_now,
-            y_true=y_true, y_meas=y_meas, u=np.asarray(u, dtype=float),
-            cost=step.cost, iterations=step.iterations,
-            kkt_residual=step.kkt_residual, status=step.status,
-            wall_time_s=step.wall_time_s,
-            cem_true=plant.state.cem, cem_est=cem_est,
-        ))
-        hist_u.append(np.asarray(u, dtype=float))
-        hist_y.append(y_meas)
-        hist_p.append(d_now)
-        plant.step(u, d_now)
-        u_prev = np.asarray(u, dtype=float)
-    return records
+    return _run_loop(
+        plant, controller, np.asarray(plant.box.u_lo, dtype=float), lambda r_ts, cem_est: cem_est,
+        ((0.0, 0.0),), scc.d_schedule, scc.n_steps, noise_sigma, rng_noise,
+    )
 
 
 def cem_summary(cfg: RunConfig, records: list[LoopRecord]) -> dict:

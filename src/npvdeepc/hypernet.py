@@ -147,12 +147,6 @@ class NnInput:
     p_vec: np.ndarray
 
 
-def _layer_param_keys(i: int, spec: LayerSpec) -> tuple[str, ...]:
-    if spec.kind == "hyper":
-        return (f"h{i}_base_w", f"h{i}_base_b", f"h{i}_sens_w", f"h{i}_sens_b")
-    return (f"f{i}_w", f"f{i}_b")
-
-
 class HyperDnnModel:
     """Trained predictor: hypernet-generated hidden layers, fixed output layer."""
 
@@ -239,12 +233,6 @@ class HyperDnnModel:
         z, _ = _tanh_stack(self.hyper_forward(nn_in.p_vec), nn_in.u_nn, self.dims.future_u_slice)
         return z
 
-    def phi_nn(self, nn_in: NnInput) -> np.ndarray:
-        """Stacked raw-unit output prediction through the trained output layer."""
-        z_out = self.params["out_w"] @ self.phi_hl(nn_in) + self.params["out_b"]
-        d = self.dims
-        return self.scalers.y.denormalize(z_out.reshape(d.horizon, d.n_y)).ravel()
-
     def predict_nls(self, window: Window) -> np.ndarray:
         """Refit-output prediction theta_ls @ [phi; 1] in raw units."""
         if self.theta_ls is None:
@@ -259,18 +247,13 @@ class HyperDnnModel:
 
     # ----- Jacobian -------------------------------------------------------
 
-    def jacobian_phi_hl_wrt_future_u(self, nn_in: NnInput) -> np.ndarray:
-        """d(phi_hl)/d(future input slice of u_nn), normalized coordinates.
+    def jacobian_phi_hl_future_u_raw(self, nn_in: NnInput) -> np.ndarray:
+        """d(phi_hl)/d(raw future input values).
 
         The parameter vector holds measured past values only, so the hidden
         weights are constants with respect to the future inputs and the chain
         rule runs through the tanh layers alone.
         """
-        _, jac = _tanh_stack(self.hyper_forward(nn_in.p_vec), nn_in.u_nn, self.dims.future_u_slice)
-        return jac
-
-    def jacobian_phi_hl_future_u_raw(self, nn_in: NnInput) -> np.ndarray:
-        """Same Jacobian taken with respect to the raw future input values."""
         _, jac = self.features(self.hyper_forward(nn_in.p_vec), nn_in.u_nn)
         return jac
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControllerConfig, StepResult, TrackingCost
+from .control import ControllerConfig, StepResult, TrackingCost, check_window
 from .hankel import DimensionError, HankelSet, Trajectory, build_hankel, partition
 from .hypernet import HyperDnnModel, refit_output_ls
 from .optim import pinv, solve_sqp
@@ -215,6 +215,9 @@ class NpvController:
     each step computes them once (one ``hyper_forward`` call) and hands the
     layer list to the constraint and curvature callbacks and to the initial
     point; every candidate input of the solve reuses them.
+
+    A step is ``solve_step(u_ini, y_ini, p_hist, r_vec, u_prev)``, the
+    signature every controller shares.
     """
 
     def __init__(
@@ -343,12 +346,9 @@ class NpvController:
     def solve_step(self, u_ini, y_ini, p_hist, r_vec, u_prev) -> tuple[np.ndarray, StepResult]:
         cfg = self.cfg
         d = self.model.dims
-        u_ini_n = self.model.scalers.u.normalize(
-            np.asarray(u_ini, dtype=float).reshape(d.t_ini, d.n_u)
-        ).ravel()
-        y_ini_n = self.model.scalers.y.normalize(
-            np.asarray(y_ini, dtype=float).reshape(d.t_ini, d.n_y)
-        ).ravel()
+        u_ini, y_ini = check_window(cfg, u_ini, y_ini, p_hist, d.n_p)
+        u_ini_n = self.model.scalers.u.normalize(u_ini.reshape(d.t_ini, d.n_u)).ravel()
+        y_ini_n = self.model.scalers.y.normalize(y_ini.reshape(d.t_ini, d.n_y)).ravel()
         # the hidden weights depend on the measured parameter history only
         layers = self.model.hyper_forward(self._p_norm_for_step(p_hist))
         u_prev = np.asarray(u_prev, dtype=float)
@@ -530,6 +530,12 @@ class CemController(NpvController):
         return self._dose_cost_fn(u_prev)
 
     def solve_step(self, u_ini, y_ini, p_hist, cem_now: float, u_prev) -> tuple[np.ndarray, StepResult]:
+        """One dose step in the step signature every controller shares.
+
+        The goal position carries the measured dose estimate ``cem_now``
+        where the tracking controllers take the reference; ``u_prev`` is the
+        input applied at the previous step.
+        """
         self._cem_now = float(cem_now)
         self._stage = "deliver" if self.cem_target - cem_now > self.horizon_reach else "dose"
         _, result = super().solve_step(u_ini, y_ini, p_hist, self._r_deliver, u_prev)

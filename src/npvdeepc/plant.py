@@ -28,7 +28,6 @@ __all__ = [
     "surrogate_steady_state",
     "cem_update",
     "collect_open_loop",
-    "add_measurement_noise",
 ]
 
 T_AMBIENT = 25.0
@@ -285,14 +284,3 @@ def collect_open_loop(
         plant.step(u_current, d_current)
 
     return Trajectory(u=u_log, y=y_log, p=d_log, dt=plant.dt)
-
-
-def add_measurement_noise(traj: Trajectory, sigma: float, seed: int) -> Trajectory:
-    """Add zero-mean Gaussian noise to the output channels only."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if sigma == 0:
-        return Trajectory(traj.u.copy(), traj.y.copy(), traj.p.copy(), traj.dt)
-    rng = np.random.default_rng(seed)
-    noisy_y = traj.y + rng.normal(0.0, sigma, size=traj.y.shape)
-    return Trajectory(traj.u.copy(), noisy_y, traj.p.copy(), traj.dt)

@@ -6,9 +6,10 @@ from npvdeepc.baseline import ArxModel, arx_rollout, arx_rollout_affine, identif
 from npvdeepc.control import ControllerConfig
 from npvdeepc.deepc import DeepcController
 from npvdeepc.hankel import DimensionError, Trajectory, partition
+from npvdeepc.npv import NpvController, hankel_with_params, transform_hankel
 from npvdeepc.optim import QpProblem
 
-from conftest import lti_trajectory, make_lti
+from conftest import lti_trajectory, make_lti, random_model
 
 
 def simulate_arx(model: ArxModel, u: np.ndarray, rng=None, noise=0.0) -> np.ndarray:
@@ -160,7 +161,7 @@ class TestMpc:
             u, _ = ctrl.solve_step(
                 np.array(hist_u[-cfg.t_ini:]).ravel(),
                 np.array(hist_y[-cfg.t_ini:]).ravel(),
-                r_vec, u_prev,
+                None, r_vec, u_prev,
             )
             y = sim.step(u)
             hist_u.append(u)
@@ -176,7 +177,7 @@ class TestMpc:
         x_ss = np.linalg.solve(np.eye(2) - plant.a, plant.b @ u_ss)
         y_ss = plant.c @ x_ss
         u, step = ctrl.solve_step(
-            np.tile(u_ss, cfg.t_ini), np.tile(y_ss, cfg.t_ini), y_ss, u_ss
+            np.tile(u_ss, cfg.t_ini), np.tile(y_ss, cfg.t_ini), None, y_ss, u_ss
         )
         assert np.max(np.abs(u - u_ss)) < 1e-5
         assert step.cost < 1e-8
@@ -195,7 +196,7 @@ class TestMpc:
             u, step = ctrl.solve_step(
                 np.array(hist_u[-cfg.t_ini:]).ravel(),
                 np.array(hist_y[-cfg.t_ini:]).ravel(),
-                r_vec, u_prev,
+                None, r_vec, u_prev,
             )
             y = sim.step(u)
             hist_u.append(u)
@@ -210,7 +211,7 @@ class TestMpc:
         cfg = mpc_config(u_lo=(-0.1, -0.1), u_hi=(0.1, 0.1))
         ctrl = MpcController(model, cfg)
         u, step = ctrl.solve_step(
-            np.zeros(2 * cfg.t_ini), np.zeros(2 * cfg.t_ini), np.array([5.0, 5.0]), np.zeros(2)
+            np.zeros(2 * cfg.t_ini), np.zeros(2 * cfg.t_ini), None, np.array([5.0, 5.0]), np.zeros(2)
         )
         assert np.all(step.u_seq >= -0.1) and np.all(step.u_seq <= 0.1)
 
@@ -230,7 +231,7 @@ class TestMpc:
         r_vec = np.array([1.0, -0.5])
         for _ in range(3):
             ctrl.solve_step(rng.uniform(-1, 1, 2 * cfg.t_ini), rng.uniform(-1, 1, 2 * cfg.t_ini),
-                            r_vec, np.zeros(2))
+                            None, r_vec, np.zeros(2))
         assert seen[0][1] is None
         for prob, x0 in seen[1:]:
             assert x0 is not None
@@ -251,7 +252,7 @@ class TestMpcRolloutMap:
         for _ in range(steps):
             u, _ = ctrl.solve_step(
                 np.array(hist_u[-cfg.t_ini:]).ravel(), np.array(hist_y[-cfg.t_ini:]).ravel(),
-                r_vec, hist_u[-1],
+                None, r_vec, hist_u[-1],
             )
             y_past = np.array(hist_y[::-1][:model.n_a])
             hist_y.append(model.one_step(y_past, np.array([u] + hist_u[::-1][:model.n_b - 1])))
@@ -314,9 +315,9 @@ class TestMpcRolloutMap:
 
         step = ctrl.solve_step
 
-        def spy_step(u_ini, y_ini, r_vec, u_prev):
+        def spy_step(u_ini, y_ini, p_hist, r_vec, u_prev):
             hists.append((np.reshape(y_ini, (cfg.t_ini, 2)), np.reshape(u_ini, (cfg.t_ini, 2))))
-            return step(u_ini, y_ini, r_vec, u_prev)
+            return step(u_ini, y_ini, p_hist, r_vec, u_prev)
 
         hists = []
         monkeypatch.setattr(control, "solve_qp", spy)
@@ -339,14 +340,23 @@ class TestMpcRolloutMap:
             assert np.max(np.abs(x - x_ref)) <= 1e-9
 
 
-@pytest.mark.parametrize("kind", ["deepc", "mpc"])
+@pytest.mark.parametrize("kind", ["deepc", "mpc", "npv"])
 def test_wrong_window_length_raises_dimension_error(kind):
     cfg = mpc_config()
+    traj = lti_trajectory(300, seed=21)
     if kind == "deepc":
-        ctrl = DeepcController(partition(lti_trajectory(300, seed=21), cfg.t_ini, cfg.horizon), cfg)
-    else:
+        ctrl = DeepcController(partition(traj, cfg.t_ini, cfg.horizon), cfg)
+    elif kind == "mpc":
         ctrl = MpcController(known_arx(), cfg)
+    else:
+        model = random_model(np.random.default_rng(21), t_ini=cfg.t_ini, horizon=cfg.horizon)
+        nh = transform_hankel(model, *hankel_with_params(traj, cfg.t_ini, cfg.horizon))
+        ctrl = NpvController(model, nh, cfg)
     n = 2 * cfg.t_ini
+    p_hist = np.zeros(cfg.t_ini)
     for u_ini, y_ini in ((np.zeros(n - 1), np.zeros(n)), (np.zeros(n), np.zeros(n + 2))):
         with pytest.raises(DimensionError, match="initial window lengths"):
-            ctrl.solve_step(u_ini, y_ini, np.zeros(2), np.zeros(2))
+            ctrl.solve_step(u_ini, y_ini, p_hist, np.zeros(2), np.zeros(2))
+    if kind == "npv":
+        with pytest.raises(DimensionError, match="parameter history length"):
+            ctrl.solve_step(np.zeros(n), np.zeros(n), p_hist[1:], np.zeros(2), np.zeros(2))

@@ -71,7 +71,7 @@ class TestSolveStep:
         u_hist = rng.uniform(-1, 1, size=(20, 2))
         u_ini, y_ini = self._window_from_plant(plant, cfg.t_ini, u_hist)
         r_vec = np.array([1.0, -0.5])
-        u, step = ctrl.solve_step(u_ini, y_ini, r_vec, u_prev=u_hist[-1])
+        u, step = ctrl.solve_step(u_ini, y_ini, None, r_vec, u_prev=u_hist[-1])
         rollout = plant.copy()
         y_true = rollout.simulate(step.u_seq)
         assert np.max(np.abs(y_true - step.y_pred)) < 1e-5
@@ -90,7 +90,7 @@ class TestSolveStep:
         # tie the decision inputs to the fixed sequence through the bounds
         ctrl.lb[: ctrl.cost.nu] = u_fixed.ravel()
         ctrl.ub[: ctrl.cost.nu] = u_fixed.ravel()
-        _, step = ctrl.solve_step(u_ini, y_ini, np.zeros(2), u_prev=u_hist[-1])
+        _, step = ctrl.solve_step(u_ini, y_ini, None, np.zeros(2), u_prev=u_hist[-1])
         y_true = plant.copy().simulate(u_fixed)
         assert np.max(np.abs(y_true - step.y_pred)) < 1e-6
 
@@ -104,7 +104,7 @@ class TestSolveStep:
         ctrl = DeepcController(lti_hankel, cfg)
         u_ini = np.tile(u_ss, cfg.t_ini)
         y_ini = np.tile(y_ss, cfg.t_ini)
-        u, step = ctrl.solve_step(u_ini, y_ini, y_ss, u_prev=u_ss)
+        u, step = ctrl.solve_step(u_ini, y_ini, None, y_ss, u_prev=u_ss)
         assert np.max(np.abs(u - u_ss)) < 1e-5
         assert step.cost < 1e-8
 
@@ -115,7 +115,7 @@ class TestSolveStep:
         rng = np.random.default_rng(4)
         u_hist = rng.uniform(-1, 1, size=(20, 2))
         u_ini, y_ini = TestSolveStep._window_from_plant(self, plant, cfg.t_ini, u_hist)
-        _, step = ctrl.solve_step(u_ini, y_ini, np.zeros(2), u_prev=u_hist[-1])
+        _, step = ctrl.solve_step(u_ini, y_ini, None, np.zeros(2), u_prev=u_hist[-1])
         assert step.extras["sigma_norm"] < 1e-6
 
     def test_cost_recompute_invariant(self, lti_hankel):
@@ -127,7 +127,7 @@ class TestSolveStep:
         u_ini, y_ini = self._window_from_plant(plant, cfg.t_ini, u_hist)
         r_vec = np.array([0.5, 0.5])
         u_prev = u_hist[-1]
-        _, step = ctrl.solve_step(u_ini, y_ini, r_vec, u_prev)
+        _, step = ctrl.solve_step(u_ini, y_ini, None, r_vec, u_prev)
         # recompute the tracking cost from the returned sequences
         q, r, p = np.array(cfg.q), np.array(cfg.r), np.array(cfg.p)
         cost = 0.0
@@ -148,7 +148,7 @@ class TestSolveStep:
         rng = np.random.default_rng(6)
         u_hist = np.clip(rng.uniform(-1, 1, size=(20, 2)), -0.2, 0.2)
         u_ini, y_ini = self._window_from_plant(plant, cfg.t_ini, u_hist)
-        u, step = ctrl.solve_step(u_ini, y_ini, np.array([5.0, 5.0]), u_prev=u_hist[-1])
+        u, step = ctrl.solve_step(u_ini, y_ini, None, np.array([5.0, 5.0]), u_prev=u_hist[-1])
         assert np.all(step.u_seq >= -0.2) and np.all(step.u_seq <= 0.2)
         assert np.all(np.abs(u) <= 0.2)
 
@@ -167,7 +167,7 @@ class TestSolveStep:
             u, _ = ctrl.solve_step(
                 np.array(history_u[-cfg.t_ini:]).ravel(),
                 np.array(history_y[-cfg.t_ini:]).ravel(),
-                r_vec,
+                None, r_vec,
                 u_prev,
             )
             y = plant.step(u)
@@ -187,7 +187,7 @@ class TestRegularizers:
         u_hist = rng.uniform(-1, 1, size=(20, 2))
         y = plant.simulate(u_hist)
         u_ini, y_ini = u_hist[-cfg.t_ini:].ravel(), y[-cfg.t_ini:].ravel()
-        u, step = ctrl.solve_step(u_ini, y_ini, np.array([0.5, 0.0]), u_prev=u_hist[-1])
+        u, step = ctrl.solve_step(u_ini, y_ini, None, np.array([0.5, 0.0]), u_prev=u_hist[-1])
         assert step.status == "optimal"
         assert np.all(np.isfinite(u))
 
@@ -199,7 +199,7 @@ class TestRegularizers:
         rng = np.random.default_rng(9)
         u_hist = rng.uniform(-1, 1, size=(20, 2))
         u_ini, y_ini = TestSolveStep._window_from_plant(self, plant, cfg.t_ini, u_hist)
-        _, step = ctrl.solve_step(u_ini, y_ini, np.array([1.0, 0.0]), u_prev=u_hist[-1])
+        _, step = ctrl.solve_step(u_ini, y_ini, None, np.array([1.0, 0.0]), u_prev=u_hist[-1])
         y_true = plant.copy().simulate(step.u_seq)
         assert np.max(np.abs(y_true - step.y_pred)) < 1e-5
 
@@ -272,7 +272,7 @@ class TestCondensedForm:
             ctrl.lb[:ctrl.cost.nu] = u_fixed
             ctrl.ub[:ctrl.cost.nu] = u_fixed
 
-        _, step = ctrl.solve_step(u_ini, y_ini, r_vec, u_prev=u_hist[-1])
+        _, step = ctrl.solve_step(u_ini, y_ini, None, r_vec, u_prev=u_hist[-1])
         u_ref, y_ref, sigma_ref = full_deepc_qp(hs, cfg, ctrl.lb, ctrl.ub, u_ini, y_ini, r_vec, u_hist[-1])
         assert step.status == "optimal"
         assert np.max(np.abs(step.u_seq - u_ref)) < 1e-6

@@ -7,11 +7,21 @@ import pytest
 
 from npvdeepc import experiments
 from npvdeepc.config import RunConfig, load_config
-from npvdeepc.control import StepResult
+from npvdeepc.control import ControllerConfig, StepResult
 from npvdeepc.experiments import LoopRecord, cem_summary, piecewise, run_cem_loop, surrogate_from_config
 from npvdeepc.plant import CEM_KAPPA, CEM_REFERENCE_TEMP, PlantState
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _distinct_step(k, horizon):
+    """The k-th input of a stand-in controller, distinct at every step."""
+    u = np.array([2.0 + 0.5 * k, 1.5 + 0.25 * k])
+    step = StepResult(
+        u_apply=u, u_seq=np.tile(u, (horizon, 1)), y_pred=np.zeros((horizon, 2)), cost=0.0,
+        status="optimal", iterations=0, kkt_residual=0.0, wall_time_s=0.0,
+    )
+    return u, step
 
 
 class RecordingCem:
@@ -22,15 +32,54 @@ class RecordingCem:
         self.u_prev_seen = []
 
     def solve_step(self, u_ini, y_ini, p_hist, cem_now, u_prev):
-        k = len(self.u_prev_seen)
         self.u_prev_seen.append(np.asarray(u_prev, dtype=float).copy())
-        u = np.array([2.0 + 0.5 * k, 1.5 + 0.25 * k])
-        step = StepResult(
-            u_apply=u, u_seq=np.tile(u, (self.cfg.horizon, 1)),
-            y_pred=np.zeros((self.cfg.horizon, 2)), cost=0.0, status="optimal",
-            iterations=0, kkt_residual=0.0, wall_time_s=0.0,
-        )
-        return u, step
+        return _distinct_step(len(self.u_prev_seen) - 1, self.cfg.horizon)
+
+
+class RecordingTracker:
+    """Stand-in tracking controller: logs the arguments of every step."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.calls = []
+
+    def solve_step(self, u_ini, y_ini, p_hist, goal, u_prev):
+        self.calls.append((np.array(p_hist, dtype=float), np.array(goal, dtype=float),
+                           np.array(u_prev, dtype=float)))
+        return _distinct_step(len(self.calls) - 1, self.cfg.horizon)
+
+
+def test_tracking_loop_step_protocol():
+    """Each step gets the scheduled distances of its window, the goal
+    [r(t), 45.0] and, as u_prev, the loop's start input: the tracking loop
+    does not advance u_prev (a known defect, see ROADMAP.md)."""
+    cfg = RunConfig()
+    ctl = RecordingTracker(ControllerConfig(t_ini=3, horizon=4))
+    reference = ((0.0, 30.0), (2.0, 31.0))
+    d_schedule = ((0.0, 3.0), (1.0, 4.0), (2.5, 5.0))
+    records = experiments.run_tracking_loop(
+        cfg, ctl, 0.0, "protocol", reference=reference, d_schedule=d_schedule, n_steps=5,
+    )
+    plant = surrogate_from_config(cfg)
+    u_start = experiments.steady_input_for(30.0, 3.0, plant.constants, plant.box)
+    assert len(ctl.calls) == len(records) == 5
+    for (p_hist, goal, u_prev), rec in zip(ctl.calls, records):
+        window = [piecewise(d_schedule, j * plant.dt) for j in range(rec.k - 3, rec.k)]
+        assert np.array_equal(p_hist, window)
+        assert np.array_equal(goal, [piecewise(reference, rec.t), 45.0])
+        assert np.array_equal(u_prev, u_start)
+    # the windows span every distance of the schedule and both references
+    assert {tuple(p) for p, _, _ in ctl.calls} >= {(3.0, 3.0, 4.0), (4.0, 4.0, 5.0)}
+    assert {g[0] for _, g, _ in ctl.calls} == {30.0, 31.0}
+
+
+def test_distance_sweep_creates_output_dir(tmp_path):
+    cfg = RunConfig()
+    cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, controllers=()))
+    out = tmp_path / "fresh" / "sweep"
+    doc = experiments.run_distance_sweep(cfg, out, pipe=object())
+    assert (out / "distance_sweep.csv").read_text().splitlines() == ["d_mm,controller,rmse"]
+    assert set(doc["rmse"]) == {str(d) for d in cfg.scenario.sweep_distances}
 
 
 def test_cem_loop_advances_u_prev(monkeypatch):

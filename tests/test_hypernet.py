@@ -12,6 +12,7 @@ from npvdeepc.hypernet import (
     _forward_batch,
     _forward_hidden,
     load_model,
+    predict_batch,
     refit_output_ls,
     save_model,
     train,
@@ -127,6 +128,11 @@ class TestPhi:
             z = np.tanh(w @ z + b)
         assert np.allclose(model.phi_hl(nn_in), z, atol=1e-12)
 
+    @staticmethod
+    def _phi_nn(model, nn_in):
+        # the trained network's raw-unit prediction, through the folded output layer
+        return model.effective_output_map() @ np.concatenate([model.phi_hl(nn_in), [1.0]])
+
     def test_phi_nn_zero_output_weights(self, rng):
         model = random_model(rng)
         model.params["out_w"][:] = 0.0
@@ -135,16 +141,16 @@ class TestPhi:
         expected = model.scalers.y.denormalize(
             model.params["out_b"].reshape(d.horizon, d.n_y)
         ).ravel()
-        assert np.allclose(model.phi_nn(nn_in), expected, atol=1e-12)
+        assert np.allclose(self._phi_nn(model, nn_in), expected, atol=1e-12)
 
     def test_phi_nn_affine_in_output_layer(self, rng):
         model = random_model(rng)
         nn_in = NnInput(u_nn=rng.uniform(-1, 1, model.dims.nu_u), p_vec=np.full(model.dims.nu_p, -0.2))
         d = model.dims
-        base = model.scalers.y.normalize(model.phi_nn(nn_in).reshape(d.horizon, d.n_y)).ravel()
+        base = model.scalers.y.normalize(self._phi_nn(model, nn_in).reshape(d.horizon, d.n_y)).ravel()
         b_o = model.params["out_b"]
         model.params["out_w"] *= 2.0
-        doubled = model.scalers.y.normalize(model.phi_nn(nn_in).reshape(d.horizon, d.n_y)).ravel()
+        doubled = model.scalers.y.normalize(self._phi_nn(model, nn_in).reshape(d.horizon, d.n_y)).ravel()
         assert np.allclose(doubled - b_o, 2.0 * (base - b_o), atol=1e-10)
 
 
@@ -285,16 +291,14 @@ class TestJacobian:
         model = random_model(rng)
         model.params["h0_base_w"][:] = 0.0
         model.params["h0_sens_w"][:] = 0.0
-        nn_in = NnInput(u_nn=rng.uniform(-1, 1, model.dims.nu_u), p_vec=np.full(model.dims.nu_p, 0.2))
-        assert np.array_equal(
-            model.jacobian_phi_hl_wrt_future_u(nn_in), np.zeros((model.nu_l, model.dims.n_u * model.dims.horizon))
-        )
+        layers = model.hyper_forward(np.full(model.dims.nu_p, 0.2))
+        _, jac = model.features(layers, rng.uniform(-1, 1, model.dims.nu_u))
+        assert np.array_equal(jac, np.zeros((model.nu_l, model.dims.n_u * model.dims.horizon)))
 
     def test_jacobian_shape_excludes_past(self, rng):
         model = random_model(rng)
         d = model.dims
-        nn_in = NnInput(u_nn=rng.uniform(-1, 1, d.nu_u), p_vec=np.zeros(d.nu_p))
-        jac = model.jacobian_phi_hl_wrt_future_u(nn_in)
+        _, jac = model.features(model.hyper_forward(np.zeros(d.nu_p)), rng.uniform(-1, 1, d.nu_u))
         assert jac.shape == (model.nu_l, d.n_u * d.horizon)
         assert d.future_u_slice.stop - d.future_u_slice.start == d.n_u * d.horizon
         assert d.future_u_slice.stop == d.nu_u
@@ -426,8 +430,7 @@ class TestModelIo:
             u_f=ds.u_fut[3].ravel(), y_f=ds.y_fut[3].ravel(), p_hist=ds.p_hist[3].ravel(),
         )
         assert np.array_equal(back.predict_nls(w), model.predict_nls(w))
-        nn_a = model.nn_input_from_window(w)
-        assert np.array_equal(back.phi_nn(nn_a), model.phi_nn(nn_a))
+        assert np.array_equal(predict_batch(back, ds), predict_batch(model, ds))
 
     def test_schema_version_checked(self, rng, tmp_path):
         model = random_model(rng)

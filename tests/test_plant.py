@@ -10,7 +10,6 @@ from npvdeepc.plant import (
     PlantState,
     SurrogateConstants,
     SurrogatePlant,
-    add_measurement_noise,
     cem_update,
     collect_open_loop,
     surrogate_steady_state,
@@ -134,28 +133,6 @@ class TestCollect:
     def test_invalid_excitation(self):
         with pytest.raises(ValueError):
             ExcitationConfig(d_hold_min=50, d_hold_max=10)
-
-
-class TestNoise:
-    def test_zero_sigma_identity(self):
-        traj = collect_open_loop(SurrogatePlant(), ExcitationConfig(), 100, seed=2)
-        noisy = add_measurement_noise(traj, sigma=0.0, seed=5)
-        assert np.array_equal(noisy.y, traj.y)
-
-    def test_noise_std_matches(self):
-        traj = collect_open_loop(SurrogatePlant(), ExcitationConfig(), 6000, seed=3)
-        noisy = add_measurement_noise(traj, sigma=0.2, seed=6)
-        diff = noisy.y - traj.y
-        assert diff.size >= 10**4
-        assert np.std(diff) == pytest.approx(0.2, abs=0.02)
-        assert np.array_equal(noisy.u, traj.u)
-        assert np.array_equal(noisy.p, traj.p)
-
-    def test_two_seeds_differ(self):
-        traj = collect_open_loop(SurrogatePlant(), ExcitationConfig(), 100, seed=4)
-        a = add_measurement_noise(traj, 0.2, seed=1)
-        b = add_measurement_noise(traj, 0.2, seed=2)
-        assert not np.array_equal(a.y, b.y)
 
 
 class TestLti:
