@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, config_hash, load_config
+from .control import NonFiniteWindowError
 from .experiments import (
     DataError,
     build_pipeline,
@@ -191,7 +192,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, DimensionError, FileNotFoundError) as exc:
+    except (DataError, DimensionError, NonFiniteWindowError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SolverError, TrainingDivergedError) as exc:

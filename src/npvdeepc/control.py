@@ -18,7 +18,14 @@ import numpy as np
 from .hankel import DimensionError
 from .optim import QpProblem, SolverError, solve_qp
 
-__all__ = ["ControllerConfig", "LinearQpController", "StepResult", "TrackingCost", "check_window"]
+__all__ = [
+    "ControllerConfig",
+    "LinearQpController",
+    "NonFiniteWindowError",
+    "StepResult",
+    "TrackingCost",
+    "check_window",
+]
 
 
 @dataclass(frozen=True)
@@ -78,11 +85,17 @@ class StepResult:
     extras: dict = field(default_factory=dict)
 
 
+class NonFiniteWindowError(ValueError):
+    """A past window holds a NaN or infinite measurement."""
+
+
 def check_window(cfg: ControllerConfig, u_ini, y_ini, p_hist=None, n_p: int = 0):
-    """The past window as flat float vectors; DimensionError on a wrong length.
+    """The past window as flat float vectors.
 
     ``u_ini`` and ``y_ini`` must hold ``t_ini`` samples of every channel.  A
-    given ``p_hist`` must hold ``n_p * t_ini`` values.
+    given ``p_hist`` must hold ``n_p * t_ini`` values.  A wrong length raises
+    DimensionError and a non-finite value NonFiniteWindowError, before any
+    solve could turn it into an input.
     """
     u_ini = np.asarray(u_ini, dtype=float).ravel()
     y_ini = np.asarray(y_ini, dtype=float).ravel()
@@ -94,6 +107,9 @@ def check_window(cfg: ControllerConfig, u_ini, y_ini, p_hist=None, n_p: int = 0)
         raise DimensionError(
             f"parameter history length {np.size(p_hist)} does not match n_p * t_ini = {n_p * cfg.t_ini}"
         )
+    for name, v in (("u_ini", u_ini), ("y_ini", y_ini), ("p_hist", p_hist)):
+        if v is not None and not np.all(np.isfinite(v)):
+            raise NonFiniteWindowError(f"{name} holds a non-finite value")
     return u_ini, y_ini
 
 

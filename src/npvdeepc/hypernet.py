@@ -280,8 +280,10 @@ class HyperDnnModel:
         """Weighted raw future-input curvature sum_k weights_k * d2(phi_k)/du_f du_f.
 
         Closed form for the single-hidden-layer architecture (d2 tanh =
-        -2 tanh (1 - tanh^2)); deeper stacks return None and the caller falls
-        back to the Gauss-Newton model.
+        -2 tanh (1 - tanh^2)), from one forward pass; deeper stacks return
+        None and the caller falls back to the Gauss-Newton model.  The block
+        is exact and may be indefinite: the caller decides whether the local
+        program is convex enough to use it unclipped.
         """
         if len(layers) != 1:
             return None

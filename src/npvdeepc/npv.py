@@ -297,22 +297,41 @@ class NpvController:
     def _lag_hess_fn(self, u_ini_n, y_ini_n, layers):
         """Constraint-curvature term for the QP Hessian (single hidden layer).
 
-        The prediction rows are -theta[:, :-1] phi(u) in u; their weighted
-        curvature is PSD-clipped on the input block before entering the QP.
+        The prediction rows are -theta[:, :-1] phi(u) in u, so the curvature
+        of the Lagrangian's constraint part is a block ``C`` on the input
+        variables.  The rows have an identity block on y, so the null space
+        of their linearization is spanned by Z = [[I, 0], [J_y, B], [0, I]]
+        over (u, a), with J_y = -jac[:, :nu] and B = ``basis``.  When the
+        reduced Hessian Z' hess Z (plus C on its u block) has a Cholesky
+        factor, the local program is convex on the constraint manifold and
+        C enters unclipped, which gives the SQP Newton-rate convergence;
+        otherwise C is clipped to PSD by an eigendecomposition.  ``hess`` is
+        the Hessian of whichever cost the step solves, so the dose stage's
+        Gauss-Newton cost is tested on its own Hessian.
         """
         theta_feat = self.nh.theta_ls[:, :-1]
-        nu = self.nu
+        nu, off_a = self.nu, self.off_a
+        z = np.zeros((self.n_var, self.n_var - self.ny))
+        z[:nu, :nu] = np.eye(nu)
+        z[nu:off_a, nu:] = self.basis
+        z[off_a:, nu:] = np.eye(self.basis.shape[1])
 
-        def lag_hess(x, lam):
-            a = theta_feat.T @ lam
+        def lag_hess(x, lam, hess, jac):
             u_nn = self._network_input(u_ini_n, y_ini_n, x[:nu])
-            block = self.model.feature_curvature(layers, u_nn, -a)
+            block = self.model.feature_curvature(layers, u_nn, -(theta_feat.T @ lam))
             if block is None:
                 return None
-            vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
-            block_psd = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+            block = 0.5 * (block + block.T)
+            z[nu:off_a, :nu] = -jac[:, :nu]  # J_y at x; the other blocks are fixed
+            reduced = z.T @ hess @ z
+            reduced[:nu, :nu] += block
+            try:
+                np.linalg.cholesky(reduced)
+            except np.linalg.LinAlgError:
+                vals, vecs = np.linalg.eigh(block)
+                block = (vecs * np.maximum(vals, 0.0)) @ vecs.T
             out = np.zeros((self.n_var, self.n_var))
-            out[:nu, :nu] = block_psd
+            out[:nu, :nu] = block
             return out
 
         return lag_hess

@@ -124,6 +124,15 @@ class QpProblem:
         return 0 if self.a_eq is None else self.a_eq.shape[0]
 
 
+def _inf_norm(v) -> float:
+    """Infinity norm of a vector, 0.0 when empty.
+
+    Equals ``np.linalg.norm(v, np.inf)`` bit for bit without its dispatch,
+    which dominates on the short vectors of these loops.
+    """
+    return float(np.abs(v).max(initial=0.0))
+
+
 def _kkt_solve(h_ff, grad_f, a_f, r_eq):
     """Solve the equality-constrained step on the free variables.
 
@@ -143,7 +152,7 @@ def _kkt_solve(h_ff, grad_f, a_f, r_eq):
     try:
         sol = np.linalg.solve(kkt, rhs)
         if not np.all(np.isfinite(sol)) or (
-            np.linalg.norm(kkt @ sol - rhs, np.inf) > 1e-8 * (1.0 + np.linalg.norm(rhs, np.inf))
+            _inf_norm(kkt @ sol - rhs) > 1e-8 * (1.0 + _inf_norm(rhs))
         ):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
@@ -181,10 +190,10 @@ def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter, phase1_rows=None):
     # seed the working set with the bounds active at the start point
     side = np.where(x == lb, -1, np.where(x == ub, 1, 0))
     lam = np.zeros(m)
-    feas_tol = tol * (1.0 + (np.linalg.norm(b_eq, np.inf) if m else 0.0))
+    feas_tol = tol * (1.0 + (_inf_norm(b_eq) if m else 0.0))
     if phase1_rows is not None:
         a1, b1 = phase1_rows
-        feas1 = tol * (1.0 + np.linalg.norm(b1, np.inf))
+        feas1 = tol * (1.0 + _inf_norm(b1))
     reuse = False  # the last iteration took an unblocked step from an exact solve
 
     for it in range(1, max_iter + 1):
@@ -193,7 +202,7 @@ def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter, phase1_rows=None):
         r_eq = b_eq - a_eq @ x if m else np.zeros(0)
         p = np.zeros(n)
         exact = False
-        if reuse and (not m or np.linalg.norm(r_eq, np.inf) <= feas_tol):
+        if reuse and (not m or _inf_norm(r_eq) <= feas_tol):
             pass  # p = 0 and the previous lam solve this KKT system
         elif free.size:
             a_f = a_eq[:, free] if m else None
@@ -203,8 +212,8 @@ def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter, phase1_rows=None):
             lam, *_ = np.linalg.lstsq(a_eq.T, -grad, rcond=None)
         reuse = False
 
-        step_small = np.linalg.norm(p, np.inf) <= tol * (1.0 + np.linalg.norm(x, np.inf))
-        if step_small and (not m or np.linalg.norm(r_eq, np.inf) <= feas_tol):
+        step_small = _inf_norm(p) <= tol * (1.0 + _inf_norm(x))
+        if step_small and (not m or _inf_norm(r_eq) <= feas_tol):
             # candidate optimum: check bound multipliers
             r = grad + (a_eq.T @ lam if m else 0.0)
             mult = np.where(pinned, 0.0, -side * r)  # 0 on free and pinned variables
@@ -226,7 +235,7 @@ def _active_set(h, g, a_eq, b_eq, lb, ub, x, tol, max_iter, phase1_rows=None):
         else:
             x = np.clip(x + p, lb, ub)
             reuse = exact and phase1_rows is None
-        if phase1_rows is not None and np.linalg.norm(a1 @ x - b1, np.inf) <= feas1:
+        if phase1_rows is not None and _inf_norm(a1 @ x - b1) <= feas1:
             return x, lam, it, "optimal"
 
     return x, lam, max_iter, "max_iter"
@@ -267,7 +276,7 @@ def _min_norm_step(jac, c, cols) -> np.ndarray:
         gram = j_i @ j_i.T
         w = np.linalg.solve(gram, -c)
         if not np.all(np.isfinite(w)) or (
-            np.linalg.norm(gram @ w + c, np.inf) > 1e-8 * (1.0 + np.linalg.norm(c, np.inf))
+            _inf_norm(gram @ w + c) > 1e-8 * (1.0 + _inf_norm(c))
         ):
             raise np.linalg.LinAlgError
         d[cols] = j_i.T @ w
@@ -282,7 +291,7 @@ def _stationarity(r, x, lb, ub) -> float:
     A variable at its lower bound may keep a positive gradient, one at its
     upper bound a negative one; a free variable needs a zero gradient.
     """
-    tol_bnd = 1e-10 * (1.0 + np.linalg.norm(x, np.inf))
+    tol_bnd = 1e-10 * (1.0 + _inf_norm(x))
     at_lo = x <= lb + tol_bnd
     at_hi = ~at_lo & (x >= ub - tol_bnd)
     viol = np.where(at_lo, np.maximum(-r, 0.0), np.where(at_hi, np.maximum(r, 0.0), np.abs(r)))
@@ -291,7 +300,7 @@ def _stationarity(r, x, lb, ub) -> float:
 
 def _qp_kkt_residual(prob: QpProblem, x, lam) -> float:
     r = prob.h @ x + prob.g + (prob.a_eq.T @ lam if prob.m_eq else 0.0)
-    res = float(np.linalg.norm(prob.a_eq @ x - prob.b_eq, np.inf)) if prob.m_eq else 0.0
+    res = _inf_norm(prob.a_eq @ x - prob.b_eq) if prob.m_eq else 0.0
     return max(res, _stationarity(r, x, prob.lb, prob.ub))
 
 
@@ -320,15 +329,15 @@ def solve_qp(
         )
     x = np.clip(np.asarray(x0, dtype=float).ravel().copy(), prob.lb, prob.ub)
 
-    feas_tol = max(tol, 1e-8) * (1.0 + (np.linalg.norm(prob.b_eq, np.inf) if prob.m_eq else 0.0))
+    feas_tol = max(tol, 1e-8) * (1.0 + (_inf_norm(prob.b_eq) if prob.m_eq else 0.0))
     phase1_its = 0
-    if prob.m_eq and np.linalg.norm(prob.a_eq @ x - prob.b_eq, np.inf) > feas_tol:
+    if prob.m_eq and _inf_norm(prob.a_eq @ x - prob.b_eq) > feas_tol:
         x, phase1_its = _restore_equalities(prob, x, tol, max_iter)
-        if np.linalg.norm(prob.a_eq @ x - prob.b_eq, np.inf) > max(1e-6, 1e3 * feas_tol):
+        if _inf_norm(prob.a_eq @ x - prob.b_eq) > max(1e-6, 1e3 * feas_tol):
             diag = SolveDiagnostics(
                 status="infeasible",
                 iterations=phase1_its,
-                kkt_residual=float(np.linalg.norm(prob.a_eq @ x - prob.b_eq, np.inf)),
+                kkt_residual=_inf_norm(prob.a_eq @ x - prob.b_eq),
                 wall_time_s=time.perf_counter() - t0,
             )
             return x, diag
@@ -367,9 +376,14 @@ def solve_sqp(
             Jacobian; pass None when unconstrained.
         lb, ub: variable bounds (+-inf allowed).
         x0: start point, clipped into the bounds.
-        lag_hess_fn: optional (x, lam) -> PSD constraint-curvature term added
-            to the QP Hessian; restores fast local convergence when the
-            equality constraints are meaningfully nonlinear.
+        lag_hess_fn: optional (x, lam, hess, jac) -> constraint-curvature
+            term added to the QP Hessian, or None for none.  ``hess`` is the
+            cost Hessian and ``jac`` the constraint Jacobian at ``x``, so the
+            callback can test convexity on the null space of the linearized
+            rows; that test is the callback's job.  The QP runs unvalidated,
+            so the sum only has to be positive definite on that null space.
+            Exact curvature there restores Newton-rate local convergence
+            when the equality constraints are meaningfully nonlinear.
 
     Each QP subproblem starts on its linearized rows: at the minimum-norm
     correction of ``c + J d = 0`` over the coordinates strictly inside the
@@ -406,7 +420,7 @@ def solve_sqp(
     def _kkt_at_x(lam_):
         # KKT residual at the current iterate for the multipliers lam_
         stat = _stationarity(grad + (jac.T @ lam_ if m else 0.0), x, lb, ub)
-        return max(stat, float(np.linalg.norm(c, np.inf)) if m else 0.0)
+        return max(stat, _inf_norm(c))
 
     f, grad, hess = cost_fn(x)
     c, jac = _eval_c(x)
@@ -417,7 +431,7 @@ def solve_sqp(
     for _ in range(max_iter):
         h_qp = hess
         if lag_hess_fn is not None and m:
-            extra = lag_hess_fn(x, lam)
+            extra = lag_hess_fn(x, lam, hess, jac)
             if extra is not None:
                 h_qp = hess + extra
         # linearized constraints may not fit inside the trust box; widen once
@@ -437,13 +451,13 @@ def solve_sqp(
         lam = qdiag.eq_multipliers if qdiag.eq_multipliers is not None else np.zeros(m)
 
         kkt = _kkt_at_x(lam)
-        step_norm = float(np.linalg.norm(d, np.inf))
-        if kkt <= tol and step_norm <= tol * (1.0 + np.linalg.norm(x, np.inf)):
+        step_norm = _inf_norm(d)
+        if kkt <= tol and step_norm <= tol * (1.0 + _inf_norm(x)):
             status = "optimal"
             break
 
         if m:
-            mu = max(mu, 1.05 * float(np.linalg.norm(lam, np.inf)) + 1.0)
+            mu = max(mu, 1.05 * _inf_norm(lam) + 1.0)
         c_l1 = float(np.sum(np.abs(c)))
         merit0 = f + mu * c_l1
         if merit0 < best_merit:
@@ -489,7 +503,7 @@ def solve_sqp(
             kkt = np.inf
         else:
             radius = max(0.25 * step_norm, 1e-12)
-            if radius <= 1e-11 * (1.0 + np.linalg.norm(x, np.inf)):
+            if radius <= 1e-11 * (1.0 + _inf_norm(x)):
                 break
 
     if status != "optimal" and f + mu * float(np.sum(np.abs(c))) > best_merit:

@@ -3,9 +3,11 @@
 Each test implements one release criterion at its stated tolerance and prints
 one PASS/FAIL line.  The heavy artifacts (dataset, trained model, Hankel
 operators, benchmark runs) are built once per session from the desk-scale
-configuration in ``configs/desk.yaml`` with a fixed seed.
+configuration in ``configs/desk.yaml`` with a fixed seed.  A few guards
+without a criterion of their own read the same artifacts.
 """
 
+import csv
 import json
 import time
 from pathlib import Path
@@ -171,8 +173,6 @@ def test_criterion_08_tracking_ordering(bench_outputs, sweep_outputs):
 
 
 def _scan_steps_csv(path: Path):
-    import csv
-
     with path.open() as fh:
         rows = list(csv.DictReader(fh))
     u = np.array([[float(r["P"]), float(r["q"])] for r in rows])
@@ -228,6 +228,16 @@ def test_criterion_11_timing(bench_outputs):
     timing = json.loads((Path(out) / "bench_timing.json").read_text())["timing"]
     worst = max(timing[noise]["npv_deepc"] for noise in timing)
     _report("criterion 11: mean per-step NPV solve time < 0.5 s", worst < 0.5, f"worst mean {worst * 1e3:.0f} ms")
+
+
+def test_neural_bench_loops_end_without_max_iter(bench_outputs):
+    # the neural controller's reduced Hessian is indefinite on some steps;
+    # exact constraint curvature there must not stall its SQP at the cap
+    _, out, _ = bench_outputs
+    for noise in ("noise_free", "noisy"):
+        with (Path(out) / f"bench_{noise}_neural_deepc_steps.csv").open() as fh:
+            statuses = [row["status"] for row in csv.DictReader(fh)]
+        assert statuses and "max_iter" not in statuses, noise
 
 
 def test_criterion_12_determinism(cfg, pipe, tmp_path_factory):

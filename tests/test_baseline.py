@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from npvdeepc import baseline, control
+from npvdeepc import baseline, control, npv
 from npvdeepc.baseline import ArxModel, arx_rollout, arx_rollout_affine, identify_arx, MpcController
-from npvdeepc.control import ControllerConfig
+from npvdeepc.control import ControllerConfig, NonFiniteWindowError
 from npvdeepc.deepc import DeepcController
 from npvdeepc.hankel import DimensionError, Trajectory, partition
 from npvdeepc.npv import NpvController, hankel_with_params, transform_hankel
@@ -340,18 +340,22 @@ class TestMpcRolloutMap:
             assert np.max(np.abs(x - x_ref)) <= 1e-9
 
 
-@pytest.mark.parametrize("kind", ["deepc", "mpc", "npv"])
-def test_wrong_window_length_raises_dimension_error(kind):
+def _window_controller(kind):
     cfg = mpc_config()
     traj = lti_trajectory(300, seed=21)
     if kind == "deepc":
-        ctrl = DeepcController(partition(traj, cfg.t_ini, cfg.horizon), cfg)
-    elif kind == "mpc":
-        ctrl = MpcController(known_arx(), cfg)
-    else:
-        model = random_model(np.random.default_rng(21), t_ini=cfg.t_ini, horizon=cfg.horizon)
-        nh = transform_hankel(model, *hankel_with_params(traj, cfg.t_ini, cfg.horizon))
-        ctrl = NpvController(model, nh, cfg)
+        return DeepcController(partition(traj, cfg.t_ini, cfg.horizon), cfg)
+    if kind == "mpc":
+        return MpcController(known_arx(), cfg)
+    model = random_model(np.random.default_rng(21), t_ini=cfg.t_ini, horizon=cfg.horizon)
+    nh = transform_hankel(model, *hankel_with_params(traj, cfg.t_ini, cfg.horizon))
+    return NpvController(model, nh, cfg)
+
+
+@pytest.mark.parametrize("kind", ["deepc", "mpc", "npv"])
+def test_wrong_window_length_raises_dimension_error(kind):
+    ctrl = _window_controller(kind)
+    cfg = ctrl.cfg
     n = 2 * cfg.t_ini
     p_hist = np.zeros(cfg.t_ini)
     for u_ini, y_ini in ((np.zeros(n - 1), np.zeros(n)), (np.zeros(n), np.zeros(n + 2))):
@@ -360,3 +364,23 @@ def test_wrong_window_length_raises_dimension_error(kind):
     if kind == "npv":
         with pytest.raises(DimensionError, match="parameter history length"):
             ctrl.solve_step(np.zeros(n), np.zeros(n), p_hist[1:], np.zeros(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("kind", ["deepc", "mpc", "npv"])
+def test_non_finite_window_rejected(kind, monkeypatch):
+    ctrl = _window_controller(kind)
+    cfg = ctrl.cfg
+    n = 2 * cfg.t_ini
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a non-finite window reached the solver")
+
+    monkeypatch.setattr(control, "solve_qp", no_solve)
+    monkeypatch.setattr(npv, "solve_sqp", no_solve)
+    # the linear predictors ignore the parameter history
+    names = ("u_ini", "y_ini", "p_hist") if kind == "npv" else ("u_ini", "y_ini")
+    for name, bad in zip(names, (np.inf, np.nan, np.nan)):
+        window = {"u_ini": np.full(n, 0.5), "y_ini": np.full(n, 0.5), "p_hist": np.full(cfg.t_ini, 4.0)}
+        window[name][-1] = bad
+        with pytest.raises(NonFiniteWindowError, match=name):
+            ctrl.solve_step(window["u_ini"], window["y_ini"], window["p_hist"], np.zeros(2), np.zeros(2))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import yaml
 
+from npvdeepc import cli
 from npvdeepc.cli import main
 from npvdeepc.config import ConfigError, config_from_dict, config_hash, load_config
+from npvdeepc.control import ControllerConfig, check_window
 from npvdeepc.hankel import load_trajectory_csv
 
 
@@ -82,6 +84,13 @@ class TestCliFlow:
     def test_missing_data_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path)
         assert main(["train", "--config", str(cfg_path)]) == 3
+
+    def test_non_finite_window_exit_code(self, tmp_path, monkeypatch):
+        def track_on_nan_window(cfg, out):
+            check_window(ControllerConfig(), np.full(10, np.nan), np.zeros(10))
+
+        monkeypatch.setitem(cli.COMMANDS, "track", track_on_nan_window)
+        assert main(["track", "--config", str(write_config(tmp_path))]) == 3
 
     def test_collect_deterministic_bytes(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -246,7 +246,8 @@ def _structural_step(model, nh, cfg, w, r_vec, u_prev):
     """Cold-start solve of the (u, y, g_tilde[, sigma]) program with explicit kernel rows.
 
     Hard mode pins g_tilde with the orthonormal rows of row(kmat); slack mode
-    adds sigma = kmat g_tilde as equality rows and penalizes sigma.
+    adds sigma = kmat g_tilde as equality rows and penalizes sigma.  The
+    constraint curvature is gated on the reduced Hessian as in the controller.
     """
     cost = TrackingCost(cfg)
     nu, ny = cost.nu, cost.ny
@@ -283,11 +284,20 @@ def _structural_step(model, nh, cfg, w, r_vec, u_prev):
         jac[nk:, off_g:off_s] = -np.eye(ny)
         return np.concatenate([c_kernel, c_pred]), jac
 
-    def lag_hess(x, lam):
+    def lag_hess(x, lam, hess, jac):
+        # the controller's gate over this program's own null space: exact
+        # curvature when the reduced Hessian is positive definite, else clipped
         block = model.phi_curvature_future_u_raw(nn_in(x), -(theta[:, :-1].T @ lam[nk:]))
-        vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
+        block = 0.5 * (block + block.T)
+        _, svals, vt = np.linalg.svd(jac)
+        null = vt[int(np.sum(svals > max(jac.shape) * np.finfo(float).eps * svals[0])):].T
         out = np.zeros((n, n))
-        out[:nu, :nu] = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+        out[:nu, :nu] = block
+        try:
+            np.linalg.cholesky(null.T @ (hess + out) @ null)
+        except np.linalg.LinAlgError:
+            vals, vecs = np.linalg.eigh(block)
+            out[:nu, :nu] = (vecs * np.maximum(vals, 0.0)) @ vecs.T
         return out
 
     def cost_fn(x):
@@ -411,6 +421,45 @@ class TestStepWork:
             iterations += step.iterations
         assert iterations > 0
         assert calls == []
+
+
+class TestCurvatureGate:
+    """The constraint curvature enters exactly only where the program is convex."""
+
+    def test_exact_where_reduced_hessian_is_positive_definite(self, setup, monkeypatch):
+        traj, model, hs, p_cols, nh = setup
+        seen = {}
+
+        def spy(cost_fn, eq_fn, lb, ub, x0, **kw):
+            seen.update(cost_fn=cost_fn, eq_fn=eq_fn, x0=x0, lag_hess=kw["lag_hess_fn"])
+            return solve_sqp(cost_fn, eq_fn, lb, ub, x0, **kw)
+
+        monkeypatch.setattr(npv, "solve_sqp", spy)
+        ctrl = NpvController(model, nh, wide_cfg())
+        w = Window.from_trajectory(traj, 100, T_INI, HORIZON)
+        ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
+        x = seen["x0"]
+        _, jac = seen["eq_fn"](x)
+        lam = 1e-2 * np.random.default_rng(2).standard_normal(ctrl.ny)
+        nu = ctrl.nu
+        assert ctrl.n_var == ctrl.off_a  # no a-block: the null space is [I; J_y]
+
+        # a dominant cost Hessian makes any curvature pass the test
+        exact = seen["lag_hess"](x, lam, 1e6 * np.eye(ctrl.n_var), jac)
+        vals, vecs = np.linalg.eigh(exact[:nu, :nu])
+        assert vals[0] < 0.0 < vals[-1]
+        assert not np.any(exact[nu:]) and not np.any(exact[:, nu:])
+
+        # the tracking Hessian: the reduced Hessian plus C has a Cholesky factor
+        hess = seen["cost_fn"](x)[2]
+        z = np.vstack([np.eye(nu), -jac[:, :nu]])
+        np.linalg.cholesky(z.T @ hess[:ctrl.off_a, :ctrl.off_a] @ z + exact[:nu, :nu])
+        assert np.array_equal(seen["lag_hess"](x, lam, hess, jac), exact)
+
+        # no cost curvature: the reduced Hessian is C itself, indefinite, so clip
+        clipped = seen["lag_hess"](x, lam, np.zeros_like(hess), jac)
+        assert np.allclose(clipped[:nu, :nu], (vecs * np.maximum(vals, 0.0)) @ vecs.T, atol=1e-12)
+        assert np.linalg.eigvalsh(clipped[:nu, :nu])[0] > -1e-12
 
 
 class TestNeuralVariant:

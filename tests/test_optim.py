@@ -421,6 +421,27 @@ class TestSolveSqp:
             assert diag.kkt_residual >= abs(x @ x - k), seed
         assert statuses == {"max_iter", "infeasible"}
 
+    def test_curvature_callback_gets_iterate_hessian_and_jacobian(self):
+        def cost(x):
+            return float(x @ x), 2.0 * x, np.diag([2.0, 4.0])
+
+        def eq(x):
+            return np.array([x[0] ** 2 + x[1] - 1.0]), np.array([[2.0 * x[0], 1.0]])
+
+        seen = []
+
+        def lag_hess(x, lam, hess, jac):
+            seen.append((x.copy(), hess, jac))
+            return None
+
+        solve_sqp(cost, eq, np.full(2, -10.0), np.full(2, 10.0), x0=np.array([1.0, 1.0]),
+                  lag_hess_fn=lag_hess)
+        assert len(seen) > 1
+        for x, hess, jac in seen:
+            assert np.array_equal(hess, cost(x)[2])
+            assert np.array_equal(jac, eq(x)[1])
+
+
     def test_jacobian_check_helper(self):
         a = np.array([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]])
 
@@ -436,3 +457,95 @@ class TestSolveSqp:
             return np.array([x[0] ** 2]), np.array([[3.0 * x[0]]])  # wrong by 1.5x
 
         assert check_jacobian(fn, np.array([1.0])) > 1e-2
+
+
+def _sine_curve_nlp(target):
+    """min 0.5 |x - target|^2 on the curve x1 = sin(x0), as SQP callbacks.
+
+    ``curvature(mode)`` gives the constraint-curvature callback: ``"clip"``
+    clips lam * sin(x0) at zero, ``"exact"`` passes it unclipped and
+    ``"gated"`` passes it only where the reduced Hessian over the null space
+    (1, cos x0) of the linearized row stays positive, else clips.  The
+    callback counts its unclipped and clipped returns.
+    """
+    target = np.asarray(target, dtype=float)
+
+    def cost(x):
+        return 0.5 * float((x - target) @ (x - target)), x - target, np.eye(2)
+
+    def eq(x):
+        return np.array([x[1] - np.sin(x[0])]), np.array([[-np.cos(x[0]), 1.0]])
+
+    def curvature(mode, counts):
+        def lag_hess(x, lam, hess, jac):
+            c = np.zeros((2, 2))
+            c[0, 0] = lam[0] * np.sin(x[0])
+            z = np.array([1.0, -jac[0, 0]])
+            if mode == "exact" or (mode == "gated" and z @ (hess + c) @ z > 0.0):
+                counts["exact"] += 1
+            else:
+                counts["clip"] += 1
+                c[0, 0] = max(c[0, 0], 0.0)
+            return c
+
+        return lag_hess
+
+    return cost, eq, curvature
+
+
+class TestExactCurvature:
+    """Exact constraint curvature where the reduced Hessian is positive definite."""
+
+    @staticmethod
+    def _solve(monkeypatch, target, x0, mode, tol):
+        cost, eq, curvature = _sine_curve_nlp(target)
+        counts = {"exact": 0, "clip": 0}
+        qp_statuses = []
+        qp = optim.solve_qp
+
+        def spy(*args, **kwargs):
+            x, diag = qp(*args, **kwargs)
+            qp_statuses.append(diag.status)
+            return x, diag
+
+        monkeypatch.setattr(optim, "solve_qp", spy)
+        x, diag = solve_sqp(cost, eq, np.full(2, -10.0), np.full(2, 10.0), x0=np.asarray(x0, float),
+                            tol=tol, lag_hess_fn=curvature(mode, counts))
+        return x, diag, counts, qp_statuses
+
+    def test_newton_rate_where_convex(self, monkeypatch):
+        # lam * sin(x0) < 0 along the whole path, while the reduced Hessian
+        # 1 + cos(x0)^2 + lam * sin(x0) stays positive: the clip drops
+        # curvature the model needs and stalls above 1e-10, exact curvature
+        # converges there in fewer iterations
+        x_g, gated, counts_g, _ = self._solve(monkeypatch, (2.0, 0.0), (2.3, 0.7), "gated", 1e-10)
+        x_c, clipped, counts_c, _ = self._solve(monkeypatch, (2.0, 0.0), (2.3, 0.7), "clip", 1e-10)
+        assert counts_g["clip"] == 0
+        assert (gated.status, gated.iterations) == ("optimal", 4)
+        assert gated.kkt_residual < 1e-10
+        assert (clipped.status, clipped.iterations) == ("max_iter", 10)
+        assert clipped.kkt_residual > 1e-10
+        assert np.allclose(x_g, x_c, atol=1e-6)
+
+    def test_indefinite_falls_back_to_clip(self, monkeypatch):
+        # from the origin the reduced Hessian is indefinite at first: the gate
+        # clips there, every subproblem stays convex and ends optimal, and the
+        # solve converges; unclipped curvature leaves a subproblem at its cap
+        x, gated, counts, qp_statuses = self._solve(monkeypatch, (2.0, 0.0), (0.0, 0.0), "gated", 1e-10)
+        assert counts["clip"] == 2 and counts["exact"] > 0
+        assert set(qp_statuses) == {"optimal"}
+        assert (gated.status, gated.iterations) == ("optimal", 7)
+        assert abs(x[1] - np.sin(x[0])) < 1e-12
+        _, ungated, _, qp_statuses = self._solve(monkeypatch, (2.0, 0.0), (0.0, 0.0), "exact", 1e-10)
+        assert "max_iter" in qp_statuses
+        assert ungated.status == "max_iter"
+
+
+class TestInfNorm:
+    def test_matches_numpy_norm(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 30):
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+            assert optim._inf_norm(v) == np.linalg.norm(v, np.inf)
+        assert optim._inf_norm(np.zeros(0)) == 0.0
+        assert np.isnan(optim._inf_norm(np.array([1.0, np.nan])))
