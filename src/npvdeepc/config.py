@@ -2,7 +2,11 @@
 
 A run config is one YAML document with sections for the plant, excitation,
 model training, Hankel sizes, per-controller settings and the two scenario
-families.  Unknown keys are rejected so typos fail loudly before any
+families.  The plant, excitation, model and controller sections are the
+runtime config classes themselves (or subclasses adding one or two
+section-only fields), so each setting and each of its validation rules is
+declared once.  Unknown keys, wrong types and values a runtime class
+rejects all raise ConfigError inside :func:`load_config`, before any
 computation starts.
 """
 
@@ -10,18 +14,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import types
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
 
+from .control import ControllerSettings
+from .hypernet import TrainConfig
+from .plant import ExcitationConfig, SurrogateConstants
+
 __all__ = [
     "ConfigError",
     "PlantSection",
     "ExcitationSection",
-    "ModelSection",
     "HankelSection",
-    "ControllerSection",
     "MpcSection",
     "CemSection",
     "ControllersSection",
@@ -41,39 +48,22 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class PlantSection:
+class PlantSection(SurrogateConstants):
     dt: float = 0.5
-    t_amb: float = 25.0
-    a_g: float = 0.3
-    b_g: float = 3.0
-    c_g: float = 0.5
-    a_s: float = 0.15
-    b_s: float = 0.075
-    d0: float = 3.0
-    q_h: float = 2.0
+
+    def __post_init__(self):
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
 
 
 @dataclass(frozen=True)
-class ExcitationSection:
+class ExcitationSection(ExcitationConfig):
     n_points: int = 4000
-    u_hold: int = 1
-    d_hold_min: int = 20
-    d_hold_max: int = 100
-    d_lo: float = 2.0
-    d_hi: float = 7.0
 
-
-@dataclass(frozen=True)
-class ModelSection:
-    hidden_sizes: tuple[int, ...] = (30,)
-    modulated: tuple[bool, ...] = (True,)
-    learning_rate: float = 1e-3
-    max_epochs: int = 5000
-    patience: int = 200
-    val_fraction: float = 0.35
-    hyper_input: str = "history"
-    init_sens_scale: float = 1.0
-    batch_size: int | None = None
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_points < 1:
+            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
 
 
 @dataclass(frozen=True)
@@ -83,30 +73,13 @@ class HankelSection:
 
 
 @dataclass(frozen=True)
-class ControllerSection:
-    t_ini: int = 5
-    horizon: int = 10
-    q: tuple[float, ...] = (1.0, 0.0)
-    r: tuple[float, ...] = (0.1, 0.1)
-    p: tuple[float, ...] = (1.0, 0.0)
-    lambda_g: float = 10.0
-    lambda_sigma: float = 1e5
-    regularizer: str = "projection"
-    kkt_tol: float = 1e-6
-    max_iter: int = 50
-    qp_max_iter: int = 200
-    warm_start: bool = True
-    kernel_slack: bool = False
-
-
-@dataclass(frozen=True)
-class MpcSection(ControllerSection):
+class MpcSection(ControllerSettings):
     n_a: int = 3
     n_b: int = 3
 
 
 @dataclass(frozen=True)
-class CemSection(ControllerSection):
+class CemSection(ControllerSettings):
     horizon: int = 5
     r: tuple[float, ...] = (0.02, 0.02)  # delivery-stage move weights
     target: float = 0.3          # delivered dose target, minutes
@@ -117,9 +90,9 @@ class CemSection(ControllerSection):
 
 @dataclass(frozen=True)
 class ControllersSection:
-    deepc: ControllerSection = field(default_factory=ControllerSection)
-    neural_deepc: ControllerSection = field(default_factory=ControllerSection)
-    npv_deepc: ControllerSection = field(default_factory=ControllerSection)
+    deepc: ControllerSettings = field(default_factory=ControllerSettings)
+    neural_deepc: ControllerSettings = field(default_factory=ControllerSettings)
+    npv_deepc: ControllerSettings = field(default_factory=ControllerSettings)
     mpc: MpcSection = field(default_factory=MpcSection)
     cem: CemSection = field(default_factory=CemSection)
 
@@ -168,7 +141,7 @@ class RunConfig:
     seed: int = 0
     plant: PlantSection = field(default_factory=PlantSection)
     excitation: ExcitationSection = field(default_factory=ExcitationSection)
-    model: ModelSection = field(default_factory=ModelSection)
+    model: TrainConfig = field(default_factory=TrainConfig)
     hankel: HankelSection = field(default_factory=HankelSection)
     controllers: ControllersSection = field(default_factory=ControllersSection)
     scenario: TrackingScenario = field(default_factory=TrackingScenario)
@@ -177,6 +150,10 @@ class RunConfig:
 
 
 def _coerce(value, typ, path: str):
+    if isinstance(typ, types.UnionType):  # ``X | None``
+        if value is None and type(None) in typ.__args__:
+            return None
+        (typ,) = [a for a in typ.__args__ if a is not type(None)]
     origin = getattr(typ, "__origin__", None)
     if is_dataclass(typ):
         if not isinstance(value, dict):

@@ -11,7 +11,7 @@ single condensed QP over the predicted (u, y), see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .optim import QpProblem, SolverError, solve_qp
 
 __all__ = [
     "ControllerConfig",
+    "ControllerSettings",
     "LinearQpController",
     "NonFiniteWindowError",
     "StepResult",
@@ -29,8 +30,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ControllerConfig:
-    """Horizons, weights, regularization and box constraints for one controller."""
+class ControllerSettings:
+    """Horizons, weights, regularization and solver limits: a controller's YAML-settable part."""
 
     t_ini: int = 5
     horizon: int = 10
@@ -39,16 +40,15 @@ class ControllerConfig:
     p: tuple[float, ...] = (1.0, 0.0)       # terminal output weights (diagonal)
     lambda_g: float = 10.0
     lambda_sigma: float = 1e5
-    u_lo: tuple[float, ...] = (1.5, 1.0)
-    u_hi: tuple[float, ...] = (8.0, 6.0)
-    y_lo: tuple[float, ...] = (25.0, 20.0)
-    y_hi: tuple[float, ...] = (42.5, 80.0)
     regularizer: str = "projection"         # projection | two_norm
     kkt_tol: float = 1e-6
     max_iter: int = 50                      # SQP outer iterations
     qp_max_iter: int = 200
     warm_start: bool = True
-    kernel_slack: bool = False              # soften the kernel constraint (neural variants)
+    # NPV-DeePC's kernel-slack mode was removed and only False is accepted.
+    # The field stays because config_hash covers it and the stored benchmark
+    # model's meta file pins that hash; it goes with the next model remake.
+    kernel_slack: bool = False
 
     def __post_init__(self):
         if self.regularizer not in ("projection", "two_norm"):
@@ -57,6 +57,8 @@ class ControllerConfig:
             raise ValueError("Q and P weights must be >= 0, R weights > 0")
         if self.lambda_g < 0 or self.lambda_sigma < 0:
             raise ValueError("regularization weights must be nonnegative")
+        if self.kernel_slack:
+            raise ValueError("kernel_slack: the kernel-slack mode was removed; only false is accepted")
 
     @property
     def n_u(self) -> int:
@@ -66,8 +68,15 @@ class ControllerConfig:
     def n_y(self) -> int:
         return len(self.q)
 
-    def with_updates(self, **kw) -> "ControllerConfig":
-        return replace(self, **kw)
+
+@dataclass(frozen=True)
+class ControllerConfig(ControllerSettings):
+    """Settings plus the input and output box of one controller."""
+
+    u_lo: tuple[float, ...] = (1.5, 1.0)
+    u_hi: tuple[float, ...] = (8.0, 6.0)
+    y_lo: tuple[float, ...] = (25.0, 20.0)
+    y_hi: tuple[float, ...] = (42.5, 80.0)
 
 
 @dataclass

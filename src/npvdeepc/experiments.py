@@ -13,14 +13,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .baseline import ArxModel, MpcController, identify_arx
 from .config import RunConfig, config_hash
-from .control import ControllerConfig
+from .control import ControllerConfig, ControllerSettings
 from .deepc import DeepcController, build_projector
 from .hankel import (
     HankelSet,
@@ -30,13 +30,7 @@ from .hankel import (
     partition,
     willems_membership,
 )
-from .hypernet import (
-    HyperDnnModel,
-    TrainConfig,
-    WindowDataset,
-    predict_batch,
-    train,
-)
+from .hypernet import HyperDnnModel, WindowDataset, predict_batch, train
 from .metrics import RunMetrics, bfr, control_energy, cpu_stats, ise, rmse
 from .npv import (
     CemController,
@@ -53,7 +47,6 @@ from .npv import (
 from .optim import check_jacobian
 from .plant import (
     BoxConstraints,
-    ExcitationConfig,
     LtiPlant,
     PlantState,
     SurrogateConstants,
@@ -79,9 +72,6 @@ __all__ = [
     "run_verification",
     "write_json",
 ]
-
-CONTROLLER_NAMES = ("npv_deepc", "neural_deepc", "deepc", "mpc")
-
 
 class DataError(RuntimeError):
     """Required input data is missing or malformed."""
@@ -117,35 +107,18 @@ def write_json(path, doc) -> None:
 
 
 def surrogate_from_config(cfg: RunConfig, b_s_override: float | None = None) -> SurrogatePlant:
-    p = cfg.plant
-    constants = SurrogateConstants(
-        t_amb=p.t_amb, a_g=p.a_g, b_g=p.b_g, c_g=p.c_g,
-        a_s=p.a_s, b_s=p.b_s if b_s_override is None else b_s_override,
-        d0=p.d0, q_h=p.q_h,
-    )
-    return SurrogatePlant(constants=constants, dt=p.dt)
+    constants = cfg.plant if b_s_override is None else replace(cfg.plant, b_s=b_s_override)
+    return SurrogatePlant(constants=constants, dt=cfg.plant.dt)
 
 
 def build_dataset(cfg: RunConfig, plant: SurrogatePlant | None = None, label: str = "dataset") -> Trajectory:
     plant = plant if plant is not None else surrogate_from_config(cfg)
-    exc = cfg.excitation
-    excitation = ExcitationConfig(
-        u_hold=exc.u_hold, d_hold_min=exc.d_hold_min, d_hold_max=exc.d_hold_max,
-        d_lo=exc.d_lo, d_hi=exc.d_hi,
-    )
-    return collect_open_loop(plant, excitation, exc.n_points, seed=seed_for(cfg.seed, label))
+    return collect_open_loop(plant, cfg.excitation, cfg.excitation.n_points, seed=seed_for(cfg.seed, label))
 
 
 def train_from_config(cfg: RunConfig, traj: Trajectory, t_ini: int, horizon: int, label: str = "train"):
     ds = WindowDataset.from_trajectory(traj, t_ini, horizon)
-    m = cfg.model
-    tc = TrainConfig(
-        hidden_sizes=m.hidden_sizes, modulated=m.modulated,
-        learning_rate=m.learning_rate, max_epochs=m.max_epochs, patience=m.patience,
-        val_fraction=m.val_fraction, hyper_input=m.hyper_input,
-        init_sens_scale=m.init_sens_scale, batch_size=m.batch_size,
-    )
-    model = train(ds, tc, seed=seed_for(cfg.seed, label))
+    model = train(ds, cfg.model, seed=seed_for(cfg.seed, label))
     return model, ds
 
 
@@ -220,24 +193,13 @@ def build_pipeline(
 
 
 def controller_config(section, scenario_lb_relax: float, scenario_ub_margin: float, box: BoxConstraints) -> ControllerConfig:
+    """A section's controller settings with the box, the output box moved by the scenario."""
     return ControllerConfig(
-        t_ini=section.t_ini,
-        horizon=section.horizon,
-        q=section.q,
-        r=section.r,
-        p=section.p,
-        lambda_g=section.lambda_g,
-        lambda_sigma=section.lambda_sigma,
+        **{f.name: getattr(section, f.name) for f in fields(ControllerSettings)},
         u_lo=box.u_lo,
         u_hi=box.u_hi,
         y_lo=tuple(v - scenario_lb_relax for v in box.y_lo),
         y_hi=tuple(v - scenario_ub_margin for v in box.y_hi),
-        regularizer=section.regularizer,
-        kkt_tol=section.kkt_tol,
-        max_iter=section.max_iter,
-        qp_max_iter=section.qp_max_iter,
-        warm_start=section.warm_start,
-        kernel_slack=section.kernel_slack,
     )
 
 

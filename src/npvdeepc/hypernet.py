@@ -42,6 +42,11 @@ __all__ = [
 
 MODEL_SCHEMA_VERSION = 1
 
+# ADAM moment decay rates and denominator guard (the usual defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class DegenerateChannelError(ValueError):
     """A data channel is constant; min-max scaling is undefined."""
@@ -448,9 +453,6 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = (30,)
     modulated: tuple[bool, ...] = (True,)
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_epochs: int = 5000
     patience: int = 200
     val_fraction: float = 0.35
@@ -465,6 +467,7 @@ class TrainConfig:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        ModelDims(hyper_input=self.hyper_input)  # the model's own hyper_input check
 
 
 @dataclass
@@ -572,13 +575,13 @@ def train(dataset: WindowDataset, cfg: TrainConfig, seed: int) -> HyperDnnModel:
             grads = _backward_batch(layer_specs, params, acts, p_tr[sel], 2.0 * err / err.size)
 
             t += 1
-            bc1 = 1.0 - cfg.beta1 ** t
-            bc2 = 1.0 - cfg.beta2 ** t
+            bc1 = 1.0 - ADAM_BETA1 ** t
+            bc2 = 1.0 - ADAM_BETA2 ** t
             for k in keys:
                 g = grads[k]
-                adam_m[k] = cfg.beta1 * adam_m[k] + (1.0 - cfg.beta1) * g
-                adam_v[k] = cfg.beta2 * adam_v[k] + (1.0 - cfg.beta2) * g * g
-                params[k] -= cfg.learning_rate * (adam_m[k] / bc1) / (np.sqrt(adam_v[k] / bc2) + cfg.eps)
+                adam_m[k] = ADAM_BETA1 * adam_m[k] + (1.0 - ADAM_BETA1) * g
+                adam_v[k] = ADAM_BETA2 * adam_v[k] + (1.0 - ADAM_BETA2) * g * g
+                params[k] -= cfg.learning_rate * (adam_m[k] / bc1) / (np.sqrt(adam_v[k] / bc2) + ADAM_EPS)
         loss = loss_num / y_tr.size
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, loss)

@@ -6,12 +6,10 @@ the features.  The controller then solves a small nonlinear program: the
 predicted outputs y must match the data-driven affine map of the features
 of the candidate input u, up to an output-space correction g_tilde.  The
 structural program (see ``problem_size``) pins g_tilde to the kernel of
-``kmat`` with equality rows, hard or through a penalized slack sigma.  The
-controller solves the same program over (u, y, a) with g_tilde = B a
-instead: B spans null(kmat) in hard mode (no columns when kmat has full
-column rank, so g_tilde vanishes), and in slack mode B = I with
-sigma = kmat g_tilde substituted into its penalty, so the ny prediction
-rows are the only equality constraints (Lemma 2: the kernel component
+``kmat`` with equality rows.  The controller solves the same program over
+(u, y, a) with g_tilde = B a instead, where B spans null(kmat) (no columns
+when kmat has full column rank, so g_tilde vanishes); the ny prediction
+rows are then the only equality constraints (Lemma 2: the kernel component
 does not change the prediction).  The feature map alone is nonlinear in u,
 so a Gauss-Newton SQP with the analytic feature Jacobian converges in a
 handful of iterations.
@@ -31,7 +29,7 @@ import numpy as np
 
 from .control import ControllerConfig, StepResult, TrackingCost, check_window
 from .hankel import DimensionError, HankelSet, Trajectory, build_hankel, partition
-from .hypernet import HyperDnnModel, refit_output_ls
+from .hypernet import HyperDnnModel, WindowDataset, assemble_normalized, refit_output_ls
 from .optim import pinv, solve_sqp
 from .plant import CEM_KAPPA, CEM_REFERENCE_TEMP, CEM_SWITCH_TEMP
 
@@ -117,15 +115,21 @@ def transform_hankel(
         )
 
     n_cols = hs.n_cols
-    u_nn = np.empty((n_cols, d.nu_u))
-    p_in = np.empty((n_cols, d.nu_p))
-    for j in range(n_cols):
-        nn_in = model.nn_input(
-            hs.up[:, j], hs.yp[:, j], hs.uf[:, j],
-            p_hist_cols[:, j] if p_override is None else p_override,
-        )
-        u_nn[j] = nn_in.u_nn
-        p_in[j] = nn_in.p_vec
+    # column j of a block stacks its time steps, so the transpose reshapes
+    # into the (window, step, channel) layout of a WindowDataset
+    windows = WindowDataset(
+        u_hist=hs.up.T.reshape(n_cols, d.t_ini, d.n_u),
+        y_hist=hs.yp.T.reshape(n_cols, d.t_ini, d.n_y),
+        u_fut=hs.uf.T.reshape(n_cols, d.horizon, d.n_u),
+        y_fut=hs.yf.T.reshape(n_cols, d.horizon, d.n_y),
+        p_hist=p_hist_cols.T.reshape(n_cols, d.t_ini, d.n_p),
+        t_ini=d.t_ini, horizon=d.horizon,
+    )
+    u_nn, p_in, _ = assemble_normalized(windows, model.scalers, d.hyper_input)
+    if p_override is not None:
+        p_in = np.broadcast_to(model.normalize_p(p_override), p_in.shape)
+    if not (np.all(np.isfinite(u_nn)) and np.all(np.isfinite(p_in))):
+        raise ValueError("non-finite network input")
     phi = model.phi_hl_batch(u_nn, p_in).T
 
     stack = np.vstack([phi, np.ones((1, n_cols))])
@@ -206,10 +210,11 @@ def problem_size(cfg: ControllerConfig, nu_l: int) -> dict[str, int]:
 class NpvController:
     """Parameter-varying neural DeePC with receding-horizon warm starts.
 
-    Decision variables are (u, y, a) with g_tilde = ``basis @ a``; the only
-    equality rows are the prediction match y = theta_ls [phi(u); 1] + g_tilde.
-    The a-block carries the quadratic g_tilde (and, in slack mode, sigma)
-    penalty, so the cost stays constant and quadratic.
+    Decision variables are (u, y, a) with g_tilde = ``basis @ a`` and
+    ``basis`` spanning null(kmat); the only equality rows are the prediction
+    match y = theta_ls [phi(u); 1] + g_tilde.  The a-block carries the
+    quadratic lambda_g |g_tilde|^2 penalty, so the cost stays constant and
+    quadratic.
 
     The hidden weights depend only on the measured parameter history, so
     each step computes them once (one ``hyper_forward`` call) and hands the
@@ -237,7 +242,7 @@ class NpvController:
         self.p_override = None if p_override is None else np.asarray(p_override, dtype=float)
         self.nu_l = model.nu_l
         self.nu, self.ny = self.cost.nu, self.cost.ny
-        self.basis = np.eye(self.ny) if cfg.kernel_slack else nh.null_basis
+        self.basis = nh.null_basis
         self.off_a = self.nu + self.ny
         self.n_var = self.off_a + self.basis.shape[1]
         self._warm_u = None
@@ -249,10 +254,7 @@ class NpvController:
         h = np.zeros((n, n))
         h[:nu, :nu] = self.cost.h_u
         h[nu:off_a, nu:off_a] = self.cost.h_y
-        # lambda_g |g_tilde|^2 + lambda_sigma |kmat g_tilde|^2; kmat @ basis
-        # vanishes in hard mode, so the sigma term only acts in slack mode
-        reg = cfg.lambda_g * np.eye(self.ny) + cfg.lambda_sigma * self.nh.kmat.T @ self.nh.kmat
-        h[off_a:, off_a:] = 2.0 * b.T @ reg @ b
+        h[off_a:, off_a:] = 2.0 * cfg.lambda_g * b.T @ b
         self.h_static = h
 
         u_lo, u_hi = self.cost.u_bounds()

@@ -11,6 +11,7 @@ from npvdeepc.config import ConfigError, config_from_dict, config_hash, load_con
 from npvdeepc.control import ControllerConfig, check_window
 from npvdeepc.hankel import load_trajectory_csv
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SMALL = {
     "seed": 3,
@@ -34,10 +35,17 @@ SMALL = {
 }
 
 
+def _merge(doc: dict, overrides: dict) -> None:
+    for key, value in overrides.items():
+        if isinstance(value, dict) and isinstance(doc.get(key), dict):
+            _merge(doc[key], value)
+        else:
+            doc[key] = value
+
+
 def write_config(tmp_path, overrides=None) -> Path:
     doc = json.loads(json.dumps(SMALL))
-    if overrides:
-        doc.update(overrides)
+    _merge(doc, overrides or {})
     doc.setdefault("output", {})["dir"] = str(tmp_path / "out")
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(doc))
@@ -74,12 +82,42 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
 
+    # a changed hash stales the stored benchmark model, whose meta file pins the desk hash
+    @pytest.mark.parametrize("name, digest", [
+        ("desk.yaml", "a0a14b8f59e4547d"),
+        ("paper_scale.yaml", "fbf8ad5c96c849b9"),
+    ])
+    def test_shipped_config_hash_pinned(self, name, digest):
+        assert config_hash(load_config(CONFIGS / name)) == digest
+
+
+# each value breaks a type or a rule of its runtime config class, so it must fail at load
+INVALID = {
+    "layer_count": {"model": {"hidden_sizes": [30, 20], "modulated": [True]}},
+    "val_fraction": {"model": {"val_fraction": 1.0}},
+    "hyper_input": {"model": {"hyper_input": "foo"}},
+    "batch_size": {"model": {"batch_size": 2.5}},
+    "u_hold": {"excitation": {"u_hold": 0}},
+    "n_points": {"excitation": {"n_points": 0}},
+    "dt": {"plant": {"dt": -0.5}},
+    "regularizer": {"controllers": {"deepc": {"regularizer": "foo"}}},
+    "r_weight": {"controllers": {"npv_deepc": {"r": [0.1, 0.0]}}},
+    "kernel_slack": {"controllers": {"npv_deepc": {"kernel_slack": True}}},
+}
+
 
 class TestCliFlow:
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("plant:\n  zzz: 1\n")
         assert main(["collect", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_invalid_value_exit_code(self, tmp_path, capsys, case):
+        cfg_path = write_config(tmp_path, INVALID[case])
+        assert main(["collect", "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "dataset.csv").exists()
 
     def test_missing_data_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path)

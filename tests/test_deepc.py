@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -256,7 +258,7 @@ class TestCondensedForm:
         cfg = lti_config(regularizer=reg, lambda_g=1.0, lambda_sigma=10.0 if case == "noisy_lti" else 1e6)
         r_vec = np.array([1.0, -0.5])
         if case == "active_y_bound":
-            cfg = cfg.with_updates(y_hi=(0.6, 50.0))
+            cfg = dataclasses.replace(cfg, y_hi=(0.6, 50.0))
             r_vec = np.array([2.0, 0.0])
         hs = noisy_lti_hankel() if case == "noisy_lti" else lti_hankel
         ctrl = DeepcController(hs, cfg)

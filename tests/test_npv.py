@@ -215,26 +215,19 @@ class TestSolveStep:
             u_w, s_w = warm.solve_step(w.u_ini, w.y_ini, w.p_hist, r_vec, u_prev)
             assert np.max(np.abs(u_c - u_w)) < 1e-4
 
-    def test_lambda_g_limit_drives_g_to_zero(self, setup):
-        # with the kernel constraint softened, a huge penalty recovers the
-        # pure data-driven prediction
-        traj, model, hs, p_cols, nh = setup
-        cfg = wide_cfg(kernel_slack=True, lambda_g=1e12, lambda_sigma=1e3)
-        ctrl = NpvController(model, nh, cfg)
+    def test_lambda_g_limit_drives_g_to_zero(self, narrow_setup):
+        # the narrow model leaves null(kmat) directions for g_tilde; a huge
+        # penalty recovers the pure data-driven prediction
+        traj, model, hs, p_cols, nh = narrow_setup
+        model.theta_ls = nh.theta_ls
+        ctrl = NpvController(model, nh, wide_cfg(lambda_g=1e12))
+        assert ctrl.basis.shape[1] > 0
         w = self._window(traj, start=90)
         u, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
         assert step.extras["g_tilde_norm"] < 1e-6
         nn_in = model.nn_input(w.u_ini, w.y_ini, step.u_seq.ravel(), w.p_hist)
         phi = model.phi_hl(nn_in)
         assert np.max(np.abs(step.y_pred.ravel() - npv_prediction(nh, phi))) < 1e-5
-
-    def test_slack_mode_solves(self, setup):
-        traj, model, hs, p_cols, nh = setup
-        ctrl = NpvController(model, nh, wide_cfg(kernel_slack=True, lambda_sigma=1e4))
-        w = self._window(traj, start=110)
-        u, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
-        assert step.status in ("optimal", "max_iter")
-        assert np.all(np.isfinite(u))
 
 
 def _kernel_rank(kmat) -> int:
@@ -243,28 +236,21 @@ def _kernel_rank(kmat) -> int:
 
 
 def _structural_step(model, nh, cfg, w, r_vec, u_prev):
-    """Cold-start solve of the (u, y, g_tilde[, sigma]) program with explicit kernel rows.
+    """Cold-start solve of the (u, y, g_tilde) program with explicit kernel rows.
 
-    Hard mode pins g_tilde with the orthonormal rows of row(kmat); slack mode
-    adds sigma = kmat g_tilde as equality rows and penalizes sigma.  The
+    The orthonormal rows of row(kmat) pin g_tilde to null(kmat).  The
     constraint curvature is gated on the reduced Hessian as in the controller.
     """
     cost = TrackingCost(cfg)
     nu, ny = cost.nu, cost.ny
-    if cfg.kernel_slack:
-        kernel = nh.kmat
-    else:
-        kernel = np.linalg.svd(nh.kmat)[2][:_kernel_rank(nh.kmat)]
+    kernel = np.linalg.svd(nh.kmat)[2][:_kernel_rank(nh.kmat)]
     nk = kernel.shape[0]
-    ns = nk if cfg.kernel_slack else 0
     off_g = nu + ny
-    off_s = off_g + ny
-    n = off_s + ns
+    n = off_g + ny
     h = np.zeros((n, n))
     h[:nu, :nu] = cost.h_u
     h[nu:off_g, nu:off_g] = cost.h_y
-    h[off_g:off_s, off_g:off_s] = 2.0 * cfg.lambda_g * np.eye(ny)
-    h[off_s:, off_s:] = 2.0 * cfg.lambda_sigma * np.eye(ns)
+    h[off_g:, off_g:] = 2.0 * cfg.lambda_g * np.eye(ny)
     g_lin = np.concatenate([*cost.linear_terms(r_vec, u_prev), np.zeros(n - off_g)])
     theta = nh.theta_ls
 
@@ -273,16 +259,14 @@ def _structural_step(model, nh, cfg, w, r_vec, u_prev):
 
     def eq_fn(x):
         z = nn_in(x)
-        g_t = x[off_g:off_s]
-        c_kernel = kernel @ g_t - x[off_s:] if ns else kernel @ g_t
+        g_t = x[off_g:]
         c_pred = x[nu:off_g] - theta @ np.append(model.phi_hl(z), 1.0) - g_t
         jac = np.zeros((nk + ny, n))
-        jac[:nk, off_g:off_s] = kernel
-        jac[:nk, off_s:] = -np.eye(nk, ns)
+        jac[:nk, off_g:] = kernel
         jac[nk:, :nu] = -(theta[:, :-1] @ model.jacobian_phi_hl_future_u_raw(z))
         jac[nk:, nu:off_g] = np.eye(ny)
-        jac[nk:, off_g:off_s] = -np.eye(ny)
-        return np.concatenate([c_kernel, c_pred]), jac
+        jac[nk:, off_g:] = -np.eye(ny)
+        return np.concatenate([kernel @ g_t, c_pred]), jac
 
     def lag_hess(x, lam, hess, jac):
         # the controller's gate over this program's own null space: exact
@@ -313,7 +297,7 @@ def _structural_step(model, nh, cfg, w, r_vec, u_prev):
     x, _ = solve_sqp(cost_fn, eq_fn, lb, ub, x0, tol=cfg.kkt_tol, max_iter=cfg.max_iter,
                      qp_max_iter=cfg.qp_max_iter, lag_hess_fn=lag_hess)
     return x[:nu].reshape(cfg.horizon, cfg.n_u), x[nu:off_g].reshape(cfg.horizon, cfg.n_y), \
-        float(np.linalg.norm(x[off_g:off_s]))
+        float(np.linalg.norm(x[off_g:]))
 
 
 @pytest.fixture(scope="module")
@@ -331,18 +315,17 @@ class TestCondensedForm:
     """The (u, y, a) program the controller solves against the structural one."""
 
     @pytest.mark.parametrize("which", ["setup", "narrow_setup"])
-    @pytest.mark.parametrize("slack", [False, True])
-    def test_matches_structural_program(self, request, which, slack):
+    def test_matches_structural_program(self, request, which):
         traj, model, hs, p_cols, nh = request.getfixturevalue(which)
         model.theta_ls = nh.theta_ls  # other tests refit against synthetic data
-        cfg = wide_cfg(kernel_slack=slack, lambda_sigma=10.0, warm_start=False)
+        cfg = wide_cfg(warm_start=False)
         ctrl = NpvController(model, nh, cfg)
         ny = ctrl.ny
-        n_free = ny if slack else ny - _kernel_rank(nh.kmat)
+        n_free = ny - _kernel_rank(nh.kmat)
         assert ctrl.n_var == ctrl.nu + ny + n_free
-        if which == "setup" and not slack:
+        if which == "setup":
             assert ctrl.n_var == ctrl.nu + ny
-        if which == "narrow_setup" and not slack:
+        else:
             assert n_free == ny - (model.nu_l + 1) > 0
         rng = np.random.default_rng(5)
         for start in (60, 140, 220):
@@ -365,12 +348,11 @@ class TestCondensedForm:
 
         monkeypatch.setattr(npv, "solve_sqp", spy)
         w = Window.from_trajectory(traj, 100, T_INI, HORIZON)
-        for slack in (False, True):
-            ctrl = NpvController(model, nh, wide_cfg(kernel_slack=slack))
-            ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
-            c, jac = seen[-1]
-            assert c.shape == (ctrl.ny,)
-            assert jac.shape == (ctrl.ny, ctrl.n_var)
+        ctrl = NpvController(model, nh, wide_cfg())
+        ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
+        c, jac = seen[-1]
+        assert c.shape == (ctrl.ny,)
+        assert jac.shape == (ctrl.ny, ctrl.n_var)
 
 
 class TestStepWork:
