@@ -22,7 +22,7 @@ import yaml
 
 from .control import ControllerSettings
 from .hypernet import TrainConfig
-from .plant import ExcitationConfig, SurrogateConstants
+from .plant import D_MAX, D_MIN, BoxConstraints, ExcitationConfig, SurrogateConstants
 
 __all__ = [
     "ConfigError",
@@ -45,6 +45,18 @@ __all__ = [
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_distances(name: str, values) -> None:
+    bad = [d for d in values if not D_MIN <= d <= D_MAX]
+    if bad:
+        raise ConfigError(f"{name} {bad} outside the plant's [{D_MIN}, {D_MAX}] mm")
+
+
+def _check_step_counts(**counts: int) -> None:
+    for name, n in counts.items():
+        if n < 1:
+            raise ConfigError(f"{name} must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,18 @@ class ControllersSection:
     mpc: MpcSection = field(default_factory=MpcSection)
     cem: CemSection = field(default_factory=CemSection)
 
+    def __post_init__(self):
+        # every controller drives the surrogate plant's channels
+        box = BoxConstraints()
+        n_u, n_y = len(box.u_lo), len(box.y_lo)
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if len(section.r) != n_u or len(section.q) != n_y or len(section.p) != n_y:
+                raise ConfigError(
+                    f"{f.name}: r needs {n_u} weights and q, p need {n_y} each "
+                    f"(got {len(section.r)}, {len(section.q)}, {len(section.p)})"
+                )
+
 
 @dataclass(frozen=True)
 class TrackingScenario:
@@ -119,6 +143,9 @@ class TrackingScenario:
         bad = [c for c in self.controllers if c not in ("npv_deepc", "neural_deepc", "deepc", "mpc")]
         if bad:
             raise ConfigError(f"unknown controllers {bad}")
+        _check_distances("d_schedule distances", [d for _, d in self.d_schedule])
+        _check_distances("sweep_distances", self.sweep_distances)
+        _check_step_counts(n_steps=self.n_steps, sweep_n_steps=self.sweep_n_steps)
 
 
 @dataclass(frozen=True)
@@ -129,6 +156,10 @@ class CemScenario:
     d_schedule: tuple[tuple[float, float], ...] = ((0.0, 2.5), (24.5, 3.5), (29.5, 2.5))
     # the dose plant runs hotter so the 42.5 degC ceiling is reachable
     b_s: float = 0.3
+
+    def __post_init__(self):
+        _check_distances("d_schedule distances", [d for _, d in self.d_schedule])
+        _check_step_counts(n_steps=self.n_steps)
 
 
 @dataclass(frozen=True)

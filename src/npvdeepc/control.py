@@ -51,6 +51,11 @@ class ControllerSettings:
     kernel_slack: bool = False
 
     def __post_init__(self):
+        for name in ("t_ini", "horizon", "max_iter", "qp_max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if len(self.q) != len(self.p):
+            raise ValueError(f"q has {len(self.q)} weights and p {len(self.p)}; one per output each")
         if self.regularizer not in ("projection", "two_norm"):
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if any(w < 0 for w in self.q + self.p) or any(w <= 0 for w in self.r):

@@ -147,7 +147,6 @@ class Pipeline:
 
     traj: Trajectory
     model: HyperDnnModel
-    dataset: WindowDataset
     deepc_hankel: HankelSet
     neural_hankel_set: HankelSet
     neural_hankel: NeuralHankel
@@ -179,14 +178,11 @@ def build_pipeline(
     neural_hs, p_cols = hankel_with_params(
         traj, ctl.t_ini, ctl.horizon, n_cols=cfg.hankel.k_neural - (ctl.t_ini + ctl.horizon) + 1
     )
-    nh_frozen = transform_hankel(
-        model, neural_hs, p_cols,
-        p_override=frozen_parameter_history(model), refit_model=False,
-    )
+    nh_frozen = transform_hankel(model, neural_hs, p_cols, p_override=frozen_parameter_history(model))
     nh = transform_hankel(model, neural_hs, p_cols)
     arx = identify_arx(traj, cfg.controllers.mpc.n_a, cfg.controllers.mpc.n_b)
     return Pipeline(
-        traj=traj, model=model, dataset=dataset,
+        traj=traj, model=model,
         deepc_hankel=deepc_hs, neural_hankel_set=neural_hs, neural_hankel=nh,
         frozen_hankel=nh_frozen, p_cols=p_cols, arx=arx, bfr_scores=bfr_scores,
     )
@@ -673,7 +669,8 @@ def run_verification(cfg: RunConfig, pipe: Pipeline | None = None) -> dict:
         "pythagoras": pyth,
     }
 
-    # exact-construction equivalence of the two predictors
+    # exact-construction equivalence (Lemma 2): on outputs generated by the
+    # network's own output map, the data-driven prediction reproduces that map
     theta_eff = pipe.model.effective_output_map()
     stack = pipe.neural_hankel.stack()
     yf_syn = theta_eff @ stack
@@ -684,9 +681,8 @@ def run_verification(cfg: RunConfig, pipe: Pipeline | None = None) -> dict:
         n_u=pipe.neural_hankel_set.n_u, n_y=pipe.neural_hankel_set.n_y,
         k_source=pipe.neural_hankel_set.k_source,
     )
-    saved_theta = pipe.model.theta_ls
     nh_syn = transform_hankel(pipe.model, hs_syn, pipe.p_cols)
-    _, violation = lemma2_residual(pipe.model, nh_syn)
+    _, violation = lemma2_residual(nh_syn)
     rng_w = np.random.default_rng(seed_for(cfg.seed, "verify-lemma2"))
     worst = 0.0
     for _ in range(50):
@@ -697,9 +693,8 @@ def run_verification(cfg: RunConfig, pipe: Pipeline | None = None) -> dict:
         )
         phi = pipe.model.phi_hl(pipe.model.nn_input_from_window(w))
         y_npv = npv_prediction(nh_syn, phi)
-        y_nls = pipe.model.predict_nls(w)
-        worst = max(worst, float(np.max(np.abs(y_npv - y_nls))))
-    pipe.model.theta_ls = saved_theta
+        y_nn = theta_eff @ np.append(phi, 1.0)
+        worst = max(worst, float(np.max(np.abs(y_npv - y_nn))))
     checks["lemma2_equivalence"] = {
         "passed": violation < 1e-8 and worst < 1e-8,
         "null_violation": violation,

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .hankel import Trajectory, Window
-from .optim import pinv
 
 __all__ = [
     "DegenerateChannelError",
@@ -35,7 +34,6 @@ __all__ = [
     "TrainHistory",
     "HyperDnnModel",
     "train",
-    "refit_output_ls",
     "save_model",
     "load_model",
 ]
@@ -161,7 +159,6 @@ class HyperDnnModel:
         layer_specs: list[LayerSpec],
         params: dict[str, np.ndarray],
         scalers: Scalers,
-        theta_ls: np.ndarray | None = None,
         p_train_mean: np.ndarray | None = None,
         history: "TrainHistory | None" = None,
     ):
@@ -169,7 +166,6 @@ class HyperDnnModel:
         self.layer_specs = list(layer_specs)
         self.params = {k: np.asarray(v, dtype=float) for k, v in params.items()}
         self.scalers = scalers
-        self.theta_ls = None if theta_ls is None else np.asarray(theta_ls, dtype=float)
         self.p_train_mean = None if p_train_mean is None else np.asarray(p_train_mean, dtype=float)
         self.history = history
 
@@ -237,13 +233,6 @@ class HyperDnnModel:
         """Feature vector of the last hidden layer; components in (-1, 1)."""
         z, _ = _tanh_stack(self.hyper_forward(nn_in.p_vec), nn_in.u_nn, self.dims.future_u_slice)
         return z
-
-    def predict_nls(self, window: Window) -> np.ndarray:
-        """Refit-output prediction theta_ls @ [phi; 1] in raw units."""
-        if self.theta_ls is None:
-            raise ValueError("model has no refit output layer; run refit_output_ls first")
-        phi = self.phi_hl(self.nn_input_from_window(window))
-        return self.theta_ls @ np.concatenate([phi, [1.0]])
 
     def phi_hl_batch(self, u_nn: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Batched feature map: (B, nu_u), (B, nu_p) -> (B, nu_L)."""
@@ -627,27 +616,6 @@ def predict_batch(model: HyperDnnModel, ds: WindowDataset) -> np.ndarray:
     return model.scalers.y.denormalize(yhat_n.reshape(-1, d.horizon, d.n_y))
 
 
-def refit_output_ls(model: HyperDnnModel, phi_mat: np.ndarray, y_f: np.ndarray) -> np.ndarray:
-    """Least-squares refit of the output layer against raw future outputs.
-
-    Solves min ||Y_f - theta [Phi; 1']||_F with the pseudo-inverse, which is
-    the exact solution under full row rank and the minimum-Frobenius-norm
-    solution otherwise.  Stores and returns the raw-unit map theta_ls.
-    """
-    phi_mat = np.atleast_2d(np.asarray(phi_mat, dtype=float))
-    y_f = np.atleast_2d(np.asarray(y_f, dtype=float))
-    if phi_mat.shape[1] == 0:
-        raise ValueError("empty feature matrix")
-    if y_f.shape[1] != phi_mat.shape[1]:
-        raise ValueError(
-            f"column mismatch: features {phi_mat.shape[1]}, outputs {y_f.shape[1]}"
-        )
-    stack = np.vstack([phi_mat, np.ones((1, phi_mat.shape[1]))])
-    theta = y_f @ pinv(stack)
-    model.theta_ls = theta
-    return theta
-
-
 # --------------------------------------------------------------------------
 # model file I/O
 
@@ -672,7 +640,6 @@ def save_model(model: HyperDnnModel, path) -> None:
             name: {"lo": sc.lo.tolist(), "hi": sc.hi.tolist()}
             for name, sc in (("u", model.scalers.u), ("y", model.scalers.y), ("p", model.scalers.p))
         },
-        "theta_ls": None if model.theta_ls is None else model.theta_ls.tolist(),
         "p_train_mean": None if model.p_train_mean is None else model.p_train_mean.tolist(),
     }
     path = Path(path)
@@ -681,6 +648,7 @@ def save_model(model: HyperDnnModel, path) -> None:
 
 
 def load_model(path) -> HyperDnnModel:
+    """Read a ``save_model`` file; an older file's ``theta_ls`` entry is ignored."""
     doc = json.loads(Path(path).read_text())
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
@@ -693,13 +661,11 @@ def load_model(path) -> HyperDnnModel:
         y=ChannelScaler(**doc["scalers"]["y"]),
         p=ChannelScaler(**doc["scalers"]["p"]),
     )
-    theta = doc.get("theta_ls")
     p_mean = doc.get("p_train_mean")
     return HyperDnnModel(
         dims=dims,
         layer_specs=specs,
         params=params,
         scalers=scalers,
-        theta_ls=None if theta is None else np.asarray(theta, dtype=float),
         p_train_mean=None if p_mean is None else np.asarray(p_mean, dtype=float),
     )

@@ -90,19 +90,12 @@ class RunMetrics:
     ise: float
     ju: float
     mean_cpu_s: float
-    bfr_percent: float | None = None
 
     def __post_init__(self):
         for name in ("rmse", "ise", "ju", "mean_cpu_s"):
             if getattr(self, name) < 0:
                 raise MetricsError(f"{name} must be nonnegative")
-        if self.bfr_percent is not None and not 0.0 <= self.bfr_percent <= 100.0:
-            raise MetricsError(f"bfr_percent {self.bfr_percent} outside [0, 100]")
 
-    def scalar_dict(self, include_timing: bool = False) -> dict:
-        out = {"rmse": self.rmse, "ise": self.ise, "ju": self.ju}
-        if self.bfr_percent is not None:
-            out["bfr_percent"] = self.bfr_percent
-        if include_timing:
-            out["mean_cpu_s"] = self.mean_cpu_s
-        return out
+    def scalar_dict(self) -> dict:
+        """The deterministic indices; the wall-time mean stays out of metric files."""
+        return {"rmse": self.rmse, "ise": self.ise, "ju": self.ju}

@@ -29,7 +29,7 @@ import numpy as np
 
 from .control import ControllerConfig, StepResult, TrackingCost, check_window
 from .hankel import DimensionError, HankelSet, Trajectory, build_hankel, partition
-from .hypernet import HyperDnnModel, WindowDataset, assemble_normalized, refit_output_ls
+from .hypernet import HyperDnnModel, WindowDataset, assemble_normalized
 from .optim import pinv, solve_sqp
 from .plant import CEM_KAPPA, CEM_REFERENCE_TEMP, CEM_SWITCH_TEMP
 
@@ -55,7 +55,11 @@ class RankDeficientError(ValueError):
 
 @dataclass
 class NeuralHankel:
-    """Feature-space data matrices and their precomputed pseudo-inverse operators."""
+    """Feature-space data matrices and their precomputed pseudo-inverse operators.
+
+    ``theta_ls`` is the least-squares output map Y_f pinv(col(Phi, 1')) that
+    every controller predicts with; nothing else stores it.
+    """
 
     phi_hl: np.ndarray        # (nu_L, n_cols)
     yf: np.ndarray            # (n_y*N, n_cols)
@@ -64,7 +68,6 @@ class NeuralHankel:
     theta_ls: np.ndarray      # yf @ m:  (n_y*N, nu_L+1)
     null_basis: np.ndarray    # orthonormal basis of null(kmat):  (n_y*N, n_y*N - rank)
     stack_rank: int
-    yf_full_row_rank: bool
 
     @property
     def n_cols(self) -> int:
@@ -93,16 +96,14 @@ def transform_hankel(
     p_hist_cols: np.ndarray,
     p_override: np.ndarray | None = None,
     rank_rtol: float = 1e-8,
-    refit_model: bool = True,
 ) -> NeuralHankel:
     """Push every Hankel column through the feature map and precompute operators.
 
-    ``p_override`` replaces the per-column parameter history with one fixed
-    raw history (the fixed-basis controller variant); pass
-    ``refit_model=False`` there so the model's refit output layer keeps
-    tracking the parameter-varying transform.  Construction fails if the
-    stacked feature matrix loses full row rank, since the affine combination
-    then no longer spans the neural space.
+    A pure function: the model is only read.  ``p_override`` replaces the
+    per-column parameter history with one fixed raw history (the
+    fixed-basis controller variant).  Construction fails if the stacked
+    feature matrix loses full row rank, since the affine combination then
+    no longer spans the neural space.
     """
     d = model.dims
     if hs.t_ini != d.t_ini or hs.horizon != d.horizon:
@@ -141,12 +142,10 @@ def transform_hankel(
             "enrich data or reduce the feature width"
         )
     m = pinv(stack)
-    yf_svals = np.linalg.svd(hs.yf, compute_uv=False)
-    yf_rank = int(np.sum(yf_svals > max(hs.yf.shape) * np.finfo(float).eps * yf_svals[0]))
     kmat = stack @ pinv(hs.yf)
     _, k_svals, k_vt = np.linalg.svd(kmat)
     k_rank = int(np.sum(k_svals > max(kmat.shape) * np.finfo(float).eps * k_svals[0]))
-    nh = NeuralHankel(
+    return NeuralHankel(
         phi_hl=phi,
         yf=hs.yf.copy(),
         m=m,
@@ -154,25 +153,20 @@ def transform_hankel(
         theta_ls=hs.yf @ m,
         null_basis=k_vt[k_rank:].T,
         stack_rank=rank,
-        yf_full_row_rank=yf_rank == hs.yf.shape[0],
     )
-    if refit_model:
-        refit_output_ls(model, phi, hs.yf)
-    return nh
 
 
-def lemma2_residual(model: HyperDnnModel, nh: NeuralHankel) -> tuple[np.ndarray, float]:
-    """Least-squares residual matrix and its worst action on the feature kernel.
+def lemma2_residual(nh: NeuralHankel) -> tuple[np.ndarray, float]:
+    """Residual Y_f - theta_ls col(Phi, 1') and its worst action on the feature kernel.
 
-    The data-driven and refit-model predictions agree exactly when the
-    residual annihilates the null space of the feature stack; the returned
-    violation is sup ||E g|| over unit-norm null vectors (the spectral norm
-    of E restricted to the kernel), a data-quality diagnostic.
+    Every combination g with col(Phi, 1') g = [phi; 1] predicts Y_f g =
+    theta_ls [phi; 1] exactly when the residual E annihilates the null space
+    of the feature stack; the returned violation is sup ||E g|| over
+    unit-norm null vectors (the spectral norm of E restricted to the
+    kernel), a data-quality diagnostic.
     """
-    if model.theta_ls is None:
-        raise ValueError("refit output layer before computing the residual")
     stack = nh.stack()
-    e = nh.yf - model.theta_ls @ stack
+    e = nh.yf - nh.theta_ls @ stack
     _, svals, vt = np.linalg.svd(stack)
     rank = int(np.sum(svals > max(stack.shape) * np.finfo(float).eps * svals[0]))
     null_basis = vt[rank:].T
@@ -413,8 +407,7 @@ class NeuralController(NpvController):
     """Fixed-basis neural DeePC: hypernet frozen at the training-set mean parameter.
 
     The frozen history must be applied consistently, online and to the data:
-    build the NeuralHankel with ``p_override=frozen_parameter_history(model)``
-    and ``refit_model=False``.
+    build the NeuralHankel with ``p_override=frozen_parameter_history(model)``.
     """
 
     def __init__(self, model: HyperDnnModel, nh: NeuralHankel, cfg: ControllerConfig):

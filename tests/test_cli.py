@@ -103,6 +103,13 @@ INVALID = {
     "regularizer": {"controllers": {"deepc": {"regularizer": "foo"}}},
     "r_weight": {"controllers": {"npv_deepc": {"r": [0.1, 0.0]}}},
     "kernel_slack": {"controllers": {"npv_deepc": {"kernel_slack": True}}},
+    "t_ini": {"controllers": {"npv_deepc": {"t_ini": 0}}},
+    "q_length": {"controllers": {"mpc": {"q": [1.0, 0.0, 0.0]}}},
+    "r_length": {"controllers": {"deepc": {"r": [0.1, 0.1, 0.1]}}},
+    "sweep_distance": {"scenario": {"sweep_distances": [8.0]}},
+    "d_schedule": {"scenario": {"d_schedule": [[0.0, 9.0]]}},
+    "n_steps": {"scenario": {"n_steps": 0}},
+    "cem_d_schedule": {"cem_scenario": {"d_schedule": [[0.0, 2.5], [10.0, 1.0]]}},
 }
 
 

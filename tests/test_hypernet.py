@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from npvdeepc.hankel import Window
+from npvdeepc.hankel import HankelSet, Window
 from npvdeepc.hypernet import (
     ChannelScaler,
     DegenerateChannelError,
@@ -13,10 +13,10 @@ from npvdeepc.hypernet import (
     _forward_hidden,
     load_model,
     predict_batch,
-    refit_output_ls,
     save_model,
     train,
 )
+from npvdeepc.npv import transform_hankel
 
 from conftest import random_model, toy_dataset
 
@@ -305,40 +305,24 @@ class TestJacobian:
 
 
 class TestRefit:
-    def test_exact_case_residual_zero(self, rng):
-        model = random_model(rng)
-        phi = rng.uniform(-1, 1, size=(model.nu_l, 40))
-        theta_true = rng.standard_normal((model.dims.nu_y, model.nu_l + 1))
-        stack = np.vstack([phi, np.ones((1, 40))])
-        y_f = theta_true @ stack
-        theta = refit_output_ls(model, phi, y_f)
-        assert np.allclose(theta @ stack, y_f, atol=1e-9)
-
     def test_matches_normal_equations_oracle(self, rng):
+        # the least-squares output map that transform_hankel fits to the features
         model = random_model(rng, hidden=(3,))
-        phi = rng.standard_normal((3, 5))
-        y_f = rng.standard_normal((model.dims.nu_y, 5))
-        stack = np.vstack([phi, np.ones((1, 5))])
-        theta = refit_output_ls(model, phi, y_f)
+        d = model.dims
+        n_cols = 5
+        hs = HankelSet(
+            up=rng.uniform(-1, 1, (d.n_u * d.t_ini, n_cols)),
+            yp=rng.uniform(-1, 1, (d.n_y * d.t_ini, n_cols)),
+            uf=rng.uniform(-1, 1, (d.n_u * d.horizon, n_cols)),
+            yf=rng.standard_normal((d.nu_y, n_cols)),
+            t_ini=d.t_ini, horizon=d.horizon, n_u=d.n_u, n_y=d.n_y,
+        )
+        nh = transform_hankel(model, hs, rng.uniform(-1, 1, (d.n_p * d.t_ini, n_cols)))
+        stack = nh.stack()
+        assert stack.shape == (4, n_cols)
         # oracle: solve the normal equations directly (stack has full row rank)
-        oracle = y_f @ stack.T @ np.linalg.inv(stack @ stack.T)
-        assert np.allclose(theta, oracle, atol=1e-10)
-
-    def test_never_increases_residual(self, rng):
-        model = random_model(rng)
-        phi = rng.uniform(-0.9, 0.9, size=(model.nu_l, 60))
-        y_f = rng.standard_normal((model.dims.nu_y, 60))
-        stack = np.vstack([phi, np.ones((1, 60))])
-        trained_map = model.effective_output_map()
-        res_trained = np.linalg.norm(y_f - trained_map @ stack)
-        theta = refit_output_ls(model, phi, y_f)
-        res_refit = np.linalg.norm(y_f - theta @ stack)
-        assert res_refit <= res_trained + 1e-12
-
-    def test_empty_features_rejected(self, rng):
-        model = random_model(rng)
-        with pytest.raises(ValueError):
-            refit_output_ls(model, np.zeros((4, 0)), np.zeros((model.dims.nu_y, 0)))
+        oracle = hs.yf @ stack.T @ np.linalg.inv(stack @ stack.T)
+        assert np.allclose(nh.theta_ls, oracle, atol=1e-10)
 
 
 class TestTraining:
@@ -366,71 +350,42 @@ class TestTraining:
         for key in m1.params:
             assert np.array_equal(m1.params[key], m2.params[key])
 
-    def test_predict_nls_on_memorized_windows(self, rng):
-        ds = toy_dataset(rng, n_windows=20)
-        cfg = TrainConfig(
-            hidden_sizes=(30,), learning_rate=3e-3, max_epochs=4000, patience=4000, val_fraction=0.0
-        )
-        model = train(ds, cfg, seed=2)
-        from npvdeepc.hypernet import assemble_normalized
-
-        u_nn, p, _ = assemble_normalized(ds, model.scalers, model.dims.hyper_input)
-        phi = model.phi_hl_batch(u_nn, p).T
-        y_f_raw = ds.y_fut.reshape(ds.n_windows, -1).T
-        refit_output_ls(model, phi, y_f_raw)
-        for i in range(0, 20, 5):
-            w = Window(
-                u_ini=ds.u_hist[i].ravel(), y_ini=ds.y_hist[i].ravel(),
-                u_f=ds.u_fut[i].ravel(), y_f=ds.y_fut[i].ravel(), p_hist=ds.p_hist[i].ravel(),
-            )
-            pred = model.predict_nls(w)
-            assert np.max(np.abs(pred - ds.y_fut[i].ravel())) < 1e-2
-
-    def test_refit_invariant_to_column_permutation(self, rng):
-        ds = toy_dataset(rng, n_windows=25)
-        cfg = TrainConfig(max_epochs=200, patience=200, val_fraction=0.0)
-        model = train(ds, cfg, seed=3)
-        from npvdeepc.hypernet import assemble_normalized
-
-        u_nn, p, _ = assemble_normalized(ds, model.scalers, model.dims.hyper_input)
-        phi = model.phi_hl_batch(u_nn, p).T
-        y_f_raw = ds.y_fut.reshape(ds.n_windows, -1).T
-        theta_a = refit_output_ls(model, phi, y_f_raw)
-        perm = rng.permutation(ds.n_windows)
-        theta_b = refit_output_ls(model, phi[:, perm], y_f_raw[:, perm])
-        assert np.allclose(theta_a, theta_b, atol=1e-9)
-        w = Window(
-            u_ini=ds.u_hist[0].ravel(), y_ini=ds.y_hist[0].ravel(),
-            u_f=ds.u_fut[0].ravel(), y_f=ds.y_fut[0].ravel(), p_hist=ds.p_hist[0].ravel(),
-        )
-        model.theta_ls = theta_a
-        pred_a = model.predict_nls(w)
-        model.theta_ls = theta_b
-        pred_b = model.predict_nls(w)
-        assert np.allclose(pred_a, pred_b, atol=1e-9)
-
 
 class TestModelIo:
     def test_bit_exact_roundtrip(self, rng, tmp_path):
         ds = toy_dataset(rng, n_windows=30)
         model = train(ds, TrainConfig(max_epochs=100, patience=100), seed=4)
-        from npvdeepc.hypernet import assemble_normalized
-
-        u_nn, p, _ = assemble_normalized(ds, model.scalers, model.dims.hyper_input)
-        phi = model.phi_hl_batch(u_nn, p).T
-        refit_output_ls(model, phi, ds.y_fut.reshape(ds.n_windows, -1).T)
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
         for key in model.params:
             assert np.array_equal(back.params[key], model.params[key])
-        assert np.array_equal(back.theta_ls, model.theta_ls)
+        assert np.array_equal(back.p_train_mean, model.p_train_mean)
         w = Window(
             u_ini=ds.u_hist[3].ravel(), y_ini=ds.y_hist[3].ravel(),
             u_f=ds.u_fut[3].ravel(), y_f=ds.y_fut[3].ravel(), p_hist=ds.p_hist[3].ravel(),
         )
-        assert np.array_equal(back.predict_nls(w), model.predict_nls(w))
+        assert np.array_equal(back.phi_hl(back.nn_input_from_window(w)),
+                              model.phi_hl(model.nn_input_from_window(w)))
         assert np.array_equal(predict_batch(back, ds), predict_batch(model, ds))
+
+    def test_loads_schema_1_file_with_theta_ls_entry(self, rng, tmp_path):
+        # files written before the output map moved off the model carry "theta_ls": null
+        import json
+
+        ds = toy_dataset(rng, n_windows=30)
+        model = train(ds, TrainConfig(max_epochs=20, patience=20), seed=5)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert "theta_ls" not in doc
+        doc["theta_ls"] = None
+        old = tmp_path / "old_model.json"
+        old.write_text(json.dumps(doc, indent=1, sort_keys=True))
+        back = load_model(old)
+        assert np.array_equal(predict_batch(back, ds), predict_batch(model, ds))
+        save_model(back, tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
 
     def test_schema_version_checked(self, rng, tmp_path):
         model = random_model(rng)

@@ -4,7 +4,7 @@ import pytest
 from npvdeepc import npv, optim
 from npvdeepc.control import ControllerConfig, TrackingCost
 from npvdeepc.hankel import Window
-from npvdeepc.hypernet import HyperDnnModel, TrainConfig, WindowDataset, refit_output_ls, train
+from npvdeepc.hypernet import HyperDnnModel, TrainConfig, WindowDataset, save_model, train
 from npvdeepc.optim import solve_sqp
 from npvdeepc.npv import (
     CemController,
@@ -59,7 +59,6 @@ class TestTransform:
         assert nh.m.shape == (200, model.nu_l + 1)
         assert nh.kmat.shape == (model.nu_l + 1, hs.n_y * HORIZON)
         assert nh.stack_rank == model.nu_l + 1
-        assert nh.yf_full_row_rank
 
     def test_column_consistency(self, setup):
         _, model, hs, p_cols, nh = setup
@@ -69,10 +68,42 @@ class TestTransform:
             assert np.max(np.abs(model.phi_hl(nn_in) - nh.phi_hl[:, j])) < 1e-12
 
     def test_theta_ls_matches_refit(self, setup):
+        # oracle: the normal equations of min ||Y_f - theta col(Phi, 1')||_F
+        # (the stack has full row rank)
+        *_, nh = setup
+        stack = nh.stack()
+        oracle = nh.yf @ stack.T @ np.linalg.inv(stack @ stack.T)
+        assert np.allclose(nh.theta_ls, oracle, atol=1e-10)
+
+    def test_theta_ls_no_worse_than_trained_map(self, setup):
+        _, model, _, _, nh = setup
+        stack = nh.stack()
+        res_trained = np.linalg.norm(nh.yf - model.effective_output_map() @ stack)
+        res_ls = np.linalg.norm(nh.yf - nh.theta_ls @ stack)
+        assert res_ls <= res_trained + 1e-12
+
+    def test_theta_ls_invariant_to_column_permutation(self, setup):
         _, model, hs, p_cols, nh = setup
-        assert np.allclose(nh.theta_ls, model.theta_ls, atol=1e-12)
-        theta = refit_output_ls(model, nh.phi_hl, nh.yf)
-        assert np.allclose(nh.theta_ls, theta, atol=1e-12)
+        perm = np.random.default_rng(3).permutation(hs.n_cols)
+        hs_perm = type(hs)(
+            up=hs.up[:, perm], yp=hs.yp[:, perm], uf=hs.uf[:, perm], yf=hs.yf[:, perm],
+            t_ini=hs.t_ini, horizon=hs.horizon, n_u=hs.n_u, n_y=hs.n_y, k_source=hs.k_source,
+        )
+        nh_perm = transform_hankel(model, hs_perm, p_cols[:, perm])
+        assert np.allclose(nh_perm.theta_ls, nh.theta_ls, atol=1e-9)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_leaves_model_untouched(self, setup, tmp_path, frozen):
+        from npvdeepc.npv import frozen_parameter_history
+
+        traj, model, *_ = setup
+        hs, p_cols = hankel_with_params(traj, T_INI, HORIZON, n_cols=150)
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        save_model(model, before)
+        p_override = frozen_parameter_history(model) if frozen else None
+        transform_hankel(model, hs, p_cols, p_override=p_override)
+        save_model(model, after)
+        assert after.read_bytes() == before.read_bytes()
 
     def test_rank_deficiency_detected(self, setup):
         _, model, hs, p_cols, _ = setup
@@ -97,7 +128,7 @@ class TestLemma2:
     def test_exact_construction_zero_residual(self, setup):
         _, model, *_ = setup
         nh_syn = self._synthetic_exact(setup)
-        e, violation = lemma2_residual(model, nh_syn)
+        e, violation = lemma2_residual(nh_syn)
         assert np.max(np.abs(e)) < 1e-8
         assert violation < 1e-8
 
@@ -105,21 +136,20 @@ class TestLemma2:
         traj, model, *_ = setup
         hs_sq, p_sq = hankel_with_params(traj, T_INI, HORIZON, n_cols=model.nu_l + 1)
         nh_sq = transform_hankel(model, hs_sq, p_sq)
-        _, violation = lemma2_residual(model, nh_sq)
+        _, violation = lemma2_residual(nh_sq)
         assert violation == 0.0
 
     def test_generic_data_positive_violation(self, setup):
-        _, model, hs, p_cols, nh = setup
-        refit_output_ls(model, nh.phi_hl, nh.yf)
-        _, violation = lemma2_residual(model, nh)
+        *_, nh = setup
+        _, violation = lemma2_residual(nh)
         assert violation > 0.0
 
     def test_prediction_equivalence_on_exact_data(self, setup):
-        # data-driven combination vs refit predictor, over random windows
+        # data-driven combination vs the output map that generated the data,
+        # over random windows
         traj, model, *_ = setup
         nh_syn = self._synthetic_exact(setup)
-        saved_theta = model.theta_ls
-        model.theta_ls = nh_syn.theta_ls
+        theta_true = model.effective_output_map()
         rng = np.random.default_rng(1)
         worst = 0.0
         for _ in range(50):
@@ -128,9 +158,8 @@ class TestLemma2:
             w.u_f = rng.uniform([1.5, 1.0] * HORIZON, [8.0, 6.0] * HORIZON)
             phi = model.phi_hl(model.nn_input_from_window(w))
             y_npv = npv_prediction(nh_syn, phi)
-            y_nls = model.predict_nls(w)
-            worst = max(worst, float(np.max(np.abs(y_npv - y_nls))))
-        model.theta_ls = saved_theta
+            y_nn = theta_true @ np.append(phi, 1.0)
+            worst = max(worst, float(np.max(np.abs(y_npv - y_nn))))
         assert worst < 1e-8
 
 
@@ -162,14 +191,13 @@ class TestSolveStep:
         traj, model, hs, p_cols, nh = setup
         cfg = wide_cfg()
         ctrl = NpvController(model, nh, cfg)
-        model.theta_ls = nh.theta_ls  # other tests refit against synthetic data
         w = self._window(traj)
         u_fixed = np.tile([4.0, 3.0], HORIZON)
         ctrl.lb[:ctrl.nu] = u_fixed
         ctrl.ub[:ctrl.nu] = u_fixed
         u, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
-        w_fixed = Window(u_ini=w.u_ini, y_ini=w.y_ini, u_f=u_fixed, y_f=w.y_f, p_hist=w.p_hist)
-        y_nls = model.predict_nls(w_fixed)
+        phi = model.phi_hl(model.nn_input(w.u_ini, w.y_ini, u_fixed, w.p_hist))
+        y_nls = nh.theta_ls @ np.append(phi, 1.0)
         assert np.max(np.abs(step.y_pred.ravel() - y_nls)) < 1e-6
         assert np.allclose(u, [4.0, 3.0])
 
@@ -219,7 +247,6 @@ class TestSolveStep:
         # the narrow model leaves null(kmat) directions for g_tilde; a huge
         # penalty recovers the pure data-driven prediction
         traj, model, hs, p_cols, nh = narrow_setup
-        model.theta_ls = nh.theta_ls
         ctrl = NpvController(model, nh, wide_cfg(lambda_g=1e12))
         assert ctrl.basis.shape[1] > 0
         w = self._window(traj, start=90)
@@ -317,7 +344,6 @@ class TestCondensedForm:
     @pytest.mark.parametrize("which", ["setup", "narrow_setup"])
     def test_matches_structural_program(self, request, which):
         traj, model, hs, p_cols, nh = request.getfixturevalue(which)
-        model.theta_ls = nh.theta_ls  # other tests refit against synthetic data
         cfg = wide_cfg(warm_start=False)
         ctrl = NpvController(model, nh, cfg)
         ny = ctrl.ny
@@ -451,7 +477,7 @@ class TestNeuralVariant:
         traj, model, hs, p_cols, nh = setup
         p_bar = frozen_parameter_history(model)
         cfg = wide_cfg()
-        nh_frozen = transform_hankel(model, hs, p_cols, p_override=p_bar, refit_model=False)
+        nh_frozen = transform_hankel(model, hs, p_cols, p_override=p_bar)
         neural = NeuralController(model, nh_frozen, cfg)
         npv = NpvController(model, nh_frozen, cfg)
         w = Window.from_trajectory(traj, 130, T_INI, HORIZON)
@@ -466,8 +492,8 @@ class TestNeuralVariant:
         traj, model, hs, p_cols, nh = setup
         p_bar = frozen_parameter_history(model)
         frozen_cols = np.tile(p_bar[:, None], (1, hs.n_cols))
-        nh_a = transform_hankel(model, hs, p_cols, p_override=p_bar, refit_model=False)
-        nh_b = transform_hankel(model, hs, frozen_cols, refit_model=False)
+        nh_a = transform_hankel(model, hs, p_cols, p_override=p_bar)
+        nh_b = transform_hankel(model, hs, frozen_cols)
         assert np.allclose(nh_a.phi_hl, nh_b.phi_hl, atol=1e-14)
 
     def test_problem_sizes_identical(self, setup):
