@@ -33,6 +33,7 @@ from .experiments import (
 )
 from .hankel import DimensionError, load_trajectory_csv, save_trajectory_csv
 from .hypernet import TrainingDivergedError, load_model, save_model
+from .npv import RankDeficientError
 from .optim import SolverError
 
 EXIT_CONFIG = 2
@@ -192,7 +193,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, DimensionError, NonFiniteWindowError, FileNotFoundError) as exc:
+    except (DataError, DimensionError, NonFiniteWindowError, RankDeficientError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SolverError, TrainingDivergedError) as exc:

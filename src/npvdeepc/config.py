@@ -53,6 +53,12 @@ def _check_distances(name: str, values) -> None:
         raise ConfigError(f"{name} {bad} outside the plant's [{D_MIN}, {D_MAX}] mm")
 
 
+def _check_schedules(**schedules) -> None:
+    for name, rows in schedules.items():
+        if not rows:
+            raise ConfigError(f"{name} must have at least one (t_start, value) row")
+
+
 def _check_step_counts(**counts: int) -> None:
     for name, n in counts.items():
         if n < 1:
@@ -143,6 +149,7 @@ class TrackingScenario:
         bad = [c for c in self.controllers if c not in ("npv_deepc", "neural_deepc", "deepc", "mpc")]
         if bad:
             raise ConfigError(f"unknown controllers {bad}")
+        _check_schedules(reference=self.reference, d_schedule=self.d_schedule)
         _check_distances("d_schedule distances", [d for _, d in self.d_schedule])
         _check_distances("sweep_distances", self.sweep_distances)
         _check_step_counts(n_steps=self.n_steps, sweep_n_steps=self.sweep_n_steps)
@@ -158,6 +165,7 @@ class CemScenario:
     b_s: float = 0.3
 
     def __post_init__(self):
+        _check_schedules(d_schedule=self.d_schedule)
         _check_distances("d_schedule distances", [d for _, d in self.d_schedule])
         _check_step_counts(n_steps=self.n_steps)
 

@@ -2,17 +2,16 @@
 
 Each data Hankel column is pushed through the hidden-layer feature map to
 give a neural-space basis; stacking a ones row makes predictions affine in
-the features.  The controller then solves a small nonlinear program: the
-predicted outputs y must match the data-driven affine map of the features
-of the candidate input u, up to an output-space correction g_tilde.  The
-structural program (see ``problem_size``) pins g_tilde to the kernel of
-``kmat`` with equality rows.  The controller solves the same program over
-(u, y, a) with g_tilde = B a instead, where B spans null(kmat) (no columns
-when kmat has full column rank, so g_tilde vanishes); the ny prediction
-rows are then the only equality constraints (Lemma 2: the kernel component
-does not change the prediction).  The feature map alone is nonlinear in u,
-so a Gauss-Newton SQP with the analytic feature Jacobian converges in a
-handful of iterations.
+the features.  The controller then solves a small nonlinear program over
+(u, y): the predicted outputs y must match the data-driven affine map
+theta_ls [phi(u); 1] of the features of the candidate input u, and these
+n_y N prediction rows are the only equality constraints.  The structural
+program (see ``problem_size``) also carries an output-space correction
+pinned to null(kmat) by equality rows; the controller requires kmat to have
+full column rank (at least as many stacked features nu_L + 1 as predicted
+outputs n_y N), so that kernel is trivial and the correction vanishes.
+The feature map alone is nonlinear in u, so a Gauss-Newton SQP with the
+analytic feature Jacobian converges in a handful of iterations.
 
 The fixed-basis variant freezes the hypernet at the training-set mean
 parameter, removing the parameter-varying adaptation but keeping everything
@@ -66,8 +65,8 @@ class NeuralHankel:
     m: np.ndarray             # pinv of col(phi_hl, 1'):  (n_cols, nu_L+1)
     kmat: np.ndarray          # col(phi_hl, 1') @ pinv(yf):  (nu_L+1, n_y*N)
     theta_ls: np.ndarray      # yf @ m:  (n_y*N, nu_L+1)
-    null_basis: np.ndarray    # orthonormal basis of null(kmat):  (n_y*N, n_y*N - rank)
     stack_rank: int
+    kmat_rank: int
 
     @property
     def n_cols(self) -> int:
@@ -143,16 +142,15 @@ def transform_hankel(
         )
     m = pinv(stack)
     kmat = stack @ pinv(hs.yf)
-    _, k_svals, k_vt = np.linalg.svd(kmat)
-    k_rank = int(np.sum(k_svals > max(kmat.shape) * np.finfo(float).eps * k_svals[0]))
+    k_svals = np.linalg.svd(kmat, compute_uv=False)
     return NeuralHankel(
         phi_hl=phi,
         yf=hs.yf.copy(),
         m=m,
         kmat=kmat,
         theta_ls=hs.yf @ m,
-        null_basis=k_vt[k_rank:].T,
         stack_rank=rank,
+        kmat_rank=int(np.sum(k_svals > max(kmat.shape) * np.finfo(float).eps * k_svals[0])),
     )
 
 
@@ -169,29 +167,27 @@ def lemma2_residual(nh: NeuralHankel) -> tuple[np.ndarray, float]:
     e = nh.yf - nh.theta_ls @ stack
     _, svals, vt = np.linalg.svd(stack)
     rank = int(np.sum(svals > max(stack.shape) * np.finfo(float).eps * svals[0]))
-    null_basis = vt[rank:].T
-    if null_basis.shape[1] == 0:
+    kernel = vt[rank:].T
+    if kernel.shape[1] == 0:
         return e, 0.0
-    violation = float(np.linalg.norm(e @ null_basis, 2))
+    violation = float(np.linalg.norm(e @ kernel, 2))
     return e, violation
 
 
-def npv_prediction(nh: NeuralHankel, phi_k: np.ndarray, g_tilde: np.ndarray | None = None) -> np.ndarray:
+def npv_prediction(nh: NeuralHankel, phi_k: np.ndarray) -> np.ndarray:
     """Data-driven prediction yf @ g* for the minimum-norm g* matching phi_k."""
     rhs = np.concatenate([np.asarray(phi_k, dtype=float).ravel(), [1.0]])
-    g_star = nh.m @ rhs
-    y = nh.yf @ g_star
-    if g_tilde is not None:
-        y = y + np.asarray(g_tilde, dtype=float).ravel()
-    return y
+    return nh.yf @ (nh.m @ rhs)
 
 
 def problem_size(cfg: ControllerConfig, nu_l: int) -> dict[str, int]:
-    """Structural size of the nonlinear program before any elimination.
+    """Structural size of the paper's nonlinear program before any elimination.
 
     Decision variables count u, y, the output-space combination vector and
     the kernel slack; equalities count the kernel rows plus the prediction
-    match; inequalities are both sides of the input and output boxes.
+    match; inequalities are both sides of the input and output boxes.  The
+    controller solves the same program over (u, y) alone, since a kmat of
+    full column rank pins the output correction to zero.
     """
     n, n_u, n_y = cfg.horizon, cfg.n_u, cfg.n_y
     return {
@@ -204,11 +200,12 @@ def problem_size(cfg: ControllerConfig, nu_l: int) -> dict[str, int]:
 class NpvController:
     """Parameter-varying neural DeePC with receding-horizon warm starts.
 
-    Decision variables are (u, y, a) with g_tilde = ``basis @ a`` and
-    ``basis`` spanning null(kmat); the only equality rows are the prediction
-    match y = theta_ls [phi(u); 1] + g_tilde.  The a-block carries the
-    quadratic lambda_g |g_tilde|^2 penalty, so the cost stays constant and
-    quadratic.
+    Decision variables are z = (u, y); the only equality rows are the
+    prediction match y = theta_ls [phi(u); 1], and the tracking cost is
+    constant and quadratic.  Construction fails with
+    :class:`RankDeficientError` unless kmat has full column rank: a kernel
+    direction of kmat would leave an output correction free that this
+    program does not carry.
 
     The hidden weights depend only on the measured parameter history, so
     each step computes them once (one ``hyper_forward`` call) and hands the
@@ -236,19 +233,21 @@ class NpvController:
         self.p_override = None if p_override is None else np.asarray(p_override, dtype=float)
         self.nu_l = model.nu_l
         self.nu, self.ny = self.cost.nu, self.cost.ny
-        self.basis = nh.null_basis
-        self.off_a = self.nu + self.ny
-        self.n_var = self.off_a + self.basis.shape[1]
+        if nh.kmat_rank < self.ny:
+            raise RankDeficientError(
+                f"kmat has rank {nh.kmat_rank} < n_y*N = {self.ny} with "
+                f"nu_L + 1 = {self.nu_l + 1} stacked features: widen the feature "
+                "layer or shorten the horizon"
+            )
+        self.n_var = self.nu + self.ny
         self._warm_u = None
         self._assemble_static()
 
     def _assemble_static(self) -> None:
-        cfg = self.cfg
-        n, nu, off_a, b = self.n_var, self.nu, self.off_a, self.basis
+        n, nu = self.n_var, self.nu
         h = np.zeros((n, n))
         h[:nu, :nu] = self.cost.h_u
-        h[nu:off_a, nu:off_a] = self.cost.h_y
-        h[off_a:, off_a:] = 2.0 * cfg.lambda_g * b.T @ b
+        h[nu:, nu:] = self.cost.h_y
         self.h_static = h
 
         u_lo, u_hi = self.cost.u_bounds()
@@ -256,7 +255,7 @@ class NpvController:
         lb = np.full(n, -np.inf)
         ub = np.full(n, np.inf)
         lb[:nu], ub[:nu] = u_lo, u_hi
-        lb[nu:off_a], ub[nu:off_a] = y_lo, y_hi
+        lb[nu:], ub[nu:] = y_lo, y_hi
         self.lb, self.ub = lb, ub
 
     def reset(self) -> None:
@@ -279,14 +278,13 @@ class NpvController:
 
     def _constraint_fn(self, u_ini_n, y_ini_n, layers):
         theta = self.nh.theta_ls
-        basis = self.basis
-        nu, off_a = self.nu, self.off_a
-        jac_ya = np.hstack([np.eye(self.ny), -basis])
+        nu = self.nu
+        jac_y = np.eye(self.ny)
 
         def eq_fn(x):
             phi, jac_phi = self.model.features(layers, self._network_input(u_ini_n, y_ini_n, x[:nu]))
-            c = x[nu:off_a] - theta @ np.concatenate([phi, [1.0]]) - basis @ x[off_a:]
-            return c, np.hstack([-(theta[:, :-1] @ jac_phi), jac_ya])
+            c = x[nu:] - theta @ np.concatenate([phi, [1.0]])
+            return c, np.hstack([-(theta[:, :-1] @ jac_phi), jac_y])
 
         return eq_fn
 
@@ -296,21 +294,17 @@ class NpvController:
         The prediction rows are -theta[:, :-1] phi(u) in u, so the curvature
         of the Lagrangian's constraint part is a block ``C`` on the input
         variables.  The rows have an identity block on y, so the null space
-        of their linearization is spanned by Z = [[I, 0], [J_y, B], [0, I]]
-        over (u, a), with J_y = -jac[:, :nu] and B = ``basis``.  When the
-        reduced Hessian Z' hess Z (plus C on its u block) has a Cholesky
-        factor, the local program is convex on the constraint manifold and
-        C enters unclipped, which gives the SQP Newton-rate convergence;
+        of their linearization is spanned by Z = [I; J_y] over u, with
+        J_y = -jac[:, :nu].  When the reduced Hessian Z' hess Z + C has a
+        Cholesky factor, the local program is convex on the constraint
+        manifold and C enters unclipped, which gives the SQP Newton-rate convergence;
         otherwise C is clipped to PSD by an eigendecomposition.  ``hess`` is
         the Hessian of whichever cost the step solves, so the dose stage's
         Gauss-Newton cost is tested on its own Hessian.
         """
         theta_feat = self.nh.theta_ls[:, :-1]
-        nu, off_a = self.nu, self.off_a
-        z = np.zeros((self.n_var, self.n_var - self.ny))
-        z[:nu, :nu] = np.eye(nu)
-        z[nu:off_a, nu:] = self.basis
-        z[off_a:, nu:] = np.eye(self.basis.shape[1])
+        nu = self.nu
+        z = np.vstack([np.eye(nu), np.zeros((self.ny, nu))])
 
         def lag_hess(x, lam, hess, jac):
             u_nn = self._network_input(u_ini_n, y_ini_n, x[:nu])
@@ -318,9 +312,8 @@ class NpvController:
             if block is None:
                 return None
             block = 0.5 * (block + block.T)
-            z[nu:off_a, :nu] = -jac[:, :nu]  # J_y at x; the other blocks are fixed
-            reduced = z.T @ hess @ z
-            reduced[:nu, :nu] += block
+            z[nu:] = -jac[:, :nu]  # J_y at x; the identity block is fixed
+            reduced = z.T @ hess @ z + block
             try:
                 np.linalg.cholesky(reduced)
             except np.linalg.LinAlgError:
@@ -343,14 +336,14 @@ class NpvController:
         y0 = self.nh.theta_ls @ np.concatenate([phi, [1.0]])
         x0 = np.zeros(self.n_var)
         x0[:self.nu] = u0_flat
-        x0[self.nu:self.off_a] = y0
+        x0[self.nu:] = y0
         return x0
 
     def _cost_fn(self, r_vec, u_prev):
         g_lin = np.zeros(self.n_var)
         g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
         g_lin[:self.nu] = g_u
-        g_lin[self.nu:self.off_a] = g_y
+        g_lin[self.nu:] = g_y
         h = self.h_static
 
         def cost_fn(x):
@@ -379,8 +372,7 @@ class NpvController:
         # non-convergence (including a locally infeasible subproblem) returns
         # the best iterate with its status; the inputs are always box-feasible
         u_seq = x[:self.nu].reshape(cfg.horizon, cfg.n_u)
-        y_seq = x[self.nu:self.off_a].reshape(cfg.horizon, cfg.n_y)
-        g_t = self.basis @ x[self.off_a:]
+        y_seq = x[self.nu:].reshape(cfg.horizon, cfg.n_y)
         cost_val = self.cost.value(u_seq, y_seq, r_vec, u_prev)
         c_final, _ = eq_fn(x)
         result = StepResult(
@@ -392,11 +384,7 @@ class NpvController:
             iterations=diag.iterations,
             kkt_residual=diag.kkt_residual,
             wall_time_s=diag.wall_time_s,
-            extras={
-                "g_tilde_norm": float(np.linalg.norm(g_t)),
-                "kernel_residual": float(np.linalg.norm(self.nh.kmat @ g_t, np.inf)),
-                "constraint_residual": float(np.linalg.norm(c_final, np.inf)),
-            },
+            extras={"constraint_residual": float(np.linalg.norm(c_final, np.inf))},
         )
         if cfg.warm_start:
             self._warm_u = u_seq.copy()
@@ -503,11 +491,10 @@ class CemController(NpvController):
         self.ub[self.nu:self.nu + cfg.n_y] = np.inf
 
     def _dose_cost_fn(self, u_prev):
-        nu, off_a = self.nu, self.off_a
+        nu = self.nu
         diff, e_prev = self.cost.diff, self.cost.e_prev
         h_u = 2.0 * self.r_du * diff.T @ diff
         g_u = -2.0 * self.r_du * diff.T @ (e_prev @ np.asarray(u_prev, dtype=float))
-        h_a = self.h_static[off_a:, off_a:]
         target = self.cem_target
         cem_now = self._cem_now
         dt_min = self.dt_minutes
@@ -515,15 +502,14 @@ class CemController(NpvController):
         reach = self.horizon_reach
 
         def cost_fn(x):
-            a = x[off_a:]
-            ts = x[nu:off_a][ts_idx]
+            ts = x[nu:][ts_idx]
             cem_path, dinc = predicted_cem(ts, cem_now, dt_min)
             rho = (target - cem_path[-1]) / reach
             grad = np.zeros(self.n_var)
             hess = np.zeros((self.n_var, self.n_var))
             # Gauss-Newton on the scalar dose-miss residual
             jrho = np.zeros(self.n_var)
-            jrho[nu:off_a][ts_idx] = -dinc / reach
+            jrho[nu:][ts_idx] = -dinc / reach
             f = rho ** 2
             grad += 2.0 * rho * jrho
             hess += 2.0 * np.outer(jrho, jrho)
@@ -531,9 +517,6 @@ class CemController(NpvController):
             f += 0.5 * float(x[:nu] @ (h_u @ x[:nu])) + float(g_u @ x[:nu])
             grad[:nu] += h_u @ x[:nu] + g_u
             hess[:nu, :nu] += h_u
-            f += 0.5 * float(a @ (h_a @ a))
-            grad[off_a:] += h_a @ a
-            hess[off_a:, off_a:] += h_a
             return f, grad, hess
 
         return cost_fn

@@ -347,7 +347,9 @@ def _window_controller(kind):
         return DeepcController(partition(traj, cfg.t_ini, cfg.horizon), cfg)
     if kind == "mpc":
         return MpcController(known_arx(), cfg)
-    model = random_model(np.random.default_rng(21), t_ini=cfg.t_ini, horizon=cfg.horizon)
+    # 2N features keep kmat at full column rank over the n_y*N = 2N outputs
+    model = random_model(np.random.default_rng(21), t_ini=cfg.t_ini, horizon=cfg.horizon,
+                         hidden=(2 * cfg.horizon,))
     nh = transform_hankel(model, *hankel_with_params(traj, cfg.t_ini, cfg.horizon))
     return NpvController(model, nh, cfg)
 

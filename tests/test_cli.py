@@ -110,6 +110,9 @@ INVALID = {
     "d_schedule": {"scenario": {"d_schedule": [[0.0, 9.0]]}},
     "n_steps": {"scenario": {"n_steps": 0}},
     "cem_d_schedule": {"cem_scenario": {"d_schedule": [[0.0, 2.5], [10.0, 1.0]]}},
+    "empty_reference": {"scenario": {"reference": []}},
+    "empty_d_schedule": {"scenario": {"d_schedule": []}},
+    "empty_cem_d_schedule": {"cem_scenario": {"d_schedule": []}},
 }
 
 
@@ -136,6 +139,12 @@ class TestCliFlow:
 
         monkeypatch.setitem(cli.COMMANDS, "track", track_on_nan_window)
         assert main(["track", "--config", str(write_config(tmp_path))]) == 3
+
+    def test_narrow_feature_layer_exit_code(self, tmp_path, capsys):
+        # nu_L + 1 = 9 stacked features cannot span n_y*N = 12 predicted outputs
+        cfg_path = write_config(tmp_path, {"model": {"hidden_sizes": [8]}})
+        assert main(["track", "--config", str(cfg_path)]) == 3
+        assert "data error: kmat has rank" in capsys.readouterr().err
 
     def test_collect_deterministic_bytes(self, tmp_path):
         cfg_path = write_config(tmp_path)
