@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControllerConfig, LinearQpController
+from .control import ControllerConfig, HorizonController, LinearQpController
 from .hankel import DimensionError, Trajectory
 from .optim import solve_qp  # noqa: F401  (kept: perfbench tests read baseline.solve_qp)
 
@@ -157,7 +157,7 @@ class MpcController(LinearQpController):
     future inputs and the past window, with matrices that depend only on the
     ARX coefficients and the horizons, so all of it is built once per
     controller: the equality rows are ``[-gamma, I]`` and no rollout runs in
-    a step.  The shared step is :meth:`LinearQpController.solve_step`.
+    a step.  The step is :meth:`HorizonController.solve_step`.
     """
 
     def __init__(self, model: ArxModel, cfg: ControllerConfig):
@@ -180,4 +180,4 @@ class MpcController(LinearQpController):
         return np.concatenate([u, self.gamma @ u + b_eq])
 
     # an entry of its own, so profilers and perfbench time each controller apart
-    solve_step = LinearQpController.solve_step
+    solve_step = HorizonController.solve_step

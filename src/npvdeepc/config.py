@@ -118,8 +118,14 @@ class ControllersSection:
         # every controller drives the surrogate plant's channels
         box = BoxConstraints()
         n_u, n_y = len(box.u_lo), len(box.y_lo)
+        default = ControllerSettings()
         for f in fields(self):
             section = getattr(self, f.name)
+            # only DeepcController reads these; the other sections keep them for config_hash
+            changed = [n for n in ("lambda_g", "lambda_sigma", "regularizer")
+                       if f.name != "deepc" and getattr(section, n) != getattr(default, n)]
+            if changed:
+                raise ConfigError(f"{f.name}.{changed[0]}: only the deepc controller reads it")
             if len(section.r) != n_u or len(section.q) != n_y or len(section.p) != n_y:
                 raise ConfigError(
                     f"{f.name}: r needs {n_u} weights and q, p need {n_y} each "
@@ -149,6 +155,9 @@ class TrackingScenario:
         bad = [c for c in self.controllers if c not in ("npv_deepc", "neural_deepc", "deepc", "mpc")]
         if bad:
             raise ConfigError(f"unknown controllers {bad}")
+        for name in ("controllers", "sweep_distances"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must name at least one entry")
         _check_schedules(reference=self.reference, d_schedule=self.d_schedule)
         _check_distances("d_schedule distances", [d for _, d in self.d_schedule])
         _check_distances("sweep_distances", self.sweep_distances)

@@ -1,12 +1,12 @@
-"""Shared controller configuration, step results, tracking cost and linear QP step.
+"""Shared controller configuration, step results, tracking cost and receding-horizon step.
 
 All receding-horizon controllers in this package minimize the same stage
 cost: weighted squared tracking error plus weighted squared input moves,
 with a terminal weight on the last predicted output.  The quadratic pieces
 are assembled here once so every controller prices moves identically.
-The two linear controllers (DeePC and ARX-MPC) also share one step: a
-single condensed QP over the predicted (u, y), see
-:class:`LinearQpController`.
+Every controller runs one step over the predicted (u, y),
+:class:`HorizonController`, and supplies only its solve: a condensed QP
+for DeePC and ARX-MPC (:class:`LinearQpController`), an SQP otherwise.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hankel import DimensionError
-from .optim import QpProblem, SolverError, solve_qp
+from .optim import QpProblem, SolveDiagnostics, SolverError, solve_qp
 
 __all__ = [
     "ControllerConfig",
     "ControllerSettings",
+    "HorizonController",
     "LinearQpController",
     "NonFiniteWindowError",
     "StepResult",
@@ -194,26 +195,19 @@ class TrackingCost:
         return np.tile(self.cfg.y_lo, n).astype(float), np.tile(self.cfg.y_hi, n).astype(float)
 
 
-class LinearQpController:
-    """Receding-horizon control by one condensed QP over z = (u, y) per step.
+class HorizonController:
+    """One receding-horizon step over z = (u, y), shared by every controller.
 
-    With w_ini = (u_ini, y_ini) the past window and g(r, u_prev) the linear
-    term of :class:`TrackingCost`, a step solves
-
-        min 0.5 z'H z + (g(r, u_prev) + G_ini w_ini)'z
-        s.t. A z = B_ini w_ini + b_0,  lb <= z <= ub
-
-    and applies the first input.  A subclass constructor builds the fixed
-    operators ``h`` (which starts as the tracking Hessian), ``g_ini``,
-    ``a_eq``, ``b_ini`` and ``b_0``; a step forms only the two
-    window-dependent vectors.  Subclasses may override :meth:`_warm_start`
-    and :meth:`_extras`.  Instances carry warm-start state; run one closed
-    loop per instance.
-
-    The step takes the signature every controller shares,
-    ``solve_step(u_ini, y_ini, p_hist, r_vec, u_prev)``.  Neither linear
-    predictor uses the parameter, so ``p_hist`` is ignored.
+    The fixed parts of the program are built once: the tracking Hessian
+    ``h`` and the box ``lb``/``ub``; :meth:`linear_term` prices the current
+    reference.  A step checks the window, calls the subclass's
+    :meth:`_solve`, builds the :class:`StepResult` and keeps the solution,
+    shifted by one step, in ``_shifted`` as the next warm start; run one
+    closed loop per instance.  ``n_p`` counts the parameter channels the
+    predictor reads; with 0, ``p_hist`` is ignored.
     """
+
+    n_p = 0
 
     def __init__(self, cfg: ControllerConfig):
         self.cfg = cfg
@@ -228,36 +222,21 @@ class LinearQpController:
         self.h[nu:, nu:] = self.cost.h_y
         self._shifted = None
 
-    def reset(self) -> None:
-        self._shifted = None
+    def linear_term(self, r_vec, u_prev) -> np.ndarray:
+        """Linear term of the tracking cost over z for the reference and previous input."""
+        return np.concatenate(self.cost.linear_terms(r_vec, u_prev))
 
-    def _warm_start(self, shifted: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
-        """QP start from the last solution shifted by one step."""
-        return shifted
-
-    def _extras(self, w_ini: np.ndarray, z: np.ndarray) -> dict:
-        """Controller-specific entries of :attr:`StepResult.extras`."""
-        return {}
+    def _solve(self, u_ini, y_ini, p_hist, r_vec, u_prev) -> tuple[np.ndarray, SolveDiagnostics, dict]:
+        """The solution z, its diagnostics and the controller's extras for one checked window."""
+        raise NotImplementedError
 
     def solve_step(self, u_ini, y_ini, p_hist, r_vec, u_prev) -> tuple[np.ndarray, StepResult]:
-        """Solve the condensed QP for the current window and return the first input."""
+        """Solve the program for the current window and return the first input."""
         cfg = self.cfg
-        u_ini, y_ini = check_window(cfg, u_ini, y_ini)
+        u_ini, y_ini = check_window(cfg, u_ini, y_ini, p_hist if self.n_p else None, self.n_p)
+        u_prev = np.asarray(u_prev, dtype=float)
+        z, diag, extras = self._solve(u_ini, y_ini, p_hist, r_vec, u_prev)
         nu = self.cost.nu
-        w_ini = np.concatenate([u_ini, y_ini])
-        g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
-        prob = QpProblem(
-            h=self.h, g=np.concatenate([g_u, g_y]) + self.g_ini @ w_ini, a_eq=self.a_eq,
-            b_eq=self.b_ini @ w_ini + self.b_0, lb=self.lb, ub=self.ub, validate=False,
-        )
-        x0 = None if self._shifted is None else self._warm_start(self._shifted, prob.b_eq)
-        z, diag = solve_qp(prob, x0=x0, tol=min(cfg.kkt_tol, 1e-8), max_iter=cfg.qp_max_iter)
-        if diag.status == "infeasible":
-            raise SolverError(
-                f"{type(self).__name__} step infeasible: kkt_residual={diag.kkt_residual:.3e}, "
-                f"iterations={diag.iterations}"
-            )
-
         u_seq = z[:nu].reshape(cfg.horizon, cfg.n_u)
         y_seq = z[nu:].reshape(cfg.horizon, cfg.n_y)
         result = StepResult(
@@ -269,7 +248,7 @@ class LinearQpController:
             iterations=diag.iterations,
             kkt_residual=diag.kkt_residual,
             wall_time_s=diag.wall_time_s,
-            extras=self._extras(w_ini, z),
+            extras=extras,
         )
         if cfg.warm_start:
             self._shifted = np.concatenate([
@@ -277,3 +256,44 @@ class LinearQpController:
                 np.vstack([y_seq[1:], y_seq[-1:]]).ravel(),
             ])
         return result.u_apply, result
+
+
+class LinearQpController(HorizonController):
+    """Receding-horizon control by one condensed QP over z = (u, y) per step.
+
+    With w_ini = (u_ini, y_ini) the past window and g(r, u_prev) the
+    :meth:`~HorizonController.linear_term`, a step solves
+
+        min 0.5 z'H z + (g(r, u_prev) + G_ini w_ini)'z
+        s.t. A z = B_ini w_ini + b_0,  lb <= z <= ub
+
+    and applies the first input.  A subclass constructor builds the fixed
+    operators ``h`` (which starts as the tracking Hessian), ``g_ini``,
+    ``a_eq``, ``b_ini`` and ``b_0``; a step forms only the two
+    window-dependent vectors.  Subclasses may override :meth:`_warm_start`
+    and :meth:`_extras`.  Neither linear predictor uses the parameter, so
+    ``p_hist`` is ignored.
+    """
+
+    def _warm_start(self, shifted: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
+        """QP start from the last solution shifted by one step."""
+        return shifted
+
+    def _extras(self, w_ini: np.ndarray, z: np.ndarray) -> dict:
+        """Controller-specific entries of :attr:`StepResult.extras`."""
+        return {}
+
+    def _solve(self, u_ini, y_ini, p_hist, r_vec, u_prev):
+        w_ini = np.concatenate([u_ini, y_ini])
+        prob = QpProblem(
+            h=self.h, g=self.linear_term(r_vec, u_prev) + self.g_ini @ w_ini, a_eq=self.a_eq,
+            b_eq=self.b_ini @ w_ini + self.b_0, lb=self.lb, ub=self.ub, validate=False,
+        )
+        x0 = None if self._shifted is None else self._warm_start(self._shifted, prob.b_eq)
+        z, diag = solve_qp(prob, x0=x0, tol=min(self.cfg.kkt_tol, 1e-8), max_iter=self.cfg.qp_max_iter)
+        if diag.status == "infeasible":
+            raise SolverError(
+                f"{type(self).__name__} step infeasible: kkt_residual={diag.kkt_residual:.3e}, "
+                f"iterations={diag.iterations}"
+            )
+        return z, diag, self._extras(w_ini, z)

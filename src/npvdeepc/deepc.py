@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .control import ControllerConfig, LinearQpController
+from .control import ControllerConfig, HorizonController, LinearQpController
 from .hankel import DimensionError, HankelSet
 from .optim import pinv, solve_qp  # noqa: F401  (solve_qp kept: perfbench tests read deepc.solve_qp)
 
@@ -45,7 +45,7 @@ class DeepcController(LinearQpController):
     Only the condensed operators are kept, as owned arrays no larger than
     the (u, y) block: ``g_ini`` prices the window through the eliminated
     (g, sigma) cost, and ``a_eq z = b_ini w_ini`` are the left-null-space rows.
-    The shared step is :meth:`LinearQpController.solve_step`.
+    The step is :meth:`HorizonController.solve_step`.
     """
 
     def __init__(self, hankel_set: HankelSet, cfg: ControllerConfig):
@@ -103,4 +103,4 @@ class DeepcController(LinearQpController):
         return {"sigma_norm": float(np.linalg.norm(sigma))}
 
     # an entry of its own, so profilers and perfbench time each controller apart
-    solve_step = LinearQpController.solve_step
+    solve_step = HorizonController.solve_step

@@ -3,7 +3,7 @@ import pytest
 
 from npvdeepc import baseline, control, npv
 from npvdeepc.baseline import ArxModel, arx_rollout, arx_rollout_affine, identify_arx, MpcController
-from npvdeepc.control import ControllerConfig, NonFiniteWindowError
+from npvdeepc.control import ControllerConfig, NonFiniteWindowError, TrackingCost
 from npvdeepc.deepc import DeepcController
 from npvdeepc.hankel import DimensionError, Trajectory, partition
 from npvdeepc.npv import NpvController, hankel_with_params, transform_hankel
@@ -340,8 +340,8 @@ class TestMpcRolloutMap:
             assert np.max(np.abs(x - x_ref)) <= 1e-9
 
 
-def _window_controller(kind):
-    cfg = mpc_config()
+def _window_controller(kind, **cfg_changes):
+    cfg = mpc_config(**cfg_changes)
     traj = lti_trajectory(300, seed=21)
     if kind == "deepc":
         return DeepcController(partition(traj, cfg.t_ini, cfg.horizon), cfg)
@@ -386,3 +386,62 @@ def test_non_finite_window_rejected(kind, monkeypatch):
         window[name][-1] = bad
         with pytest.raises(NonFiniteWindowError, match=name):
             ctrl.solve_step(window["u_ini"], window["y_ini"], window["p_hist"], np.zeros(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("warm_start", [True, False])
+@pytest.mark.parametrize("kind", ["deepc", "mpc", "npv"])
+def test_step_contract(kind, warm_start, monkeypatch):
+    """Every controller's step: result layout, recomputed cost, shifted warm start."""
+    ctrl = _window_controller(kind, warm_start=warm_start)
+    # perfbench times each controller through its own entry
+    assert "solve_step" in type(ctrl).__dict__
+    cfg, nu = ctrl.cfg, ctrl.cost.nu
+    starts = []
+    solve_qp, solve_sqp = control.solve_qp, npv.solve_sqp
+
+    def spy_qp(prob, x0=None, **kw):
+        starts.append((x0, prob))
+        return solve_qp(prob, x0=x0, **kw)
+
+    def spy_sqp(cost_fn, eq_fn, lb, ub, x0, **kw):
+        starts.append((x0, eq_fn))
+        return solve_sqp(cost_fn, eq_fn, lb, ub, x0, **kw)
+
+    monkeypatch.setattr(control, "solve_qp", spy_qp)
+    monkeypatch.setattr(npv, "solve_sqp", spy_sqp)
+    traj = lti_trajectory(300, seed=21)
+    r_vec = np.array([0.5, -0.5])
+    steps, u_prevs = [], []
+    for k in (0, 1):
+        window = slice(k, k + cfg.t_ini)
+        u_prevs.append(traj.u[k + cfg.t_ini - 1])
+        u, step = ctrl.solve_step(traj.u[window], traj.y[window], traj.p[window], r_vec, u_prevs[-1])
+        assert step.u_seq.shape == (cfg.horizon, cfg.n_u)
+        assert step.y_pred.shape == (cfg.horizon, cfg.n_y)
+        assert np.array_equal(u, step.u_seq[0]) and np.array_equal(step.u_apply, step.u_seq[0])
+        assert step.cost == TrackingCost(cfg).value(step.u_seq, step.y_pred, r_vec, u_prevs[-1])
+        steps.append(step)
+    assert len(starts) == 2
+
+    def assert_cold(x0, u_prev):
+        if kind == "npv":
+            assert np.array_equal(x0[:nu], np.tile(np.clip(u_prev, cfg.u_lo, cfg.u_hi), cfg.horizon))
+        else:
+            assert x0 is None
+
+    assert_cold(starts[0][0], u_prevs[0])
+    x0, problem = starts[1]
+    if not warm_start:
+        assert_cold(x0, u_prevs[1])
+        return
+    u_shift = np.vstack([steps[0].u_seq[1:], steps[0].u_seq[-1:]]).ravel()
+    y_shift = np.vstack([steps[0].y_pred[1:], steps[0].y_pred[-1:]]).ravel()
+    assert np.array_equal(x0[:nu], u_shift)
+    if kind == "deepc":
+        assert np.array_equal(x0[nu:], y_shift)
+    elif kind == "mpc":
+        # the shifted inputs with their own rollout
+        assert np.array_equal(x0[nu:], ctrl.gamma @ u_shift + problem.b_eq)
+    else:
+        # the outputs start on the prediction of the shifted inputs
+        assert np.max(np.abs(problem(x0)[0])) <= 1e-12

@@ -113,6 +113,11 @@ INVALID = {
     "empty_reference": {"scenario": {"reference": []}},
     "empty_d_schedule": {"scenario": {"d_schedule": []}},
     "empty_cem_d_schedule": {"cem_scenario": {"d_schedule": []}},
+    "empty_sweep_distances": {"scenario": {"sweep_distances": []}},
+    "empty_controllers": {"scenario": {"controllers": []}},
+    "npv_lambda_g": {"controllers": {"npv_deepc": {"lambda_g": 1.0e12}}},
+    "mpc_regularizer": {"controllers": {"mpc": {"regularizer": "two_norm"}}},
+    "cem_lambda_sigma": {"controllers": {"cem": {"lambda_sigma": 1.0}}},
 }
 
 

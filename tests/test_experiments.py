@@ -73,12 +73,16 @@ def test_tracking_loop_step_protocol():
     assert {g[0] for _, g, _ in ctl.calls} == {30.0, 31.0}
 
 
-def test_distance_sweep_creates_output_dir(tmp_path):
+def test_distance_sweep_creates_output_dir(tmp_path, monkeypatch):
     cfg = RunConfig()
-    cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, controllers=()))
+    cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, controllers=("mpc",), sweep_n_steps=5))
+    monkeypatch.setattr(experiments, "make_controller",
+                        lambda *args: RecordingTracker(ControllerConfig(t_ini=3, horizon=4)))
     out = tmp_path / "fresh" / "sweep"
     doc = experiments.run_distance_sweep(cfg, out, pipe=object())
-    assert (out / "distance_sweep.csv").read_text().splitlines() == ["d_mm,controller,rmse"]
+    rows = (out / "distance_sweep.csv").read_text().splitlines()
+    assert rows[0] == "d_mm,controller,rmse"
+    assert [row.split(",")[:2] for row in rows[1:]] == [[repr(d), "mpc"] for d in cfg.scenario.sweep_distances]
     assert set(doc["rmse"]) == {str(d) for d in cfg.scenario.sweep_distances}
 
 
