@@ -95,6 +95,11 @@ class MpcSection(ControllerSettings):
     n_a: int = 3
     n_b: int = 3
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_a < 0 or self.n_b < 0 or self.n_a + self.n_b < 1:
+            raise ValueError(f"ARX orders need n_a, n_b >= 0 and n_a + n_b >= 1, got {self.n_a}, {self.n_b}")
+
 
 @dataclass(frozen=True)
 class CemSection(ControllerSettings):
@@ -162,6 +167,8 @@ class TrackingScenario:
         _check_distances("d_schedule distances", [d for _, d in self.d_schedule])
         _check_distances("sweep_distances", self.sweep_distances)
         _check_step_counts(n_steps=self.n_steps, sweep_n_steps=self.sweep_n_steps)
+        if not self.noise_sigma >= 0.0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -177,6 +184,8 @@ class CemScenario:
         _check_schedules(d_schedule=self.d_schedule)
         _check_distances("d_schedule distances", [d for _, d in self.d_schedule])
         _check_step_counts(n_steps=self.n_steps)
+        if not self.noise_sigma >= 0.0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,8 @@ from .hypernet import HyperDnnModel, WindowDataset, predict_batch, train
 from .metrics import RunMetrics, bfr, control_energy, cpu_stats, ise, rmse
 from .npv import (
     CemController,
-    NeuralController,
     NeuralHankel,
     NpvController,
-    frozen_parameter_history,
     hankel_with_params,
     lemma2_residual,
     npv_prediction,
@@ -178,8 +176,8 @@ def build_pipeline(
     neural_hs, p_cols = hankel_with_params(
         traj, ctl.t_ini, ctl.horizon, n_cols=cfg.hankel.k_neural - (ctl.t_ini + ctl.horizon) + 1
     )
-    nh_frozen = transform_hankel(model, neural_hs, p_cols, p_override=frozen_parameter_history(model))
     nh = transform_hankel(model, neural_hs, p_cols)
+    nh_frozen = transform_hankel(model.frozen(), neural_hs, p_cols)
     arx = identify_arx(traj, cfg.controllers.mpc.n_a, cfg.controllers.mpc.n_b)
     return Pipeline(
         traj=traj, model=model,
@@ -203,10 +201,10 @@ def make_controller(name: str, cfg: RunConfig, pipe: Pipeline, box: BoxConstrain
     sc = cfg.scenario
     if name == "npv_deepc":
         c = controller_config(cfg.controllers.npv_deepc, sc.y_lb_relax, sc.y_ub_margin, box)
-        return NpvController(pipe.model, pipe.neural_hankel, c)
+        return NpvController(pipe.neural_hankel, c)
     if name == "neural_deepc":
         c = controller_config(cfg.controllers.neural_deepc, sc.y_lb_relax, sc.y_ub_margin, box)
-        return NeuralController(pipe.model, pipe.frozen_hankel, c)
+        return NpvController(pipe.frozen_hankel, c)
     if name == "deepc":
         c = controller_config(cfg.controllers.deepc, sc.y_lb_relax, sc.y_ub_margin, box)
         return DeepcController(pipe.deepc_hankel, c)
@@ -503,8 +501,8 @@ def run_distance_sweep(cfg: RunConfig, out_dir, pipe: Pipeline | None = None) ->
     return doc
 
 
-def build_cem_pipeline(cfg: RunConfig):
-    """Dataset, model and operators for the dose plant and short horizon."""
+def build_cem_pipeline(cfg: RunConfig) -> NeuralHankel:
+    """Neural Hankel, with its freshly trained model, for the dose plant and short horizon."""
     cem_cfg = cfg.controllers.cem
     plant = surrogate_from_config(cfg, b_s_override=cfg.cem_scenario.b_s)
     traj = build_dataset(cfg, plant=plant, label="cem-dataset")
@@ -513,11 +511,10 @@ def build_cem_pipeline(cfg: RunConfig):
         traj, cem_cfg.t_ini, cem_cfg.horizon,
         n_cols=cfg.hankel.k_neural - (cem_cfg.t_ini + cem_cfg.horizon) + 1,
     )
-    nh = transform_hankel(model, hs, p_cols)
-    return traj, model, nh
+    return transform_hankel(model, hs, p_cols)
 
 
-def run_cem_loop(cfg: RunConfig, model, nh, noise_sigma: float, noise_label: str) -> list[LoopRecord]:
+def run_cem_loop(cfg: RunConfig, nh: NeuralHankel, noise_sigma: float, noise_label: str) -> list[LoopRecord]:
     """Closed-loop thermal-dose delivery from ambient on the dose plant.
 
     The controller's goal is the measured dose estimate, and each step
@@ -528,7 +525,7 @@ def run_cem_loop(cfg: RunConfig, model, nh, noise_sigma: float, noise_label: str
     plant = surrogate_from_config(cfg, b_s_override=scc.b_s)
     ctl_cfg = controller_config(cem_cfg, 1.0, cem_cfg.y_ub_margin, plant.box)
     controller = CemController(
-        model, nh, ctl_cfg,
+        nh, ctl_cfg,
         cem_target=cem_cfg.target + cem_cfg.target_margin, dt=plant.dt, r_du=cem_cfg.r_du,
     )
     plant.reset(PlantState(d=piecewise(scc.d_schedule, 0.0)))
@@ -570,13 +567,13 @@ def cem_summary(cfg: RunConfig, records: list[LoopRecord]) -> dict:
     }
 
 
-def run_cem(cfg: RunConfig, out_dir, artifacts=None) -> dict:
+def run_cem(cfg: RunConfig, out_dir) -> dict:
     out_dir = Path(out_dir)
-    traj, model, nh = artifacts if artifacts is not None else build_cem_pipeline(cfg)
+    nh = build_cem_pipeline(cfg)
     doc = {"config_hash": config_hash(cfg), "seed": cfg.seed, "scenario": "cem", "runs": {}}
     timing = {}
     for noise_label, sigma in (("noise_free", 0.0), ("noisy", cfg.cem_scenario.noise_sigma)):
-        records = run_cem_loop(cfg, model, nh, sigma, noise_label)
+        records = run_cem_loop(cfg, nh, sigma, noise_label)
         write_steps_csv(out_dir / f"cem_{noise_label}_steps.csv", records, with_cem=True)
         doc["runs"][noise_label] = cem_summary(cfg, records)
         timing[noise_label] = cpu_stats([rec.wall_time_s for rec in records])

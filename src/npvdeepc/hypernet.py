@@ -14,7 +14,7 @@ helpers accept raw signals and normalize/denormalize at the boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -218,16 +218,20 @@ class HyperDnnModel:
         p_vec = np.asarray(p_vec, dtype=float).ravel()
         if p_vec.size != self.dims.nu_p:
             raise ValueError(f"parameter vector length {p_vec.size}, expected {self.dims.nu_p}")
-        out = []
-        for i, spec in enumerate(self.layer_specs):
-            if spec.kind == "hyper":
-                w = self.params[f"h{i}_base_w"] + np.tensordot(p_vec, self.params[f"h{i}_sens_w"], axes=1)
-                b = self.params[f"h{i}_base_b"] + self.params[f"h{i}_sens_b"] @ p_vec
-            else:
-                w = self.params[f"f{i}_w"]
-                b = self.params[f"f{i}_b"]
-            out.append((w, b))
-        return out
+        return _hidden_layers(self.layer_specs, self.params, p_vec)
+
+    def frozen(self) -> "HyperDnnModel":
+        """The fixed-basis baseline: a new model whose ``hyper_forward`` returns,
+        for every input, this model's layers at the normalized training-set mean.
+        """
+        if self.p_train_mean is None:
+            raise ValueError("model carries no training-set mean parameter")
+        p_bar = self.scalers.p.normalize(self.p_train_mean.reshape(-1, self.dims.n_p)).ravel()
+        params = {"out_w": self.params["out_w"], "out_b": self.params["out_b"]}
+        for i, (w, b) in enumerate(_hidden_layers(self.layer_specs, self.params, p_bar)):
+            params[f"f{i}_w"], params[f"f{i}_b"] = w, b
+        specs = [replace(spec, kind="fixed") for spec in self.layer_specs]
+        return HyperDnnModel(self.dims, specs, params, self.scalers, p_train_mean=self.p_train_mean)
 
     def phi_hl(self, nn_in: NnInput) -> np.ndarray:
         """Feature vector of the last hidden layer; components in (-1, 1)."""
@@ -298,6 +302,16 @@ class HyperDnnModel:
         w_raw = gain[:, None] * self.params["out_w"]
         b_raw = gain * self.params["out_b"] + offset
         return np.hstack([w_raw, b_raw[:, None]])
+
+
+def _hidden_layers(layer_specs, params, p_vec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Hidden-layer (W_i, b_i) at one normalized parameter vector."""
+    return [
+        (params[f"h{i}_base_w"] + np.tensordot(p_vec, params[f"h{i}_sens_w"], axes=1),
+         params[f"h{i}_base_b"] + params[f"h{i}_sens_b"] @ p_vec)
+        if spec.kind == "hyper" else (params[f"f{i}_w"], params[f"f{i}_b"])
+        for i, spec in enumerate(layer_specs)
+    ]
 
 
 def _tanh_stack(layers, u_nn, future: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -452,6 +466,10 @@ class TrainConfig:
     def __post_init__(self):
         if len(self.hidden_sizes) != len(self.modulated):
             raise ValueError("hidden_sizes and modulated must have the same length")
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise ValueError(f"hidden_sizes needs one or more layers of width >= 1, got {list(self.hidden_sizes)}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if self.batch_size is not None and self.batch_size < 1:

@@ -13,9 +13,9 @@ outputs n_y N), so that kernel is trivial and the correction vanishes.
 The feature map alone is nonlinear in u, so a Gauss-Newton SQP with the
 analytic feature Jacobian converges in a handful of iterations.
 
-The fixed-basis variant freezes the hypernet at the training-set mean
-parameter, removing the parameter-varying adaptation but keeping everything
-else identical.  The thermal-dose variant tracks its surface-temperature
+The fixed-basis baseline is the same controller on the Hankel of
+``HyperDnnModel.frozen()``, the hypernet frozen at the training-set mean
+parameter.  The thermal-dose variant tracks its surface-temperature
 ceiling until the dose target is within the horizon's reach, then swaps the
 tracking cost for a terminal dose miss with a smoothed activation switch.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "npv_prediction",
     "problem_size",
     "NpvController",
-    "NeuralController",
     "CemController",
     "smoothed_kappa",
     "predicted_cem",
@@ -54,12 +53,14 @@ class RankDeficientError(ValueError):
 
 @dataclass
 class NeuralHankel:
-    """Feature-space data matrices and their precomputed pseudo-inverse operators.
+    """Feature-space data matrices, their operators and the model that built them.
 
-    ``theta_ls`` is the least-squares output map Y_f pinv(col(Phi, 1')) that
-    every controller predicts with; nothing else stores it.
+    A controller reads its predictor ``model`` here, so it cannot pair one
+    model with another model's data.  ``theta_ls`` is the least-squares
+    output map Y_f pinv(col(Phi, 1')) every controller predicts with.
     """
 
+    model: HyperDnnModel
     phi_hl: np.ndarray        # (nu_L, n_cols)
     yf: np.ndarray            # (n_y*N, n_cols)
     m: np.ndarray             # pinv of col(phi_hl, 1'):  (n_cols, nu_L+1)
@@ -93,16 +94,13 @@ def transform_hankel(
     model: HyperDnnModel,
     hs: HankelSet,
     p_hist_cols: np.ndarray,
-    p_override: np.ndarray | None = None,
     rank_rtol: float = 1e-8,
 ) -> NeuralHankel:
     """Push every Hankel column through the feature map and precompute operators.
 
-    A pure function: the model is only read.  ``p_override`` replaces the
-    per-column parameter history with one fixed raw history (the
-    fixed-basis controller variant).  Construction fails if the stacked
-    feature matrix loses full row rank, since the affine combination then
-    no longer spans the neural space.
+    A pure function: the model is only read, and the result keeps it.
+    Construction fails if the stacked feature matrix loses full row rank,
+    since the affine combination then no longer spans the neural space.
     """
     d = model.dims
     if hs.t_ini != d.t_ini or hs.horizon != d.horizon:
@@ -126,8 +124,6 @@ def transform_hankel(
         t_ini=d.t_ini, horizon=d.horizon,
     )
     u_nn, p_in, _ = assemble_normalized(windows, model.scalers, d.hyper_input)
-    if p_override is not None:
-        p_in = np.broadcast_to(model.normalize_p(p_override), p_in.shape)
     if not (np.all(np.isfinite(u_nn)) and np.all(np.isfinite(p_in))):
         raise ValueError("non-finite network input")
     phi = model.phi_hl_batch(u_nn, p_in).T
@@ -144,6 +140,7 @@ def transform_hankel(
     kmat = stack @ pinv(hs.yf)
     k_svals = np.linalg.svd(kmat, compute_uv=False)
     return NeuralHankel(
+        model=model,
         phi_hl=phi,
         yf=hs.yf.copy(),
         m=m,
@@ -207,8 +204,9 @@ class NpvController(HorizonController):
     direction of kmat would leave an output correction free that this
     program does not carry.
 
-    The hidden weights depend only on the measured parameter history, so
-    each step computes them once (one ``hyper_forward`` call) and hands the
+    The predictor is ``nh.model``.  Its hidden weights depend only on the
+    measured parameter history (not at all for a frozen model), so each
+    step computes them once (one ``hyper_forward`` call) and hands the
     layer list to the constraint and curvature callbacks and to the initial
     point; every candidate input of the solve reuses them.
 
@@ -216,22 +214,15 @@ class NpvController(HorizonController):
     its SQP solve.
     """
 
-    def __init__(
-        self,
-        model: HyperDnnModel,
-        nh: NeuralHankel,
-        cfg: ControllerConfig,
-        p_override: np.ndarray | None = None,
-    ):
-        d = model.dims
+    def __init__(self, nh: NeuralHankel, cfg: ControllerConfig):
+        d = nh.model.dims
         if (cfg.t_ini, cfg.horizon, cfg.n_u, cfg.n_y) != (d.t_ini, d.horizon, d.n_u, d.n_y):
             raise DimensionError("controller config does not match the model dims")
         super().__init__(cfg)
-        self.model = model
+        self.model = nh.model
         self.nh = nh
         self.n_p = d.n_p
-        self.p_override = None if p_override is None else np.asarray(p_override, dtype=float)
-        self.nu_l = model.nu_l
+        self.nu_l = nh.model.nu_l
         self.nu, self.ny = self.cost.nu, self.cost.ny
         if nh.kmat_rank < self.ny:
             raise RankDeficientError(
@@ -243,10 +234,6 @@ class NpvController(HorizonController):
 
     def problem_size(self) -> dict[str, int]:
         return problem_size(self.cfg, self.nu_l)
-
-    def _p_norm_for_step(self, p_hist) -> np.ndarray:
-        src = self.p_override if self.p_override is not None else p_hist
-        return self.model.normalize_p(src)
 
     def _network_input(self, u_ini_n, y_ini_n, u_seq_raw) -> np.ndarray:
         """Normalized network input for a raw candidate input sequence."""
@@ -333,7 +320,7 @@ class NpvController(HorizonController):
         u_ini_n = self.model.scalers.u.normalize(u_ini.reshape(d.t_ini, d.n_u)).ravel()
         y_ini_n = self.model.scalers.y.normalize(y_ini.reshape(d.t_ini, d.n_y)).ravel()
         # the hidden weights depend on the measured parameter history only
-        layers = self.model.hyper_forward(self._p_norm_for_step(p_hist))
+        layers = self.model.hyper_forward(self.model.normalize_p(p_hist))
 
         eq_fn = self._constraint_fn(u_ini_n, y_ini_n, layers)
         x, diag = solve_sqp(
@@ -349,27 +336,6 @@ class NpvController(HorizonController):
 
     # an entry of its own, so profilers and perfbench time each controller apart
     solve_step = HorizonController.solve_step
-
-
-class NeuralController(NpvController):
-    """Fixed-basis neural DeePC: hypernet frozen at the training-set mean parameter.
-
-    The frozen history must be applied consistently, online and to the data:
-    build the NeuralHankel with ``p_override=frozen_parameter_history(model)``.
-    """
-
-    def __init__(self, model: HyperDnnModel, nh: NeuralHankel, cfg: ControllerConfig):
-        super().__init__(model, nh, cfg, p_override=frozen_parameter_history(model))
-
-
-def frozen_parameter_history(model: HyperDnnModel) -> np.ndarray:
-    """Raw parameter history pinned at the training-set mean."""
-    if model.p_train_mean is None:
-        raise ValueError("model carries no training-set mean parameter")
-    p = model.p_train_mean
-    if model.dims.hyper_input == "current":
-        p = np.tile(p, model.dims.t_ini)
-    return p
 
 
 def smoothed_kappa(ts) -> np.ndarray:
@@ -427,14 +393,13 @@ class CemController(NpvController):
 
     def __init__(
         self,
-        model: HyperDnnModel,
         nh: NeuralHankel,
         cfg: ControllerConfig,
         cem_target: float,
         dt: float,
         r_du: float = 1e-3,
     ):
-        super().__init__(model, nh, cfg)
+        super().__init__(nh, cfg)
         self.cem_target = float(cem_target)
         self.dt_minutes = dt / 60.0
         self.r_du = float(r_du)

@@ -1,10 +1,10 @@
 """End-to-end acceptance suite.
 
 Each test implements one release criterion at its stated tolerance and prints
-one PASS/FAIL line.  The heavy artifacts (dataset, trained model, Hankel
+one PASS/FAIL line.  The heavy products (dataset, trained model, Hankel
 operators, benchmark runs) are built once per session from the desk-scale
 configuration in ``configs/desk.yaml`` with a fixed seed.  A few guards
-without a criterion of their own read the same artifacts.
+without a criterion of their own read the same products.
 """
 
 import csv

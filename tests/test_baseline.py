@@ -351,7 +351,7 @@ def _window_controller(kind, **cfg_changes):
     model = random_model(np.random.default_rng(21), t_ini=cfg.t_ini, horizon=cfg.horizon,
                          hidden=(2 * cfg.horizon,))
     nh = transform_hankel(model, *hankel_with_params(traj, cfg.t_ini, cfg.horizon))
-    return NpvController(model, nh, cfg)
+    return NpvController(nh, cfg)
 
 
 @pytest.mark.parametrize("kind", ["deepc", "mpc", "npv"])

@@ -118,6 +118,12 @@ INVALID = {
     "npv_lambda_g": {"controllers": {"npv_deepc": {"lambda_g": 1.0e12}}},
     "mpc_regularizer": {"controllers": {"mpc": {"regularizer": "two_norm"}}},
     "cem_lambda_sigma": {"controllers": {"cem": {"lambda_sigma": 1.0}}},
+    "no_hidden_layer": {"model": {"hidden_sizes": [], "modulated": []}},
+    "zero_width_layer": {"model": {"hidden_sizes": [0]}},
+    "max_epochs": {"model": {"max_epochs": 0}},
+    "noise_sigma": {"scenario": {"noise_sigma": -0.1}},
+    "cem_noise_sigma": {"cem_scenario": {"noise_sigma": -0.1}},
+    "mpc_empty_regressor": {"controllers": {"mpc": {"n_a": 0, "n_b": 0}}},
 }
 
 

@@ -27,7 +27,7 @@ def _distinct_step(k, horizon):
 class RecordingCem:
     """Stand-in dose controller: logs the u_prev it is given, returns distinct inputs."""
 
-    def __init__(self, model, nh, cfg, cem_target, dt, r_du):
+    def __init__(self, nh, cfg, cem_target, dt, r_du):
         self.cfg = cfg
         self.u_prev_seen = []
 
@@ -96,7 +96,7 @@ def test_cem_loop_advances_u_prev(monkeypatch):
     monkeypatch.setattr(experiments, "CemController", factory)
     cfg = RunConfig()
     cfg = dataclasses.replace(cfg, cem_scenario=dataclasses.replace(cfg.cem_scenario, n_steps=5))
-    records = run_cem_loop(cfg, None, None, 0.0, "u-prev")
+    records = run_cem_loop(cfg, None, 0.0, "u-prev")
     seen = made[0].u_prev_seen
     assert len(seen) == len(records) == 5
     assert np.array_equal(seen[0], surrogate_from_config(cfg).box.u_lo)

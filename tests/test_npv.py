@@ -1,14 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from npvdeepc import npv, optim
-from npvdeepc.control import ControllerConfig, TrackingCost
+from npvdeepc.control import ControllerConfig, StepResult, TrackingCost
 from npvdeepc.hankel import Window
 from npvdeepc.hypernet import HyperDnnModel, TrainConfig, WindowDataset, save_model, train
 from npvdeepc.optim import solve_sqp
 from npvdeepc.npv import (
     CemController,
-    NeuralController,
     NpvController,
     RankDeficientError,
     hankel_with_params,
@@ -95,14 +96,12 @@ class TestTransform:
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_leaves_model_untouched(self, setup, tmp_path, frozen):
-        from npvdeepc.npv import frozen_parameter_history
-
         traj, model, *_ = setup
         hs, p_cols = hankel_with_params(traj, T_INI, HORIZON, n_cols=150)
         before, after = tmp_path / "before.json", tmp_path / "after.json"
         save_model(model, before)
-        p_override = frozen_parameter_history(model) if frozen else None
-        transform_hankel(model, hs, p_cols, p_override=p_override)
+        nh = transform_hankel(model.frozen() if frozen else model, hs, p_cols)
+        assert (nh.model is model) is not frozen
         save_model(model, after)
         assert after.read_bytes() == before.read_bytes()
 
@@ -176,7 +175,7 @@ class TestProblemSize:
 
     def test_controller_reports_same(self, setup):
         _, model, hs, p_cols, nh = setup
-        ctrl = NpvController(model, nh, wide_cfg())
+        ctrl = NpvController(nh, wide_cfg())
         size = ctrl.problem_size()
         n, nu_l = HORIZON, model.nu_l
         assert size["decision_variables"] == (2 + 4) * n + nu_l + 1
@@ -191,7 +190,7 @@ class TestSolveStep:
     def test_fixed_u_matches_nls_prediction(self, setup):
         traj, model, hs, p_cols, nh = setup
         cfg = wide_cfg()
-        ctrl = NpvController(model, nh, cfg)
+        ctrl = NpvController(nh, cfg)
         w = self._window(traj)
         u_fixed = np.tile([4.0, 3.0], HORIZON)
         ctrl.lb[:ctrl.nu] = u_fixed
@@ -204,7 +203,7 @@ class TestSolveStep:
 
     def test_prediction_consistency_recompute(self, setup):
         traj, model, hs, p_cols, nh = setup
-        ctrl = NpvController(model, nh, wide_cfg())
+        ctrl = NpvController(nh, wide_cfg())
         w = self._window(traj, start=150)
         u, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([31.0, 40.0]), [4.0, 3.0])
         nn_in = model.nn_input(w.u_ini, w.y_ini, step.u_seq.ravel(), w.p_hist)
@@ -214,7 +213,7 @@ class TestSolveStep:
 
     def test_input_bounds_respected(self, setup):
         traj, model, hs, p_cols, nh = setup
-        ctrl = NpvController(model, nh, wide_cfg())
+        ctrl = NpvController(nh, wide_cfg())
         w = self._window(traj, start=200)
         u, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([60.0, 40.0]), [4.0, 3.0])
         assert np.all(step.u_seq >= np.array([1.5, 1.0]) - 0.0)
@@ -223,8 +222,8 @@ class TestSolveStep:
     def test_warm_cold_same_solution(self, setup):
         traj, model, hs, p_cols, nh = setup
         rng = np.random.default_rng(2)
-        cold = NpvController(model, nh, wide_cfg(warm_start=False))
-        warm = NpvController(model, nh, wide_cfg(warm_start=True))
+        cold = NpvController(nh, wide_cfg(warm_start=False))
+        warm = NpvController(nh, wide_cfg(warm_start=True))
         for trial in range(10):
             start = int(rng.integers(50, 300))
             w = self._window(traj, start)
@@ -240,7 +239,7 @@ class TestSolveStep:
         _, model, _, _, nh = narrow_setup
         assert nh.kmat_rank == model.nu_l + 1 < 2 * HORIZON
         with pytest.raises(RankDeficientError, match=r"n_y\*N = 10 with nu_L \+ 1 = 5"):
-            NpvController(model, nh, wide_cfg())
+            NpvController(nh, wide_cfg())
 
 
 def _kernel_rank(kmat) -> int:
@@ -330,7 +329,7 @@ class TestCondensedForm:
     def test_matches_structural_program(self, setup):
         traj, model, hs, p_cols, nh = setup
         cfg = wide_cfg(warm_start=False)
-        ctrl = NpvController(model, nh, cfg)
+        ctrl = NpvController(nh, cfg)
         assert _kernel_rank(nh.kmat) == ctrl.ny
         assert ctrl.n_var == ctrl.nu + ctrl.ny
         rng = np.random.default_rng(5)
@@ -355,7 +354,7 @@ class TestCondensedForm:
 
         monkeypatch.setattr(npv, "solve_sqp", spy)
         w = Window.from_trajectory(traj, 100, T_INI, HORIZON)
-        ctrl = NpvController(model, nh, wide_cfg())
+        ctrl = NpvController(nh, wide_cfg())
         ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
         c, jac = seen[-1]
         assert c.shape == (ctrl.ny,)
@@ -378,10 +377,11 @@ class TestStepWork:
         monkeypatch.setattr(HyperDnnModel, "hyper_forward", counted)
         if kind == "cem":
             cfg = wide_cfg(y_lo=(24.0, 19.0), y_hi=(30.0, 80.0))
-            ctrl = CemController(model, nh, cfg, cem_target=0.3, dt=traj.dt)
+            ctrl = CemController(nh, cfg, cem_target=0.3, dt=traj.dt)
         else:
             cfg = wide_cfg()
-            ctrl = (NpvController if kind == "npv" else NeuralController)(model, nh, cfg)
+            # building the frozen model and its Hankel runs no hyper_forward
+            ctrl = NpvController(nh if kind == "npv" else transform_hankel(model.frozen(), hs, p_cols), cfg)
         starts = (60, 61, 62, 150)
         for start in starts:
             w = Window.from_trajectory(traj, start, T_INI, HORIZON)
@@ -402,7 +402,7 @@ class TestStepWork:
             return restore(*args, **kwargs)
 
         monkeypatch.setattr(optim, "_restore_equalities", counted)
-        ctrl = NpvController(model, nh, wide_cfg())
+        ctrl = NpvController(nh, wide_cfg())
         iterations = 0
         for start in (60, 61, 62, 63, 150, 151):
             w = Window.from_trajectory(traj, start, T_INI, HORIZON)
@@ -424,7 +424,7 @@ class TestCurvatureGate:
             return solve_sqp(cost_fn, eq_fn, lb, ub, x0, **kw)
 
         monkeypatch.setattr(npv, "solve_sqp", spy)
-        ctrl = NpvController(model, nh, wide_cfg())
+        ctrl = NpvController(nh, wide_cfg())
         w = Window.from_trajectory(traj, 100, T_INI, HORIZON)
         ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
         x = seen["x0"]
@@ -451,36 +451,100 @@ class TestCurvatureGate:
         assert np.linalg.eigvalsh(clipped[:nu, :nu])[0] > -1e-12
 
 
-class TestNeuralVariant:
-    def test_matches_npv_on_frozen_parameter_data(self, setup):
-        from npvdeepc.npv import frozen_parameter_history
+def _mean_parameter(model) -> np.ndarray:
+    """Normalized training-mean hypernet input, through the public normalize_p."""
+    p_raw = model.p_train_mean
+    if model.dims.hyper_input == "current":
+        p_raw = np.tile(p_raw, model.dims.t_ini)
+    return model.normalize_p(p_raw)
 
+
+def _frozen_cols(model, hs) -> np.ndarray:
+    """Every Hankel column's parameter history pinned at the training mean."""
+    return np.tile(model.p_train_mean[:, None], (1, hs.n_cols))
+
+
+class TestNeuralVariant:
+    """The fixed-basis baseline: NpvController on the Hankel of ``model.frozen()``."""
+
+    @pytest.mark.parametrize("hidden, modulated, hyper_input", [
+        ((6,), (True,), "history"),
+        ((6,), (True,), "current"),
+        ((6, 4), (True, False), "history"),
+    ], ids=["history", "current", "mixed"])
+    def test_frozen_forward_is_mean_parameter_forward(self, setup, hidden, modulated, hyper_input):
+        ds = WindowDataset.from_trajectory(setup[0], T_INI, HORIZON)
+        cfg = TrainConfig(hidden_sizes=hidden, modulated=modulated, hyper_input=hyper_input,
+                          max_epochs=5, patience=5)
+        model = train(ds, cfg, seed=1)
+        frozen = model.frozen()
+        assert [spec.kind for spec in frozen.layer_specs] == ["fixed"] * len(hidden)
+        ref = model.hyper_forward(_mean_parameter(model))
+        for p_vec in np.random.default_rng(4).uniform(-1.0, 1.0, (3, model.dims.nu_p)):
+            layers = frozen.hyper_forward(p_vec)
+            assert len(layers) == len(ref)
+            for (w, b), (w_ref, b_ref) in zip(layers, ref):
+                assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
+            # the hypernet itself follows p_vec
+            assert not np.array_equal(model.hyper_forward(p_vec)[0][0], ref[0][0])
+
+    def test_controller_ignores_parameter_history(self, setup):
         traj, model, hs, p_cols, nh = setup
-        p_bar = frozen_parameter_history(model)
+        nh_frozen = transform_hankel(model.frozen(), hs, p_cols)
+        w = Window.from_trajectory(traj, 130, T_INI, HORIZON)
+        histories = (w.p_hist, w.p_hist + 2.0)
+        steps = {}
+        for name, data in (("npv", nh), ("frozen", nh_frozen)):
+            steps[name] = [
+                NpvController(data, wide_cfg()).solve_step(
+                    w.u_ini, w.y_ini, p_hist, np.array([30.0, 40.0]), [4.0, 3.0])[1]
+                for p_hist in histories
+            ]
+        a, b = steps["frozen"]
+        assert a.iterations > 0
+        for f in dataclasses.fields(StepResult):
+            if f.name != "wall_time_s":
+                assert _same(getattr(a, f.name), getattr(b, f.name)), f.name
+        # the parameter-varying controller on the same windows does move
+        assert not np.array_equal(steps["npv"][0].u_seq, steps["npv"][1].u_seq)
+
+    def test_frozen_transform_consistent_on_frozen_data(self, setup):
+        traj, model, hs, p_cols, nh = setup
+        nh_a = transform_hankel(model.frozen(), hs, p_cols)
+        nh_b = transform_hankel(model, hs, _frozen_cols(model, hs))
+        for name in ("phi_hl", "m", "kmat", "theta_ls"):
+            gap = np.max(np.abs(getattr(nh_a, name) - getattr(nh_b, name)))
+            assert gap < 1e-12, name
+
+    def test_matches_npv_on_frozen_parameter_data(self, setup):
+        traj, model, hs, p_cols, nh = setup
         cfg = wide_cfg()
-        nh_frozen = transform_hankel(model, hs, p_cols, p_override=p_bar)
-        neural = NeuralController(model, nh_frozen, cfg)
-        npv = NpvController(model, nh_frozen, cfg)
+        neural = NpvController(transform_hankel(model.frozen(), hs, p_cols), cfg)
+        npv = NpvController(transform_hankel(model, hs, _frozen_cols(model, hs)), cfg)
         w = Window.from_trajectory(traj, 130, T_INI, HORIZON)
         # feed the NPV controller the frozen history: identical problems
         u_neural, _ = neural.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
-        u_npv, _ = npv.solve_step(w.u_ini, w.y_ini, p_bar, np.array([30.0, 40.0]), [4.0, 3.0])
+        u_npv, _ = npv.solve_step(w.u_ini, w.y_ini, model.p_train_mean, np.array([30.0, 40.0]), [4.0, 3.0])
         assert np.max(np.abs(u_neural - u_npv)) < 1e-6
-
-    def test_frozen_transform_consistent_on_frozen_data(self, setup):
-        from npvdeepc.npv import frozen_parameter_history
-
-        traj, model, hs, p_cols, nh = setup
-        p_bar = frozen_parameter_history(model)
-        frozen_cols = np.tile(p_bar[:, None], (1, hs.n_cols))
-        nh_a = transform_hankel(model, hs, p_cols, p_override=p_bar)
-        nh_b = transform_hankel(model, hs, frozen_cols)
-        assert np.allclose(nh_a.phi_hl, nh_b.phi_hl, atol=1e-14)
 
     def test_problem_sizes_identical(self, setup):
         _, model, hs, p_cols, nh = setup
         cfg = wide_cfg()
-        assert NeuralController(model, nh, cfg).problem_size() == NpvController(model, nh, cfg).problem_size()
+        neural = NpvController(transform_hankel(model.frozen(), hs, p_cols), cfg)
+        assert neural.problem_size() == NpvController(nh, cfg).problem_size()
+
+    def test_frozen_requires_training_mean(self, setup):
+        model = setup[1]
+        bare = HyperDnnModel(model.dims, model.layer_specs, model.params, model.scalers)
+        with pytest.raises(ValueError, match="training-set mean"):
+            bare.frozen()
+
+
+def _same(a, b) -> bool:
+    """Bit-equal values, recursing into the extras dictionary."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
 
 
 class TestCem:
@@ -511,7 +575,7 @@ class TestCem:
     def test_target_reached_drives_delivery_down(self, setup):
         traj, model, hs, p_cols, nh = setup
         cfg = wide_cfg(r=(0.01, 0.01))
-        ctrl = CemController(model, nh, cfg, cem_target=0.05, dt=traj.dt)
+        ctrl = CemController(nh, cfg, cem_target=0.05, dt=traj.dt)
         w = Window.from_trajectory(traj, 140, T_INI, HORIZON)
         # already delivered: optimizer should minimize further dose
         u_done, step_done = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, cem_now=0.2, u_prev=[4.0, 3.0])
@@ -522,7 +586,7 @@ class TestCem:
     def test_cold_start_leaves_input_floor(self, setup):
         traj, model, hs, p_cols, nh = setup
         cfg = wide_cfg(y_lo=(24.0, 19.0), y_hi=(30.0, 80.0))
-        ctrl = CemController(model, nh, cfg, cem_target=0.3, dt=traj.dt)
+        ctrl = CemController(nh, cfg, cem_target=0.3, dt=traj.dt)
         u_lo = np.asarray(cfg.u_lo)
         u, step = ctrl.solve_step(
             np.tile(u_lo, T_INI), np.tile([25.0, 25.0], T_INI), np.full(T_INI, 3.0),
@@ -540,7 +604,7 @@ class TestCem:
         w = Window.from_trajectory(traj, start, T_INI, HORIZON)
         ts_now = w.y_ini[-2]
         cfg = wide_cfg(y_lo=(20.0, 19.0), y_hi=(ts_now - 2.0, 80.0))
-        ctrl = CemController(model, nh, cfg, cem_target=0.3, dt=traj.dt)
+        ctrl = CemController(nh, cfg, cem_target=0.3, dt=traj.dt)
         u, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, cem_now=0.0, u_prev=w.u_ini[-2:])
         assert np.array_equal(u, np.asarray(cfg.u_lo))
         infeasible = step.status == "infeasible" or step.extras["constraint_residual"] > cfg.kkt_tol
