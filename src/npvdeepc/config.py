@@ -97,8 +97,9 @@ class MpcSection(ControllerSettings):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_a < 0 or self.n_b < 0 or self.n_a + self.n_b < 1:
-            raise ValueError(f"ARX orders need n_a, n_b >= 0 and n_a + n_b >= 1, got {self.n_a}, {self.n_b}")
+        # with no input lag the ARX model has no input channels to control
+        if self.n_a < 0 or self.n_b < 1:
+            raise ValueError(f"ARX orders need n_a >= 0 and n_b >= 1, got {self.n_a}, {self.n_b}")
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,18 @@ class RunConfig:
     scenario: TrackingScenario = field(default_factory=TrackingScenario)
     cem_scenario: CemScenario = field(default_factory=CemScenario)
     output: OutputSection = field(default_factory=OutputSection)
+
+    def __post_init__(self):
+        # each Hankel needs at least one column of depth t_ini + horizon
+        ctl = self.controllers
+        for name, k, sections in (
+            ("k_deepc", self.hankel.k_deepc, ("npv_deepc",)),
+            ("k_neural", self.hankel.k_neural, ("npv_deepc", "cem")),
+        ):
+            for section in sections:
+                depth = getattr(ctl, section).t_ini + getattr(ctl, section).horizon
+                if k < depth:
+                    raise ConfigError(f"hankel.{name} = {k} is below {section}'s t_ini + horizon = {depth}")
 
 
 def _coerce(value, typ, path: str):

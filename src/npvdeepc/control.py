@@ -5,8 +5,9 @@ cost: weighted squared tracking error plus weighted squared input moves,
 with a terminal weight on the last predicted output.  The quadratic pieces
 are assembled here once so every controller prices moves identically.
 Every controller runs one step over the predicted (u, y),
-:class:`HorizonController`, and supplies only its solve: a condensed QP
-for DeePC and ARX-MPC (:class:`LinearQpController`), an SQP otherwise.
+:class:`HorizonController`, and supplies only its solve: one strictly
+convex condensed QP for DeePC and ARX-MPC (:class:`LinearQpController`),
+an SQP otherwise.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class ControllerSettings:
     kkt_tol: float = 1e-6
     max_iter: int = 50                      # SQP outer iterations
     qp_max_iter: int = 200
-    warm_start: bool = True
+    warm_start: bool = True                 # neural controllers only; the linear QPs start cold
     # NPV-DeePC's kernel-slack mode was removed and only False is accepted.
     # The field stays because config_hash covers it and the stored benchmark
     # model's meta file pins that hash; it goes with the next model remake.
@@ -158,6 +159,13 @@ class TrackingCost:
         self.h_y = 2.0 * np.diag(q_bar)
         self._r_bar = r_bar
 
+    def hessian(self) -> np.ndarray:
+        """The block-diagonal Hessian over the stacked z = (u, y)."""
+        h = np.zeros((self.nu + self.ny, self.nu + self.ny))
+        h[:self.nu, :self.nu] = self.h_u
+        h[self.nu:, self.nu:] = self.h_y
+        return h
+
     def linear_terms(self, r_vec: np.ndarray, u_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(g_u, g_y) for the current reference and previous input."""
         n = self.cfg.horizon
@@ -198,13 +206,10 @@ class TrackingCost:
 class HorizonController:
     """One receding-horizon step over z = (u, y), shared by every controller.
 
-    The fixed parts of the program are built once: the tracking Hessian
-    ``h`` and the box ``lb``/``ub``; :meth:`linear_term` prices the current
-    reference.  A step checks the window, calls the subclass's
-    :meth:`_solve`, builds the :class:`StepResult` and keeps the solution,
-    shifted by one step, in ``_shifted`` as the next warm start; run one
-    closed loop per instance.  ``n_p`` counts the parameter channels the
-    predictor reads; with 0, ``p_hist`` is ignored.
+    The box ``lb``/``ub`` over z is built once; :meth:`linear_term` prices
+    the current reference.  A step checks the window, calls the subclass's
+    :meth:`_solve` and builds the :class:`StepResult`.  ``n_p`` counts the
+    parameter channels the predictor reads; with 0, ``p_hist`` is ignored.
     """
 
     n_p = 0
@@ -216,11 +221,6 @@ class HorizonController:
         y_lo, y_hi = self.cost.y_bounds()
         self.lb = np.concatenate([u_lo, y_lo])
         self.ub = np.concatenate([u_hi, y_hi])
-        nu = self.cost.nu
-        self.h = np.zeros((self.lb.size, self.lb.size))
-        self.h[:nu, :nu] = self.cost.h_u
-        self.h[nu:, nu:] = self.cost.h_y
-        self._shifted = None
 
     def linear_term(self, r_vec, u_prev) -> np.ndarray:
         """Linear term of the tracking cost over z for the reference and previous input."""
@@ -250,34 +250,31 @@ class HorizonController:
             wall_time_s=diag.wall_time_s,
             extras=extras,
         )
-        if cfg.warm_start:
-            self._shifted = np.concatenate([
-                np.vstack([u_seq[1:], u_seq[-1:]]).ravel(),
-                np.vstack([y_seq[1:], y_seq[-1:]]).ravel(),
-            ])
         return result.u_apply, result
 
 
 class LinearQpController(HorizonController):
-    """Receding-horizon control by one condensed QP over z = (u, y) per step.
+    """Receding-horizon control by one strictly convex condensed QP per step.
 
-    With w_ini = (u_ini, y_ini) the past window and g(r, u_prev) the
-    :meth:`~HorizonController.linear_term`, a step solves
-
-        min 0.5 z'H z + (g(r, u_prev) + G_ini w_ini)'z
-        s.t. A z = B_ini w_ini + b_0,  lb <= z <= ub
-
-    and applies the first input.  A subclass constructor builds the fixed
-    operators ``h`` (which starts as the tracking Hessian), ``g_ini``,
-    ``a_eq``, ``b_ini`` and ``b_0``; a step forms only the two
-    window-dependent vectors.  Subclasses may override :meth:`_warm_start`
-    and :meth:`_extras`.  Neither linear predictor uses the parameter, so
-    ``p_hist`` is ignored.
+    A subclass constructor builds the program's fixed operators once,
+    including the :class:`~npvdeepc.optim.HessianFactor` ``h_factor`` of its
+    condensed Hessian, so the step QP goes to the dual path of
+    :func:`~npvdeepc.optim.solve_qp` (DeePC on exact data keeps equality
+    rows and the primal path).  Either path starts cold, and
+    ``cfg.warm_start`` does not apply.  A step forms only the
+    window-dependent terms (:meth:`_problem`), solves, raises
+    :class:`SolverError` on an infeasible program and maps the solution to
+    z = (u, y) (:meth:`_z`).  Subclasses may override :meth:`_extras`.
+    Neither linear predictor uses the parameter, so ``p_hist`` is ignored.
     """
 
-    def _warm_start(self, shifted: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
-        """QP start from the last solution shifted by one step."""
-        return shifted
+    def _problem(self, w_ini: np.ndarray, r_vec, u_prev: np.ndarray) -> QpProblem:
+        """The step QP for the past window w_ini = (u_ini, y_ini)."""
+        raise NotImplementedError
+
+    def _z(self, x: np.ndarray, w_ini: np.ndarray) -> np.ndarray:
+        """z = (u, y) from the QP solution."""
+        return x
 
     def _extras(self, w_ini: np.ndarray, z: np.ndarray) -> dict:
         """Controller-specific entries of :attr:`StepResult.extras`."""
@@ -285,15 +282,13 @@ class LinearQpController(HorizonController):
 
     def _solve(self, u_ini, y_ini, p_hist, r_vec, u_prev):
         w_ini = np.concatenate([u_ini, y_ini])
-        prob = QpProblem(
-            h=self.h, g=self.linear_term(r_vec, u_prev) + self.g_ini @ w_ini, a_eq=self.a_eq,
-            b_eq=self.b_ini @ w_ini + self.b_0, lb=self.lb, ub=self.ub, validate=False,
+        x, diag = solve_qp(
+            self._problem(w_ini, r_vec, u_prev), tol=min(self.cfg.kkt_tol, 1e-8), max_iter=self.cfg.qp_max_iter
         )
-        x0 = None if self._shifted is None else self._warm_start(self._shifted, prob.b_eq)
-        z, diag = solve_qp(prob, x0=x0, tol=min(self.cfg.kkt_tol, 1e-8), max_iter=self.cfg.qp_max_iter)
         if diag.status == "infeasible":
             raise SolverError(
                 f"{type(self).__name__} step infeasible: kkt_residual={diag.kkt_residual:.3e}, "
                 f"iterations={diag.iterations}"
             )
+        z = self._z(x, w_ini)
         return z, diag, self._extras(w_ini, z)

@@ -10,6 +10,9 @@ its cost is a fixed quadratic form in r.  Each step then solves a small QP
 over z = (u, y) with the original box, plus the equality rows that the left
 null space of A_w imposes on exact (rank-deficient) data.  This is the
 direct-to-indirect reduction of Dörfler, Coulson & Markovsky (IEEE TAC 2023).
+Without such rows and with a positive definite condensed Hessian, as on
+noisy plant data, the Hessian is factored once and each step takes the dual
+path of :func:`~npvdeepc.optim.solve_qp`; otherwise the primal path.
 
 Two regularizers on g are available; the projection form penalizes only the
 component of g orthogonal to the data-consistency row space and therefore
@@ -22,7 +25,7 @@ import numpy as np
 
 from .control import ControllerConfig, HorizonController, LinearQpController
 from .hankel import DimensionError, HankelSet
-from .optim import pinv, solve_qp  # noqa: F401  (solve_qp kept: perfbench tests read deepc.solve_qp)
+from .optim import HessianFactor, IndefiniteHessianError, QpProblem, pinv, solve_qp  # noqa: F401  (solve_qp kept: perfbench tests read deepc.solve_qp)
 
 __all__ = ["build_projector", "DeepcController"]
 
@@ -44,8 +47,11 @@ class DeepcController(LinearQpController):
 
     Only the condensed operators are kept, as owned arrays no larger than
     the (u, y) block: ``g_ini`` prices the window through the eliminated
-    (g, sigma) cost, and ``a_eq z = b_ini w_ini`` are the left-null-space rows.
-    The step is :meth:`HorizonController.solve_step`.
+    (g, sigma) cost, and ``a_eq z = b_ini w_ini`` are the left-null-space
+    rows (None when there are none).  The Hessian is kept once: as its
+    :class:`~npvdeepc.optim.HessianFactor` ``h_factor`` for the dual path,
+    or as ``h`` for the primal path when there are rows or it is not
+    positive definite.  The step is :meth:`HorizonController.solve_step`.
     """
 
     def __init__(self, hankel_set: HankelSet, cfg: ControllerConfig):
@@ -89,14 +95,28 @@ class DeepcController(LinearQpController):
         p = m.T @ h_w @ m
         p = 0.5 * (p + p.T)
 
-        self.h += p[n_ini:, n_ini:]
+        h = self.cost.hessian() + p[n_ini:, n_ini:]
         self.g_ini = p[n_ini:, :n_ini].copy()
         self.sigma_map = m[ng:].copy()
         # N z = -N_p (u_ini, y_ini); no rows when A_w has full row rank
         left_null = u[:, rank:].T
-        self.a_eq = left_null[:, n_ini:].copy()
-        self.b_ini = -left_null[:, :n_ini]
-        self.b_0 = np.zeros(self.a_eq.shape[0])
+        self.a_eq = self.b_ini = None
+        if left_null.shape[0]:
+            self.a_eq = left_null[:, n_ini:].copy()
+            self.b_ini = -left_null[:, :n_ini]
+        self.h, self.h_factor = h, None
+        if self.a_eq is None:
+            try:
+                self.h, self.h_factor = None, HessianFactor(h)
+            except IndefiniteHessianError:
+                pass
+
+    def _problem(self, w_ini, r_vec, u_prev):
+        return QpProblem(
+            h=self.h, g=self.linear_term(r_vec, u_prev) + self.g_ini @ w_ini, a_eq=self.a_eq,
+            b_eq=None if self.a_eq is None else self.b_ini @ w_ini, lb=self.lb, ub=self.ub,
+            h_factor=self.h_factor, validate=False,
+        )
 
     def _extras(self, w_ini: np.ndarray, z: np.ndarray) -> dict:
         sigma = self.sigma_map @ np.concatenate([w_ini, z])

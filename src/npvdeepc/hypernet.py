@@ -470,6 +470,8 @@ class TrainConfig:
             raise ValueError(f"hidden_sizes needs one or more layers of width >= 1, got {list(self.hidden_sizes)}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if self.batch_size is not None and self.batch_size < 1:

@@ -210,8 +210,10 @@ class NpvController(HorizonController):
     layer list to the constraint and curvature callbacks and to the initial
     point; every candidate input of the solve reuses them.
 
-    The step is :meth:`HorizonController.solve_step`; this class supplies
-    its SQP solve.
+    With ``cfg.warm_start``, each step keeps its input sequence shifted by
+    one step in ``_shifted`` as the next solve's start; run one closed loop
+    per instance.  The step is :meth:`HorizonController.solve_step`; this
+    class supplies its SQP solve.
     """
 
     def __init__(self, nh: NeuralHankel, cfg: ControllerConfig):
@@ -224,6 +226,8 @@ class NpvController(HorizonController):
         self.n_p = d.n_p
         self.nu_l = nh.model.nu_l
         self.nu, self.ny = self.cost.nu, self.cost.ny
+        self.h = self.cost.hessian()
+        self._shifted = None
         if nh.kmat_rank < self.ny:
             raise RankDeficientError(
                 f"kmat has rank {nh.kmat_rank} < n_y*N = {self.ny} with "
@@ -295,7 +299,7 @@ class NpvController(HorizonController):
     def _initial_point(self, u_ini_n, y_ini_n, layers, u_prev) -> np.ndarray:
         cfg = self.cfg
         if self._shifted is not None:
-            u0_flat = self._shifted[:self.nu]
+            u0_flat = self._shifted
         else:
             u0_flat = np.tile(np.clip(u_prev, cfg.u_lo, cfg.u_hi), cfg.horizon)
         phi, _ = self.model.features(layers, self._network_input(u_ini_n, y_ini_n, u0_flat))
@@ -329,6 +333,9 @@ class NpvController(HorizonController):
             tol=cfg.kkt_tol, max_iter=cfg.max_iter, qp_max_iter=cfg.qp_max_iter,
             lag_hess_fn=self._lag_hess_fn(u_ini_n, y_ini_n, layers),
         )
+        if cfg.warm_start:
+            u_seq = x[:self.nu].reshape(cfg.horizon, cfg.n_u)
+            self._shifted = np.vstack([u_seq[1:], u_seq[-1:]]).ravel()
         # non-convergence (including a locally infeasible subproblem) returns
         # the best iterate with its status; the inputs are always box-feasible
         c_final, _ = eq_fn(x)

@@ -1,9 +1,20 @@
 """Dense solvers sized for small receding-horizon problems.
 
-Provides an SVD pseudo-inverse, a primal active-set solver for convex QPs
-with equality constraints and variable bounds, and a Gauss-Newton SQP with
-an l1 merit line search for the nonlinear programs the neural controllers
-generate.  Everything is dense numpy; problem sizes stay in the hundreds.
+Provides an SVD pseudo-inverse, one entry point for convex QPs,
+:func:`solve_qp`, and a Gauss-Newton SQP with an l1 merit line search for
+the nonlinear programs the neural controllers generate.  ``solve_qp`` has
+two paths and picks one from the problem it is given:
+
+* a dual active-set solve (Goldfarb & Idnani, Math. Prog. 1983) when the
+  problem carries a Cholesky factor of its positive definite Hessian and
+  has no equality rows.  It starts at the unconstrained minimizer and adds
+  the most violated bound or general row ``lo <= C x <= hi`` until none is
+  left; the linear controllers' condensed programs take this path;
+* a primal active-set solve from a bound-feasible start otherwise, for
+  problems with equality rows (the SQP subproblems) or only a semidefinite
+  Hessian.
+
+Everything is dense numpy; problem sizes stay in the hundreds.
 """
 
 from __future__ import annotations
@@ -13,11 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dual_qp import dual_active_set
+
 __all__ = [
     "SolverError",
     "IndefiniteHessianError",
     "SolveDiagnostics",
     "QpProblem",
+    "HessianFactor",
     "pinv",
     "solve_qp",
     "solve_sqp",
@@ -71,25 +85,31 @@ class SolveDiagnostics:
 
 @dataclass
 class QpProblem:
-    """min 0.5 x'Hx + g'x  s.t.  A_eq x = b_eq,  lb <= x <= ub.
+    """min 0.5 x'Hx + g'x  s.t.  A_eq x = b_eq,  lb <= x <= ub,  c_lo <= C x <= c_hi.
 
-    H must be symmetric positive semidefinite; bounds may be +-inf.
+    H must be symmetric positive semidefinite; bounds and row limits may be
+    +-inf, and a bound or row with equal limits is an equality.  A problem
+    that carries the :class:`HessianFactor` of a positive definite H and has
+    no equality rows is solved by the dual path of :func:`solve_qp`, which
+    reads only the factor, so ``h`` may then be None.  General rows ``C``
+    need that path.
     """
 
-    h: np.ndarray
+    h: np.ndarray | None
     g: np.ndarray
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
     validate: bool = True
+    c: np.ndarray | None = None
+    c_lo: np.ndarray | None = None
+    c_hi: np.ndarray | None = None
+    h_factor: HessianFactor | None = None
 
     def __post_init__(self):
-        self.h = np.atleast_2d(np.asarray(self.h, dtype=float))
         self.g = np.asarray(self.g, dtype=float).ravel()
         n = self.g.size
-        if self.h.shape != (n, n):
-            raise ValueError(f"H shape {self.h.shape} does not match g length {n}")
         if (self.a_eq is None) != (self.b_eq is None):
             raise ValueError("a_eq and b_eq must be given together")
         if self.a_eq is not None:
@@ -105,6 +125,26 @@ class QpProblem:
             raise ValueError("bound lengths do not match the variable count")
         if np.any(self.lb > self.ub):
             raise ValueError("bounds must satisfy lb <= ub")
+        if self.c is not None:
+            self.c = np.atleast_2d(np.asarray(self.c, dtype=float))
+            m = self.c.shape[0]
+            self.c_lo = np.full(m, -np.inf) if self.c_lo is None else np.asarray(self.c_lo, dtype=float).ravel()
+            self.c_hi = np.full(m, np.inf) if self.c_hi is None else np.asarray(self.c_hi, dtype=float).ravel()
+            if self.c.shape[1] != n or self.c_lo.size != m or self.c_hi.size != m:
+                raise ValueError(f"C shape {self.c.shape} or its limits do not match n={n}")
+            if np.any(self.c_lo > self.c_hi):
+                raise ValueError("row limits must satisfy c_lo <= c_hi")
+            if not self.dual:
+                raise ValueError("general rows need h_factor and no equality rows")
+        if self.h_factor is not None and self.h_factor.n != n:
+            raise ValueError(f"h_factor size {self.h_factor.n} does not match g length {n}")
+        if self.h is None:
+            if not self.dual:
+                raise ValueError("H is required unless h_factor is given and there are no equality rows")
+            return
+        self.h = np.atleast_2d(np.asarray(self.h, dtype=float))
+        if self.h.shape != (n, n):
+            raise ValueError(f"H shape {self.h.shape} does not match g length {n}")
         if self.validate:
             scale = max(1.0, float(np.max(np.abs(self.h))) if self.h.size else 1.0)
             if float(np.max(np.abs(self.h - self.h.T))) > 1e-12 * scale:
@@ -122,6 +162,50 @@ class QpProblem:
     @property
     def m_eq(self) -> int:
         return 0 if self.a_eq is None else self.a_eq.shape[0]
+
+    @property
+    def dual(self) -> bool:
+        """Whether :func:`solve_qp` takes the dual path: a Hessian factor and no equality rows."""
+        return self.h_factor is not None and not self.m_eq
+
+
+class HessianFactor:
+    """The Cholesky factor L of a positive definite H (H = L L') and L^-T, in one array.
+
+    The dual path of :func:`solve_qp` steps with L^-T and evaluates its
+    stationarity residual with L.  ``packed`` holds L in its lower triangle
+    and the strict upper triangle of L^-T (whose diagonal is 1 / diag L)
+    above it, so a controller keeps one n x n array for both.  Raises
+    :class:`IndefiniteHessianError` when H is not positive definite, or when
+    its smallest squared pivot is below 1e-12 times its largest diagonal
+    entry, so a nearly singular Hessian stays on the primal path.
+    """
+
+    __slots__ = ("packed",)
+
+    def __init__(self, h: np.ndarray):
+        h = np.asarray(h, dtype=float)
+        try:
+            l_fac = np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            raise IndefiniteHessianError("H is not positive definite")
+        if np.min(np.diag(l_fac), initial=np.inf) ** 2 <= 1e-12 * np.max(np.diag(h), initial=0.0):
+            raise IndefiniteHessianError("H is positive definite only within rounding")
+        self.packed = np.tril(l_fac) + np.triu(np.linalg.inv(l_fac).T, 1)
+
+    @property
+    def n(self) -> int:
+        return self.packed.shape[0]
+
+    def lower(self) -> np.ndarray:
+        """L."""
+        return np.tril(self.packed)
+
+    def inv_upper(self) -> np.ndarray:
+        """A fresh copy of L^-T."""
+        j = np.triu(self.packed, 1)
+        j.flat[::self.n + 1] = 1.0 / np.diagonal(self.packed)
+        return j
 
 
 def _inf_norm(v) -> float:
@@ -310,13 +394,23 @@ def solve_qp(
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Active-set solve of a convex box/equality QP.
+    """Active-set solve of a convex QP.
 
-    Returns the minimizer and diagnostics; equality multipliers ride along on
-    the diagnostics for SQP consumption.  Bounds are honored exactly at the
+    A problem with ``h_factor`` and no equality rows (:attr:`QpProblem.dual`)
+    takes the dual path, which starts at the unconstrained minimizer and
+    ignores ``x0``; any other takes the primal path from ``x0`` (default:
+    the box centre, or the finite bound).  Returns the minimizer and
+    diagnostics with the KKT residual at that point; equality multipliers
+    ride along for SQP consumption.  Bounds are honored exactly at the
     returned point.
     """
     t0 = time.perf_counter()
+    if prob.dual:
+        x, its, status, kkt = dual_active_set(prob, tol, max_iter)
+        diag = SolveDiagnostics(
+            status=status, iterations=its, kkt_residual=kkt, wall_time_s=time.perf_counter() - t0,
+        )
+        return x, diag
     n = prob.n
     if x0 is None:
         finite_lo = np.where(np.isfinite(prob.lb), prob.lb, 0.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -215,27 +217,26 @@ class TestMpc:
         )
         assert np.all(step.u_seq >= -0.1) and np.all(step.u_seq <= 0.1)
 
-    def test_warm_start_satisfies_rollout_rows(self, monkeypatch):
+    def test_step_ignores_warm_start_and_previous_step(self):
+        # the dual QP starts cold at the unconstrained minimizer: the same
+        # window gives the same step with or without warm starts, and after
+        # a different previous step
         model, plant = self._identified_lti()
-        cfg = mpc_config()
-        ctrl = MpcController(model, cfg)
-        seen = []
-        solve_qp = control.solve_qp
-
-        def spy(prob, x0=None, **kw):
-            seen.append((prob, x0))
-            return solve_qp(prob, x0=x0, **kw)
-
-        monkeypatch.setattr(control, "solve_qp", spy)
         rng = np.random.default_rng(3)
+        windows = [(rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8)) for _ in range(2)]
         r_vec = np.array([1.0, -0.5])
-        for _ in range(3):
-            ctrl.solve_step(rng.uniform(-1, 1, 2 * cfg.t_ini), rng.uniform(-1, 1, 2 * cfg.t_ini),
-                            None, r_vec, np.zeros(2))
-        assert seen[0][1] is None
-        for prob, x0 in seen[1:]:
-            assert x0 is not None
-            assert np.max(np.abs(prob.a_eq @ x0 - prob.b_eq)) <= 1e-9
+        steps = []
+        for warm_start, history in ((True, []), (False, []), (True, [windows[1]]), (False, [windows[1]])):
+            ctrl = MpcController(model, mpc_config(warm_start=warm_start, u_lo=(-0.3, -0.3), u_hi=(0.3, 0.3)))
+            for u_ini, y_ini in history + [windows[0]]:
+                _, step = ctrl.solve_step(u_ini, y_ini, None, r_vec, np.zeros(2))
+            steps.append(step)
+        assert np.any(np.abs(steps[0].u_seq) == 0.3)
+        for step in steps[1:]:
+            for f in dataclasses.fields(step):
+                if f.name != "wall_time_s":
+                    a, b = getattr(steps[0], f.name), getattr(step, f.name)
+                    assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
 
 
 class TestMpcRolloutMap:
@@ -243,7 +244,7 @@ class TestMpcRolloutMap:
 
     def _closed_loop(self, ctrl, steps=12, seed=5):
         # ARX plant driven by the controller, with a reference it cannot reach
-        # so the input box and warm starts take part
+        # so the input box takes part
         model, cfg = ctrl.model, ctrl.cfg
         rng = np.random.default_rng(seed)
         hist_u = list(rng.uniform(-1, 1, (cfg.t_ini, 2)))
@@ -298,10 +299,12 @@ class TestMpcRolloutMap:
                     u_past = np.array([u_all[t - j] for j in range(1, model.n_b + 1)])
                     y_all.append(model.one_step(y_past, u_past))
                 assert np.allclose(free, np.ravel(y_all[cfg.t_ini:]), rtol=0.0, atol=1e-10)
-            assert np.array_equal(ctrl.a_eq, np.hstack([-gamma, np.eye(cfg.horizon * 2)]))
+            # the outputs are eliminated: no equality rows
+            assert not hasattr(ctrl, "a_eq")
 
     def test_step_matches_per_step_map(self, monkeypatch):
-        # reference: the QP with gamma and offset rebuilt from each history
+        # reference: the (u, y) program with the rows [-gamma, I] rebuilt
+        # from each history, on the primal path
         model = known_arx()
         cfg = mpc_config(u_lo=(-1.0, -1.0), u_hi=(1.0, 1.0))
         ctrl = MpcController(model, cfg)
@@ -316,28 +319,30 @@ class TestMpcRolloutMap:
         step = ctrl.solve_step
 
         def spy_step(u_ini, y_ini, p_hist, r_vec, u_prev):
-            hists.append((np.reshape(y_ini, (cfg.t_ini, 2)), np.reshape(u_ini, (cfg.t_ini, 2))))
-            return step(u_ini, y_ini, p_hist, r_vec, u_prev)
+            hists.append((np.reshape(y_ini, (cfg.t_ini, 2)), np.reshape(u_ini, (cfg.t_ini, 2)), r_vec, u_prev))
+            out = step(u_ini, y_ini, p_hist, r_vec, u_prev)
+            results.append(out[1])
+            return out
 
-        hists = []
+        hists, results = [], []
         monkeypatch.setattr(control, "solve_qp", spy)
         ctrl.solve_step = spy_step
         self._closed_loop(ctrl)
         assert len(seen) == len(hists) == 12
         nu, ny = ctrl.cost.nu, ctrl.cost.ny
-        assert seen[0][1] is None and all(x0 is not None for _, x0, _, _ in seen[1:])
+        assert all(prob.dual and x0 is None for prob, x0, _, _ in seen)
         assert any(np.any(np.abs(x[:nu]) == 1.0) for _, _, x, _ in seen)
-        for (prob, x0, x, kw), (y_hist, u_hist) in zip(seen, hists):
+        for (prob, _, x, kw), (y_hist, u_hist, r_vec, u_prev), result in zip(seen, hists, results):
             gamma, offset = arx_rollout_affine(model, y_hist, u_hist, cfg.horizon)
-            assert np.allclose(prob.b_eq, offset, rtol=0.0, atol=1e-12)
+            assert np.allclose(ctrl.ub[nu:] - prob.c_hi, offset, rtol=0.0, atol=1e-12)
             ref_prob = QpProblem(
-                h=ctrl.h, g=prob.g, a_eq=np.hstack([-gamma, np.eye(ny)]), b_eq=offset,
-                lb=ctrl.lb, ub=ctrl.ub, validate=False,
+                h=ctrl.cost.hessian(), g=ctrl.linear_term(r_vec, u_prev), a_eq=np.hstack([-gamma, np.eye(ny)]),
+                b_eq=offset, lb=ctrl.lb, ub=ctrl.ub, validate=False,
             )
-            x0_ref = None if x0 is None else np.concatenate([x0[:nu], gamma @ x0[:nu] + offset])
-            x_ref, diag_ref = solve_qp(ref_prob, x0=x0_ref, **kw)
-            assert diag_ref.status == "optimal"
-            assert np.max(np.abs(x - x_ref)) <= 1e-9
+            x_ref, diag_ref = solve_qp(ref_prob, **kw)
+            assert not ref_prob.dual and diag_ref.status == "optimal"
+            assert np.max(np.abs(result.u_seq.ravel() - x_ref[:nu])) <= 1e-7
+            assert np.max(np.abs(result.y_pred.ravel() - x_ref[nu:])) <= 1e-7
 
 
 def _window_controller(kind, **cfg_changes):
@@ -391,7 +396,11 @@ def test_non_finite_window_rejected(kind, monkeypatch):
 @pytest.mark.parametrize("warm_start", [True, False])
 @pytest.mark.parametrize("kind", ["deepc", "mpc", "npv"])
 def test_step_contract(kind, warm_start, monkeypatch):
-    """Every controller's step: result layout, recomputed cost, shifted warm start."""
+    """Every controller's step: result layout, recomputed cost, and its start.
+
+    The linear controllers pass no start (their QP starts cold at the
+    unconstrained minimizer); NPV-DeePC warm-starts from its shifted inputs.
+    """
     ctrl = _window_controller(kind, warm_start=warm_start)
     # perfbench times each controller through its own entry
     assert "solve_step" in type(ctrl).__dict__
@@ -422,12 +431,12 @@ def test_step_contract(kind, warm_start, monkeypatch):
         assert step.cost == TrackingCost(cfg).value(step.u_seq, step.y_pred, r_vec, u_prevs[-1])
         steps.append(step)
     assert len(starts) == 2
+    if kind != "npv":
+        assert all(x0 is None for x0, _ in starts)
+        return
 
     def assert_cold(x0, u_prev):
-        if kind == "npv":
-            assert np.array_equal(x0[:nu], np.tile(np.clip(u_prev, cfg.u_lo, cfg.u_hi), cfg.horizon))
-        else:
-            assert x0 is None
+        assert np.array_equal(x0[:nu], np.tile(np.clip(u_prev, cfg.u_lo, cfg.u_hi), cfg.horizon))
 
     assert_cold(starts[0][0], u_prevs[0])
     x0, problem = starts[1]
@@ -435,13 +444,6 @@ def test_step_contract(kind, warm_start, monkeypatch):
         assert_cold(x0, u_prevs[1])
         return
     u_shift = np.vstack([steps[0].u_seq[1:], steps[0].u_seq[-1:]]).ravel()
-    y_shift = np.vstack([steps[0].y_pred[1:], steps[0].y_pred[-1:]]).ravel()
     assert np.array_equal(x0[:nu], u_shift)
-    if kind == "deepc":
-        assert np.array_equal(x0[nu:], y_shift)
-    elif kind == "mpc":
-        # the shifted inputs with their own rollout
-        assert np.array_equal(x0[nu:], ctrl.gamma @ u_shift + problem.b_eq)
-    else:
-        # the outputs start on the prediction of the shifted inputs
-        assert np.max(np.abs(problem(x0)[0])) <= 1e-12
+    # the outputs start on the prediction of the shifted inputs
+    assert np.max(np.abs(problem(x0)[0])) <= 1e-12

@@ -124,6 +124,12 @@ INVALID = {
     "noise_sigma": {"scenario": {"noise_sigma": -0.1}},
     "cem_noise_sigma": {"cem_scenario": {"noise_sigma": -0.1}},
     "mpc_empty_regressor": {"controllers": {"mpc": {"n_a": 0, "n_b": 0}}},
+    "mpc_no_input_lag": {"controllers": {"mpc": {"n_a": 2, "n_b": 0}}},
+    "learning_rate": {"model": {"learning_rate": -0.1}},
+    "zero_learning_rate": {"model": {"learning_rate": 0.0}},
+    "k_deepc": {"hankel": {"k_deepc": 9}},
+    "k_neural": {"hankel": {"k_neural": 9}},
+    "k_neural_cem": {"hankel": {"k_neural": 12}, "controllers": {"cem": {"t_ini": 4, "horizon": 9}}},
 }
 
 

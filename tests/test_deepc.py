@@ -253,23 +253,29 @@ def noisy_lti_hankel():
 
 class TestCondensedForm:
     @pytest.mark.parametrize("reg", ["projection", "two_norm"])
-    @pytest.mark.parametrize("case", ["exact_lti", "noisy_lti", "pinned_u", "active_y_bound"])
+    @pytest.mark.parametrize("case", [
+        "exact_lti", "noisy_lti", "pinned_u", "active_y_bound", "noisy_pinned_u", "noisy_active_y_bound",
+    ])
     def test_matches_full_qp(self, lti_hankel, case, reg):
-        cfg = lti_config(regularizer=reg, lambda_g=1.0, lambda_sigma=10.0 if case == "noisy_lti" else 1e6)
+        # exact data leaves left-null rows (primal path); noisy data leaves
+        # none, and the factored Hessian takes the dual path
+        noisy = case.startswith("noisy")
+        cfg = lti_config(regularizer=reg, lambda_g=1.0, lambda_sigma=10.0 if noisy else 1e6)
         r_vec = np.array([1.0, -0.5])
-        if case == "active_y_bound":
+        if case.endswith("active_y_bound"):
             cfg = dataclasses.replace(cfg, y_hi=(0.6, 50.0))
             r_vec = np.array([2.0, 0.0])
-        hs = noisy_lti_hankel() if case == "noisy_lti" else lti_hankel
+        hs = noisy_lti_hankel() if noisy else lti_hankel
         ctrl = DeepcController(hs, cfg)
+        assert (ctrl.a_eq is None and ctrl.h_factor is not None) == noisy
         plant = make_lti()
         rng = np.random.default_rng(10)
         u_hist = rng.uniform(-1, 1, size=(20, 2))
         y = plant.simulate(u_hist)
-        if case == "noisy_lti":
+        if noisy:
             y = y + 0.02 * rng.standard_normal(y.shape)
         u_ini, y_ini = u_hist[-cfg.t_ini:].ravel(), y[-cfg.t_ini:].ravel()
-        if case == "pinned_u":
+        if case.endswith("pinned_u"):
             u_fixed = rng.uniform(-0.5, 0.5, size=cfg.horizon * cfg.n_u)
             ctrl.lb[:ctrl.cost.nu] = u_fixed
             ctrl.ub[:ctrl.cost.nu] = u_fixed
@@ -280,9 +286,9 @@ class TestCondensedForm:
         assert np.max(np.abs(step.u_seq - u_ref)) < 1e-6
         assert np.max(np.abs(step.y_pred - y_ref)) < 1e-6
         assert abs(step.extras["sigma_norm"] - np.linalg.norm(sigma_ref)) < 1e-6
-        if case == "pinned_u":
+        if case.endswith("pinned_u"):
             assert np.array_equal(step.u_seq.ravel(), u_fixed)
-        if case == "active_y_bound":
+        if case.endswith("active_y_bound"):
             assert np.max(step.y_pred[:, 0]) == pytest.approx(0.6, abs=1e-9)
         if case == "noisy_lti":
             assert np.linalg.norm(sigma_ref) > 1e-3
@@ -294,3 +300,22 @@ class TestCondensedForm:
         for name, arr in arrays.items():
             assert arr.base is None, name
             assert max(arr.shape) < ctrl.n_g, name
+
+    def test_keeps_the_hessian_once(self, lti_hankel):
+        # exact data keeps h and its equality rows for the primal path; noisy
+        # data keeps only the factor, one owned (u, y)-sized array
+        n = 2 * 2 * lti_config().horizon
+        exact = DeepcController(lti_hankel, lti_config())
+        noisy = DeepcController(noisy_lti_hankel(), lti_config())
+        assert exact.h.shape == (n, n) and exact.h_factor is None and exact.a_eq.shape[0] > 0
+        assert noisy.h is None and noisy.a_eq is None
+        assert noisy.h_factor.packed.shape == (n, n) and noisy.h_factor.packed.base is None
+
+    def test_singular_hessian_takes_primal_path(self):
+        # with no tracking weight and no penalty on g, the condensed Hessian
+        # is singular: it stays unfactored and the step solves on the primal path
+        cfg = lti_config(lambda_g=0.0, q=(0.0, 0.0), p=(0.0, 0.0))
+        ctrl = DeepcController(noisy_lti_hankel(), cfg)
+        assert ctrl.a_eq is None and ctrl.h_factor is None and ctrl.h is not None
+        _, step = ctrl.solve_step(np.zeros(8), np.zeros(8), None, np.zeros(2), np.zeros(2))
+        assert step.status == "optimal" and step.kkt_residual <= 1e-6

@@ -3,6 +3,7 @@ import pytest
 
 from npvdeepc import optim
 from npvdeepc.optim import (
+    HessianFactor,
     IndefiniteHessianError,
     QpProblem,
     _min_norm_step,
@@ -53,6 +54,16 @@ def _projected_gradient_oracle(h, g, lb, ub, iters=200000, tol=1e-10):
     return x
 
 
+def _on_path(path, h, g, lb, ub):
+    """The bound-constrained QP for the named solve_qp path."""
+    if path == "dual":
+        prob = QpProblem(h=None, g=g, lb=lb, ub=ub, h_factor=HessianFactor(h))
+    else:
+        prob = QpProblem(h=h, g=g, lb=lb, ub=ub)
+    assert prob.dual == (path == "dual")
+    return prob
+
+
 class TestSolveQp:
     def test_unconstrained_closed_form(self):
         c = np.array([1.0, -2.0, 0.5])
@@ -68,7 +79,8 @@ class TestSolveQp:
         assert x[0] == 1.0
         assert diag.status == "optimal"
 
-    def test_matches_projected_gradient_oracle(self):
+    @pytest.mark.parametrize("path", ["primal", "dual"])
+    def test_matches_projected_gradient_oracle(self, path):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((10, 10))
         h = m.T @ m + 0.5 * np.eye(10)
@@ -76,9 +88,10 @@ class TestSolveQp:
         lb = np.full(10, -0.5)
         ub = np.full(10, 0.5)
         x_oracle = _projected_gradient_oracle(h, g, lb, ub)
-        x, diag = solve_qp(QpProblem(h=h, g=g, lb=lb, ub=ub), tol=1e-10)
+        x, diag = solve_qp(_on_path(path, h, g, lb, ub), tol=1e-10)
         assert diag.status == "optimal"
         assert np.allclose(x, x_oracle, atol=1e-7)
+        assert diag.kkt_residual <= 1e-9
 
     def test_start_at_upper_corner_releases_bounds(self):
         # every bound starts on the working set at its upper side; the solve
@@ -96,18 +109,21 @@ class TestSolveQp:
         at_lo, at_hi = x == lb, x == ub
         assert at_lo.any() and at_hi.any() and not (at_lo | at_hi).all()
 
-    @pytest.mark.parametrize("start", ["default", "upper"])
+    @pytest.mark.parametrize("start", ["default", "upper", "dual"])
     def test_pinned_variables_stay_put(self, start):
         # variables 0 and 1 have lb == ub and gradients of opposite sign that
-        # push them out of their bounds; they must never leave the working set
+        # push them out of their bounds; they must never leave the working
+        # set.  The dual path ignores starts; it adds each pinned variable
+        # as an equality first, one iteration each
         rng = np.random.default_rng(7)
         m = rng.standard_normal((5, 5))
         h = m.T @ m + np.eye(5)
         g = np.array([8.0, -8.0, 0.3, -4.0, 4.0])
         lb = np.array([0.2, -0.3, -1.0, -1.0, -1.0])
         ub = np.array([0.2, -0.3, 1.0, 1.0, 1.0])
-        x0 = None if start == "default" else ub
-        x, diag = solve_qp(QpProblem(h=h, g=g, lb=lb, ub=ub), x0=x0, tol=1e-10)
+        path = "dual" if start == "dual" else "primal"
+        x0 = ub if start == "upper" else None
+        x, diag = solve_qp(_on_path(path, h, g, lb, ub), x0=x0, tol=1e-10)
         grad = h @ x + g
         assert grad[0] > 0 and grad[1] < 0
         assert diag.status == "optimal"
@@ -115,10 +131,10 @@ class TestSolveQp:
         # the same QP with the pinned variables substituted out
         h_f, g_f = h[2:, 2:], g[2:] + h[2:, :2] @ lb[:2]
         x_f, diag_f = solve_qp(
-            QpProblem(h=h_f, g=g_f, lb=lb[2:], ub=ub[2:]), x0=None if x0 is None else ub[2:], tol=1e-10
+            _on_path(path, h_f, g_f, lb[2:], ub[2:]), x0=None if x0 is None else ub[2:], tol=1e-10
         )
         assert np.allclose(x[2:], x_f, atol=1e-9)
-        assert diag.iterations == diag_f.iterations
+        assert diag.iterations == diag_f.iterations + (2 if path == "dual" else 0)
 
     def test_equality_constrained(self):
         # min ||x||^2 s.t. x0 + x1 = 1 -> x = (0.5, 0.5)
@@ -201,14 +217,15 @@ class TestSolveQp:
             assert np.linalg.norm(a @ x1 - b, np.inf) <= 1e-8 * (1.0 + np.linalg.norm(b, np.inf))
         assert ran >= 90
 
-    def test_bounds_honored_exactly(self):
+    @pytest.mark.parametrize("path", ["primal", "dual"])
+    def test_bounds_honored_exactly(self, path):
         rng = np.random.default_rng(4)
         for trial in range(10):
             m = rng.standard_normal((6, 6))
             h = m.T @ m + 0.1 * np.eye(6)
             g = 3 * rng.standard_normal(6)
             lb, ub = np.full(6, -0.3), np.full(6, 0.3)
-            x, _ = solve_qp(QpProblem(h=h, g=g, lb=lb, ub=ub))
+            x, _ = solve_qp(_on_path(path, h, g, lb, ub))
             assert np.all(x >= lb) and np.all(x <= ub)
 
     def test_redundant_equality_rows(self):
@@ -290,6 +307,160 @@ class TestSolveQp:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             QpProblem(h=np.array([[1.0, 0.5], [0.0, 1.0]]), g=np.zeros(2))
+
+
+def _row_qp(rng, n, m, pinned_rows=0):
+    """A random strictly convex QP with bounds and two-sided general rows.
+
+    The linear term pushes the unconstrained minimizer well outside, so
+    rows end active on both sides; the first ``pinned_rows`` rows are
+    equalities.  A point inside the box satisfies every row.  Returns
+    (h, g, lb, ub, c, lo, hi).
+    """
+    a = rng.standard_normal((n, n))
+    h = a.T @ a + 0.1 * np.eye(n)
+    g = 5.0 * rng.standard_normal(n)
+    lb, ub = -rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    lb[rng.random(n) < 0.2] = -np.inf
+    c = rng.standard_normal((m, n))
+    inside = c @ rng.uniform(-0.4, 0.4, n)
+    lo, hi = inside - rng.uniform(0.0, 1.0, m), inside + rng.uniform(0.0, 1.0, m)
+    hi[rng.random(m) < 0.2] = np.inf
+    lo[:pinned_rows] = hi[:pinned_rows] = inside[:pinned_rows]
+    return h, g, lb, ub, c, lo, hi
+
+
+def _lifted_solve(h, g, lb, ub, c, lo, hi):
+    """The primal path on the lifted program over (x, s): C x - s = 0, lo <= s <= hi."""
+    n, m = g.size, c.shape[0]
+    h2 = np.zeros((n + m, n + m))
+    h2[:n, :n] = h
+    prob = QpProblem(
+        h=h2, g=np.concatenate([g, np.zeros(m)]), a_eq=np.hstack([c, -np.eye(m)]), b_eq=np.zeros(m),
+        lb=np.concatenate([lb, lo]), ub=np.concatenate([ub, hi]),
+    )
+    assert not prob.dual
+    x, diag = solve_qp(prob, tol=1e-10, max_iter=1000)
+    assert diag.status == "optimal"
+    return x[:n]
+
+
+def _violation(x, lb, ub, c, lo, hi) -> float:
+    v = np.concatenate([x, c @ x])
+    lo, hi = np.concatenate([lb, lo]), np.concatenate([ub, hi])
+    return float(max(np.max(lo - v, initial=0.0), np.max(v - hi, initial=0.0)))
+
+
+class TestHessianFactor:
+    def test_packs_factor_and_inverse(self):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((7, 7))
+        h = a.T @ a + np.eye(7)
+        fac = HessianFactor(h)
+        l_fac, j = fac.lower(), fac.inv_upper()
+        assert fac.packed.shape == (7, 7)
+        assert np.allclose(l_fac @ l_fac.T, h, rtol=0.0, atol=1e-12)
+        assert np.allclose(j.T @ l_fac, np.eye(7), rtol=0.0, atol=1e-12)
+        # each call hands out a fresh copy, which the dual path overwrites
+        j[:] = 0.0
+        assert np.allclose(fac.inv_upper().T @ l_fac, np.eye(7), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("h", [np.diag([1.0, -1.0]), np.diag([1.0, 1e-14]), np.zeros((2, 2))])
+    def test_rejects_singular_or_indefinite(self, h):
+        with pytest.raises(IndefiniteHessianError):
+            HessianFactor(h)
+
+
+class TestDualPath:
+    """The dual active set on problems with a Hessian factor and no equality rows."""
+
+    @pytest.mark.parametrize("pinned_rows", [0, 2])
+    def test_general_rows_match_lifted_primal(self, pinned_rows):
+        sides = {"lower": 0, "upper": 0}
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(3, 12)), int(rng.integers(2, 8))
+            h, g, lb, ub, c, lo, hi = _row_qp(rng, n, m, pinned_rows)
+            prob = QpProblem(h=None, g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi, h_factor=HessianFactor(h))
+            x, diag = solve_qp(prob, tol=1e-10)
+            x_ref = _lifted_solve(h, g, lb, ub, c, lo, hi)
+            assert diag.status == "optimal", seed
+            assert diag.kkt_residual <= 1e-8, seed
+            assert np.allclose(x, x_ref, rtol=0.0, atol=1e-7), seed
+            assert np.all(x >= lb) and np.all(x <= ub)
+            assert _violation(x, lb, ub, c, lo, hi) <= 1e-9
+            cx = c @ x
+            assert np.allclose(cx[:pinned_rows], lo[:pinned_rows], rtol=0.0, atol=1e-10)
+            free = slice(pinned_rows, m)
+            sides["lower"] += int(np.sum(np.abs(cx[free] - lo[free]) <= 1e-9))
+            sides["upper"] += int(np.sum(np.abs(cx[free] - hi[free]) <= 1e-9))
+        assert sides["lower"] >= 10 and sides["upper"] >= 10
+
+    def test_starts_at_unconstrained_minimizer(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((6, 6))
+        h = a.T @ a + np.eye(6)
+        g = rng.standard_normal(6)
+        x_star = np.linalg.solve(h, -g)
+        prob = _on_path("dual", h, g, x_star - 1.0, x_star + 1.0)
+        x, diag = solve_qp(prob, x0=x_star + 0.5)
+        assert (diag.status, diag.iterations) == ("optimal", 0)
+        assert np.allclose(x, x_star, rtol=0.0, atol=1e-12)
+
+    def test_unreachable_row_is_infeasible(self):
+        # x0 + x1 >= 3 cannot hold inside the unit box
+        prob = QpProblem(
+            h=None, g=np.array([-1.0, 0.5]), lb=np.zeros(2), ub=np.ones(2),
+            c=np.array([[1.0, 1.0]]), c_lo=np.array([3.0]), c_hi=np.array([np.inf]),
+            h_factor=HessianFactor(np.eye(2)),
+        )
+        x, diag = solve_qp(prob)
+        assert diag.status == "infeasible"
+        assert np.all(x >= 0.0) and np.all(x <= 1.0)
+        assert diag.kkt_residual >= 3.0 - x.sum() >= 1.0
+
+    def test_iteration_cap(self):
+        rng = np.random.default_rng(12)
+        h, g, lb, ub, c, lo, hi = _row_qp(rng, 8, 6)
+        prob = QpProblem(h=None, g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi, h_factor=HessianFactor(h))
+        _, full = solve_qp(prob)
+        assert full.status == "optimal" and full.iterations > 2
+        x, diag = solve_qp(prob, max_iter=2)
+        assert (diag.status, diag.iterations) == ("max_iter", 2)
+        assert diag.kkt_residual >= _violation(x, lb, ub, c, lo, hi) > 1e-6
+
+    def test_kkt_residual_is_that_of_returned_point(self):
+        # cut off after 1-3 iterations, the returned point violates rows and
+        # the residual must cover that; at the optimum it is the stationarity
+        # of the returned point against an independent multiplier fit
+        statuses = set()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(3, 10)), int(rng.integers(1, 6))
+            h, g, lb, ub, c, lo, hi = _row_qp(rng, n, m)
+            prob = QpProblem(h=None, g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi, h_factor=HessianFactor(h))
+            x, diag = solve_qp(prob, max_iter=int(rng.integers(1, 4)))
+            statuses.add(diag.status)
+            assert np.isfinite(diag.kkt_residual)
+            assert diag.kkt_residual >= _violation(x, lb, ub, c, lo, hi), seed
+            if diag.status == "optimal":
+                # multipliers on the rows and bounds that hold at x, by least squares
+                v = np.concatenate([x, c @ x])
+                at = np.flatnonzero(
+                    (np.abs(v - np.concatenate([lb, lo])) <= 1e-9) | (np.abs(v - np.concatenate([ub, hi])) <= 1e-9)
+                )
+                normals = np.vstack([np.eye(n), c])[at].T
+                grad = h @ x + g
+                lam = np.linalg.lstsq(normals, grad, rcond=None)[0] if at.size else np.zeros(0)
+                stat = np.max(np.abs(grad - normals @ lam)) if at.size else np.max(np.abs(grad))
+                assert stat <= max(diag.kkt_residual, 1e-9) + 1e-9, seed
+        assert statuses == {"optimal", "max_iter"}
+
+    def test_general_rows_need_the_dual_path(self):
+        with pytest.raises(ValueError, match="general rows"):
+            QpProblem(h=np.eye(2), g=np.zeros(2), c=np.ones((1, 2)), c_lo=np.zeros(1))
+        with pytest.raises(ValueError, match="H is required"):
+            QpProblem(h=None, g=np.zeros(2), a_eq=np.ones((1, 2)), b_eq=np.ones(1), h_factor=HessianFactor(np.eye(2)))
 
 
 class TestMinNormStep:
