@@ -175,24 +175,14 @@ class TrackingCost:
         return g_u, g_y
 
     def value(self, u_seq: np.ndarray, y_seq: np.ndarray, r_vec, u_prev) -> float:
-        """Direct evaluation of the tracking cost from horizon sequences."""
-        cfg = self.cfg
-        u_seq = np.asarray(u_seq, dtype=float).reshape(cfg.horizon, cfg.n_u)
-        y_seq = np.asarray(y_seq, dtype=float).reshape(cfg.horizon, cfg.n_y)
-        r_vec = np.asarray(r_vec, dtype=float)
-        q = np.asarray(cfg.q, dtype=float)
-        r_w = np.asarray(cfg.r, dtype=float)
-        p_w = np.asarray(cfg.p, dtype=float)
-        cost = 0.0
-        prev = np.asarray(u_prev, dtype=float)
-        for i in range(cfg.horizon):
-            err = y_seq[i] - r_vec
-            du = u_seq[i] - prev
-            cost += float(err @ (q * err) + du @ (r_w * du))
-            prev = u_seq[i]
-        err_t = y_seq[-1] - r_vec
-        cost += float(err_t @ (p_w * err_t))
-        return cost
+        """Direct evaluation of the tracking cost from horizon sequences.
+
+        sum q_bar (y - r)^2 + sum r_bar (D u - E u_prev)^2 over the stacked
+        sequences, the terminal weight being part of ``q_bar``.
+        """
+        err = (np.reshape(y_seq, (self.cfg.horizon, -1)) - np.asarray(r_vec, dtype=float)).ravel()
+        moves = self.diff @ np.asarray(u_seq, dtype=float).ravel() - self.e_prev @ np.asarray(u_prev, dtype=float)
+        return float(err @ (self.q_bar * err) + moves @ (self._r_bar * moves))
 
     def u_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.cfg.horizon

@@ -38,10 +38,13 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int):
     neither a primal nor a dual step makes the problem infeasible.
 
     Bound rows are snapped onto their limits and x is clipped into the
-    bounds.  Returns ``(x, iterations, status, kkt_residual)``, the residual
-    at that x for the active set and its multipliers: the worst of a row
-    violation, the stationarity residual ``|Hx + g - N u|``, an active row
-    off its limit and a negative multiplier on an active inequality.
+    bounds.  Returns ``(x, iterations, status, kkt_residual, row_mult)``:
+    the residual at that x for the active set and its multipliers is the
+    worst of a row violation, the stationarity residual ``|Hx + g - N u|``,
+    an active row off its limit and a negative multiplier on an active
+    inequality; ``row_mult`` holds the general rows' multipliers, signed so
+    that bound multipliers alone balance ``Hx + g + C'row_mult`` (negative
+    at a lower limit, positive at an upper one, zero when inactive).
     """
     n = prob.n
     a = np.eye(n) if prob.c is None else np.vstack([np.eye(n), prob.c])
@@ -174,7 +177,7 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int):
     limit = np.where(act_side > 0, lo[act], hi[act])
     on_bound = act < n
     x[act[on_bound]] = limit[on_bound]
-    x = np.clip(x, prob.lb, prob.ub)
+    x = np.minimum(np.maximum(x, prob.lb), prob.ub)  # np.clip without its overhead
 
     l_fac = prob.h_factor.lower()
     stat = l_fac @ (l_fac.T @ x) + prob.g - a[act].T @ (act_side * mult[:q])
@@ -182,4 +185,7 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int):
     viol = max(float(np.max(lo - v, initial=0.0)), float(np.max(v - hi, initial=0.0)))
     off = float(np.abs(v[act] - limit).max(initial=0.0))
     wrong_sign = float(np.max(-mult[:q][~is_eq[:q]], initial=0.0))
-    return x, its, status, max(float(np.abs(stat).max(initial=0.0)), viol, off, wrong_sign)
+    row_mult = np.zeros(n_rows - n)
+    general = act >= n
+    row_mult[act[general] - n] = -(act_side * mult[:q])[general]
+    return x, its, status, max(float(np.abs(stat).max(initial=0.0)), viol, off, wrong_sign), row_mult

@@ -13,6 +13,7 @@ helpers accept raw signals and normalize/denormalize at the boundary.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -257,7 +258,9 @@ class HyperDnnModel:
 
     def phi_curvature_future_u_raw(self, nn_in: NnInput, weights: np.ndarray) -> np.ndarray | None:
         """Weighted second derivative sum_k weights_k * d2(phi_k)/du_f du_f."""
-        return self.feature_curvature(self.hyper_forward(nn_in.p_vec), nn_in.u_nn, weights)
+        layers = self.hyper_forward(nn_in.p_vec)
+        z, _ = _tanh_stack(layers, nn_in.u_nn, self.dims.future_u_slice)
+        return self.feature_curvature(layers, z, weights)
 
     # ----- per-step maps under fixed hidden weights -----------------------
     #
@@ -272,24 +275,25 @@ class HyperDnnModel:
         vector and ``u_nn`` the normalized network input.
         """
         z, jac = _tanh_stack(layers, u_nn, self.dims.future_u_slice)
-        return z, jac * self._future_u_gain()[None, :]
+        return z, jac * self._future_u_gain[None, :]
 
-    def feature_curvature(self, layers, u_nn: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+    def feature_curvature(self, layers, z: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
         """Weighted raw future-input curvature sum_k weights_k * d2(phi_k)/du_f du_f.
 
         Closed form for the single-hidden-layer architecture (d2 tanh =
-        -2 tanh (1 - tanh^2)), from one forward pass; deeper stacks return
-        None and the caller falls back to the Gauss-Newton model.  The block
-        is exact and may be indefinite: the caller decides whether the local
+        -2 tanh (1 - tanh^2)) at the activation ``z`` :meth:`features`
+        returned, with no forward pass of its own; deeper stacks return None
+        and the caller falls back to the Gauss-Newton model.  The block is
+        exact and may be indefinite: the caller decides whether the local
         program is convex enough to use it unclipped.
         """
         if len(layers) != 1:
             return None
-        z, _ = _tanh_stack(layers, u_nn, self.dims.future_u_slice)
-        w_f = layers[0][0][:, self.dims.future_u_slice] * self._future_u_gain()[None, :]
+        w_f = layers[0][0][:, self.dims.future_u_slice] * self._future_u_gain[None, :]
         coef = -2.0 * z * (1.0 - z ** 2) * np.asarray(weights, dtype=float)
         return (w_f * coef[:, None]).T @ w_f
 
+    @functools.cached_property
     def _future_u_gain(self) -> np.ndarray:
         """d(normalized)/d(raw) of each future input entry."""
         return np.tile(self.scalers.u.gain, self.dims.horizon)

@@ -2,16 +2,17 @@
 
 Each data Hankel column is pushed through the hidden-layer feature map to
 give a neural-space basis; stacking a ones row makes predictions affine in
-the features.  The controller then solves a small nonlinear program over
-(u, y): the predicted outputs y must match the data-driven affine map
-theta_ls [phi(u); 1] of the features of the candidate input u, and these
-n_y N prediction rows are the only equality constraints.  The structural
+the features.  The paper's program is over (u, y) with the prediction rows
+y = theta_ls [phi(u); 1] as its equality constraints.  The structural
 program (see ``problem_size``) also carries an output-space correction
 pinned to null(kmat) by equality rows; the controller requires kmat to have
 full column rank (at least as many stacked features nu_L + 1 as predicted
 outputs n_y N), so that kernel is trivial and the correction vanishes.
-The feature map alone is nonlinear in u, so a Gauss-Newton SQP with the
-analytic feature Jacobian converges in a handful of iterations.
+
+These rows make y an explicit function of u, so the controller solves the
+reduced (sequential) program over the inputs alone: y(u) is evaluated, not
+constrained, and the output box becomes the rows y_lo <= y(u) <= y_hi.
+Each SQP subproblem is a strictly convex QP for the dual active-set path.
 
 The fixed-basis baseline is the same controller on the Hankel of
 ``HyperDnnModel.frozen()``, the hypernet frozen at the training-set mean
@@ -197,24 +198,32 @@ def problem_size(cfg: ControllerConfig, nu_l: int) -> dict[str, int]:
 class NpvController(HorizonController):
     """Parameter-varying neural DeePC with receding-horizon warm starts.
 
-    Decision variables are z = (u, y); the only equality rows are the
-    prediction match y = theta_ls [phi(u); 1], and the tracking cost is
-    constant and quadratic.  Construction fails with
+    The step's solution is z = (u, y) with y = theta_ls [phi(u); 1], found
+    by an SQP over u alone.  Each cost is given by its (u, y) parts (value,
+    gradients g_u, g_y and Hessian blocks h_uu, h_yy) and composed through
+    y(u) and J = dy/du: grad = g_u + J' g_y and B = h_uu + J' h_yy J, which
+    is positive definite as every ``r`` weight is positive.  The output box
+    enters as the rows y_lo <= y(u) <= y_hi.  The curvature term is
+    C = sum_i w_i d2y_i/du2 with w = g_y plus the row multipliers, so B + C
+    is the Lagrangian's exact Hessian; :func:`solve_sqp` keeps C unclipped
+    where B + C has a Cholesky factor.  Construction fails with
     :class:`RankDeficientError` unless kmat has full column rank: a kernel
     direction of kmat would leave an output correction free that this
     program does not carry.
 
     The predictor is ``nh.model``.  Its hidden weights depend only on the
     measured parameter history (not at all for a frozen model), so each
-    step computes them once (one ``hyper_forward`` call) and hands the
-    layer list to the constraint and curvature callbacks and to the initial
-    point; every candidate input of the solve reuses them.
+    step computes them once (one ``hyper_forward`` call); every candidate
+    input of the solve reuses them, and each distinct candidate makes one
+    ``features`` pass, shared by the cost, the rows and the curvature.
 
     With ``cfg.warm_start``, each step keeps its input sequence shifted by
     one step in ``_shifted`` as the next solve's start; run one closed loop
     per instance.  The step is :meth:`HorizonController.solve_step`; this
     class supplies its SQP solve.
     """
+
+    _first_row = 0  # index of the first predicted output the output box bounds
 
     def __init__(self, nh: NeuralHankel, cfg: ControllerConfig):
         d = nh.model.dims
@@ -226,7 +235,6 @@ class NpvController(HorizonController):
         self.n_p = d.n_p
         self.nu_l = nh.model.nu_l
         self.nu, self.ny = self.cost.nu, self.cost.ny
-        self.h = self.cost.hessian()
         self._shifted = None
         if nh.kmat_rank < self.ny:
             raise RankDeficientError(
@@ -234,7 +242,6 @@ class NpvController(HorizonController):
                 f"nu_L + 1 = {self.nu_l + 1} stacked features: widen the feature "
                 "layer or shorten the horizon"
             )
-        self.n_var = self.nu + self.ny
 
     def problem_size(self) -> dict[str, int]:
         return problem_size(self.cfg, self.nu_l)
@@ -247,99 +254,86 @@ class NpvController(HorizonController):
         ).ravel()
         return np.concatenate([u_ini_n, y_ini_n, u_f_n])
 
-    def _constraint_fn(self, u_ini_n, y_ini_n, layers):
-        theta = self.nh.theta_ls
-        nu = self.nu
-        jac_y = np.eye(self.ny)
+    def _program(self, u_ini_n, y_ini_n, layers, parts):
+        """Cost, rows, curvature and prediction y(u) of the step's reduced program.
 
-        def eq_fn(x):
-            phi, jac_phi = self.model.features(layers, self._network_input(u_ini_n, y_ini_n, x[:nu]))
-            c = x[nu:] - theta @ np.concatenate([phi, [1.0]])
-            return c, np.hstack([-(theta[:, :-1] @ jac_phi), jac_y])
-
-        return eq_fn
-
-    def _lag_hess_fn(self, u_ini_n, y_ini_n, layers):
-        """Constraint-curvature term for the QP Hessian (single hidden layer).
-
-        The prediction rows are -theta[:, :-1] phi(u) in u, so the curvature
-        of the Lagrangian's constraint part is a block ``C`` on the input
-        variables.  The rows have an identity block on y, so the null space
-        of their linearization is spanned by Z = [I; J_y] over u, with
-        J_y = -jac[:, :nu].  When the reduced Hessian Z' hess Z + C has a
-        Cholesky factor, the local program is convex on the constraint
-        manifold and C enters unclipped, which gives the SQP Newton-rate convergence;
-        otherwise C is clipped to PSD by an eigendecomposition.  ``hess`` is
-        the Hessian of whichever cost the step solves, so the dose stage's
-        Gauss-Newton cost is tested on its own Hessian.
+        ``parts(u, y) -> (f, g_u, g_y, h_uu, h_yy)`` is the (u, y) cost.  The
+        two latest distinct candidates are kept: the iterate and a rejected
+        trial each make one ``features`` pass.
         """
-        theta_feat = self.nh.theta_ls[:, :-1]
-        nu = self.nu
-        z = np.vstack([np.eye(nu), np.zeros((self.ny, nu))])
+        theta = self.nh.theta_ls
+        theta_feat = theta[:, :-1]
+        r0 = self._first_row
+        cache = []  # (bytes of u, point) of the two latest distinct candidates
 
-        def lag_hess(x, lam, hess, jac):
-            u_nn = self._network_input(u_ini_n, y_ini_n, x[:nu])
-            block = self.model.feature_curvature(layers, u_nn, -(theta_feat.T @ lam))
-            if block is None:
-                return None
-            block = 0.5 * (block + block.T)
-            z[nu:] = -jac[:, :nu]  # J_y at x; the identity block is fixed
-            reduced = z.T @ hess @ z + block
-            try:
-                np.linalg.cholesky(reduced)
-            except np.linalg.LinAlgError:
-                vals, vecs = np.linalg.eigh(block)
-                block = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-            out = np.zeros((self.n_var, self.n_var))
-            out[:nu, :nu] = block
-            return out
+        def at(u):
+            key = u.tobytes()
+            for seen, point in cache:
+                if seen == key:
+                    return point
+            phi, jac_phi = self.model.features(layers, self._network_input(u_ini_n, y_ini_n, u))
+            y = theta @ np.concatenate([phi, [1.0]])
+            jac = theta_feat @ jac_phi
+            f, g_u, g_y, h_uu, h_yy = parts(u, y)
+            point = (phi, y, jac, g_y, (f, g_u + jac.T @ g_y, h_uu + jac.T @ h_yy @ jac))
+            cache[:] = [(key, point)] + cache[:1]
+            return point
 
-        return lag_hess
+        def cost_fn(u):
+            return at(u)[4]
 
-    def _initial_point(self, u_ini_n, y_ini_n, layers, u_prev) -> np.ndarray:
-        cfg = self.cfg
-        if self._shifted is not None:
-            u0_flat = self._shifted
-        else:
-            u0_flat = np.tile(np.clip(u_prev, cfg.u_lo, cfg.u_hi), cfg.horizon)
-        phi, _ = self.model.features(layers, self._network_input(u_ini_n, y_ini_n, u0_flat))
-        y0 = self.nh.theta_ls @ np.concatenate([phi, [1.0]])
-        x0 = np.zeros(self.n_var)
-        x0[:self.nu] = u0_flat
-        x0[self.nu:] = y0
-        return x0
+        def row_fn(u):
+            _, y, jac, _, _ = at(u)
+            return y[r0:], jac[r0:]
+
+        def lag_hess(u, lam, hess, jac):
+            phi, _, _, g_y, _ = at(u)
+            w = g_y.copy()
+            w[r0:] += lam
+            block = self.model.feature_curvature(layers, phi, theta_feat.T @ w)
+            return None if block is None else 0.5 * (block + block.T)
+
+        return cost_fn, row_fn, lag_hess, lambda u: at(u)[1]
 
     def _cost_fn(self, r_vec, u_prev):
-        g_lin = self.linear_term(r_vec, u_prev)
-        h = self.h
+        """The tracking cost's (u, y) parts.  Its value keeps the constant
+        terms, so the SQP's merit and no-reduction test see the cost's own
+        scale, not an offset set by the reference."""
+        cost = self.cost
+        g_u0, g_y0 = cost.linear_terms(r_vec, u_prev)
 
-        def cost_fn(x):
-            return 0.5 * float(x @ (h @ x)) + float(g_lin @ x), h @ x + g_lin, h
+        def parts(u, y):
+            g_u, g_y = cost.h_u @ u + g_u0, cost.h_y @ y + g_y0
+            return cost.value(u, y, r_vec, u_prev), g_u, g_y, cost.h_u, cost.h_y
 
-        return cost_fn
+        return parts
 
     def _solve(self, u_ini, y_ini, p_hist, r_vec, u_prev):
         cfg = self.cfg
         d = self.model.dims
+        nu, r0 = self.nu, self._first_row
         u_ini_n = self.model.scalers.u.normalize(u_ini.reshape(d.t_ini, d.n_u)).ravel()
         y_ini_n = self.model.scalers.y.normalize(y_ini.reshape(d.t_ini, d.n_y)).ravel()
         # the hidden weights depend on the measured parameter history only
         layers = self.model.hyper_forward(self.model.normalize_p(p_hist))
-
-        eq_fn = self._constraint_fn(u_ini_n, y_ini_n, layers)
-        x, diag = solve_sqp(
-            self._cost_fn(r_vec, u_prev), eq_fn, self.lb, self.ub,
-            self._initial_point(u_ini_n, y_ini_n, layers, u_prev),
+        cost_fn, row_fn, lag_hess, predict = self._program(
+            u_ini_n, y_ini_n, layers, self._cost_fn(r_vec, u_prev))
+        u0 = self._shifted if self._shifted is not None else np.tile(np.clip(u_prev, cfg.u_lo, cfg.u_hi), cfg.horizon)
+        y_lo, y_hi = self.lb[nu + r0:], self.ub[nu + r0:]
+        u, diag = solve_sqp(
+            cost_fn, row_fn, self.lb[:nu], self.ub[:nu], u0,
             tol=cfg.kkt_tol, max_iter=cfg.max_iter, qp_max_iter=cfg.qp_max_iter,
-            lag_hess_fn=self._lag_hess_fn(u_ini_n, y_ini_n, layers),
+            lag_hess_fn=lag_hess, c_lo=y_lo, c_hi=y_hi,
         )
         if cfg.warm_start:
-            u_seq = x[:self.nu].reshape(cfg.horizon, cfg.n_u)
+            u_seq = u.reshape(cfg.horizon, cfg.n_u)
             self._shifted = np.vstack([u_seq[1:], u_seq[-1:]]).ravel()
         # non-convergence (including a locally infeasible subproblem) returns
         # the best iterate with its status; the inputs are always box-feasible
-        c_final, _ = eq_fn(x)
-        return x, diag, {"constraint_residual": float(np.linalg.norm(c_final, np.inf))}
+        y = predict(u)
+        y_rows = y[r0:]
+        residual = max(float(np.max(y_lo - y_rows, initial=0.0)), float(np.max(y_rows - y_hi, initial=0.0)))
+        return np.concatenate([u, y]), diag, {"constraint_residual": residual}
 
     # an entry of its own, so profilers and perfbench time each controller apart
     solve_step = HorizonController.solve_step
@@ -390,12 +384,12 @@ class CemController(NpvController):
       accumulator keeps the exact switch.
 
     The first predicted output is the current sample, which no input in the
-    horizon can change, so its box is dropped: bounding it would only turn
-    a measurement above the ceiling into an infeasible program.  A step that
-    still ends without a point satisfying the constraints (status
-    ``infeasible``, or a constraint residual above ``cfg.kkt_tol``) applies
-    the input floor ``cfg.u_lo`` instead of the returned iterate; the
-    solver status is reported unchanged.
+    horizon can change, so the program carries no output rows for it:
+    bounding it would only turn a measurement above the ceiling into an
+    infeasible program.  A step that still ends without a point satisfying
+    the constraints (status ``infeasible``, or a constraint residual above
+    ``cfg.kkt_tol``) applies the input floor ``cfg.u_lo`` instead of the
+    returned iterate; the solver status is reported unchanged.
     """
 
     def __init__(
@@ -419,39 +413,31 @@ class CemController(NpvController):
         self._r_deliver[0] = cfg.y_hi[0]
         self._stage = "deliver"
         self._cem_now = 0.0
-        self.lb[self.nu:self.nu + cfg.n_y] = -np.inf
-        self.ub[self.nu:self.nu + cfg.n_y] = np.inf
+        self._first_row = cfg.n_y
 
     def _dose_cost_fn(self, u_prev):
-        nu = self.nu
+        """The dose stage's (u, y) parts: Gauss-Newton on the dose miss plus the move penalty."""
         diff, e_prev = self.cost.diff, self.cost.e_prev
         h_u = 2.0 * self.r_du * diff.T @ diff
-        g_u = -2.0 * self.r_du * diff.T @ (e_prev @ np.asarray(u_prev, dtype=float))
+        g_u0 = -2.0 * self.r_du * diff.T @ (e_prev @ np.asarray(u_prev, dtype=float))
         target = self.cem_target
         cem_now = self._cem_now
         dt_min = self.dt_minutes
         ts_idx = self._ts_index
         reach = self.horizon_reach
+        ny = self.ny
 
-        def cost_fn(x):
-            ts = x[nu:][ts_idx]
-            cem_path, dinc = predicted_cem(ts, cem_now, dt_min)
+        def parts(u, y):
+            cem_path, dinc = predicted_cem(y[ts_idx], cem_now, dt_min)
             rho = (target - cem_path[-1]) / reach
-            grad = np.zeros(self.n_var)
-            hess = np.zeros((self.n_var, self.n_var))
             # Gauss-Newton on the scalar dose-miss residual
-            jrho = np.zeros(self.n_var)
-            jrho[nu:][ts_idx] = -dinc / reach
-            f = rho ** 2
-            grad += 2.0 * rho * jrho
-            hess += 2.0 * np.outer(jrho, jrho)
+            jrho = np.zeros(ny)
+            jrho[ts_idx] = -dinc / reach
             # small input-move penalty keeps the flat directions conditioned
-            f += 0.5 * float(x[:nu] @ (h_u @ x[:nu])) + float(g_u @ x[:nu])
-            grad[:nu] += h_u @ x[:nu] + g_u
-            hess[:nu, :nu] += h_u
-            return f, grad, hess
+            f = rho ** 2 + 0.5 * float(u @ (h_u @ u)) + float(g_u0 @ u)
+            return f, h_u @ u + g_u0, 2.0 * rho * jrho, h_u, 2.0 * np.outer(jrho, jrho)
 
-        return cost_fn
+        return parts
 
     def _cost_fn(self, r_vec, u_prev):
         if self._stage == "deliver":

@@ -1,7 +1,7 @@
 """Dense solvers sized for small receding-horizon problems.
 
 Provides an SVD pseudo-inverse, one entry point for convex QPs,
-:func:`solve_qp`, and a Gauss-Newton SQP with an l1 merit line search for
+:func:`solve_qp`, and an SQP with an l1 merit and a box trust region for
 the nonlinear programs the neural controllers generate.  ``solve_qp`` has
 two paths and picks one from the problem it is given:
 
@@ -9,16 +9,17 @@ two paths and picks one from the problem it is given:
   problem carries a Cholesky factor of its positive definite Hessian and
   has no equality rows.  It starts at the unconstrained minimizer and adds
   the most violated bound or general row ``lo <= C x <= hi`` until none is
-  left; the linear controllers' condensed programs take this path;
+  left.  The linear controllers' condensed programs and the SQP
+  subproblems, with their rows ``c_lo <= c(x) <= c_hi``, take this path;
 * a primal active-set solve from a bound-feasible start otherwise, for
-  problems with equality rows (the SQP subproblems) or only a semidefinite
-  Hessian.
+  problems with equality rows or only a semidefinite Hessian.
 
 Everything is dense numpy; problem sizes stay in the hundreds.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -76,7 +77,7 @@ class SolveDiagnostics:
     iterations: int
     kkt_residual: float
     wall_time_s: float
-    eq_multipliers: np.ndarray | None = None
+    row_multipliers: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kkt_residual < 0:
@@ -191,7 +192,7 @@ class HessianFactor:
             raise IndefiniteHessianError("H is not positive definite")
         if np.min(np.diag(l_fac), initial=np.inf) ** 2 <= 1e-12 * np.max(np.diag(h), initial=0.0):
             raise IndefiniteHessianError("H is positive definite only within rounding")
-        self.packed = np.tril(l_fac) + np.triu(np.linalg.inv(l_fac).T, 1)
+        self.packed = np.where(_strict_upper(l_fac.shape[0]), np.linalg.inv(l_fac).T, l_fac)
 
     @property
     def n(self) -> int:
@@ -199,13 +200,19 @@ class HessianFactor:
 
     def lower(self) -> np.ndarray:
         """L."""
-        return np.tril(self.packed)
+        return np.where(_strict_upper(self.n), 0.0, self.packed)
 
     def inv_upper(self) -> np.ndarray:
         """A fresh copy of L^-T."""
-        j = np.triu(self.packed, 1)
+        j = np.where(_strict_upper(self.n), self.packed, 0.0)
         j.flat[::self.n + 1] = 1.0 / np.diagonal(self.packed)
         return j
+
+
+@functools.lru_cache(maxsize=16)
+def _strict_upper(n: int) -> np.ndarray:
+    """Strict upper triangle mask, kept: np.tril / np.triu rebuild theirs on every call."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
 
 
 def _inf_norm(v) -> float:
@@ -347,28 +354,6 @@ def _restore_equalities(
     return x1, its
 
 
-def _min_norm_step(jac, c, cols) -> np.ndarray:
-    """Minimum-norm d with ``c + jac d = 0``, moving only the ``cols`` coordinates.
-
-    Solves the normal equations ``J_I J_I' w = -c`` and returns ``d_I = J_I' w``
-    with zeros elsewhere.  A singular or inaccurate solve (redundant rows, or
-    fewer free coordinates than rows) falls back to least squares.
-    """
-    j_i = jac[:, cols]
-    d = np.zeros(jac.shape[1])
-    try:
-        gram = j_i @ j_i.T
-        w = np.linalg.solve(gram, -c)
-        if not np.all(np.isfinite(w)) or (
-            _inf_norm(gram @ w + c) > 1e-8 * (1.0 + _inf_norm(c))
-        ):
-            raise np.linalg.LinAlgError
-        d[cols] = j_i.T @ w
-    except np.linalg.LinAlgError:
-        d[cols], *_ = np.linalg.lstsq(j_i, -c, rcond=None)
-    return d
-
-
 def _stationarity(r, x, lb, ub) -> float:
     """Worst violation of stationarity for the Lagrangian gradient ``r``.
 
@@ -400,15 +385,17 @@ def solve_qp(
     takes the dual path, which starts at the unconstrained minimizer and
     ignores ``x0``; any other takes the primal path from ``x0`` (default:
     the box centre, or the finite bound).  Returns the minimizer and
-    diagnostics with the KKT residual at that point; equality multipliers
-    ride along for SQP consumption.  Bounds are honored exactly at the
-    returned point.
+    diagnostics with the KKT residual at that point; the multipliers of the
+    equality rows (primal) or general rows (dual) ride along for SQP
+    consumption, signed so that bound multipliers alone balance
+    ``Hx + g + A'lam``.  Bounds are honored exactly at the returned point.
     """
     t0 = time.perf_counter()
     if prob.dual:
-        x, its, status, kkt = dual_active_set(prob, tol, max_iter)
+        x, its, status, kkt, row_mult = dual_active_set(prob, tol, max_iter)
         diag = SolveDiagnostics(
             status=status, iterations=its, kkt_residual=kkt, wall_time_s=time.perf_counter() - t0,
+            row_multipliers=row_mult if prob.c is not None else None,
         )
         return x, diag
     n = prob.n
@@ -445,14 +432,14 @@ def solve_qp(
         iterations=phase1_its + its,
         kkt_residual=_qp_kkt_residual(prob, x, lam),
         wall_time_s=time.perf_counter() - t0,
-        eq_multipliers=lam if prob.m_eq else None,
+        row_multipliers=lam if prob.m_eq else None,
     )
     return x, diag
 
 
 def solve_sqp(
     cost_fn,
-    eq_fn,
+    row_fn,
     lb,
     ub,
     x0,
@@ -460,33 +447,43 @@ def solve_sqp(
     max_iter: int = 50,
     qp_max_iter: int = 200,
     lag_hess_fn=None,
+    *,
+    c_lo=0.0,
+    c_hi=0.0,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """SQP with an l1 merit, ratio-managed box trust region and SOC steps.
+    """SQP with an l1 merit and a ratio-managed box trust region.
 
     Args:
         cost_fn: x -> (f, grad, hess); hess must be symmetric PSD (exact for
             quadratic costs, Gauss-Newton otherwise).
-        eq_fn: x -> (c, jac) equality constraints c(x) = 0 with analytic
-            Jacobian; pass None when unconstrained.
+        row_fn: x -> (c, jac), the rows ``c_lo <= c(x) <= c_hi`` with their
+            analytic Jacobian; pass None when unconstrained.
         lb, ub: variable bounds (+-inf allowed).
         x0: start point, clipped into the bounds.
-        lag_hess_fn: optional (x, lam, hess, jac) -> constraint-curvature
-            term added to the QP Hessian, or None for none.  ``hess`` is the
-            cost Hessian and ``jac`` the constraint Jacobian at ``x``, so the
-            callback can test convexity on the null space of the linearized
-            rows; that test is the callback's job.  The QP runs unvalidated,
-            so the sum only has to be positive definite on that null space.
-            Exact curvature there restores Newton-rate local convergence
-            when the equality constraints are meaningfully nonlinear.
+        lag_hess_fn: optional (x, lam, hess, jac) -> curvature term C added
+            to the subproblem Hessian, or None for none.  ``lam`` holds the
+            last subproblem's row multipliers (zero at first), signed so
+            that ``grad + jac' lam`` vanishes on the free variables at a KKT
+            point; ``hess`` and ``jac`` are the cost Hessian and the row
+            Jacobian at ``x``.
+        c_lo, c_hi: row limits, scalars or one per row (+-inf allowed); the
+            default 0 makes every row an equality c(x) = 0.
 
-    Each QP subproblem starts on its linearized rows: at the minimum-norm
-    correction of ``c + J d = 0`` over the coordinates strictly inside the
-    trust box, zero elsewhere, so phase 1 runs only when that point leaves
-    the box.  Every trial step gets a second-order correction (the same
-    minimum-norm restoration over the coordinates the step left strictly
-    inside their bounds), so the merit compares costs on the constraint
-    manifold.  Returns the best iterate with the KKT residual at that
-    point; exhaustion yields status ``max_iter``.
+    Each subproblem minimizes ``grad'd + 0.5 d'(hess + C) d`` subject to
+    ``c_lo - c <= jac d <= c_hi - c``, with the trust box and the variable
+    box as bounds.  It goes to the dual path of :func:`solve_qp` when
+    ``hess + C`` has a :class:`HessianFactor`.  Otherwise, with equality
+    rows only, it goes to the primal path and the callback answers for
+    convexity on the rows' null space; with inequality rows, C is clipped
+    to PSD, and ``hess`` must be positive definite.  The merit and the KKT
+    residual measure the row violation ``max(c_lo - c, 0) + max(c - c_hi,
+    0)``, which is ``|c|`` on an equality row.
+
+    Returns the best iterate with the KKT residual at that point.  The
+    status is ``optimal`` at a KKT point; ``infeasible`` when the linearized
+    rows do not fit the trust box widened once, or when the solve stalls (a
+    collapsed trust radius, or no predicted reduction) at a point whose row
+    violation exceeds ``tol``; ``max_iter`` otherwise.
     """
     t0 = time.perf_counter()
     lb = np.asarray(lb, dtype=float).ravel()
@@ -499,92 +496,103 @@ def solve_sqp(
     status = "max_iter"
 
     def _eval_c(xv):
-        if eq_fn is None:
+        if row_fn is None:
             return np.zeros(0), np.zeros((0, xv.size))
-        c, jac = eq_fn(xv)
+        c, jac = row_fn(xv)
         return np.asarray(c, dtype=float).ravel(), np.atleast_2d(np.asarray(jac, dtype=float))
 
+    def _violation(cv):
+        return np.maximum(c_lo - cv, 0.0) + np.maximum(cv - c_hi, 0.0)
+
     def _evaluate(xv):
-        # cost, constraints and the l1 merit at the current penalty; a kept
-        # trial's values become the next iterate's without re-evaluation
+        # cost, rows and the l1 merit at the current penalty; a kept trial's
+        # values become the next iterate's without re-evaluation
         fg = cost_fn(xv)
         cj = _eval_c(xv)
-        return fg, cj, fg[0] + mu * float(np.sum(np.abs(cj[0])))
+        return fg, cj, fg[0] + mu * float(np.sum(_violation(cj[0])))
 
     def _kkt_at_x(lam_):
         # KKT residual at the current iterate for the multipliers lam_
         stat = _stationarity(grad + (jac.T @ lam_ if m else 0.0), x, lb, ub)
-        return max(stat, _inf_norm(c))
+        return max(stat, _inf_norm(_violation(c)))
 
     f, grad, hess = cost_fn(x)
     c, jac = _eval_c(x)
     m = c.size
-    best_x, best_merit, best_kkt = x.copy(), np.inf, np.inf
+    c_lo = np.broadcast_to(np.asarray(c_lo, dtype=float), (m,))
+    c_hi = np.broadcast_to(np.asarray(c_hi, dtype=float), (m,))
+    equalities = bool(np.all(c_lo == c_hi))
+    best_x, best_merit, best_kkt, best_viol = x.copy(), np.inf, np.inf, np.inf
     lam = np.zeros(m)
 
     for _ in range(max_iter):
-        h_qp = hess
-        if lag_hess_fn is not None and m:
-            extra = lag_hess_fn(x, lam, hess, jac)
-            if extra is not None:
-                h_qp = hess + extra
-        # linearized constraints may not fit inside the trust box; widen once
+        extra = lag_hess_fn(x, lam, hess, jac) if lag_hess_fn is not None and m else None
+        h_qp = hess if extra is None else hess + extra
+        try:
+            factor = HessianFactor(h_qp)
+        except IndefiniteHessianError:
+            factor = None
+            if not equalities:
+                if extra is None:
+                    raise
+                vals, vecs = np.linalg.eigh(extra)
+                h_qp = hess + (vecs * np.maximum(vals, 0.0)) @ vecs.T
+                factor = HessianFactor(h_qp)
+        # linearized rows may not fit inside the trust box; widen once
         for widen in (1.0, 16.0):
             radius *= widen
-            qp = QpProblem(
-                h=h_qp, g=grad, a_eq=jac if m else None, b_eq=-c if m else None,
-                lb=np.maximum(lb - x, -radius), ub=np.minimum(ub - x, radius), validate=False,
-            )
-            d0 = _min_norm_step(jac, c, (qp.lb < 0.0) & (qp.ub > 0.0)) if m else np.zeros(x.size)
-            d, qdiag = solve_qp(qp, x0=d0, tol=min(tol, 1e-8), max_iter=qp_max_iter)
+            d_lo, d_hi = np.maximum(lb - x, -radius), np.minimum(ub - x, radius)
+            if factor is not None:
+                qp = QpProblem(h=None, g=grad, lb=d_lo, ub=d_hi, h_factor=factor,
+                               c=jac if m else None, c_lo=c_lo - c, c_hi=c_hi - c)
+            else:
+                qp = QpProblem(h=h_qp, g=grad, a_eq=jac if m else None, b_eq=c_lo - c if m else None,
+                               lb=d_lo, ub=d_hi, validate=False)
+            d, qdiag = solve_qp(qp, tol=min(tol, 1e-8), max_iter=qp_max_iter)
             if qdiag.status != "infeasible":
                 break
         else:
             status = "infeasible"
             break
-        lam = qdiag.eq_multipliers if qdiag.eq_multipliers is not None else np.zeros(m)
+        lam = qdiag.row_multipliers if qdiag.row_multipliers is not None else np.zeros(m)
 
         kkt = _kkt_at_x(lam)
         step_norm = _inf_norm(d)
         if kkt <= tol and step_norm <= tol * (1.0 + _inf_norm(x)):
             status = "optimal"
+            if m and _inf_norm(_violation(c)) > 0.0:
+                # the last step solves the linearized rows, so it removes a
+                # violation left by the row curvature to second order: take
+                # it unless it raises the KKT residual
+                kept = x, f, grad, hess, c, jac, kkt
+                x = np.clip(x + d, lb, ub)
+                (f, grad, hess), (c, jac), _ = _evaluate(x)
+                kkt = _kkt_at_x(lam)
+                if kkt > kept[-1]:
+                    x, f, grad, hess, c, jac, kkt = kept
             break
 
         if m:
             mu = max(mu, 1.05 * _inf_norm(lam) + 1.0)
-        c_l1 = float(np.sum(np.abs(c)))
-        merit0 = f + mu * c_l1
+        viol = _violation(c)
+        viol_l1 = float(np.sum(viol))
+        merit0 = f + mu * viol_l1
         if merit0 < best_merit:
-            best_x, best_merit, best_kkt = x.copy(), merit0, kkt
-        # model reduction of the l1 merit; the QP drives c + J d to zero
+            best_x, best_merit, best_kkt, best_viol = x.copy(), merit0, kkt, viol
+        # model reduction of the l1 merit; the QP satisfies the linearized rows
         model_cost_change = float(grad @ d) + 0.5 * float(d @ (h_qp @ d))
-        resid_after = float(np.sum(np.abs(c + jac @ d))) if m else 0.0
-        pred_red = -model_cost_change + mu * (c_l1 - resid_after)
+        resid_after = float(np.sum(_violation(c + jac @ d))) if m else 0.0
+        pred_red = -model_cost_change + mu * (viol_l1 - resid_after)
         if pred_red <= 1e-14 * (1.0 + abs(merit0)):
-            if m and c_l1 > tol:
+            if m and viol_l1 > tol:
                 # penalty too small to pay for the restoration step
-                mu = 2.0 * max(model_cost_change, 0.0) / max(c_l1 - resid_after, 1e-12) + 2.0 * mu
+                mu = 2.0 * max(model_cost_change, 0.0) / max(viol_l1 - resid_after, 1e-12) + 2.0 * mu
                 continue
-            status = "optimal" if kkt <= 10 * tol else "max_iter"
+            status = "optimal" if kkt <= 10 * tol else "stalled"
             break
 
         trial = np.clip(x + d, lb, ub)
         fg_t, cj_t, merit_t = _evaluate(trial)
-        if m:
-            # second-order correction: land each trial back on the constraint
-            # manifold, so the merit sees the cost change and not the
-            # quadratic violation the linearized step leaves behind; bound-
-            # active coordinates stay pinned so activity detection survives
-            c_trial = cj_t[0]
-            lo_gap = np.where(np.isfinite(lb), trial - lb, np.inf)
-            hi_gap = np.where(np.isfinite(ub), ub - trial, np.inf)
-            margin = 1e-9 * (1.0 + np.abs(trial))
-            interior = (lo_gap > margin) & (hi_gap > margin)
-            if np.all(np.isfinite(c_trial)) and np.any(interior):
-                trial_soc = np.clip(trial + _min_norm_step(jac, c_trial, interior), lb, ub)
-                fg_soc, cj_soc, merit_soc = _evaluate(trial_soc)
-                if np.isfinite(merit_soc) and merit_soc <= merit_t:
-                    trial, fg_t, cj_t, merit_t = trial_soc, fg_soc, cj_soc, merit_soc
         accepted = np.isfinite(merit_t) and (merit0 - merit_t) >= 0.1 * pred_red
         if accepted:
             good = (merit0 - merit_t) >= 0.75 * pred_red
@@ -598,14 +606,18 @@ def solve_sqp(
         else:
             radius = max(0.25 * step_norm, 1e-12)
             if radius <= 1e-11 * (1.0 + _inf_norm(x)):
+                status = "stalled"
                 break
 
-    if status != "optimal" and f + mu * float(np.sum(np.abs(c))) > best_merit:
-        x, kkt = best_x, best_kkt
+    viol = _violation(c)
+    if status != "optimal" and f + mu * float(np.sum(viol)) > best_merit:
+        x, kkt, viol = best_x, best_kkt, best_viol
     elif kkt == np.inf:
         # no residual at x yet (an accepted last step, or no QP solved):
         # take it with the latest multipliers
         kkt = _kkt_at_x(lam)
+    if status == "stalled":
+        status = "infeasible" if _inf_norm(viol) > tol else "max_iter"
     diag = SolveDiagnostics(
         status=status,
         iterations=steps,

@@ -444,6 +444,35 @@ def test_step_contract(kind, warm_start, monkeypatch):
         assert_cold(x0, u_prevs[1])
         return
     u_shift = np.vstack([steps[0].u_seq[1:], steps[0].u_seq[-1:]]).ravel()
-    assert np.array_equal(x0[:nu], u_shift)
-    # the outputs start on the prediction of the shifted inputs
-    assert np.max(np.abs(problem(x0)[0])) <= 1e-12
+    # the SQP runs over the inputs alone, and its rows are the predicted outputs
+    assert np.array_equal(x0, u_shift)
+    assert problem(x0)[0].shape == (cfg.horizon * cfg.n_y,)
+
+
+def _loop_tracking_cost(cfg, u_seq, y_seq, r_vec, u_prev) -> float:
+    """Reference: the tracking cost summed step by step over the horizon."""
+    u_seq = np.reshape(u_seq, (cfg.horizon, cfg.n_u))
+    y_seq = np.reshape(y_seq, (cfg.horizon, cfg.n_y))
+    q, r_w, p_w = (np.asarray(w, dtype=float) for w in (cfg.q, cfg.r, cfg.p))
+    cost, prev = 0.0, np.asarray(u_prev, dtype=float)
+    for i in range(cfg.horizon):
+        err, du = y_seq[i] - r_vec, u_seq[i] - prev
+        cost += float(err @ (q * err) + du @ (r_w * du))
+        prev = u_seq[i]
+    err_t = y_seq[-1] - r_vec
+    return cost + float(err_t @ (p_w * err_t))
+
+
+def test_tracking_cost_value_matches_loop_reference():
+    # the stacked-operator value against the step-by-step sum; the summation
+    # order differs, so they agree to rounding of a few dozen terms
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        cfg = ControllerConfig(
+            horizon=int(rng.integers(1, 8)), q=tuple(rng.uniform(0, 2, 2)), r=tuple(rng.uniform(0.01, 1, 2)),
+            p=tuple(rng.uniform(0, 3, 2)),
+        )
+        u_seq, y_seq = rng.uniform(1, 8, (cfg.horizon, 2)), rng.uniform(20, 45, (cfg.horizon, 2))
+        r_vec, u_prev = rng.uniform(25, 35, 2), rng.uniform(1, 8, 2)
+        ref = _loop_tracking_cost(cfg, u_seq, y_seq, r_vec, u_prev)
+        assert TrackingCost(cfg).value(u_seq, y_seq, r_vec, u_prev) == pytest.approx(ref, rel=1e-12)

@@ -287,6 +287,30 @@ class TestJacobian:
         scale = max(np.max(np.abs(analytic)), 1e-8)
         assert np.max(np.abs(fd - analytic)) / scale < 1e-6
 
+    def test_curvature_at_features_activation(self, rng):
+        # the weighted curvature from the activation features returned, against
+        # central differences of the weighted Jacobian; the wrapper agrees
+        for trial in range(5):
+            model = random_model(rng, hidden=(6,), modulated=(True,))
+            d = model.dims
+            nn_in = model.nn_input(rng.uniform(-0.8, 0.8, d.t_ini * d.n_u), rng.uniform(-0.8, 0.8, d.t_ini * d.n_y),
+                                   rng.uniform(-0.8, 0.8, d.horizon * d.n_u), rng.uniform(-0.8, 0.8, d.t_ini * d.n_p))
+            layers = model.hyper_forward(nn_in.p_vec)
+            weights = rng.standard_normal(model.nu_l)
+            z, _ = model.features(layers, nn_in.u_nn)
+            curv = model.feature_curvature(layers, z, weights)
+            gain = np.tile(model.scalers.u.gain, d.horizon)
+            step = 1e-6
+            fd = np.zeros_like(curv)
+            for j in range(fd.shape[0]):
+                e = np.zeros(d.nu_u)
+                e[d.future_u_slice.start + j] = step * gain[j]
+                hi = model.features(layers, nn_in.u_nn + e)[1].T @ weights
+                lo = model.features(layers, nn_in.u_nn - e)[1].T @ weights
+                fd[:, j] = (hi - lo) / (2 * step)
+            assert np.max(np.abs(fd - curv)) / max(np.max(np.abs(curv)), 1e-8) < 1e-6
+            assert np.array_equal(model.phi_curvature_future_u_raw(nn_in, weights), curv)
+
     def test_zero_weights_zero_jacobian(self, rng):
         model = random_model(rng)
         model.params["h0_base_w"][:] = 0.0

@@ -331,7 +331,6 @@ class TestCondensedForm:
         cfg = wide_cfg(warm_start=False)
         ctrl = NpvController(nh, cfg)
         assert _kernel_rank(nh.kmat) == ctrl.ny
-        assert ctrl.n_var == ctrl.nu + ctrl.ny
         rng = np.random.default_rng(5)
         for start in (60, 140, 220):
             w = Window.from_trajectory(traj, start, T_INI, HORIZON)
@@ -344,21 +343,28 @@ class TestCondensedForm:
             # the kernel rows of a full-column-rank kmat pin the correction to zero
             assert g_norm_ref < 1e-8
 
-    def test_only_prediction_rows(self, setup, monkeypatch):
+    def test_only_output_rows(self, setup, monkeypatch):
+        # the SQP runs over the inputs alone; its rows are the predicted
+        # outputs, limited by the output box
         traj, model, hs, p_cols, nh = setup
         seen = []
 
-        def spy(cost_fn, eq_fn, lb, ub, x0, **kw):
-            seen.append(eq_fn(x0))
-            return solve_sqp(cost_fn, eq_fn, lb, ub, x0, **kw)
+        def spy(cost_fn, row_fn, lb, ub, x0, **kw):
+            seen.append((row_fn(x0), x0, kw["c_lo"], kw["c_hi"]))
+            return solve_sqp(cost_fn, row_fn, lb, ub, x0, **kw)
 
         monkeypatch.setattr(npv, "solve_sqp", spy)
         w = Window.from_trajectory(traj, 100, T_INI, HORIZON)
         ctrl = NpvController(nh, wide_cfg())
         ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
-        c, jac = seen[-1]
+        (c, jac), x0, c_lo, c_hi = seen[-1]
+        assert x0.shape == (ctrl.nu,)
         assert c.shape == (ctrl.ny,)
-        assert jac.shape == (ctrl.ny, ctrl.n_var)
+        assert jac.shape == (ctrl.ny, ctrl.nu)
+        phi = model.phi_hl(model.nn_input(w.u_ini, w.y_ini, x0, w.p_hist))
+        assert np.max(np.abs(c - nh.theta_ls @ np.append(phi, 1.0))) < 1e-12
+        y_lo, y_hi = ctrl.cost.y_bounds()
+        assert np.array_equal(c_lo, y_lo) and np.array_equal(c_hi, y_hi)
 
 
 class TestStepWork:
@@ -392,63 +398,131 @@ class TestStepWork:
             assert step.iterations > 0
         assert len(calls) == len(starts)
 
-    def test_subproblems_start_on_linearized_rows(self, setup, monkeypatch):
+    @pytest.mark.parametrize("kind", ["npv", "neural", "cem"])
+    def test_every_subproblem_takes_the_dual_path(self, setup, monkeypatch, kind):
         traj, model, hs, p_cols, nh = setup
-        restore = optim._restore_equalities
-        calls = []
+        solve_qp = optim.solve_qp
+        paths = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return restore(*args, **kwargs)
+        def spy(prob, *args, **kwargs):
+            paths.append(prob.dual)
+            return solve_qp(prob, *args, **kwargs)
 
-        monkeypatch.setattr(optim, "_restore_equalities", counted)
-        ctrl = NpvController(nh, wide_cfg())
-        iterations = 0
+        monkeypatch.setattr(optim, "solve_qp", spy)
+        stages = set()
+        if kind == "cem":
+            cfg = wide_cfg(y_lo=(24.0, 19.0), y_hi=(30.0, 80.0))
+            ctrl = CemController(nh, cfg, cem_target=0.05, dt=traj.dt)
+        else:
+            ctrl = NpvController(nh if kind == "npv" else transform_hankel(model.frozen(), hs, p_cols), wide_cfg())
         for start in (60, 61, 62, 63, 150, 151):
             w = Window.from_trajectory(traj, start, T_INI, HORIZON)
-            _, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([31.0, 40.0]), [4.0, 3.0])
+            if kind == "cem":
+                _, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, cem_now=0.05 * (start > 100), u_prev=[4.0, 3.0])
+                stages.add(step.extras["stage"])
+            else:
+                ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([31.0, 40.0]), [4.0, 3.0])
+        assert len(paths) > 6 and all(paths)
+        if kind == "cem":
+            assert stages == {"deliver", "dose"}
+
+    @pytest.mark.parametrize("kind", ["npv", "cem"])
+    def test_one_features_pass_per_distinct_input(self, setup, monkeypatch, kind):
+        traj, model, hs, p_cols, nh = setup
+        features = HyperDnnModel.features
+        passes, distinct = [], []
+
+        def counted(self, layers, u_nn):
+            passes.append(u_nn)
+            return features(self, layers, u_nn)
+
+        def spy(cost_fn, row_fn, lb, ub, x0, **kw):
+            seen = set()
+
+            def rows(x):
+                seen.add(x.tobytes())
+                return row_fn(x)
+
+            def cost(x):
+                seen.add(x.tobytes())
+                return cost_fn(x)
+
+            result = solve_sqp(cost, rows, lb, ub, x0, **kw)
+            distinct.append(len(seen))
+            return result
+
+        monkeypatch.setattr(HyperDnnModel, "features", counted)
+        monkeypatch.setattr(npv, "solve_sqp", spy)
+        if kind == "cem":
+            cfg = wide_cfg(y_lo=(24.0, 19.0), y_hi=(30.0, 80.0))
+            ctrl = CemController(nh, cfg, cem_target=0.05, dt=traj.dt)
+        else:
+            ctrl = NpvController(nh, wide_cfg())
+        iterations = 0
+        for start in (60, 61, 62, 150):
+            w = Window.from_trajectory(traj, start, T_INI, HORIZON)
+            if kind == "cem":
+                _, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, cem_now=0.05 * (start > 100), u_prev=[4.0, 3.0])
+            else:
+                _, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([31.0, 40.0]), [4.0, 3.0])
             iterations += step.iterations
+        # cost, rows, curvature and the returned prediction share each pass
         assert iterations > 0
-        assert calls == []
+        assert len(passes) == sum(distinct)
 
 
 class TestCurvatureGate:
-    """The constraint curvature enters exactly only where the program is convex."""
+    """The exact Lagrangian curvature enters wherever the reduced Hessian stays positive definite."""
 
     def test_exact_where_reduced_hessian_is_positive_definite(self, setup, monkeypatch):
         traj, model, hs, p_cols, nh = setup
         seen = {}
 
-        def spy(cost_fn, eq_fn, lb, ub, x0, **kw):
-            seen.update(cost_fn=cost_fn, eq_fn=eq_fn, x0=x0, lag_hess=kw["lag_hess_fn"])
-            return solve_sqp(cost_fn, eq_fn, lb, ub, x0, **kw)
+        def spy(cost_fn, row_fn, lb, ub, x0, **kw):
+            seen.update(cost_fn=cost_fn, row_fn=row_fn, x0=x0, lag_hess=kw["lag_hess_fn"])
+            return solve_sqp(cost_fn, row_fn, lb, ub, x0, **kw)
+
+        factors = []
+        hessian_factor = optim.HessianFactor
+
+        def spy_factor(h):
+            factors.append(h)
+            return hessian_factor(h)
 
         monkeypatch.setattr(npv, "solve_sqp", spy)
-        ctrl = NpvController(nh, wide_cfg())
+        monkeypatch.setattr(optim, "HessianFactor", spy_factor)
+        cfg = wide_cfg()
+        ctrl = NpvController(nh, cfg)
         w = Window.from_trajectory(traj, 100, T_INI, HORIZON)
-        ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([30.0, 40.0]), [4.0, 3.0])
-        x = seen["x0"]
-        _, jac = seen["eq_fn"](x)
+        r_vec = np.array([30.0, 40.0])
+        ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, r_vec, [4.0, 3.0])
+        u = seen["x0"]
+        y, jac = seen["row_fn"](u)
+        _, grad, hess = seen["cost_fn"](u)
+        cost = TrackingCost(cfg)
+        g_u, g_y = cost.linear_terms(r_vec, [4.0, 3.0])
+        g_y = g_y + cost.h_y @ y
+
+        # the reduced cost: grad and B composed through J = dy/du
+        assert np.allclose(grad, cost.h_u @ u + g_u + jac.T @ g_y, rtol=0.0, atol=1e-10)
+        assert np.allclose(hess, cost.h_u + jac.T @ cost.h_y @ jac, rtol=0.0, atol=1e-10)
+        np.linalg.cholesky(hess)
+
+        # C is the curvature of w'y(u) with w = g_y + lam, by central differences
         lam = 1e-2 * np.random.default_rng(2).standard_normal(ctrl.ny)
-        nu = ctrl.nu
-        assert ctrl.n_var == nu + ctrl.ny  # the null space is [I; J_y]
+        curv = seen["lag_hess"](u, lam, hess, jac)
+        step = 1e-5
+        fd = np.column_stack([
+            (seen["row_fn"](u + step * e)[1] - seen["row_fn"](u - step * e)[1]).T @ (g_y + lam) / (2 * step)
+            for e in np.eye(ctrl.nu)
+        ])
+        assert np.max(np.abs(curv - fd)) < 1e-5 * max(1.0, np.max(np.abs(curv)))
+        assert np.linalg.eigvalsh(curv)[0] < 0.0  # indefinite, so a clip would lose it
 
-        # a dominant cost Hessian makes any curvature pass the test
-        exact = seen["lag_hess"](x, lam, 1e6 * np.eye(ctrl.n_var), jac)
-        vals, vecs = np.linalg.eigh(exact[:nu, :nu])
-        assert vals[0] < 0.0 < vals[-1]
-        assert not np.any(exact[nu:]) and not np.any(exact[:, nu:])
-
-        # the tracking Hessian: the reduced Hessian plus C has a Cholesky factor
-        hess = seen["cost_fn"](x)[2]
-        z = np.vstack([np.eye(nu), -jac[:, :nu]])
-        np.linalg.cholesky(z.T @ hess @ z + exact[:nu, :nu])
-        assert np.array_equal(seen["lag_hess"](x, lam, hess, jac), exact)
-
-        # no cost curvature: the reduced Hessian is C itself, indefinite, so clip
-        clipped = seen["lag_hess"](x, lam, np.zeros_like(hess), jac)
-        assert np.allclose(clipped[:nu, :nu], (vecs * np.maximum(vals, 0.0)) @ vecs.T, atol=1e-12)
-        assert np.linalg.eigvalsh(clipped[:nu, :nu])[0] > -1e-12
+        # the first subproblem's Hessian is B + C unclipped, where it factors
+        curv0 = seen["lag_hess"](u, np.zeros(ctrl.ny), hess, jac)
+        np.linalg.cholesky(hess + curv0)
+        assert np.allclose(factors[0], hess + curv0, rtol=0.0, atol=1e-12)
 
 
 def _mean_parameter(model) -> np.ndarray:

@@ -6,7 +6,6 @@ from npvdeepc.optim import (
     HessianFactor,
     IndefiniteHessianError,
     QpProblem,
-    _min_norm_step,
     _restore_equalities,
     check_jacobian,
     pinv,
@@ -263,7 +262,7 @@ class TestSolveQp:
         if with_row:
             sol = np.linalg.solve(np.block([[h, a.T], [a, np.zeros((1, 1))]]), np.concatenate([-g, b]))
             x_ref, lam_ref = sol[:6], sol[6:]
-            assert np.allclose(diag.eq_multipliers, lam_ref, rtol=0.0, atol=1e-8)
+            assert np.allclose(diag.row_multipliers, lam_ref, rtol=0.0, atol=1e-8)
         else:
             x_ref = np.linalg.solve(h, -g)
         assert np.all(np.abs(x_ref) < 9.0)
@@ -463,42 +462,6 @@ class TestDualPath:
             QpProblem(h=None, g=np.zeros(2), a_eq=np.ones((1, 2)), b_eq=np.ones(1), h_factor=HessianFactor(np.eye(2)))
 
 
-class TestMinNormStep:
-    def test_matches_lstsq_on_column_subset(self):
-        rng = np.random.default_rng(6)
-        jac = rng.standard_normal((4, 9))
-        c = rng.standard_normal(4)
-        cols = np.array([True, False, True, True, False, True, True, False, True])
-        d = _min_norm_step(jac, c, cols)
-        ref, *_ = np.linalg.lstsq(jac[:, cols], -c, rcond=None)
-        assert np.all(d[~cols] == 0.0)
-        assert np.allclose(d[cols], ref, rtol=0.0, atol=1e-12)
-        assert np.allclose(jac @ d, -c, rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("consistent", [True, False])
-    def test_repeated_row_falls_back_to_lstsq(self, monkeypatch, consistent):
-        rng = np.random.default_rng(7)
-        jac = rng.standard_normal((3, 6))
-        jac = np.vstack([jac, jac[1]])
-        c = rng.standard_normal(4)
-        if consistent:
-            c[3] = c[1]
-        cols = np.array([True, True, False, True, True, True])
-        lstsq = np.linalg.lstsq
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
-        d = _min_norm_step(jac, c, cols)
-        assert len(calls) == 1
-        ref, *_ = lstsq(jac[:, cols], -c, rcond=None)
-        assert np.all(d[~cols] == 0.0)
-        assert np.allclose(d[cols], ref, rtol=0.0, atol=1e-12)
-
-
 class TestSolveSqp:
     def test_quadratic_with_linear_constraints_single_iteration(self):
         rng = np.random.default_rng(5)
@@ -630,6 +593,131 @@ class TestSolveSqp:
         assert check_jacobian(fn, np.array([1.0])) > 1e-2
 
 
+def _convex_row_nlp(rng):
+    """A strictly convex program in the plane with two-sided rows.
+
+    The cost 0.5 |x - a|^2 + 0.1 x0^4 is pulled toward a random target; the
+    rows are two linear ones with two-sided limits around 0 and the convex
+    row exp(x0 / 2) + x1^2 <= r_hi, so the feasible set is convex, holds the
+    origin, and the minimizer is unique.  ``curvature`` is the exact
+    curvature term of the nonlinear row, and ``values`` gives the cost and
+    the rows at each row of a point array.
+    """
+    a = rng.uniform(-3.0, 3.0, 2)
+    mat = rng.standard_normal((2, 2))
+    c_lo = np.concatenate([rng.uniform(-1.5, -0.2, 2), [-np.inf]])
+    c_hi = np.concatenate([rng.uniform(0.2, 1.5, 2), [rng.uniform(1.2, 3.0)]])
+
+    def cost(x):
+        f = 0.5 * float((x - a) @ (x - a)) + 0.1 * x[0] ** 4
+        grad = x - a + np.array([0.4 * x[0] ** 3, 0.0])
+        return f, grad, np.eye(2) + np.diag([1.2 * x[0] ** 2, 0.0])
+
+    def rows(x):
+        e = np.exp(0.5 * x[0])
+        return np.append(mat @ x, e + x[1] ** 2), np.vstack([mat, [0.5 * e, 2.0 * x[1]]])
+
+    def curvature(x, lam, hess, jac):
+        return lam[2] * np.diag([0.25 * np.exp(0.5 * x[0]), 2.0])
+
+    def values(pts):
+        f = 0.5 * np.sum((pts - a) ** 2, axis=1) + 0.1 * pts[:, 0] ** 4
+        return f, np.column_stack([pts @ mat.T, np.exp(0.5 * pts[:, 0]) + pts[:, 1] ** 2])
+
+    return cost, rows, curvature, values, c_lo, c_hi
+
+
+def _grid_minimum(values, c_lo, c_hi, lb, ub, step=0.005):
+    """Brute-force oracle: the least cost over the feasible points of a grid."""
+    g0, g1 = np.meshgrid(np.arange(lb[0], ub[0] + step / 2, step), np.arange(lb[1], ub[1] + step / 2, step))
+    pts = np.column_stack([g0.ravel(), g1.ravel()])
+    f, c = values(pts)
+    f[~np.all((c >= c_lo) & (c <= c_hi), axis=1)] = np.inf
+    k = int(f.argmin())
+    return float(f[k]), pts[k]
+
+
+class TestSqpRows:
+    """Two-sided rows c_lo <= c(x) <= c_hi."""
+
+    def test_two_sided_rows_match_brute_force(self):
+        lb, ub = np.full(2, -2.0), np.full(2, 2.0)
+        sides = set()
+        for seed in range(12):
+            cost, rows, curvature, values, c_lo, c_hi = _convex_row_nlp(np.random.default_rng(seed))
+            x, diag = solve_sqp(cost, rows, lb, ub, np.zeros(2), tol=1e-8, lag_hess_fn=curvature,
+                                c_lo=c_lo, c_hi=c_hi)
+            assert diag.status == "optimal", seed
+            c = rows(x)[0]
+            assert np.all(c >= c_lo - 1e-9) and np.all(c <= c_hi + 1e-9), seed
+            f_grid, x_grid = _grid_minimum(values, c_lo, c_hi, lb, ub)
+            # no feasible grid point beats the solution, and the grid's best
+            # is as close as its spacing allows
+            assert cost(x)[0] <= f_grid + 1e-12, seed
+            assert f_grid - cost(x)[0] < 0.05 and np.max(np.abs(x - x_grid)) < 0.05, seed
+            sides.update(("lo", i) for i in np.flatnonzero(np.abs(c - c_lo) < 1e-8))
+            sides.update(("hi", i) for i in np.flatnonzero(np.abs(c - c_hi) < 1e-8))
+        # rows were active at both limits, and the nonlinear row at its upper one
+        assert {"lo", "hi"} == {side for side, _ in sides}
+        assert ("hi", 2) in sides
+
+    def test_equality_limits_as_keywords(self):
+        # x0^2 + x1 = 1 written with its limit, against the zero-limit form
+        def cost(x):
+            return float(x @ x), 2 * x, 2 * np.eye(2)
+
+        def shifted(x):
+            return np.array([x[0] ** 2 + x[1]]), np.array([[2 * x[0], 1.0]])
+
+        def zeroed(x):
+            c, jac = shifted(x)
+            return c - 1.0, jac
+
+        box = (np.full(2, -10.0), np.full(2, 10.0))
+        x_a, diag_a = solve_sqp(cost, shifted, *box, x0=np.array([1.0, 1.0]), c_lo=1.0, c_hi=1.0)
+        x_b, diag_b = solve_sqp(cost, zeroed, *box, x0=np.array([1.0, 1.0]))
+        assert diag_a.status == diag_b.status == "optimal"
+        assert np.allclose(x_a, x_b, rtol=0.0, atol=1e-9)
+        assert abs(x_a[0] ** 2 + x_a[1] - 1.0) < 1e-8
+
+    def test_kkt_residual_covers_row_violation(self):
+        # cut off after a few iterations from random starts: the reported
+        # residual must cover the returned point's row violation
+        lb, ub = np.full(2, -2.0), np.full(2, 2.0)
+        statuses = set()
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            cost, rows, *_, c_lo, c_hi = _convex_row_nlp(rng)
+            x, diag = solve_sqp(cost, rows, lb, ub, rng.uniform(-2.0, 2.0, 2), tol=1e-8,
+                                max_iter=int(rng.integers(1, 4)), c_lo=c_lo, c_hi=c_hi)
+            statuses.add(diag.status)
+            c = rows(x)[0]
+            viol = np.max(np.maximum(c_lo - c, 0.0) + np.maximum(c - c_hi, 0.0))
+            assert diag.kkt_residual >= viol, seed
+        assert "max_iter" in statuses
+
+    def test_stalled_solve_reports_infeasible_only_off_its_rows(self):
+        # derivatives 1e15 times too steep: every step is too short to change
+        # the merit, and the trust radius collapses at the start.  With a
+        # violated row that stop is infeasible; without rows it is max_iter
+        def cost(x):
+            return float(x @ x), 2.0 * x, 2.0 * np.eye(1)
+
+        def steep_row(x):
+            return np.array([x[0] - 1.0]), np.array([[1e15]])
+
+        def steep_cost(x):
+            return float((x[0] - 1.0) ** 2), np.array([2e15 * (x[0] - 1.0)]), 2.0 * np.eye(1)
+
+        box = (np.full(1, -10.0), np.full(1, 10.0))
+        x, diag = solve_sqp(cost, steep_row, *box, x0=np.zeros(1))
+        assert (diag.status, diag.iterations) == ("infeasible", 0)
+        assert x[0] == 0.0 and diag.kkt_residual >= 1.0
+        x, diag = solve_sqp(steep_cost, None, *box, x0=np.full(1, 2.0))
+        assert (diag.status, diag.iterations) == ("max_iter", 0)
+        assert x[0] == 2.0
+
+
 def _sine_curve_nlp(target):
     """min 0.5 |x - target|^2 on the curve x1 = sin(x0), as SQP callbacks.
 
@@ -688,24 +776,28 @@ class TestExactCurvature:
         # lam * sin(x0) < 0 along the whole path, while the reduced Hessian
         # 1 + cos(x0)^2 + lam * sin(x0) stays positive: the clip drops
         # curvature the model needs and stalls above 1e-10, exact curvature
-        # converges there in fewer iterations
+        # converges there in fewer iterations.  Trial steps are judged off
+        # the curve (no second-order correction), so the clipped solve stalls
+        # after 11 accepted steps
         x_g, gated, counts_g, _ = self._solve(monkeypatch, (2.0, 0.0), (2.3, 0.7), "gated", 1e-10)
         x_c, clipped, counts_c, _ = self._solve(monkeypatch, (2.0, 0.0), (2.3, 0.7), "clip", 1e-10)
         assert counts_g["clip"] == 0
         assert (gated.status, gated.iterations) == ("optimal", 4)
         assert gated.kkt_residual < 1e-10
-        assert (clipped.status, clipped.iterations) == ("max_iter", 10)
+        assert (clipped.status, clipped.iterations) == ("max_iter", 11)
         assert clipped.kkt_residual > 1e-10
         assert np.allclose(x_g, x_c, atol=1e-6)
 
     def test_indefinite_falls_back_to_clip(self, monkeypatch):
         # from the origin the reduced Hessian is indefinite at first: the gate
         # clips there, every subproblem stays convex and ends optimal, and the
-        # solve converges; unclipped curvature leaves a subproblem at its cap
+        # solve converges; unclipped curvature leaves a subproblem at its cap.
+        # The merit sees each trial's violation of the curve (no second-order
+        # correction), so the trust box stays small on the way: 13 steps
         x, gated, counts, qp_statuses = self._solve(monkeypatch, (2.0, 0.0), (0.0, 0.0), "gated", 1e-10)
         assert counts["clip"] == 2 and counts["exact"] > 0
         assert set(qp_statuses) == {"optimal"}
-        assert (gated.status, gated.iterations) == ("optimal", 7)
+        assert (gated.status, gated.iterations) == ("optimal", 13)
         assert abs(x[1] - np.sin(x[0])) < 1e-12
         _, ungated, _, qp_statuses = self._solve(monkeypatch, (2.0, 0.0), (0.0, 0.0), "exact", 1e-10)
         assert "max_iter" in qp_statuses
