@@ -331,8 +331,7 @@ class NpvController(HorizonController):
         # non-convergence (including a locally infeasible subproblem) returns
         # the best iterate with its status; the inputs are always box-feasible
         y = predict(u)
-        y_rows = y[r0:]
-        residual = max(float(np.max(y_lo - y_rows, initial=0.0)), float(np.max(y_rows - y_hi, initial=0.0)))
+        residual = float(np.max(np.maximum(y_lo - y[r0:], y[r0:] - y_hi), initial=0.0))
         return np.concatenate([u, y]), diag, {"constraint_residual": residual}
 
     # an entry of its own, so profilers and perfbench time each controller apart
