@@ -186,10 +186,9 @@ class MpcController(LinearQpController):
         f = self._free_response(w_ini)
         g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
         return QpProblem(
-            h=None, g=g_u + self.gamma.T @ (g_y + 2.0 * self.cost.q_bar * f),
+            h_factor=self.h_factor, g=g_u + self.gamma.T @ (g_y + 2.0 * self.cost.q_bar * f),
             lb=self.lb[:nu], ub=self.ub[:nu],
             c=self.gamma, c_lo=self.lb[nu:] - f, c_hi=self.ub[nu:] - f,
-            h_factor=self.h_factor, validate=False,
         )
 
     def _z(self, x, w_ini):

@@ -31,9 +31,8 @@ from .experiments import (
     evaluate_bfr_split,
     write_json,
 )
-from .hankel import DimensionError, load_trajectory_csv, save_trajectory_csv
+from .hankel import DimensionError, RankDeficientError, load_trajectory_csv, save_trajectory_csv
 from .hypernet import TrainingDivergedError, load_model, save_model
-from .npv import RankDeficientError
 from .optim import SolverError
 
 EXIT_CONFIG = 2

@@ -248,9 +248,8 @@ class LinearQpController(HorizonController):
 
     A subclass constructor builds the program's fixed operators once,
     including the :class:`~npvdeepc.optim.HessianFactor` ``h_factor`` of its
-    condensed Hessian, so the step QP goes to the dual path of
-    :func:`~npvdeepc.optim.solve_qp` (DeePC on exact data keeps equality
-    rows and the primal path).  Either path starts cold, and
+    condensed Hessian, which :func:`~npvdeepc.optim.solve_qp` needs.  The
+    solve starts cold at the unconstrained minimizer, and
     ``cfg.warm_start`` does not apply.  A step forms only the
     window-dependent terms (:meth:`_problem`), solves, raises
     :class:`SolverError` on an infeasible program and maps the solution to

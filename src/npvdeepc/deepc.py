@@ -6,13 +6,14 @@ trajectory-combination vector g must reproduce the measured initial window
 data Hankels.  Only (u, y) carry bounds, and the cost on w = (g, sigma) is a
 constant quadratic, so w is eliminated once per controller: for each
 r = (u_ini, y_ini, u, y) the cheapest w with A_w w = r is linear in r, and
-its cost is a fixed quadratic form in r.  Each step then solves a small QP
-over z = (u, y) with the original box, plus the equality rows that the left
-null space of A_w imposes on exact (rank-deficient) data.  This is the
-direct-to-indirect reduction of Dörfler, Coulson & Markovsky (IEEE TAC 2023).
-Without such rows and with a positive definite condensed Hessian, as on
-noisy plant data, the Hessian is factored once and each step takes the dual
-path of :func:`~npvdeepc.optim.solve_qp`; otherwise the primal path.
+its cost is a fixed quadratic form in r.  This is the direct-to-indirect
+reduction of Dörfler, Coulson & Markovsky (IEEE TAC 2023).  On exact
+(rank-deficient) data the left null space of A_w adds equality rows on
+(u, y); they fix the outputs up to a few free coordinates v, so y is
+eliminated once as well and a step solves over (u, v) with the output box
+as general rows, the shape of the ARX-MPC program.  Either way the
+condensed Hessian is factored once and each step is one call of
+:func:`~npvdeepc.optim.solve_qp`.
 
 Two regularizers on g are available; the projection form penalizes only the
 component of g orthogonal to the data-consistency row space and therefore
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .control import ControllerConfig, HorizonController, LinearQpController
-from .hankel import DimensionError, HankelSet
+from .hankel import DimensionError, HankelSet, RankDeficientError
 from .optim import HessianFactor, IndefiniteHessianError, QpProblem, pinv, solve_qp  # noqa: F401  (solve_qp kept: perfbench tests read deepc.solve_qp)
 
 __all__ = ["build_projector", "DeepcController"]
@@ -46,12 +47,16 @@ class DeepcController(LinearQpController):
     """Receding-horizon DeePC over a fixed Hankel data set, in condensed form.
 
     Only the condensed operators are kept, as owned arrays no larger than
-    the (u, y) block: ``g_ini`` prices the window through the eliminated
-    (g, sigma) cost, and ``a_eq z = b_ini w_ini`` are the left-null-space
-    rows (None when there are none).  The Hessian is kept once: as its
-    :class:`~npvdeepc.optim.HessianFactor` ``h_factor`` for the dual path,
-    or as ``h`` for the primal path when there are rows or it is not
-    positive definite.  The step is :meth:`HorizonController.solve_step`.
+    the (u, y) block, and the Hessian only as its
+    :class:`~npvdeepc.optim.HessianFactor` ``h_factor``.  Without left-null
+    rows the step solves over z = (u, y) with the (u, y) box, and ``g_ini``
+    prices the window through the eliminated (g, sigma) cost.  With them
+    (exact data) it solves over x = (u, v), and ``y = gamma x + y_map w_ini``
+    (``gamma`` and ``y_map`` are None otherwise).  Construction raises
+    :class:`~npvdeepc.hankel.RankDeficientError` when those rows constrain
+    the inputs alone, and :class:`~npvdeepc.optim.IndefiniteHessianError`
+    when the condensed Hessian has no factor.  The step is
+    :meth:`HorizonController.solve_step`.
     """
 
     def __init__(self, hankel_set: HankelSet, cfg: ControllerConfig):
@@ -65,7 +70,7 @@ class DeepcController(LinearQpController):
         self._condense(hankel_set)
 
     def _condense(self, hs: HankelSet) -> None:
-        """Eliminate w = (g, sigma) from the QP.
+        """Eliminate w = (g, sigma) from the QP, then y where rows fix it.
 
         With A_w w = r the equality rows (r = (u_ini, y_ini, u, y)) and H_w
         the Hessian of w, the minimizer of 0.5 w'H_w w over A_w w = r is
@@ -100,23 +105,65 @@ class DeepcController(LinearQpController):
         self.sigma_map = m[ng:].copy()
         # N z = -N_p (u_ini, y_ini); no rows when A_w has full row rank
         left_null = u[:, rank:].T
-        self.a_eq = self.b_ini = None
+        self.gamma = self.y_map = None
         if left_null.shape[0]:
-            self.a_eq = left_null[:, n_ini:].copy()
-            self.b_ini = -left_null[:, :n_ini]
-        self.h, self.h_factor = h, None
-        if self.a_eq is None:
-            try:
-                self.h, self.h_factor = None, HessianFactor(h)
-            except IndefiniteHessianError:
-                pass
+            h = self._eliminate_outputs(h, left_null[:, n_ini:], -left_null[:, :n_ini])
+        try:
+            self.h_factor = HessianFactor(h)
+        except IndefiniteHessianError as exc:
+            raise IndefiniteHessianError(
+                f"DeePC's condensed Hessian has no factor ({exc}): the program has no unique "
+                "minimizer, for example with lambda_g 0 and zero output weights q and p"
+            ) from None
+
+    def _eliminate_outputs(self, h: np.ndarray, a_z: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Solve the left-null rows ``a_z z = b w_ini`` for y once; return the reduced Hessian.
+
+        With a_z = [A_u, A_y] and A_y of full row rank, the outputs on the
+        rows are y = gamma x + y_map w_ini over x = (u, v), with
+        gamma = [-A_y^+ A_u, K], K a basis of null(A_y), and
+        y_map = A_y^+ b.  So z = T x + (0, y_map w_ini) with
+        T = [I 0; gamma], the Hessian becomes T'HT and ``g_ini`` takes the
+        window's part T'(g_ini + H_y y_map), H_y the output columns of H.
+        """
+        nu = self.cost.nu
+        a_u, a_y = a_z[:, :nu], a_z[:, nu:]
+        u_y, s_y, vt_y = np.linalg.svd(a_y)
+        rank = int(np.sum(s_y > max(a_y.shape) * np.finfo(float).eps * s_y[0]))
+        if rank < a_y.shape[0]:
+            raise RankDeficientError(
+                f"{a_y.shape[0] - rank} of the data's {a_y.shape[0]} left-null rows bind the inputs "
+                "or the past window alone: the data are not persistently exciting"
+            )
+        a_y_pinv = (vt_y[:rank].T / s_y) @ u_y.T
+        self.gamma = np.hstack([-a_y_pinv @ a_u, vt_y[rank:].T])
+        self.y_map = a_y_pinv @ b
+        t = np.vstack([np.eye(nu, self.gamma.shape[1]), self.gamma])
+        self.g_ini = t.T @ (self.g_ini + h[:, nu:] @ self.y_map)
+        return t.T @ h @ t
 
     def _problem(self, w_ini, r_vec, u_prev):
+        if self.gamma is None:
+            return QpProblem(
+                h_factor=self.h_factor, g=self.linear_term(r_vec, u_prev) + self.g_ini @ w_ini,
+                lb=self.lb, ub=self.ub,
+            )
+        nu = self.cost.nu
+        g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
+        g = self.gamma.T @ g_y + self.g_ini @ w_ini
+        g[:nu] += g_u
+        v_free = np.full(g.size - nu, np.inf)
+        f = self.y_map @ w_ini
         return QpProblem(
-            h=self.h, g=self.linear_term(r_vec, u_prev) + self.g_ini @ w_ini, a_eq=self.a_eq,
-            b_eq=None if self.a_eq is None else self.b_ini @ w_ini, lb=self.lb, ub=self.ub,
-            h_factor=self.h_factor, validate=False,
+            h_factor=self.h_factor, g=g,
+            lb=np.concatenate([self.lb[:nu], -v_free]), ub=np.concatenate([self.ub[:nu], v_free]),
+            c=self.gamma, c_lo=self.lb[nu:] - f, c_hi=self.ub[nu:] - f,
         )
+
+    def _z(self, x: np.ndarray, w_ini: np.ndarray) -> np.ndarray:
+        if self.gamma is None:
+            return x
+        return np.concatenate([x[:self.cost.nu], self.gamma @ x + self.y_map @ w_ini])
 
     def _extras(self, w_ini: np.ndarray, z: np.ndarray) -> dict:
         sigma = self.sigma_map @ np.concatenate([w_ini, z])

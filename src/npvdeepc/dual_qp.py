@@ -1,10 +1,10 @@
 """Goldfarb-Idnani dual active set for strictly convex QPs with a factored Hessian.
 
-:func:`npvdeepc.optim.solve_qp` calls :func:`dual_active_set` for a
-:class:`~npvdeepc.optim.QpProblem` that carries a
-:class:`~npvdeepc.optim.HessianFactor` and has no equality rows
-(Goldfarb & Idnani, "A numerically stable dual method for solving strictly
-convex quadratic programs", Math. Prog. 1983).
+:func:`npvdeepc.optim.solve_qp` is one call of :func:`dual_active_set` on
+a :class:`~npvdeepc.optim.QpProblem`, which carries the
+:class:`~npvdeepc.optim.HessianFactor` of its Hessian; equality rows are
+rows with equal limits (Goldfarb & Idnani, "A numerically stable dual
+method for solving strictly convex quadratic programs", Math. Prog. 1983).
 """
 
 from __future__ import annotations

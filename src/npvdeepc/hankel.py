@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "DimensionError",
+    "RankDeficientError",
     "Trajectory",
     "HankelSet",
     "Window",
@@ -32,6 +33,10 @@ TRAJECTORY_CSV_HEADER = ("k", "P", "q", "Ts", "Tg", "d")
 
 class DimensionError(ValueError):
     """Shapes, lengths or horizons do not line up."""
+
+
+class RankDeficientError(ValueError):
+    """Data lack the rank a construction needs, as data that are not persistently exciting do."""
 
 
 def _as_sequence(seq) -> np.ndarray:

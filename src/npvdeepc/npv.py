@@ -12,7 +12,7 @@ outputs n_y N), so that kernel is trivial and the correction vanishes.
 These rows make y an explicit function of u, so the controller solves the
 reduced (sequential) program over the inputs alone: y(u) is evaluated, not
 constrained, and the output box becomes the rows y_lo <= y(u) <= y_hi.
-Each SQP subproblem is a strictly convex QP for the dual active-set path.
+Each SQP subproblem is a strictly convex QP for the dual active set.
 
 The fixed-basis baseline is the same controller on the Hankel of
 ``HyperDnnModel.frozen()``, the hypernet frozen at the training-set mean
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControllerConfig, HorizonController, StepResult
-from .hankel import DimensionError, HankelSet, Trajectory, build_hankel, partition
+from .hankel import DimensionError, HankelSet, RankDeficientError, Trajectory, build_hankel, partition
 from .hypernet import HyperDnnModel, WindowDataset, assemble_normalized
 from .optim import pinv, solve_sqp
 from .plant import CEM_KAPPA, CEM_REFERENCE_TEMP, CEM_SWITCH_TEMP
@@ -46,10 +46,6 @@ __all__ = [
     "smoothed_kappa",
     "predicted_cem",
 ]
-
-
-class RankDeficientError(ValueError):
-    pass
 
 
 @dataclass

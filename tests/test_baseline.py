@@ -9,7 +9,7 @@ from npvdeepc.control import ControllerConfig, NonFiniteWindowError, TrackingCos
 from npvdeepc.deepc import DeepcController
 from npvdeepc.hankel import DimensionError, Trajectory, partition
 from npvdeepc.npv import NpvController, hankel_with_params, transform_hankel
-from npvdeepc.optim import QpProblem
+from npvdeepc.optim import HessianFactor, QpProblem
 
 from conftest import lti_trajectory, make_lti, random_model
 
@@ -304,16 +304,17 @@ class TestMpcRolloutMap:
 
     def test_step_matches_per_step_map(self, monkeypatch):
         # reference: the (u, y) program with the rows [-gamma, I] rebuilt
-        # from each history, on the primal path
+        # from each history, as general rows with equal limits; they fix
+        # A z, so rho A'A added to the Hessian leaves the minimizer unchanged
         model = known_arx()
         cfg = mpc_config(u_lo=(-1.0, -1.0), u_hi=(1.0, 1.0))
         ctrl = MpcController(model, cfg)
         seen = []
         solve_qp = control.solve_qp
 
-        def spy(prob, x0=None, **kw):
-            x, diag = solve_qp(prob, x0=x0, **kw)
-            seen.append((prob, x0, x, kw))
+        def spy(prob, **kw):
+            x, diag = solve_qp(prob, **kw)
+            seen.append((prob, x, kw))
             return x, diag
 
         step = ctrl.solve_step
@@ -330,17 +331,19 @@ class TestMpcRolloutMap:
         self._closed_loop(ctrl)
         assert len(seen) == len(hists) == 12
         nu, ny = ctrl.cost.nu, ctrl.cost.ny
-        assert all(prob.dual and x0 is None for prob, x0, _, _ in seen)
-        assert any(np.any(np.abs(x[:nu]) == 1.0) for _, _, x, _ in seen)
-        for (prob, _, x, kw), (y_hist, u_hist, r_vec, u_prev), result in zip(seen, hists, results):
+        assert any(np.any(np.abs(x[:nu]) == 1.0) for _, x, _ in seen)
+        h = ctrl.cost.hessian()
+        rho = max(1.0, float(np.max(np.abs(h))))
+        for (prob, x, kw), (y_hist, u_hist, r_vec, u_prev), result in zip(seen, hists, results):
             gamma, offset = arx_rollout_affine(model, y_hist, u_hist, cfg.horizon)
             assert np.allclose(ctrl.ub[nu:] - prob.c_hi, offset, rtol=0.0, atol=1e-12)
+            rows = np.hstack([-gamma, np.eye(ny)])
             ref_prob = QpProblem(
-                h=ctrl.cost.hessian(), g=ctrl.linear_term(r_vec, u_prev), a_eq=np.hstack([-gamma, np.eye(ny)]),
-                b_eq=offset, lb=ctrl.lb, ub=ctrl.ub, validate=False,
+                h_factor=HessianFactor(h + rho * rows.T @ rows), g=ctrl.linear_term(r_vec, u_prev),
+                lb=ctrl.lb, ub=ctrl.ub, c=rows, c_lo=offset, c_hi=offset,
             )
             x_ref, diag_ref = solve_qp(ref_prob, **kw)
-            assert not ref_prob.dual and diag_ref.status == "optimal"
+            assert diag_ref.status == "optimal"
             assert np.max(np.abs(result.u_seq.ravel() - x_ref[:nu])) <= 1e-7
             assert np.max(np.abs(result.y_pred.ravel() - x_ref[nu:])) <= 1e-7
 
@@ -398,7 +401,7 @@ def test_non_finite_window_rejected(kind, monkeypatch):
 def test_step_contract(kind, warm_start, monkeypatch):
     """Every controller's step: result layout, recomputed cost, and its start.
 
-    The linear controllers pass no start (their QP starts cold at the
+    The linear controllers' QP takes no start (it starts cold at the
     unconstrained minimizer); NPV-DeePC warm-starts from its shifted inputs.
     """
     ctrl = _window_controller(kind, warm_start=warm_start)
@@ -408,9 +411,9 @@ def test_step_contract(kind, warm_start, monkeypatch):
     starts = []
     solve_qp, solve_sqp = control.solve_qp, npv.solve_sqp
 
-    def spy_qp(prob, x0=None, **kw):
-        starts.append((x0, prob))
-        return solve_qp(prob, x0=x0, **kw)
+    def spy_qp(prob, **kw):
+        starts.append((None, prob))
+        return solve_qp(prob, **kw)
 
     def spy_sqp(cost_fn, eq_fn, lb, ub, x0, **kw):
         starts.append((x0, eq_fn))
@@ -432,7 +435,7 @@ def test_step_contract(kind, warm_start, monkeypatch):
         steps.append(step)
     assert len(starts) == 2
     if kind != "npv":
-        assert all(x0 is None for x0, _ in starts)
+        assert all(isinstance(prob, QpProblem) for _, prob in starts)
         return
 
     def assert_cold(x0, u_prev):

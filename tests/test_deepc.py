@@ -5,8 +5,8 @@ import pytest
 
 from npvdeepc.control import ControllerConfig, TrackingCost
 from npvdeepc.deepc import DeepcController, build_projector
-from npvdeepc.hankel import Trajectory, Window, partition
-from npvdeepc.optim import QpProblem, solve_qp
+from npvdeepc.hankel import RankDeficientError, Trajectory, Window, partition
+from npvdeepc.optim import HessianFactor, IndefiniteHessianError, QpProblem, solve_qp
 
 from conftest import lti_trajectory, make_lti
 
@@ -81,7 +81,7 @@ class TestSolveStep:
 
     def test_fixed_u_reproduces_lti_response(self, lti_hankel):
         # any feasible fixed input sequence: pin u via equal bounds
-        cfg = lti_config(q=(0.0, 0.0), p=(0.0, 0.0), r=(1e-6, 1e-6))
+        cfg = lti_config(q=(0.0, 0.0), p=(0.0, 0.0))
         plant = make_lti()
         rng = np.random.default_rng(3)
         u_hist = rng.uniform(-1, 1, size=(25, 2))
@@ -209,8 +209,10 @@ class TestRegularizers:
 def full_deepc_qp(hs, cfg, lb_z, ub_z, u_ini, y_ini, r_vec, u_prev):
     """The uncondensed DeePC QP over (u, y, g, sigma), solved directly.
 
-    Equality rows: up g = u_ini, yp g - sigma = y_ini, uf g = u, yf g = y.
-    Returns (u_seq, y_pred, sigma).
+    Equality rows: up g = u_ini, yp g - sigma = y_ini, uf g = u, yf g = y,
+    passed as general rows with equal limits.  A x is fixed on them, so
+    adding rho A'A to the Hessian leaves the minimizer unchanged and makes
+    the Hessian positive definite.  Returns (u_seq, y_pred, sigma).
     """
     cost = TrackingCost(cfg)
     nu, ny, ng, ns = cost.nu, cost.ny, hs.n_cols, hs.n_y * cfg.t_ini
@@ -232,13 +234,9 @@ def full_deepc_qp(hs, cfg, lb_z, ub_z, u_ini, y_ini, r_vec, u_prev):
     g_lin = np.concatenate([g_u, g_y, np.zeros(ng + ns)])
     lb = np.concatenate([lb_z, np.full(ng + ns, -np.inf)])
     ub = np.concatenate([ub_z, np.full(ng + ns, np.inf)])
-    # equality-feasible start on the box-center inputs
-    g0, *_ = np.linalg.lstsq(
-        hs.past_future_stack(), np.concatenate([u_ini, y_ini, 0.5 * (lb_z[:nu] + ub_z[:nu])]), rcond=None
-    )
-    x0 = np.concatenate([hs.uf @ g0, hs.yf @ g0, g0, hs.yp @ g0 - y_ini])
-    x, diag = solve_qp(QpProblem(h=h, g=g_lin, a_eq=a, b_eq=b, lb=lb, ub=ub), x0=x0, tol=1e-10,
-                       max_iter=1000)
+    rho = max(1.0, float(np.max(np.abs(h))))
+    prob = QpProblem(h_factor=HessianFactor(h + rho * a.T @ a), g=g_lin, lb=lb, ub=ub, c=a, c_lo=b, c_hi=b)
+    x, diag = solve_qp(prob, tol=1e-10, max_iter=1000)
     assert diag.status == "optimal"
     return (x[:nu].reshape(cfg.horizon, cfg.n_u), x[nu:off_g].reshape(cfg.horizon, cfg.n_y),
             x[off_s:])
@@ -257,8 +255,8 @@ class TestCondensedForm:
         "exact_lti", "noisy_lti", "pinned_u", "active_y_bound", "noisy_pinned_u", "noisy_active_y_bound",
     ])
     def test_matches_full_qp(self, lti_hankel, case, reg):
-        # exact data leaves left-null rows (primal path); noisy data leaves
-        # none, and the factored Hessian takes the dual path
+        # exact data leaves left-null rows, which eliminate y but for a few
+        # free coordinates; noisy data leaves none
         noisy = case.startswith("noisy")
         cfg = lti_config(regularizer=reg, lambda_g=1.0, lambda_sigma=10.0 if noisy else 1e6)
         r_vec = np.array([1.0, -0.5])
@@ -267,7 +265,7 @@ class TestCondensedForm:
             r_vec = np.array([2.0, 0.0])
         hs = noisy_lti_hankel() if noisy else lti_hankel
         ctrl = DeepcController(hs, cfg)
-        assert (ctrl.a_eq is None and ctrl.h_factor is not None) == noisy
+        assert (ctrl.gamma is None) == noisy
         plant = make_lti()
         rng = np.random.default_rng(10)
         u_hist = rng.uniform(-1, 1, size=(20, 2))
@@ -302,20 +300,36 @@ class TestCondensedForm:
             assert max(arr.shape) < ctrl.n_g, name
 
     def test_keeps_the_hessian_once(self, lti_hankel):
-        # exact data keeps h and its equality rows for the primal path; noisy
-        # data keeps only the factor, one owned (u, y)-sized array
-        n = 2 * 2 * lti_config().horizon
+        # exact and noisy data alike keep only the factor, one owned array:
+        # over (u, v) on exact data, whose 10 left-null rows fix y but for
+        # v's 2 coordinates, and over z = (u, y) on noisy data
+        nu = ny = 2 * lti_config().horizon
         exact = DeepcController(lti_hankel, lti_config())
         noisy = DeepcController(noisy_lti_hankel(), lti_config())
-        assert exact.h.shape == (n, n) and exact.h_factor is None and exact.a_eq.shape[0] > 0
-        assert noisy.h is None and noisy.a_eq is None
-        assert noisy.h_factor.packed.shape == (n, n) and noisy.h_factor.packed.base is None
+        for ctrl in (exact, noisy):
+            assert not {"h", "a_eq", "b_ini"} & vars(ctrl).keys()
+            assert ctrl.h_factor.packed.base is None
+        assert exact.h_factor.n == nu + 2 and exact.gamma.shape == (ny, nu + 2)
+        assert noisy.h_factor.n == nu + ny and noisy.gamma is None
 
-    def test_singular_hessian_takes_primal_path(self):
-        # with no tracking weight and no penalty on g, the condensed Hessian
-        # is singular: it stays unfactored and the step solves on the primal path
-        cfg = lti_config(lambda_g=0.0, q=(0.0, 0.0), p=(0.0, 0.0))
-        ctrl = DeepcController(noisy_lti_hankel(), cfg)
-        assert ctrl.a_eq is None and ctrl.h_factor is None and ctrl.h is not None
-        _, step = ctrl.solve_step(np.zeros(8), np.zeros(8), None, np.zeros(2), np.zeros(2))
-        assert step.status == "optimal" and step.kkt_residual <= 1e-6
+    @pytest.mark.parametrize("data, changes", [
+        ("noisy", dict(lambda_g=0.0, q=(0.0, 0.0), p=(0.0, 0.0))),
+        ("exact", dict(lambda_g=0.0, q=(0.0, 0.0), p=(0.0, 0.0))),
+        ("exact", dict(q=(0.0, 0.0), p=(0.0, 0.0), r=(1e-6, 1e-6))),
+    ], ids=["noisy-no-weights", "exact-no-weights", "exact-tiny-move-weight"])
+    def test_singular_hessian_rejected(self, lti_hankel, data, changes):
+        # with no tracking weight and no penalty on g the condensed Hessian
+        # is singular; on exact data with the projection regularizer, where
+        # only the move weight prices the inputs, r = 1e-6 against
+        # lambda_sigma = 1e6 leaves it positive definite only within rounding
+        hs = lti_hankel if data == "exact" else noisy_lti_hankel()
+        with pytest.raises(IndefiniteHessianError, match="no unique minimizer"):
+            DeepcController(hs, lti_config(**changes))
+
+    def test_periodic_input_data_rejected(self):
+        # a period-4 input is not persistently exciting of the order the
+        # Hankel needs: the left-null rows then bind the inputs alone
+        u = np.tile(np.array([[1.0, -0.5], [0.3, 0.8], [-1.0, 0.2], [0.4, -0.9]]), (75, 1))
+        traj = Trajectory(u=u, y=make_lti().simulate(u), p=np.zeros((300, 1)), dt=1.0)
+        with pytest.raises(RankDeficientError, match="not persistently exciting"):
+            DeepcController(partition(traj, t_ini=4, horizon=6), lti_config())

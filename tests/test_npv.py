@@ -252,6 +252,11 @@ def _structural_step(model, nh, cfg, w, r_vec, u_prev):
 
     The orthonormal rows of row(kmat) pin g_tilde to null(kmat).  The
     constraint curvature is gated on the reduced Hessian as in the controller.
+    The cost Hessian is singular off the rows (no weight on the second
+    output), so the curvature term also carries J'J: the linearized rows
+    fix J d, so it leaves each subproblem's minimizer unchanged and makes
+    its Hessian positive definite.  The cost keeps its constant terms, since
+    the SQP's no-reduction stop is relative to the merit's level.
     """
     cost = TrackingCost(cfg)
     nu, ny = cost.nu, cost.ny
@@ -294,10 +299,12 @@ def _structural_step(model, nh, cfg, w, r_vec, u_prev):
         except np.linalg.LinAlgError:
             vals, vecs = np.linalg.eigh(block)
             out[:nu, :nu] = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-        return out
+        return out + jac.T @ jac
+
+    const = cost.value(np.zeros(nu), np.zeros(ny), r_vec, u_prev)
 
     def cost_fn(x):
-        return 0.5 * float(x @ (h @ x)) + float(g_lin @ x), h @ x + g_lin, h
+        return 0.5 * float(x @ (h @ x)) + float(g_lin @ x) + const, h @ x + g_lin, h
 
     lb = np.full(n, -np.inf)
     ub = np.full(n, np.inf)
@@ -405,7 +412,8 @@ class TestStepWork:
         paths = []
 
         def spy(prob, *args, **kwargs):
-            paths.append(prob.dual)
+            # the output rows, as general rows over the inputs
+            paths.append(prob.c is not None and prob.c.shape[1] == ctrl.nu)
             return solve_qp(prob, *args, **kwargs)
 
         monkeypatch.setattr(optim, "solve_qp", spy)

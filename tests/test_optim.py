@@ -6,7 +6,6 @@ from npvdeepc.optim import (
     HessianFactor,
     IndefiniteHessianError,
     QpProblem,
-    _restore_equalities,
     check_jacobian,
     pinv,
     solve_qp,
@@ -53,33 +52,32 @@ def _projected_gradient_oracle(h, g, lb, ub, iters=200000, tol=1e-10):
     return x
 
 
-def _on_path(path, h, g, lb, ub):
-    """The bound-constrained QP for the named solve_qp path."""
-    if path == "dual":
-        prob = QpProblem(h=None, g=g, lb=lb, ub=ub, h_factor=HessianFactor(h))
-    else:
-        prob = QpProblem(h=h, g=g, lb=lb, ub=ub)
-    assert prob.dual == (path == "dual")
-    return prob
+def _box_qp(h, g, lb, ub):
+    """The bound-constrained QP with the factor of h."""
+    return QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub)
+
+
+def _eq_qp(h, g, c, b, lb=None, ub=None):
+    """The QP with the equality rows C x = b, as general rows with equal limits."""
+    return QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub, c=c, c_lo=b, c_hi=b)
 
 
 class TestSolveQp:
     def test_unconstrained_closed_form(self):
         c = np.array([1.0, -2.0, 0.5])
-        prob = QpProblem(h=np.eye(3), g=-c)
+        prob = QpProblem(h_factor=HessianFactor(np.eye(3)), g=-c)
         x, diag = solve_qp(prob)
         assert diag.status == "optimal"
         assert np.allclose(x, c, atol=1e-10)
 
     def test_active_lower_bound(self):
         # min x^2 s.t. x >= 1
-        prob = QpProblem(h=np.array([[2.0]]), g=np.array([0.0]), lb=np.array([1.0]), ub=np.array([np.inf]))
+        prob = _box_qp(np.array([[2.0]]), np.array([0.0]), np.array([1.0]), np.array([np.inf]))
         x, diag = solve_qp(prob)
         assert x[0] == 1.0
         assert diag.status == "optimal"
 
-    @pytest.mark.parametrize("path", ["primal", "dual"])
-    def test_matches_projected_gradient_oracle(self, path):
+    def test_matches_projected_gradient_oracle(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((10, 10))
         h = m.T @ m + 0.5 * np.eye(10)
@@ -87,225 +85,74 @@ class TestSolveQp:
         lb = np.full(10, -0.5)
         ub = np.full(10, 0.5)
         x_oracle = _projected_gradient_oracle(h, g, lb, ub)
-        x, diag = solve_qp(_on_path(path, h, g, lb, ub), tol=1e-10)
+        x, diag = solve_qp(_box_qp(h, g, lb, ub), tol=1e-10)
         assert diag.status == "optimal"
         assert np.allclose(x, x_oracle, atol=1e-7)
         assert diag.kkt_residual <= 1e-9
 
-    def test_start_at_upper_corner_releases_bounds(self):
-        # every bound starts on the working set at its upper side; the solve
-        # must release the wrong ones and end with both sides active
-        rng = np.random.default_rng(6)
-        m = rng.standard_normal((10, 10))
-        h = m.T @ m + 0.5 * np.eye(10)
-        g = 3 * rng.standard_normal(10)
-        lb = np.full(10, -0.5)
-        ub = np.full(10, 0.5)
-        x_oracle = _projected_gradient_oracle(h, g, lb, ub)
-        x, diag = solve_qp(QpProblem(h=h, g=g, lb=lb, ub=ub), x0=ub, tol=1e-10)
-        assert diag.status == "optimal"
-        assert np.allclose(x, x_oracle, atol=1e-7)
-        at_lo, at_hi = x == lb, x == ub
-        assert at_lo.any() and at_hi.any() and not (at_lo | at_hi).all()
-
-    @pytest.mark.parametrize("start", ["default", "upper", "dual"])
-    def test_pinned_variables_stay_put(self, start):
+    def test_pinned_variables_stay_put(self):
         # variables 0 and 1 have lb == ub and gradients of opposite sign that
-        # push them out of their bounds; they must never leave the working
-        # set.  The dual path ignores starts; it adds each pinned variable
-        # as an equality first, one iteration each
+        # push them out of their bounds; they must never leave the active
+        # set.  Each is added as an equality first, one iteration each
         rng = np.random.default_rng(7)
         m = rng.standard_normal((5, 5))
         h = m.T @ m + np.eye(5)
         g = np.array([8.0, -8.0, 0.3, -4.0, 4.0])
         lb = np.array([0.2, -0.3, -1.0, -1.0, -1.0])
         ub = np.array([0.2, -0.3, 1.0, 1.0, 1.0])
-        path = "dual" if start == "dual" else "primal"
-        x0 = ub if start == "upper" else None
-        x, diag = solve_qp(_on_path(path, h, g, lb, ub), x0=x0, tol=1e-10)
+        x, diag = solve_qp(_box_qp(h, g, lb, ub), tol=1e-10)
         grad = h @ x + g
         assert grad[0] > 0 and grad[1] < 0
         assert diag.status == "optimal"
         assert np.array_equal(x[:2], lb[:2])
         # the same QP with the pinned variables substituted out
         h_f, g_f = h[2:, 2:], g[2:] + h[2:, :2] @ lb[:2]
-        x_f, diag_f = solve_qp(
-            _on_path(path, h_f, g_f, lb[2:], ub[2:]), x0=None if x0 is None else ub[2:], tol=1e-10
-        )
+        x_f, diag_f = solve_qp(_box_qp(h_f, g_f, lb[2:], ub[2:]), tol=1e-10)
         assert np.allclose(x[2:], x_f, atol=1e-9)
-        assert diag.iterations == diag_f.iterations + (2 if path == "dual" else 0)
+        assert diag.iterations == diag_f.iterations + 2
 
     def test_equality_constrained(self):
         # min ||x||^2 s.t. x0 + x1 = 1 -> x = (0.5, 0.5)
-        prob = QpProblem(
-            h=2 * np.eye(2), g=np.zeros(2), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0])
-        )
+        prob = _eq_qp(2 * np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]))
         x, diag = solve_qp(prob)
         assert np.allclose(x, [0.5, 0.5], atol=1e-9)
         assert diag.kkt_residual < 1e-7
 
     def test_equality_with_binding_bound(self):
         # min ||x||^2 s.t. x0 + x1 = 1, x0 <= 0.2 -> x = (0.2, 0.8)
-        prob = QpProblem(
-            h=2 * np.eye(2),
-            g=np.zeros(2),
-            a_eq=np.array([[1.0, 1.0]]),
-            b_eq=np.array([1.0]),
-            lb=np.array([-np.inf, -np.inf]),
-            ub=np.array([0.2, np.inf]),
+        prob = _eq_qp(
+            2 * np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]),
+            lb=np.array([-np.inf, -np.inf]), ub=np.array([0.2, np.inf]),
         )
         x, diag = solve_qp(prob)
         assert np.allclose(x, [0.2, 0.8], atol=1e-9)
 
     def test_infeasible_equalities(self):
         # x = 0 and x = 1 cannot both hold
-        prob = QpProblem(
-            h=np.eye(1),
-            g=np.zeros(1),
-            a_eq=np.array([[1.0], [1.0]]),
-            b_eq=np.array([0.0, 1.0]),
-        )
+        prob = _eq_qp(np.eye(1), np.zeros(1), np.array([[1.0], [1.0]]), np.array([0.0, 1.0]))
         x, diag = solve_qp(prob)
         assert diag.status == "infeasible"
 
-    def test_phase1_iterations_counted(self):
-        # the minimum-norm correction from x0 leaves the box, so phase 1 runs
-        x0 = np.array([1.0, 0.0])
-        prob = QpProblem(
-            h=2 * np.eye(2), g=np.zeros(2), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.5]),
-            lb=np.zeros(2), ub=np.ones(2),
-        )
-        x1, phase1_its = _restore_equalities(prob, x0, 1e-8, 200)
-        assert phase1_its > 0
-        x_from_x1, diag_x1 = solve_qp(prob, x0=x1)
-        x, diag = solve_qp(prob, x0=x0)
-        assert diag.status == diag_x1.status == "optimal"
-        assert np.allclose(x, [0.75, 0.75], atol=1e-9)
-        assert np.array_equal(x, x_from_x1)
-        assert diag.iterations == phase1_its + diag_x1.iterations
-
-    def test_phase1_iterations_counted_when_infeasible(self):
-        # x0 + x1 = 3 cannot hold inside the unit box
-        x0 = np.array([0.5, 0.5])
-        prob = QpProblem(
-            h=np.eye(2), g=np.zeros(2), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([3.0]),
-            lb=np.zeros(2), ub=np.ones(2),
-        )
-        _, phase1_its = _restore_equalities(prob, x0, 1e-8, 200)
-        _, diag = solve_qp(prob, x0=x0)
-        assert diag.status == "infeasible"
-        assert diag.iterations == phase1_its > 0
-
-    def test_phase1_stops_once_feasible(self):
-        # A = [T, I] keeps full row rank on the free coordinates, so one step
-        # reaches A x = b; past it, the singular A'A only yields null-space
-        # steps of rounding size, which must not run on to the cap.  The
-        # minimum-norm quick path (0 iterations) serves 8 of the 100 problems.
-        n = 20
-        ran = 0
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            a = np.hstack([0.3 * rng.standard_normal((n, n)), np.eye(n)])
-            b = 0.01 * rng.standard_normal(n)
-            ub = np.ones(2 * n)
-            ub[:3] = 0.0
-            prob = QpProblem(h=np.eye(2 * n), g=np.zeros(2 * n), a_eq=a, b_eq=b, lb=-np.ones(2 * n), ub=ub)
-            x1, phase1_its = _restore_equalities(prob, np.zeros(2 * n), 1e-8, 200)
-            assert phase1_its <= 1, seed
-            ran += phase1_its
-            assert np.linalg.norm(a @ x1 - b, np.inf) <= 1e-8 * (1.0 + np.linalg.norm(b, np.inf))
-        assert ran >= 90
-
-    @pytest.mark.parametrize("path", ["primal", "dual"])
-    def test_bounds_honored_exactly(self, path):
+    def test_bounds_honored_exactly(self):
         rng = np.random.default_rng(4)
         for trial in range(10):
             m = rng.standard_normal((6, 6))
             h = m.T @ m + 0.1 * np.eye(6)
             g = 3 * rng.standard_normal(6)
             lb, ub = np.full(6, -0.3), np.full(6, 0.3)
-            x, _ = solve_qp(_on_path(path, h, g, lb, ub))
+            x, _ = solve_qp(_box_qp(h, g, lb, ub))
             assert np.all(x >= lb) and np.all(x <= ub)
 
     def test_redundant_equality_rows(self):
         # duplicated rows must not break the solve
         a = np.array([[1.0, 1.0], [2.0, 2.0]])
         b = np.array([1.0, 2.0])
-        x, diag = solve_qp(QpProblem(h=2 * np.eye(2), g=np.zeros(2), a_eq=a, b_eq=b))
+        x, diag = solve_qp(_eq_qp(2 * np.eye(2), np.zeros(2), a, b))
         assert np.allclose(x, [0.5, 0.5], atol=1e-8)
-
-    @staticmethod
-    def _count_kkt_solves(monkeypatch):
-        calls = []
-        kkt_solve = optim._kkt_solve
-
-        def spy(*args):
-            out = kkt_solve(*args)
-            calls.append(out[2])
-            return out
-
-        monkeypatch.setattr(optim, "_kkt_solve", spy)
-        return calls
-
-    @pytest.mark.parametrize("with_row", [False, True])
-    def test_interior_minimizer_reuses_solve(self, monkeypatch, with_row):
-        # the first solve steps straight onto the interior minimizer; the
-        # second iteration takes p = 0 and the same multipliers without a solve
-        rng = np.random.default_rng(9)
-        m = rng.standard_normal((6, 6))
-        h = m.T @ m + np.eye(6)
-        g = rng.standard_normal(6)
-        a = rng.standard_normal((1, 6)) if with_row else None
-        b = np.array([0.3]) if with_row else None
-        calls = self._count_kkt_solves(monkeypatch)
-        x, diag = solve_qp(QpProblem(h=h, g=g, a_eq=a, b_eq=b, lb=np.full(6, -10.0), ub=np.full(6, 10.0)))
-        if with_row:
-            sol = np.linalg.solve(np.block([[h, a.T], [a, np.zeros((1, 1))]]), np.concatenate([-g, b]))
-            x_ref, lam_ref = sol[:6], sol[6:]
-            assert np.allclose(diag.row_multipliers, lam_ref, rtol=0.0, atol=1e-8)
-        else:
-            x_ref = np.linalg.solve(h, -g)
-        assert np.all(np.abs(x_ref) < 9.0)
-        assert np.allclose(x, x_ref, rtol=0.0, atol=1e-8)
-        assert diag.status == "optimal"
-        assert diag.iterations == 2
-        assert calls == [True]
-
-    def test_lstsq_fallback_does_not_reuse(self, monkeypatch):
-        # the duplicated row makes the KKT matrix singular: the first solve
-        # (from a feasible corner) falls back to least squares, so the second
-        # iteration solves again
-        a = np.array([[1.0, 1.0], [2.0, 2.0]])
-        b = np.array([1.0, 2.0])
-        calls = self._count_kkt_solves(monkeypatch)
-        x, diag = solve_qp(QpProblem(h=2 * np.eye(2), g=np.zeros(2), a_eq=a, b_eq=b), x0=np.array([1.0, 0.0]))
-        assert np.allclose(x, [0.5, 0.5], atol=1e-8)
-        assert diag.status == "optimal"
-        assert calls[0] is False
-        assert len(calls) == diag.iterations == 2
-
-    def test_phase1_does_not_reuse(self, monkeypatch):
-        # inconsistent rows with an interior least-squares point: phase 1 steps
-        # onto it unblocked, stays infeasible, and must solve again to stop
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal((8, 3))
-        b = rng.standard_normal(8)
-        calls = self._count_kkt_solves(monkeypatch)
-        x1, _, its, status = optim._active_set(
-            a.T @ a, -a.T @ b, None, None, np.full(3, -10.0), np.full(3, 10.0), np.zeros(3),
-            1e-8, 200, phase1_rows=(a, b),
-        )
-        assert np.allclose(x1, np.linalg.lstsq(a, b, rcond=None)[0], rtol=0.0, atol=1e-8)
-        assert status == "optimal"
-        assert calls == [True, True] and its == 2
 
     def test_indefinite_rejected(self):
         with pytest.raises(IndefiniteHessianError):
-            QpProblem(h=np.diag([1.0, -1.0]), g=np.zeros(2))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            QpProblem(h=np.array([[1.0, 0.5], [0.0, 1.0]]), g=np.zeros(2))
+            QpProblem(h_factor=HessianFactor(np.diag([1.0, -1.0])), g=np.zeros(2))
 
 
 def _row_qp(rng, n, m, pinned_rows=0):
@@ -329,19 +176,28 @@ def _row_qp(rng, n, m, pinned_rows=0):
     return h, g, lb, ub, c, lo, hi
 
 
-def _lifted_solve(h, g, lb, ub, c, lo, hi):
-    """The primal path on the lifted program over (x, s): C x - s = 0, lo <= s <= hi."""
-    n, m = g.size, c.shape[0]
-    h2 = np.zeros((n + m, n + m))
-    h2[:n, :n] = h
-    prob = QpProblem(
-        h=h2, g=np.concatenate([g, np.zeros(m)]), a_eq=np.hstack([c, -np.eye(m)]), b_eq=np.zeros(m),
-        lb=np.concatenate([lb, lo]), ub=np.concatenate([ub, hi]),
-    )
-    assert not prob.dual
-    x, diag = solve_qp(prob, tol=1e-10, max_iter=1000)
-    assert diag.status == "optimal"
-    return x[:n]
+def _kkt_certificate(h, g, lb, ub, c, lo, hi, x, tol=1e-8) -> bool:
+    """Whether x satisfies the KKT conditions of the QP, checked without a solver.
+
+    x must be feasible.  The multipliers are fitted by least squares on the
+    normals of the bounds and rows that hold at x (a lower side with the
+    normal +a, an upper side with -a), must balance the gradient, and must be
+    nonnegative on every side that is not an equality.  For a strictly
+    convex H that makes x the unique minimizer.
+    """
+    if _violation(x, lb, ub, c, lo, hi) > tol:
+        return False
+    a = np.vstack([np.eye(g.size), c])
+    v = a @ x
+    lo_all, hi_all = np.concatenate([lb, lo]), np.concatenate([ub, hi])
+    at_lo = np.isfinite(lo_all) & (np.abs(v - lo_all) <= tol * (1.0 + np.abs(lo_all)))
+    at_hi = ~at_lo & np.isfinite(hi_all) & (np.abs(v - hi_all) <= tol * (1.0 + np.abs(hi_all)))
+    normals = np.vstack([a[at_lo], -a[at_hi]]).T
+    free_sign = np.concatenate([(lo_all == hi_all)[at_lo], np.zeros(int(at_hi.sum()), dtype=bool)])
+    grad = h @ x + g
+    lam = np.linalg.lstsq(normals, grad, rcond=None)[0] if normals.size else np.zeros(0)
+    stat = np.max(np.abs(grad - normals @ lam), initial=0.0)
+    return stat <= tol * (1.0 + np.max(np.abs(grad))) and np.all(lam[~free_sign] >= -tol)
 
 
 def _violation(x, lb, ub, c, lo, hi) -> float:
@@ -371,21 +227,20 @@ class TestHessianFactor:
 
 
 class TestDualPath:
-    """The dual active set on problems with a Hessian factor and no equality rows."""
+    """The dual active set on problems with general rows."""
 
     @pytest.mark.parametrize("pinned_rows", [0, 2])
-    def test_general_rows_match_lifted_primal(self, pinned_rows):
+    def test_general_rows_pass_kkt_certificate(self, pinned_rows):
         sides = {"lower": 0, "upper": 0}
         for seed in range(40):
             rng = np.random.default_rng(seed)
             n, m = int(rng.integers(3, 12)), int(rng.integers(2, 8))
             h, g, lb, ub, c, lo, hi = _row_qp(rng, n, m, pinned_rows)
-            prob = QpProblem(h=None, g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi, h_factor=HessianFactor(h))
+            prob = QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi)
             x, diag = solve_qp(prob, tol=1e-10)
-            x_ref = _lifted_solve(h, g, lb, ub, c, lo, hi)
             assert diag.status == "optimal", seed
             assert diag.kkt_residual <= 1e-8, seed
-            assert np.allclose(x, x_ref, rtol=0.0, atol=1e-7), seed
+            assert _kkt_certificate(h, g, lb, ub, c, lo, hi, x), seed
             assert np.all(x >= lb) and np.all(x <= ub)
             assert _violation(x, lb, ub, c, lo, hi) <= 1e-9
             cx = c @ x
@@ -401,17 +256,15 @@ class TestDualPath:
         h = a.T @ a + np.eye(6)
         g = rng.standard_normal(6)
         x_star = np.linalg.solve(h, -g)
-        prob = _on_path("dual", h, g, x_star - 1.0, x_star + 1.0)
-        x, diag = solve_qp(prob, x0=x_star + 0.5)
+        x, diag = solve_qp(_box_qp(h, g, x_star - 1.0, x_star + 1.0))
         assert (diag.status, diag.iterations) == ("optimal", 0)
         assert np.allclose(x, x_star, rtol=0.0, atol=1e-12)
 
     def test_unreachable_row_is_infeasible(self):
         # x0 + x1 >= 3 cannot hold inside the unit box
         prob = QpProblem(
-            h=None, g=np.array([-1.0, 0.5]), lb=np.zeros(2), ub=np.ones(2),
+            h_factor=HessianFactor(np.eye(2)), g=np.array([-1.0, 0.5]), lb=np.zeros(2), ub=np.ones(2),
             c=np.array([[1.0, 1.0]]), c_lo=np.array([3.0]), c_hi=np.array([np.inf]),
-            h_factor=HessianFactor(np.eye(2)),
         )
         x, diag = solve_qp(prob)
         assert diag.status == "infeasible"
@@ -421,7 +274,7 @@ class TestDualPath:
     def test_iteration_cap(self):
         rng = np.random.default_rng(12)
         h, g, lb, ub, c, lo, hi = _row_qp(rng, 8, 6)
-        prob = QpProblem(h=None, g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi, h_factor=HessianFactor(h))
+        prob = QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi)
         _, full = solve_qp(prob)
         assert full.status == "optimal" and full.iterations > 2
         x, diag = solve_qp(prob, max_iter=2)
@@ -437,7 +290,7 @@ class TestDualPath:
             rng = np.random.default_rng(seed)
             n, m = int(rng.integers(3, 10)), int(rng.integers(1, 6))
             h, g, lb, ub, c, lo, hi = _row_qp(rng, n, m)
-            prob = QpProblem(h=None, g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi, h_factor=HessianFactor(h))
+            prob = QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi)
             x, diag = solve_qp(prob, max_iter=int(rng.integers(1, 4)))
             statuses.add(diag.status)
             assert np.isfinite(diag.kkt_residual)
@@ -454,12 +307,6 @@ class TestDualPath:
                 stat = np.max(np.abs(grad - normals @ lam)) if at.size else np.max(np.abs(grad))
                 assert stat <= max(diag.kkt_residual, 1e-9) + 1e-9, seed
         assert statuses == {"optimal", "max_iter"}
-
-    def test_general_rows_need_the_dual_path(self):
-        with pytest.raises(ValueError, match="general rows"):
-            QpProblem(h=np.eye(2), g=np.zeros(2), c=np.ones((1, 2)), c_lo=np.zeros(1))
-        with pytest.raises(ValueError, match="H is required"):
-            QpProblem(h=None, g=np.zeros(2), a_eq=np.ones((1, 2)), b_eq=np.ones(1), h_factor=HessianFactor(np.eye(2)))
 
 
 class TestSolveSqp:
@@ -479,7 +326,7 @@ class TestSolveSqp:
         def eq(x):
             return a @ x - b, a
 
-        x_qp, _ = solve_qp(QpProblem(h=h, g=g, a_eq=a, b_eq=b, lb=lb, ub=ub), tol=1e-10)
+        x_qp, _ = solve_qp(_eq_qp(h, g, a, b, lb=lb, ub=ub), tol=1e-10)
         x, diag = solve_sqp(cost, eq, lb, ub, x0=np.zeros(4), tol=1e-8)
         assert diag.status == "optimal"
         assert diag.iterations == 1
@@ -722,10 +569,10 @@ def _sine_curve_nlp(target):
     """min 0.5 |x - target|^2 on the curve x1 = sin(x0), as SQP callbacks.
 
     ``curvature(mode)`` gives the constraint-curvature callback: ``"clip"``
-    clips lam * sin(x0) at zero, ``"exact"`` passes it unclipped and
-    ``"gated"`` passes it only where the reduced Hessian over the null space
-    (1, cos x0) of the linearized row stays positive, else clips.  The
-    callback counts its unclipped and clipped returns.
+    clips lam * sin(x0) at zero, and ``"gated"`` passes it unclipped only
+    where the reduced Hessian over the null space (1, cos x0) of the
+    linearized row stays positive, else clips.  The callback counts its
+    unclipped and clipped returns.
     """
     target = np.asarray(target, dtype=float)
 
@@ -740,7 +587,7 @@ def _sine_curve_nlp(target):
             c = np.zeros((2, 2))
             c[0, 0] = lam[0] * np.sin(x[0])
             z = np.array([1.0, -jac[0, 0]])
-            if mode == "exact" or (mode == "gated" and z @ (hess + c) @ z > 0.0):
+            if mode == "gated" and z @ (hess + c) @ z > 0.0:
                 counts["exact"] += 1
             else:
                 counts["clip"] += 1
@@ -790,18 +637,17 @@ class TestExactCurvature:
 
     def test_indefinite_falls_back_to_clip(self, monkeypatch):
         # from the origin the reduced Hessian is indefinite at first: the gate
-        # clips there, every subproblem stays convex and ends optimal, and the
-        # solve converges; unclipped curvature leaves a subproblem at its cap.
-        # The merit sees each trial's violation of the curve (no second-order
-        # correction), so the trust box stays small on the way: 13 steps
+        # clips there (twice).  At two later iterates the gate passes exact
+        # curvature, positive on the row's null space, while hess + C is
+        # indefinite, so solve_sqp clips C itself.  Every subproblem stays
+        # convex and ends optimal, and the solve converges.  The merit sees
+        # each trial's violation of the curve (no second-order correction),
+        # so the trust box stays small on the way: 13 steps
         x, gated, counts, qp_statuses = self._solve(monkeypatch, (2.0, 0.0), (0.0, 0.0), "gated", 1e-10)
         assert counts["clip"] == 2 and counts["exact"] > 0
         assert set(qp_statuses) == {"optimal"}
         assert (gated.status, gated.iterations) == ("optimal", 13)
         assert abs(x[1] - np.sin(x[0])) < 1e-12
-        _, ungated, _, qp_statuses = self._solve(monkeypatch, (2.0, 0.0), (0.0, 0.0), "exact", 1e-10)
-        assert "max_iter" in qp_statuses
-        assert ungated.status == "max_iter"
 
 
 class TestInfNorm:
