@@ -98,6 +98,8 @@ class StepResult:
     iterations: int
     kkt_residual: float
     wall_time_s: float
+    qp_iterations: int = 0     # QP iterations behind the step
+    clipped: int = 0           # SQP subproblems whose curvature term was clipped to PSD
     extras: dict = field(default_factory=dict)
 
 
@@ -238,6 +240,8 @@ class HorizonController:
             iterations=diag.iterations,
             kkt_residual=diag.kkt_residual,
             wall_time_s=diag.wall_time_s,
+            qp_iterations=diag.qp_iterations,
+            clipped=diag.clipped,
             extras=extras,
         )
         return result.u_apply, result

@@ -5,6 +5,10 @@ a :class:`~npvdeepc.optim.QpProblem`, which carries the
 :class:`~npvdeepc.optim.HessianFactor` of its Hessian; equality rows are
 rows with equal limits (Goldfarb & Idnani, "A numerically stable dual
 method for solving strictly convex quadratic programs", Math. Prog. 1983).
+A solve may start from a given working set, such as the one the previous
+SQP subproblem ended on (a hot start, as in Ferreau, Bock & Diehl, Int. J.
+Robust Nonlinear Control 2008).  Adds and drops each count as an
+iteration; a hot start counts as one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ if TYPE_CHECKING:
 __all__ = ["dual_active_set"]
 
 
-def dual_active_set(prob: QpProblem, tol: float, max_iter: int):
+def dual_active_set(prob: QpProblem, tol: float, max_iter: int, start=None):
     """Goldfarb-Idnani dual active set on a factored, strictly convex QP.
 
     The rows are the bounds and then the general rows, stacked as
@@ -31,20 +35,30 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int):
     drop inverts the re-triangulated T.
 
     Rows with equal limits are equalities: they are added first, in index
-    order, and never dropped.  Then each iteration adds the row whose
+    order, and never dropped.  A ``start`` working set, (row, side) pairs
+    with side +1 for a lower and -1 for an upper limit, is then added at
+    once: rows already held and rows with an infinite limit on their side
+    are skipped, rows whose multiplier on the batch would be negative are
+    dropped until none is, and a dependent batch (a repeated row, say) is
+    refused, which leaves the cold start.  Either way the solve starts
+    from a point optimal on its active rows with nonnegative multipliers,
+    as the method allows.  Then each iteration adds the row whose
     violation, scaled by ``1 + |limit|``, is largest, taking the partial
     steps that drop an active row whose multiplier would turn negative.
-    Adds and drops each count as an iteration.  A violated row that admits
-    neither a primal nor a dual step makes the problem infeasible.
+    Adds and drops each count as an iteration; a hot start counts as one.
+    A violated row that admits neither a primal nor a dual step makes the
+    problem infeasible.
 
     Bound rows are snapped onto their limits and x is clipped into the
-    bounds.  Returns ``(x, iterations, status, kkt_residual, row_mult)``:
-    the residual at that x for the active set and its multipliers is the
-    worst of a row violation, the stationarity residual ``|Hx + g - N u|``,
-    an active row off its limit and a negative multiplier on an active
-    inequality; ``row_mult`` holds the general rows' multipliers, signed so
-    that bound multipliers alone balance ``Hx + g + C'row_mult`` (negative
-    at a lower limit, positive at an upper one, zero when inactive).
+    bounds.  Returns ``(x, iterations, status, kkt_residual, row_mult,
+    working_set)``.  The residual at that x for the active set and its
+    multipliers is the worst of a row violation, the stationarity residual
+    ``|Hx + g - N u|``, an active row off its limit and a negative
+    multiplier on an active inequality; ``row_mult`` holds the general
+    rows' multipliers, signed so that bound multipliers alone balance
+    ``Hx + g + C'row_mult`` (negative at a lower limit, positive at an
+    upper one, zero when inactive); ``working_set`` holds the final active
+    rows as an int array of (row, side) pairs, equalities included.
     """
     n = prob.n
     a = np.eye(n) if prob.c is None else np.vstack([np.eye(n), prob.c])
@@ -54,7 +68,8 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int):
     # both sides as rows of  side * A x >= lim,  scaled by 1 / (1 + |limit|)
     lim = np.concatenate([lo, -hi])
     scale = 1.0 / (1.0 + np.where(np.isfinite(lim), np.abs(lim), 0.0))
-    a_scaled = np.vstack([a, -a]) * scale[:, None]
+    a_sides = np.vstack([a, -a])
+    a_scaled = a_sides * scale[:, None]
     lim_scaled = lim * scale
 
     j_mat = prob.h_factor.inv_upper()
@@ -113,6 +128,63 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int):
         blocked[row] = blocked[row + n_rows] = False
         q -= 1
 
+    def hot_start(start):
+        # add the start rows at once after the q0 equalities: with D = J'N,
+        # one QR of its trailing rows gives T = [T0, D1; 0, R], the
+        # multipliers u = T^-1 (T^-T b + J1'g) of the minimizer on the active
+        # rows, and that minimizer x = J1 T^-T b - J2 J2'g.  Rows with u < 0
+        # are dropped and the rest factored again; a dependent batch is
+        # refused.  J, T and x change only once every u is nonnegative.
+        nonlocal q, x
+        start = np.asarray(start, dtype=int)
+        ks = start[:, 0] + (start[:, 1] < 0) * n_rows
+        ks = ks[~blocked[ks] & np.isfinite(lim[ks])]
+        q0 = q
+        d = (a_sides[ks] @ j_mat).T  # J'N
+        jg0 = j_mat.T @ prob.g
+        while ks.size:
+            p = ks.size
+            qt = q0 + p
+            if qt > n:
+                return False
+            q_b, r_b = np.linalg.qr(d[q0:], mode="complete")
+            r_diag = r_b.diagonal()
+            if (r_diag * r_diag <= 1e-20 * np.einsum("ij,ij->j", d, d)).any():
+                return False
+            if q0:
+                t_new = np.zeros((qt, qt))
+                t_new[:q0, :q0] = tri[:q0, :q0]
+                t_new[:q0, q0:] = d[:q0]
+                t_new[q0:, q0:] = r_b[:p]
+                b = lim[rows[:q0] + ks.tolist()]
+            else:
+                t_new, b = r_b[:p], lim[ks]
+            t_inv = np.linalg.inv(t_new)
+            jg = np.concatenate([jg0[:q0], q_b.T @ jg0[q0:]])  # J'g with J's new trailing columns
+            w = t_inv.T @ b
+            u = t_inv @ (w + jg[:qt])
+            keep = u[q0:] >= 0.0
+            if keep.all():
+                break
+            ks, d = ks[keep], d[:, keep]
+        else:
+            return False
+        j_mat[:, q0:] = j_mat[:, q0:] @ q_b
+        tri[:qt, :qt] = t_new
+        tri_inv[:qt, :qt] = t_inv
+        mult[:qt] = u
+        is_eq[q0:qt] = False
+        lower = ks < n_rows
+        row_b = ks - ~lower * n_rows
+        rows.extend(row_b.tolist())
+        sides.extend((2.0 * lower - 1.0).tolist())
+        blocked[row_b] = blocked[row_b + n_rows] = True
+        q = qt
+        jg[:qt] = w  # x = J [T^-T b; -J2'g]
+        jg[qt:] *= -1.0
+        x = j_mat @ jg
+        return True
+
     for row in (lo == hi).nonzero()[0]:
         d, r, z, zn, dn = step_data(a[row])
         s_p = float(a[row] @ x) - lo[row]
@@ -127,6 +199,9 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int):
         x = x + t * z
         mult[:q] -= t * r
         add(row, 1.0, d, r, t, True)
+        its += 1
+
+    if start is not None and len(start) and status == "optimal" and hot_start(start):
         its += 1
 
     while status == "optimal":
@@ -182,10 +257,12 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int):
     l_fac = prob.h_factor.lower()
     stat = l_fac @ (l_fac.T @ x) + prob.g - a[act].T @ (act_side * mult[:q])
     v = a @ x
-    viol = max(float(np.max(lo - v, initial=0.0)), float(np.max(v - hi, initial=0.0)))
+    # array methods, not np.max: the same reductions without its dispatch
+    viol = max(float((lo - v).max(initial=0.0)), float((v - hi).max(initial=0.0)))
     off = float(np.abs(v[act] - limit).max(initial=0.0))
-    wrong_sign = float(np.max(-mult[:q][~is_eq[:q]], initial=0.0))
+    wrong_sign = float((-mult[:q][~is_eq[:q]]).max(initial=0.0))
     row_mult = np.zeros(n_rows - n)
     general = act >= n
     row_mult[act[general] - n] = -(act_side * mult[:q])[general]
-    return x, its, status, max(float(np.abs(stat).max(initial=0.0)), viol, off, wrong_sign), row_mult
+    kkt = max(float(np.abs(stat).max(initial=0.0)), viol, off, wrong_sign)
+    return x, its, status, kkt, row_mult, np.array((rows, sides), dtype=int).T

@@ -260,6 +260,8 @@ class LoopRecord:
     wall_time_s: float
     cem_true: float = 0.0
     cem_est: float = 0.0
+    qp_iterations: int = 0
+    clipped: int = 0
 
 
 def _run_loop(plant: SurrogatePlant, controller, u_start: np.ndarray, goal, reference, d_schedule,
@@ -306,6 +308,7 @@ def _run_loop(plant: SurrogatePlant, controller, u_start: np.ndarray, goal, refe
         records.append(LoopRecord(
             k=k, t=t, r_ts=r_ts, d=d_now, y_true=y_true, y_meas=y_meas, u=u,
             cost=step.cost, iterations=step.iterations,
+            qp_iterations=step.qp_iterations, clipped=step.clipped,
             kkt_residual=step.kkt_residual, status=step.status,
             wall_time_s=step.wall_time_s, cem_true=plant.state.cem, cem_est=cem_est,
         ))
@@ -374,7 +377,7 @@ def write_steps_csv(path, records: list[LoopRecord], with_cem: bool = False) -> 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = ["k", "t", "r_ts", "d", "Ts", "Tg", "Ts_meas", "Tg_meas", "P", "q",
-              "cost", "iterations", "kkt_residual", "status"]
+              "cost", "iterations", "qp_iterations", "clipped", "kkt_residual", "status"]
     if with_cem:
         header += ["cem", "cem_est"]
     with path.open("w", newline="") as fh:
@@ -386,7 +389,7 @@ def write_steps_csv(path, records: list[LoopRecord], with_cem: bool = False) -> 
                 for v in (rec.t, rec.r_ts, rec.d,
                           rec.y_true[0], rec.y_true[1], rec.y_meas[0], rec.y_meas[1],
                           rec.u[0], rec.u[1], rec.cost)
-            ] + [rec.iterations, repr(float(rec.kkt_residual)), rec.status]
+            ] + [rec.iterations, rec.qp_iterations, rec.clipped, repr(float(rec.kkt_residual)), rec.status]
             if with_cem:
                 row += [repr(float(rec.cem_true)), repr(float(rec.cem_est))]
             writer.writerow(row)

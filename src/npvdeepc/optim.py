@@ -5,10 +5,12 @@ Provides an SVD pseudo-inverse, one entry point for strictly convex QPs,
 the nonlinear programs the neural controllers generate.  ``solve_qp`` is a
 dual active-set solve (Goldfarb & Idnani, Math. Prog. 1983) on a problem
 that carries a Cholesky factor of its positive definite Hessian.  It starts
-at the unconstrained minimizer and adds the most violated bound or general
-row ``lo <= C x <= hi`` until none is left; a row with equal limits is an
-equality.  The linear controllers' condensed programs and the SQP
-subproblems, with their rows ``c_lo <= c(x) <= c_hi``, are all of this form.
+at the unconstrained minimizer, or from a given working set, and adds the
+most violated bound or general row ``lo <= C x <= hi`` until none is left;
+a row with equal limits is an equality.  The linear controllers' condensed
+programs and the SQP subproblems, with their rows ``c_lo <= c(x) <= c_hi``,
+are all of this form.  The linear controllers start each QP cold; each SQP
+subproblem after the first starts from the working set of the one before.
 
 Everything is dense numpy; problem sizes stay in the hundreds.
 """
@@ -72,6 +74,9 @@ class SolveDiagnostics:
     kkt_residual: float
     wall_time_s: float
     row_multipliers: np.ndarray | None = None
+    working_set: np.ndarray | None = None  # a QP's final active (row, side) pairs, side +-1
+    qp_iterations: int = 0                 # QP iterations behind the solve
+    clipped: int = 0                       # SQP subproblems whose curvature term was clipped to PSD
 
     def __post_init__(self):
         if self.kkt_residual < 0:
@@ -104,7 +109,7 @@ class QpProblem:
         self.ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float).ravel()
         if self.lb.size != n or self.ub.size != n:
             raise ValueError("bound lengths do not match the variable count")
-        if np.any(self.lb > self.ub):
+        if (self.lb > self.ub).any():
             raise ValueError("bounds must satisfy lb <= ub")
         if self.c is not None:
             self.c = np.atleast_2d(np.asarray(self.c, dtype=float))
@@ -113,7 +118,7 @@ class QpProblem:
             self.c_hi = np.full(m, np.inf) if self.c_hi is None else np.asarray(self.c_hi, dtype=float).ravel()
             if self.c.shape[1] != n or self.c_lo.size != m or self.c_hi.size != m:
                 raise ValueError(f"C shape {self.c.shape} or its limits do not match n={n}")
-            if np.any(self.c_lo > self.c_hi):
+            if (self.c_lo > self.c_hi).any():
                 raise ValueError("row limits must satisfy c_lo <= c_hi")
 
     @property
@@ -141,7 +146,7 @@ class HessianFactor:
             l_fac = np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
             raise IndefiniteHessianError("H is not positive definite")
-        if np.min(np.diag(l_fac), initial=np.inf) ** 2 <= 1e-12 * np.max(np.diag(h), initial=0.0):
+        if l_fac.diagonal().min(initial=np.inf) ** 2 <= 1e-12 * h.diagonal().max(initial=0.0):
             raise IndefiniteHessianError("H is positive definite only within rounding")
         self.packed = np.where(_strict_upper(l_fac.shape[0]), np.linalg.inv(l_fac).T, l_fac)
 
@@ -185,26 +190,31 @@ def _stationarity(r, x, lb, ub) -> float:
     at_lo = x <= lb + tol_bnd
     at_hi = ~at_lo & (x >= ub - tol_bnd)
     viol = np.where(at_lo, np.maximum(-r, 0.0), np.where(at_hi, np.maximum(r, 0.0), np.abs(r)))
-    return float(np.max(viol, initial=0.0))
+    return float(viol.max(initial=0.0))
 
 
 def solve_qp(
     prob: QpProblem,
     tol: float = 1e-8,
     max_iter: int = 200,
+    start=None,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Dual active-set solve of a strictly convex QP (:func:`dual_active_set`).
 
     Returns the minimizer and diagnostics with the KKT residual at that
     point.  The general rows' multipliers ride along for SQP consumption,
     signed so that bound multipliers alone balance ``Hx + g + C'lam``.
-    Bounds are honored exactly at the returned point.
+    Bounds are honored exactly at the returned point.  ``start``, a
+    ``working_set`` of an earlier solve on rows of the same layout, hot-starts
+    the solve; the diagnostics carry the final ``working_set``.  Adds and
+    drops each count as an iteration; a hot start counts as one.
     """
     t0 = time.perf_counter()
-    x, its, status, kkt, row_mult = dual_active_set(prob, tol, max_iter)
+    x, its, status, kkt, row_mult, working = dual_active_set(prob, tol, max_iter, start)
     diag = SolveDiagnostics(
         status=status, iterations=its, kkt_residual=kkt, wall_time_s=time.perf_counter() - t0,
         row_multipliers=row_mult if prob.c is not None else None,
+        working_set=working, qp_iterations=its,
     )
     return x, diag
 
@@ -249,13 +259,18 @@ def solve_sqp(
     either, :class:`IndefiniteHessianError` is raised.  Equality rows are
     rows with ``c_lo == c_hi``.  The merit and the KKT residual measure the
     row violation ``max(c_lo - c, 0) + max(c - c_hi, 0)``, which is ``|c|``
-    on an equality row.
+    on an equality row.  Every subproblem after the first starts from the
+    working set the previous one ended on (``solve_qp``'s ``start``), the
+    retry in the widened box included: near a solution the active set
+    settles, and the QP then needs one iteration, its hot start.
 
     Returns the best iterate with the KKT residual at that point.  The
     status is ``optimal`` at a KKT point; ``infeasible`` when the linearized
     rows do not fit the trust box widened once, or when the solve stalls (a
     collapsed trust radius, or no predicted reduction) at a point whose row
-    violation exceeds ``tol``; ``max_iter`` otherwise.
+    violation exceeds ``tol``; ``max_iter`` otherwise.  The diagnostics
+    count the QP iterations of every subproblem solved (``qp_iterations``)
+    and the subproblems whose curvature term was clipped (``clipped``).
     """
     t0 = time.perf_counter()
     lb = np.asarray(lb, dtype=float).ravel()
@@ -281,7 +296,7 @@ def solve_sqp(
         # values become the next iterate's without re-evaluation
         fg = cost_fn(xv)
         cj = _eval_c(xv)
-        return fg, cj, fg[0] + mu * float(np.sum(_violation(cj[0])))
+        return fg, cj, fg[0] + mu * float(_violation(cj[0]).sum())
 
     def _kkt_at_x(lam_):
         # KKT residual at the current iterate for the multipliers lam_
@@ -295,6 +310,8 @@ def solve_sqp(
     c_hi = np.broadcast_to(np.asarray(c_hi, dtype=float), (m,))
     best_x, best_merit, best_kkt, best_viol = x.copy(), np.inf, np.inf, np.inf
     lam = np.zeros(m)
+    working = None  # the last subproblem's working set, the next one's start
+    qp_its = clipped = 0
 
     for _ in range(max_iter):
         extra = lag_hess_fn(x, lam, hess, jac) if lag_hess_fn is not None and m else None
@@ -307,18 +324,21 @@ def solve_sqp(
             vals, vecs = np.linalg.eigh(extra)
             h_qp = hess + (vecs * np.maximum(vals, 0.0)) @ vecs.T
             factor = HessianFactor(h_qp)
+            clipped += 1
         # linearized rows may not fit inside the trust box; widen once
         for widen in (1.0, 16.0):
             radius *= widen
             d_lo, d_hi = np.maximum(lb - x, -radius), np.minimum(ub - x, radius)
             qp = QpProblem(h_factor=factor, g=grad, lb=d_lo, ub=d_hi,
                            c=jac if m else None, c_lo=c_lo - c, c_hi=c_hi - c)
-            d, qdiag = solve_qp(qp, tol=min(tol, 1e-8), max_iter=qp_max_iter)
+            d, qdiag = solve_qp(qp, tol=min(tol, 1e-8), max_iter=qp_max_iter, start=working)
+            qp_its += qdiag.iterations
             if qdiag.status != "infeasible":
                 break
         else:
             status = "infeasible"
             break
+        working = qdiag.working_set
         lam = qdiag.row_multipliers if qdiag.row_multipliers is not None else np.zeros(m)
 
         kkt = _kkt_at_x(lam)
@@ -340,13 +360,13 @@ def solve_sqp(
         if m:
             mu = max(mu, 1.05 * _inf_norm(lam) + 1.0)
         viol = _violation(c)
-        viol_l1 = float(np.sum(viol))
+        viol_l1 = float(viol.sum())
         merit0 = f + mu * viol_l1
         if merit0 < best_merit:
             best_x, best_merit, best_kkt, best_viol = x.copy(), merit0, kkt, viol
         # model reduction of the l1 merit; the QP satisfies the linearized rows
         model_cost_change = float(grad @ d) + 0.5 * float(d @ (h_qp @ d))
-        resid_after = float(np.sum(_violation(c + jac @ d))) if m else 0.0
+        resid_after = float(_violation(c + jac @ d).sum()) if m else 0.0
         pred_red = -model_cost_change + mu * (viol_l1 - resid_after)
         if pred_red <= 1e-14 * (1.0 + abs(merit0)):
             if m and viol_l1 > tol:
@@ -375,7 +395,7 @@ def solve_sqp(
                 break
 
     viol = _violation(c)
-    if status != "optimal" and f + mu * float(np.sum(viol)) > best_merit:
+    if status != "optimal" and f + mu * float(viol.sum()) > best_merit:
         x, kkt, viol = best_x, best_kkt, best_viol
     elif kkt == np.inf:
         # no residual at x yet (an accepted last step, or no QP solved):
@@ -388,6 +408,8 @@ def solve_sqp(
         iterations=steps,
         kkt_residual=float(kkt),
         wall_time_s=time.perf_counter() - t0,
+        qp_iterations=qp_its,
+        clipped=clipped,
     )
     return x, diag
 

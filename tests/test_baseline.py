@@ -402,7 +402,8 @@ def test_step_contract(kind, warm_start, monkeypatch):
     """Every controller's step: result layout, recomputed cost, and its start.
 
     The linear controllers' QP takes no start (it starts cold at the
-    unconstrained minimizer); NPV-DeePC warm-starts from its shifted inputs.
+    unconstrained minimizer, with no working set) and reports its own
+    iterations as its QP work; NPV-DeePC warm-starts from its shifted inputs.
     """
     ctrl = _window_controller(kind, warm_start=warm_start)
     # perfbench times each controller through its own entry
@@ -412,6 +413,7 @@ def test_step_contract(kind, warm_start, monkeypatch):
     solve_qp, solve_sqp = control.solve_qp, npv.solve_sqp
 
     def spy_qp(prob, **kw):
+        assert "start" not in kw
         starts.append((None, prob))
         return solve_qp(prob, **kw)
 
@@ -436,6 +438,7 @@ def test_step_contract(kind, warm_start, monkeypatch):
     assert len(starts) == 2
     if kind != "npv":
         assert all(isinstance(prob, QpProblem) for _, prob in starts)
+        assert all((step.qp_iterations, step.clipped) == (step.iterations, 0) for step in steps)
         return
 
     def assert_cold(x0, u_prev):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 from pathlib import Path
@@ -71,6 +72,30 @@ def test_tracking_loop_step_protocol():
     # the windows span every distance of the schedule and both references
     assert {tuple(p) for p, _, _ in ctl.calls} >= {(3.0, 3.0, 4.0), (4.0, 4.0, 5.0)}
     assert {g[0] for _, g, _ in ctl.calls} == {30.0, 31.0}
+
+
+def test_steps_csv_carries_solver_counts(tmp_path):
+    """Each step's iterations, QP iterations and clipped subproblems reach
+    its LoopRecord and the step file's columns."""
+    cfg = RunConfig()
+    ctl = RecordingTracker(ControllerConfig(t_ini=3, horizon=4))
+    solve_step = ctl.solve_step
+
+    def counted(*args):
+        u, step = solve_step(*args)
+        k = len(ctl.calls)
+        step.iterations, step.qp_iterations, step.clipped = k, 3 * k, k % 2
+        return u, step
+
+    ctl.solve_step = counted
+    records = experiments.run_tracking_loop(cfg, ctl, 0.0, "counts", n_steps=4)
+    assert [(r.iterations, r.qp_iterations, r.clipped) for r in records] == [(k, 3 * k, k % 2) for k in range(1, 5)]
+    experiments.write_steps_csv(tmp_path / "steps.csv", records)
+    with (tmp_path / "steps.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[11:16] == ["iterations", "qp_iterations", "clipped", "kkt_residual", "status"]
+    assert [(r["iterations"], r["qp_iterations"], r["clipped"]) for r in rows] == [
+        (str(k), str(3 * k), str(k % 2)) for k in range(1, 5)]
 
 
 def test_distance_sweep_creates_output_dir(tmp_path, monkeypatch):

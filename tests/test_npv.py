@@ -434,6 +434,58 @@ class TestStepWork:
         if kind == "cem":
             assert stages == {"deliver", "dose"}
 
+    @pytest.mark.parametrize("kind", ["npv", "neural", "cem"])
+    def test_subproblems_start_from_the_last_working_set(self, setup, monkeypatch, kind):
+        traj, model, hs, p_cols, nh = setup
+        solve_qp = optim.solve_qp
+        hessian_factor = optim.HessianFactor
+        solves = []  # per step: the QPs as (start, diagnostics) and the Hessians without a factor
+
+        def spy_sqp(*args, **kwargs):
+            solves.append(([], []))
+            return solve_sqp(*args, **kwargs)
+
+        def spy_qp(prob, *args, start=None, **kwargs):
+            x, diag = solve_qp(prob, *args, start=start, **kwargs)
+            solves[-1][0].append((start, diag))
+            return x, diag
+
+        def spy_factor(h):
+            try:
+                return hessian_factor(h)
+            except optim.IndefiniteHessianError:
+                solves[-1][1].append(h)
+                raise
+
+        monkeypatch.setattr(npv, "solve_sqp", spy_sqp)
+        monkeypatch.setattr(optim, "solve_qp", spy_qp)
+        monkeypatch.setattr(optim, "HessianFactor", spy_factor)
+        if kind == "cem":
+            cfg = wide_cfg(y_lo=(24.0, 19.0), y_hi=(30.0, 80.0))
+            ctrl = CemController(nh, cfg, cem_target=0.05, dt=traj.dt)
+        else:
+            ctrl = NpvController(nh if kind == "npv" else transform_hankel(model.frozen(), hs, p_cols), wide_cfg())
+        steps = []
+        for start in (60, 61, 62, 63, 150, 151):
+            w = Window.from_trajectory(traj, start, T_INI, HORIZON)
+            if kind == "cem":
+                _, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, cem_now=0.05 * (start > 100), u_prev=[4.0, 3.0])
+            else:
+                _, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([31.0, 40.0]), [4.0, 3.0])
+            steps.append(step)
+        hot = 0
+        for (qps, unfactored), step in zip(solves, steps):
+            last = None
+            for start, diag in qps:
+                assert (start is None) if last is None else np.array_equal(start, last)
+                hot += start is not None and len(start) > 0
+                if diag.status != "infeasible":
+                    last = diag.working_set
+            # the step reports its QP work and its clipped subproblems
+            assert step.qp_iterations == sum(diag.iterations for _, diag in qps)
+            assert step.clipped == len(unfactored)
+        assert len(solves) == len(steps) and hot > 0
+
     @pytest.mark.parametrize("kind", ["npv", "cem"])
     def test_one_features_pass_per_distinct_input(self, setup, monkeypatch, kind):
         traj, model, hs, p_cols, nh = setup

@@ -309,6 +309,117 @@ class TestDualPath:
         assert statuses == {"optimal", "max_iter"}
 
 
+def _signs_ok(c, lo, hi, x, row_mult, tol=1e-9) -> bool:
+    """Whether each general row's multiplier is negative only at its lower
+    limit and positive only at its upper one (either on an equality row)."""
+    cx = c @ x
+    at_lo = np.abs(cx - lo) <= tol * (1.0 + np.abs(lo))
+    at_hi = np.abs(cx - hi) <= tol * (1.0 + np.abs(hi))
+    return bool(np.all(at_lo[row_mult < 0.0]) and np.all(at_hi[row_mult > 0.0]))
+
+
+def _hot_start(kind, rng, cold_set, n, lb, hi, pinned_rows):
+    """A start working set of the given kind, built from the cold solve's set."""
+    free = [(int(r), int(s)) for r, s in cold_set if not n <= r < n + pinned_rows]
+    if kind == "active":
+        return cold_set
+    if kind == "subset":
+        kept = [pair for pair in free if rng.random() < 0.5]
+        extra = [(int(r), int(rng.choice([-1, 1]))) for r in rng.integers(0, n + hi.size, 3)]
+        return kept + extra
+    if kind == "wrong_sides":
+        return [(r, -s) for r, s in free]
+    if kind == "dependent":
+        # a row listed twice makes the batch dependent
+        first = free[0] if free else (int(np.flatnonzero(np.isfinite(lb))[0]), 1)
+        return free + [first]
+    if kind == "infinite_limit":
+        # sides without a limit: lower sides of unbounded variables, upper sides of open rows
+        return free + [(int(i), 1) for i in np.flatnonzero(~np.isfinite(lb))] + [
+            (n + int(j), -1) for j in np.flatnonzero(~np.isfinite(hi))]
+    if kind == "equalities":
+        # rows held as equalities already, on either side
+        return [(n + j, s) for j in range(pinned_rows) for s in (1, -1)] + free
+    raise ValueError(kind)
+
+
+class TestHotStart:
+    """A start working set changes the work of a solve, never its minimizer."""
+
+    @pytest.mark.parametrize("kind", ["active", "subset", "wrong_sides", "dependent", "infinite_limit", "equalities"])
+    def test_matches_cold_start(self, kind):
+        tested = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(3, 12)), int(rng.integers(2, 8))
+            pinned_rows = int(rng.integers(0, 3))
+            h, g, lb, ub, c, lo, hi = _row_qp(rng, n, m, pinned_rows)
+            prob = QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi)
+            x_cold, cold = solve_qp(prob, tol=1e-10)
+            assert cold.status == "optimal", seed
+            start = _hot_start(kind, rng, cold.working_set, n, lb, hi, pinned_rows)
+            x, diag = solve_qp(prob, tol=1e-10, start=start)
+            assert diag.status == "optimal", seed
+            assert diag.kkt_residual <= 1e-8, seed
+            assert np.max(np.abs(x - x_cold)) <= 1e-9, seed
+            assert _kkt_certificate(h, g, lb, ub, c, lo, hi, x), seed
+            assert _signs_ok(c, lo, hi, x, diag.row_multipliers), seed
+            assert np.all(x >= lb) and np.all(x <= ub)
+            if kind == "dependent":
+                # the batch is refused and the solve starts cold
+                assert np.array_equal(x, x_cold) and diag.iterations == cold.iterations, seed
+            if kind in ("active", "infinite_limit", "equalities") and len(cold.working_set) > pinned_rows:
+                # the equalities, then the rest of the optimal set in one batch
+                assert diag.iterations == pinned_rows + 1, seed
+            tested += len(start) > 0
+        assert tested >= 30
+
+    def test_working_set_holds_at_the_minimizer(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(3, 12)), int(rng.integers(2, 8))
+            h, g, lb, ub, c, lo, hi = _row_qp(rng, n, m, 1)
+            prob = QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi)
+            x, diag = solve_qp(prob, tol=1e-10)
+            rows, sides = diag.working_set.T
+            assert set(sides) <= {-1, 1} and rows.size == np.unique(rows).size
+            assert n in rows  # the equality row
+            v = np.concatenate([x, c @ x])[rows]
+            limit = np.where(sides > 0, np.concatenate([lb, lo])[rows], np.concatenate([ub, hi])[rows])
+            assert np.allclose(v, limit, rtol=0.0, atol=1e-9), seed
+
+    def test_empty_start_is_cold(self):
+        rng = np.random.default_rng(4)
+        h, g, lb, ub, c, lo, hi = _row_qp(rng, 8, 5, 1)
+        prob = QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi)
+        x_cold, cold = solve_qp(prob)
+        for start in ([], np.zeros((0, 2), dtype=int)):
+            x, diag = solve_qp(prob, start=start)
+            assert np.array_equal(x, x_cold) and diag.iterations == cold.iterations
+
+    def test_iteration_cap(self):
+        # half of the optimal set leaves work after the batch; the cap still holds
+        capped = 0
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            h, g, lb, ub, c, lo, hi = _row_qp(rng, 10, 6)
+            prob = QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi)
+            _, cold = solve_qp(prob)
+            start = cold.working_set[::2]
+            _, full = solve_qp(prob, start=start)
+            for max_iter in (1, 2, 3):
+                x, diag = solve_qp(prob, max_iter=max_iter, start=start)
+                assert diag.iterations <= max_iter, seed
+                if full.iterations > max_iter:
+                    assert diag.status == "max_iter", seed
+                    # the residual covers the violation, up to how c @ x is summed
+                    assert diag.kkt_residual >= _violation(x, lb, ub, c, lo, hi) - 1e-12, seed
+                    capped += 1
+                else:
+                    assert diag.status == "optimal", seed
+        assert capped >= 10
+
+
 class TestSolveSqp:
     def test_quadratic_with_linear_constraints_single_iteration(self):
         rng = np.random.default_rng(5)
@@ -508,6 +619,52 @@ class TestSqpRows:
         assert {"lo", "hi"} == {side for side, _ in sides}
         assert ("hi", 2) in sides
 
+    @staticmethod
+    def _chain(monkeypatch, hot=True):
+        """Solve the module's row programs, each QP recorded as (start, diag);
+        with ``hot=False`` every subproblem starts cold."""
+        calls = []
+
+        def spy(prob, *args, start=None, **kwargs):
+            x, diag = solve_qp(prob, *args, start=start if hot else None, **kwargs)
+            calls[-1].append((start, diag))
+            return x, diag
+
+        monkeypatch.setattr(optim, "solve_qp", spy)
+        lb, ub = np.full(2, -2.0), np.full(2, 2.0)
+        out = []
+        for seed in range(12):
+            cost, rows, curvature, _, c_lo, c_hi = _convex_row_nlp(np.random.default_rng(seed))
+            calls.append([])
+            out.append(solve_sqp(cost, rows, lb, ub, np.zeros(2), tol=1e-8, lag_hess_fn=curvature,
+                                 c_lo=c_lo, c_hi=c_hi))
+        return out, calls
+
+    def test_each_subproblem_starts_from_the_last_working_set(self, monkeypatch):
+        results, calls = self._chain(monkeypatch)
+        started = 0
+        for (_, diag), solve in zip(results, calls):
+            assert solve[0][0] is None
+            last = None
+            for start, qdiag in solve:
+                # the widened retry of an infeasible subproblem gets the same start
+                assert (start is None) if last is None else np.array_equal(start, last)
+                started += start is not None and len(start) > 0
+                if qdiag.status != "infeasible":
+                    last = qdiag.working_set
+            assert diag.qp_iterations == sum(qdiag.iterations for _, qdiag in solve)
+        assert started > 0
+
+    def test_hot_chain_matches_cold_chain(self, monkeypatch):
+        hot, hot_calls = self._chain(monkeypatch)
+        cold, cold_calls = self._chain(monkeypatch, hot=False)
+        assert sum(d.qp_iterations for _, d in hot) < sum(d.qp_iterations for _, d in cold)
+        for (x_h, d_h), (x_c, d_c), calls_h, calls_c in zip(hot, cold, hot_calls, cold_calls):
+            assert np.max(np.abs(x_h - x_c)) <= 1e-10
+            assert (d_h.status, d_h.iterations, d_h.clipped) == (d_c.status, d_c.iterations, d_c.clipped)
+            assert len(calls_h) == len(calls_c)
+            assert [q.status for _, q in calls_h] == [q.status for _, q in calls_c]
+
     def test_equality_limits_as_keywords(self):
         # x0^2 + x1 = 1 written with its limit, against the zero-limit form
         def cost(x):
@@ -647,6 +804,7 @@ class TestExactCurvature:
         assert counts["clip"] == 2 and counts["exact"] > 0
         assert set(qp_statuses) == {"optimal"}
         assert (gated.status, gated.iterations) == ("optimal", 13)
+        assert gated.clipped == 2  # the two subproblems solve_sqp clipped itself
         assert abs(x[1] - np.sin(x[0])) < 1e-12
 
 
