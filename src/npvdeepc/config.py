@@ -12,9 +12,11 @@ computation starts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import types
+import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -267,7 +269,7 @@ def _from_dict(cls, data: dict, path: str = ""):
         f = known[name]
         sub_path = f"{path}.{name}" if path else name
         # resolve the declared type from the dataclass field
-        typ = f.type if not isinstance(f.type, str) else _resolve_type(cls, f.name)
+        typ = f.type if not isinstance(f.type, str) else _type_hints(cls)[f.name]
         kwargs[name] = _coerce(value, typ, sub_path)
     try:
         return cls(**kwargs)
@@ -275,11 +277,10 @@ def _from_dict(cls, data: dict, path: str = ""):
         raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
 
 
-def _resolve_type(cls, field_name: str):
-    import typing
-
-    hints = typing.get_type_hints(cls)
-    return hints[field_name]
+@functools.cache
+def _type_hints(cls) -> dict:
+    """Resolved field annotations of a config dataclass, evaluated once per class."""
+    return typing.get_type_hints(cls)
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -6,6 +6,13 @@ flow-mediated heat transfer from the gas with an exponential decay in the
 tip-to-surface distance.  It is not a physical plasma model; it is a
 deterministic stand-in with a qualitatively similar envelope, and every
 constant can be overridden from the run configuration.
+
+The Euler update is written once, in :func:`_euler_step`, over plain floats;
+:func:`surrogate_step` and :func:`collect_open_loop` both call it.  Open-loop
+collection draws its excitation only where it changes (each input redraw and
+each distance redraw, in the order a per-step loop would draw them), fills
+every hold as a slice and runs its input checks once over the whole schedule.
+The dataset bytes it produces are pinned by a digest test.
 """
 
 from __future__ import annotations
@@ -109,6 +116,19 @@ def cem_update(cem: float, ts: float, dt_minutes: float) -> float:
     return cem + CEM_KAPPA ** (CEM_REFERENCE_TEMP - ts) * dt_minutes
 
 
+def _euler_step(
+    ts: float, tg: float, cem: float, power: float, flow: float, d: float, dt: float, c: SurrogateConstants
+) -> tuple[float, float, float]:
+    """One explicit-Euler step on plain floats; the inputs are checked and clipped."""
+    drive_g = c.b_g * power / (1.0 + c.c_g * flow)
+    transfer = c.b_s * math.exp(-(d - 2.0) / c.d0) * (tg - c.t_amb) * flow / (flow + c.q_h)
+    return (
+        ts + dt * (-c.a_s * (ts - c.t_amb) + transfer),
+        tg + dt * (-c.a_g * (tg - c.t_amb) + drive_g),
+        cem_update(cem, ts, dt / 60.0),
+    )
+
+
 def surrogate_step(
     state: PlantState,
     u,
@@ -122,17 +142,15 @@ def surrogate_step(
     Inputs are clipped to the box; the distance is the externally scheduled
     parameter for this step.  Deterministic.
     """
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)) or not math.isfinite(d) or not dt > 0:
+    power, flow = u
+    power, flow = float(power), float(flow)
+    if not (math.isfinite(power) and math.isfinite(flow) and math.isfinite(d) and dt > 0):
         raise ValueError(f"non-finite input: u={u}, d={d}, dt={dt}")
-    power, flow = box.clip_u(u)
-    c = constants
-    drive_g = c.b_g * power / (1.0 + c.c_g * flow)
-    tg_next = state.tg + dt * (-c.a_g * (state.tg - c.t_amb) + drive_g)
-    transfer = c.b_s * math.exp(-(d - 2.0) / c.d0) * (state.tg - c.t_amb) * flow / (flow + c.q_h)
-    ts_next = state.ts + dt * (-c.a_s * (state.ts - c.t_amb) + transfer)
-    cem_next = cem_update(state.cem, state.ts, dt / 60.0)
-    return PlantState(ts=ts_next, tg=tg_next, cem=cem_next, d=d)
+    (p_lo, q_lo), (p_hi, q_hi) = box.u_lo, box.u_hi
+    power = min(max(power, p_lo), p_hi)
+    flow = min(max(flow, q_lo), q_hi)
+    ts, tg, cem = _euler_step(state.ts, state.tg, state.cem, power, flow, d, dt, constants)
+    return PlantState(ts=ts, tg=tg, cem=cem, d=d)
 
 
 def surrogate_steady_state(
@@ -244,6 +262,11 @@ class ExcitationConfig:
             raise ValueError(f"distance range [{self.d_lo}, {self.d_hi}] outside [{D_MIN}, {D_MAX}]")
 
 
+# steps whose inputs become Python floats at a time: whole-run lists would
+# hold three float objects per sample at once
+_COLLECT_BLOCK = 256
+
+
 def collect_open_loop(
     plant: SurrogatePlant,
     excitation: ExcitationConfig,
@@ -255,32 +278,53 @@ def collect_open_loop(
     Inputs are i.i.d. uniform over the input box (optionally held for
     ``u_hold`` steps); the distance follows a piecewise-constant pattern with
     uniformly random levels and hold durations.  Seeded and reproducible.
+
+    The draws are those of a per-step loop that redraws the input at every
+    multiple of ``u_hold`` and then, when its hold ends, the distance and its
+    next hold.  The input redraws between two distance redraws come from one
+    ``rng.random`` call, which yields the same doubles as one
+    ``rng.uniform`` call per redraw.  The plant advances through
+    :func:`_euler_step` and ends in the state a per-step loop would leave.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
+    ex, dt = excitation, plant.dt
     rng = np.random.default_rng(seed)
-    u_lo = np.asarray(plant.box.u_lo)
-    u_hi = np.asarray(plant.box.u_hi)
+    u_lo = np.asarray(plant.box.u_lo, dtype=float)
+    u_hi = np.asarray(plant.box.u_hi, dtype=float)
+    u_span = u_hi - u_lo
 
-    u_log = np.empty((n_points, u_lo.size))
-    y_log = np.empty((n_points, 2))
+    # input draw j holds over steps [j * u_hold, (j + 1) * u_hold)
+    u_draws = np.empty(((n_points - 1) // ex.u_hold + 1, u_lo.size))
     d_log = np.empty((n_points, 1))
+    u_draws[0] = u_lo + u_span * rng.random(u_lo.size)
+    n_drawn, stop = 1, 0
+    while stop < n_points:
+        start = stop
+        d_current = rng.uniform(ex.d_lo, ex.d_hi)
+        stop = min(start + int(rng.integers(ex.d_hold_min, ex.d_hold_max + 1)), n_points)
+        d_log[start:stop] = d_current
+        # the input redraws up to and on step ``stop``, where the next distance redraw falls
+        upto = min(stop // ex.u_hold + 1, len(u_draws))
+        u_draws[n_drawn:upto] = u_lo + u_span * rng.random((upto - n_drawn, u_lo.size))
+        n_drawn = upto
+    u_log = np.repeat(u_draws, ex.u_hold, axis=0)[:n_points]
 
-    u_current = rng.uniform(u_lo, u_hi)
-    d_current = rng.uniform(excitation.d_lo, excitation.d_hi)
-    d_remaining = int(rng.integers(excitation.d_hold_min, excitation.d_hold_max + 1))
+    if not (np.isfinite(u_log).all() and dt > 0):
+        raise ValueError(f"non-finite excitation or dt={dt}")
+    if not (D_MIN <= d_log.min() and d_log.max() <= D_MAX):
+        raise ValueError(f"distance schedule outside [{D_MIN}, {D_MAX}] mm")
 
-    for k in range(n_points):
-        if k > 0 and k % excitation.u_hold == 0:
-            u_current = rng.uniform(u_lo, u_hi)
-        if d_remaining == 0:
-            d_current = rng.uniform(excitation.d_lo, excitation.d_hi)
-            d_remaining = int(rng.integers(excitation.d_hold_min, excitation.d_hold_max + 1))
-        d_remaining -= 1
+    y_log = np.empty((n_points, 2))
+    c, state = plant.constants, plant.state
+    ts, tg, cem = float(state.ts), float(state.tg), float(state.cem)
+    for k0 in range(0, n_points, _COLLECT_BLOCK):
+        k1 = min(k0 + _COLLECT_BLOCK, n_points)
+        block = []
+        for (power, flow), d in zip(np.clip(u_log[k0:k1], u_lo, u_hi).tolist(), d_log[k0:k1, 0].tolist()):
+            block.append((ts, tg))
+            ts, tg, cem = _euler_step(ts, tg, cem, power, flow, d, dt, c)
+        y_log[k0:k1] = block
+    plant.state = PlantState(ts=ts, tg=tg, cem=cem, d=float(d_log[-1, 0]))
 
-        y_log[k] = plant.outputs()
-        u_log[k] = u_current
-        d_log[k, 0] = d_current
-        plant.step(u_current, d_current)
-
-    return Trajectory(u=u_log, y=y_log, p=d_log, dt=plant.dt)
+    return Trajectory(u=u_log, y=y_log, p=d_log, dt=dt)

@@ -1,7 +1,12 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from npvdeepc.config import load_config
+from npvdeepc.experiments import build_dataset, surrogate_from_config
 from npvdeepc.hankel import Trajectory
 from npvdeepc.plant import (
     BoxConstraints,
@@ -77,6 +82,31 @@ class TestSurrogate:
         with pytest.raises(ValueError):
             surrogate_step(PlantState(), (np.nan, 1.0), 3.0, 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["power", "flow", "d"])
+    def test_non_finite_channel_rejected(self, bad, where):
+        u = (bad, 3.0) if where == "power" else (4.0, bad) if where == "flow" else (4.0, 3.0)
+        d = bad if where == "d" else 3.0
+        with pytest.raises(ValueError):
+            surrogate_step(PlantState(), u, d, 0.5)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.5, np.nan])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(ValueError):
+            surrogate_step(PlantState(), (4.0, 3.0), 3.0, dt)
+
+    @pytest.mark.parametrize("u", [(4.0,), (4.0, 3.0, 1.0), np.ones(3)])
+    def test_wrong_input_length_rejected(self, u):
+        with pytest.raises(ValueError):
+            surrogate_step(PlantState(), u, 3.0, 0.5)
+
+    @pytest.mark.parametrize("u, clipped", [((20.0, -3.0), (8.0, 1.0)), ((0.0, 9.0), (1.5, 6.0)), ((9.0, 4.0), (8.0, 4.0))])
+    def test_out_of_box_input_acts_as_its_clipped_value(self, u, clipped):
+        state = PlantState(ts=36.0, tg=60.0, cem=0.2, d=2.5)
+        outside = surrogate_step(state, np.asarray(u), 2.5, 0.5)
+        inside = surrogate_step(state, clipped, 2.5, 0.5)
+        assert (outside.ts, outside.tg, outside.cem, outside.d) == (inside.ts, inside.tg, inside.cem, inside.d)
+
 
 class TestCem:
     def test_reference_temperature_unit_increment(self):
@@ -105,7 +135,93 @@ class TestCem:
         assert hi > lo
 
 
+def reference_collect(plant, excitation, n_points, seed):
+    """Per-step collection loop, one ``surrogate_step`` per sample: the oracle."""
+    rng = np.random.default_rng(seed)
+    u_lo, u_hi = np.asarray(plant.box.u_lo), np.asarray(plant.box.u_hi)
+    u_log, y_log, d_log = np.empty((n_points, 2)), np.empty((n_points, 2)), np.empty((n_points, 1))
+    u_current = rng.uniform(u_lo, u_hi)
+    d_current = rng.uniform(excitation.d_lo, excitation.d_hi)
+    d_remaining = int(rng.integers(excitation.d_hold_min, excitation.d_hold_max + 1))
+    state = plant.state
+    for k in range(n_points):
+        if k > 0 and k % excitation.u_hold == 0:
+            u_current = rng.uniform(u_lo, u_hi)
+        if d_remaining == 0:
+            d_current = rng.uniform(excitation.d_lo, excitation.d_hi)
+            d_remaining = int(rng.integers(excitation.d_hold_min, excitation.d_hold_max + 1))
+        d_remaining -= 1
+        y_log[k] = state.outputs()
+        u_log[k] = u_current
+        d_log[k, 0] = d_current
+        state = surrogate_step(state, u_current, d_current, plant.dt, plant.constants, plant.box)
+    return Trajectory(u=u_log, y=y_log, p=d_log, dt=plant.dt), state
+
+
+def assert_collect_matches_reference(make_plant, excitation, n_points, seed):
+    plant = make_plant()
+    traj = collect_open_loop(plant, excitation, n_points, seed)
+    ref, ref_state = reference_collect(make_plant(), excitation, n_points, seed)
+    assert np.array_equal(traj.u, ref.u)
+    assert np.array_equal(traj.y, ref.y)
+    assert np.array_equal(traj.p, ref.p)
+    s = plant.state
+    assert (s.ts, s.tg, s.cem, s.d) == (ref_state.ts, ref_state.tg, ref_state.cem, ref_state.d)
+    return traj, s
+
+
 class TestCollect:
+    @pytest.mark.parametrize("n_points", [1, 2, 5, 257, 1000])
+    @pytest.mark.parametrize("u_hold", [1, 2, 3, 7, 1001])
+    def test_matches_per_step_reference(self, u_hold, n_points):
+        excitation = ExcitationConfig(u_hold=u_hold, d_hold_min=5, d_hold_max=40)
+        assert_collect_matches_reference(SurrogatePlant, excitation, n_points, seed=u_hold * 31 + n_points)
+
+    @pytest.mark.parametrize("u_hold", [1, 2, 3])
+    def test_distance_redraw_on_every_step_matches_reference(self, u_hold):
+        # every step redraws the distance, on the same steps as the input redraws
+        excitation = ExcitationConfig(u_hold=u_hold, d_hold_min=1, d_hold_max=1)
+        traj, _ = assert_collect_matches_reference(SurrogatePlant, excitation, 300, seed=5)
+        assert np.all(np.diff(traj.p[:, 0]) != 0)
+
+    def test_hot_run_accumulates_dose_like_reference(self):
+        # a hot box, a near distance and the dose plant's transfer rate push Ts across 35 degC
+        def hot_plant():
+            return SurrogatePlant(
+                constants=SurrogateConstants(b_s=0.2),
+                box=BoxConstraints(u_lo=(7.0, 1.0), u_hi=(8.0, 2.0)),
+                state=PlantState(ts=25.0, tg=25.0, d=2.0),
+            )
+
+        excitation = ExcitationConfig(u_hold=3, d_lo=2.0, d_hi=2.5)
+        traj, state = assert_collect_matches_reference(hot_plant, excitation, 600, seed=11)
+        assert traj.y[0, 0] < 35.0 < traj.y[:, 0].max()
+        assert state.cem > 0
+
+    def test_continues_from_the_plant_state(self):
+        plant = SurrogatePlant()
+        collect_open_loop(plant, ExcitationConfig(u_hold=2), 100, seed=0)
+        resumed = plant.state
+        assert_collect_matches_reference(lambda: SurrogatePlant(state=resumed), ExcitationConfig(u_hold=2), 100, seed=1)
+
+    @pytest.mark.parametrize(
+        "label, digest",
+        [
+            ("dataset", "8a6800c9e228da8a74aa4b18c4823e277432dd019cbc8b1a21b919a7449e838d"),
+            ("cem-dataset", "52a366990f95d22e9d690787b1cc203177ece0a6dbb49ac0d42e668a2a21e624"),
+        ],
+    )
+    def test_desk_dataset_bytes_pinned(self, label, digest):
+        # the stored benchmark model and the acceptance figures are built on these bytes;
+        # the dose dataset is collected on the dose plant, as the dose pipeline does
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.yaml")
+        b_s = cfg.cem_scenario.b_s if label == "cem-dataset" else None
+        traj = build_dataset(cfg, plant=surrogate_from_config(cfg, b_s_override=b_s), label=label)
+        h = hashlib.sha256()
+        for a in (traj.u, traj.y, traj.p):
+            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+        assert h.hexdigest() == digest
+
     def test_inputs_inside_box(self):
         plant = SurrogatePlant()
         traj = collect_open_loop(plant, ExcitationConfig(), n_points=500, seed=0)
