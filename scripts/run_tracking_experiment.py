@@ -27,7 +27,8 @@ def main() -> None:
 
     print("building pipeline (collect + train)...")
     pipe = build_pipeline(cfg)
-    print(f"  validation BFR: {pipe.bfr_scores['validation']:.2f}%")
+    val = pipe.bfr_scores["validation"]  # None without a validation split
+    print(f"  validation BFR: {'n/a' if val is None else f'{val:.2f}%'}")
 
     print("running controller benchmark...")
     bench = run_bench(cfg, out, pipe=pipe)

@@ -70,6 +70,11 @@ def cmd_collect(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
+def _percent(score: float | None) -> str:
+    """A BFR score for the summary line; None (no windows in the split) prints n/a."""
+    return "n/a" if score is None else f"{score:.2f}%"
+
+
 def cmd_train(cfg: RunConfig, out: Path) -> int:
     data_path = out / DATASET_FILE
     if not data_path.exists():
@@ -96,7 +101,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     write_json(out / REPORT_FILE, report)
     print(
         f"trained {model.history.stopped_epoch} epochs; "
-        f"BFR train {scores['train']:.2f}% / validation {scores['validation']:.2f}% "
+        f"BFR train {_percent(scores['train'])} / validation {_percent(scores['validation'])} "
         f"-> {out / MODEL_FILE}"
     )
     return 0

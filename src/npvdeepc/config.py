@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import sys
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -59,6 +60,9 @@ def _check_schedules(**schedules) -> None:
     for name, rows in schedules.items():
         if not rows:
             raise ConfigError(f"{name} must have at least one (t_start, value) row")
+        starts = [t for t, _ in rows]
+        if any(b <= a for a, b in zip(starts, starts[1:])):
+            raise ConfigError(f"{name} t_start values must be strictly increasing, got {starts}")
 
 
 def _check_step_counts(**counts: int) -> None:
@@ -243,6 +247,8 @@ def _coerce(value, typ, path: str):
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, +-inf and ints past the float range
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):

@@ -64,6 +64,8 @@ class ControllerSettings:
             raise ValueError("Q and P weights must be >= 0, R weights > 0")
         if self.lambda_g < 0 or self.lambda_sigma < 0:
             raise ValueError("regularization weights must be nonnegative")
+        if not self.kkt_tol > 0:
+            raise ValueError(f"kkt_tol must be > 0, got {self.kkt_tol}")
         if self.kernel_slack:
             raise ValueError("kernel_slack: the kernel-slack mode was removed; only false is accepted")
 

@@ -2,9 +2,10 @@
 
 :func:`npvdeepc.optim.solve_qp` is one call of :func:`dual_active_set` on
 a :class:`~npvdeepc.optim.QpProblem`, which carries the
-:class:`~npvdeepc.optim.HessianFactor` of its Hessian; equality rows are
-rows with equal limits (Goldfarb & Idnani, "A numerically stable dual
-method for solving strictly convex quadratic programs", Math. Prog. 1983).
+:class:`~npvdeepc.optim.HessianFactor` of its Hessian (Goldfarb & Idnani,
+"A numerically stable dual method for solving strictly convex quadratic
+programs", Math. Prog. 1983).  A row with equal limits is an ordinary
+two-sided row: either side may enter the working set, as any row's may.
 A solve may start from a given working set, such as the one the previous
 SQP subproblem ended on (a hot start, as in Ferreau, Bock & Diehl, Int. J.
 Robust Nonlinear Control 2008).  Adds and drops each count as an
@@ -34,17 +35,18 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int, start=None):
     change is T^-1 J1'n.  T^-1 is kept alongside T: an add borders it, a
     drop inverts the re-triangulated T.
 
-    Rows with equal limits are equalities: they are added first, in index
-    order, and never dropped.  A ``start`` working set, (row, side) pairs
-    with side +1 for a lower and -1 for an upper limit, is then added at
-    once: rows already held and rows with an infinite limit on their side
+    A row with equal limits has no phase of its own: its two sides are
+    rows like any other, and at most one side of a row is active.  A
+    ``start`` working set, (row, side) pairs with side +1 for a lower and
+    -1 for an upper limit, is added at once: sides with an infinite limit
     are skipped, rows whose multiplier on the batch would be negative are
-    dropped until none is, and a dependent batch (a repeated row, say) is
-    refused, which leaves the cold start.  Either way the solve starts
-    from a point optimal on its active rows with nonnegative multipliers,
-    as the method allows.  Then each iteration adds the row whose
-    violation, scaled by ``1 + |limit|``, is largest, taking the partial
-    steps that drop an active row whose multiplier would turn negative.
+    dropped until none is, and a dependent batch (a repeated row, or both
+    sides of one row) is refused, which leaves the cold start.  Either way
+    the solve starts from a point optimal on its active rows with
+    nonnegative multipliers, as the method allows.  Then each iteration
+    adds the row whose violation, scaled by ``1 + |limit|``, is largest,
+    taking the partial steps that drop an active row whose multiplier would
+    turn negative.
     Adds and drops each count as an iteration; a hot start counts as one.
     A violated row that admits neither a primal nor a dual step makes the
     problem infeasible.
@@ -54,11 +56,11 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int, start=None):
     working_set)``.  The residual at that x for the active set and its
     multipliers is the worst of a row violation, the stationarity residual
     ``|Hx + g - N u|``, an active row off its limit and a negative
-    multiplier on an active inequality; ``row_mult`` holds the general
+    multiplier on an active row; ``row_mult`` holds the general
     rows' multipliers, signed so that bound multipliers alone balance
     ``Hx + g + C'row_mult`` (negative at a lower limit, positive at an
     upper one, zero when inactive); ``working_set`` holds the final active
-    rows as an int array of (row, side) pairs, equalities included.
+    rows as an int array of (row, side) pairs.
     """
     n = prob.n
     a = np.eye(n) if prob.c is None else np.vstack([np.eye(n), prob.c])
@@ -77,7 +79,6 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int, start=None):
     tri = np.zeros((n, n))
     tri_inv = np.zeros((n, n))
     mult = np.zeros(n)
-    is_eq = np.zeros(n, dtype=bool)
     rows, sides = [], []
     blocked = np.zeros(2 * n_rows, dtype=bool)  # both sides of every active row
     q = 0
@@ -91,7 +92,7 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int, start=None):
         d2 = d[q:]
         return d, tri_inv[:q, :q] @ d[:q], j_mat[:, q:] @ d2, float(d2 @ d2), float(d @ d)
 
-    def add(row, side, d, r, u_new, eq):
+    def add(row, side, d, r, u_new):
         nonlocal q
         # a Householder reflection on J2 turns J2'n into (alpha, 0, ..., 0)
         v = d[q:].copy()
@@ -105,7 +106,7 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int, start=None):
         tri[q, q] = alpha
         tri_inv[:q, q] = r / -alpha
         tri_inv[q, q] = 1.0 / alpha
-        mult[q], is_eq[q] = u_new, eq
+        mult[q] = u_new
         rows.append(row)
         sides.append(side)
         blocked[row] = blocked[row + n_rows] = True
@@ -122,86 +123,58 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int, start=None):
             j_mat[:, pos:q] = j_mat[:, pos:q] @ q_s
             tri_inv[:q - 1, :q - 1] = np.linalg.inv(tri[:q - 1, :q - 1])
         mult[pos:q - 1] = mult[pos + 1:q]
-        is_eq[pos:q - 1] = is_eq[pos + 1:q]
         row = rows.pop(pos)
         sides.pop(pos)
         blocked[row] = blocked[row + n_rows] = False
         q -= 1
 
     def hot_start(start):
-        # add the start rows at once after the q0 equalities: with D = J'N,
-        # one QR of its trailing rows gives T = [T0, D1; 0, R], the
-        # multipliers u = T^-1 (T^-T b + J1'g) of the minimizer on the active
+        # add the start rows at once: with D = J'N, one QR gives D = Q_b [T; 0],
+        # the multipliers u = T^-1 (T^-T b + J1'g) of the minimizer on the
         # rows, and that minimizer x = J1 T^-T b - J2 J2'g.  Rows with u < 0
         # are dropped and the rest factored again; a dependent batch is
         # refused.  J, T and x change only once every u is nonnegative.
         nonlocal q, x
         start = np.asarray(start, dtype=int)
         ks = start[:, 0] + (start[:, 1] < 0) * n_rows
-        ks = ks[~blocked[ks] & np.isfinite(lim[ks])]
-        q0 = q
+        ks = ks[np.isfinite(lim[ks])]
         d = (a_sides[ks] @ j_mat).T  # J'N
         jg0 = j_mat.T @ prob.g
         while ks.size:
             p = ks.size
-            qt = q0 + p
-            if qt > n:
+            if p > n:
                 return False
-            q_b, r_b = np.linalg.qr(d[q0:], mode="complete")
-            r_diag = r_b.diagonal()
+            q_b, r_b = np.linalg.qr(d, mode="complete")
+            t_new = r_b[:p]
+            r_diag = t_new.diagonal()
             if (r_diag * r_diag <= 1e-20 * np.einsum("ij,ij->j", d, d)).any():
                 return False
-            if q0:
-                t_new = np.zeros((qt, qt))
-                t_new[:q0, :q0] = tri[:q0, :q0]
-                t_new[:q0, q0:] = d[:q0]
-                t_new[q0:, q0:] = r_b[:p]
-                b = lim[rows[:q0] + ks.tolist()]
-            else:
-                t_new, b = r_b[:p], lim[ks]
             t_inv = np.linalg.inv(t_new)
-            jg = np.concatenate([jg0[:q0], q_b.T @ jg0[q0:]])  # J'g with J's new trailing columns
-            w = t_inv.T @ b
-            u = t_inv @ (w + jg[:qt])
-            keep = u[q0:] >= 0.0
+            jg = q_b.T @ jg0  # J'g with J's new columns
+            w = t_inv.T @ lim[ks]
+            u = t_inv @ (w + jg[:p])
+            keep = u >= 0.0
             if keep.all():
                 break
             ks, d = ks[keep], d[:, keep]
         else:
             return False
-        j_mat[:, q0:] = j_mat[:, q0:] @ q_b
-        tri[:qt, :qt] = t_new
-        tri_inv[:qt, :qt] = t_inv
-        mult[:qt] = u
-        is_eq[q0:qt] = False
+        j_mat[:] = j_mat @ q_b
+        tri[:p, :p] = t_new
+        tri_inv[:p, :p] = t_inv
+        mult[:p] = u
         lower = ks < n_rows
         row_b = ks - ~lower * n_rows
         rows.extend(row_b.tolist())
         sides.extend((2.0 * lower - 1.0).tolist())
         blocked[row_b] = blocked[row_b + n_rows] = True
-        q = qt
-        jg[:qt] = w  # x = J [T^-T b; -J2'g]
-        jg[qt:] *= -1.0
+        q = p
+        jg[:p] = w  # x = J [T^-T b; -J2'g]
+        jg[p:] *= -1.0
         x = j_mat @ jg
         return True
 
-    for row in (lo == hi).nonzero()[0]:
-        d, r, z, zn, dn = step_data(a[row])
-        s_p = float(a[row] @ x) - lo[row]
-        if zn <= 1e-20 * dn:
-            # dependent on the equalities already held: consistent or infeasible
-            if abs(s_p) > tol * (1.0 + abs(lo[row])):
-                status = "infeasible"
-                break
-            blocked[row] = blocked[row + n_rows] = True
-            continue
-        t = -s_p / zn
-        x = x + t * z
-        mult[:q] -= t * r
-        add(row, 1.0, d, r, t, True)
-        its += 1
-
-    if start is not None and len(start) and status == "optimal" and hot_start(start):
+    if start is not None and len(start) and hot_start(start):
         its += 1
 
     while status == "optimal":
@@ -219,10 +192,10 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int, start=None):
         u_p = 0.0
         while True:
             d, r, z, zn, dn = step_data(nv)
-            # partial step: the first active inequality whose multiplier hits zero
+            # partial step: the first active row whose multiplier hits zero
             t1, pos = np.inf, -1
             if q:
-                cand = ((r > 0.0) & ~is_eq[:q]).nonzero()[0]
+                cand = (r > 0.0).nonzero()[0]
                 if cand.size:
                     ratios = mult[cand] / r[cand]
                     j = int(ratios.argmin())
@@ -240,7 +213,7 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int, start=None):
             u_p += t
             its += 1
             if t2 <= t1:
-                add(row, side, d, r, u_p, False)
+                add(row, side, d, r, u_p)
                 break
             drop(pos)
             if its >= max_iter:
@@ -260,7 +233,7 @@ def dual_active_set(prob: QpProblem, tol: float, max_iter: int, start=None):
     # array methods, not np.max: the same reductions without its dispatch
     viol = max(float((lo - v).max(initial=0.0)), float((v - hi).max(initial=0.0)))
     off = float(np.abs(v[act] - limit).max(initial=0.0))
-    wrong_sign = float((-mult[:q][~is_eq[:q]]).max(initial=0.0))
+    wrong_sign = float((-mult[:q]).max(initial=0.0))
     row_mult = np.zeros(n_rows - n)
     general = act >= n
     row_mult[act[general] - n] = -(act_side * mult[:q])[general]

@@ -7,7 +7,8 @@ dual active-set solve (Goldfarb & Idnani, Math. Prog. 1983) on a problem
 that carries a Cholesky factor of its positive definite Hessian.  It starts
 at the unconstrained minimizer, or from a given working set, and adds the
 most violated bound or general row ``lo <= C x <= hi`` until none is left;
-a row with equal limits is an equality.  The linear controllers' condensed
+a row with equal limits is a two-sided row like any other, with no phase
+of its own, so it holds as an equality.  The linear controllers' condensed
 programs and the SQP subproblems, with their rows ``c_lo <= c(x) <= c_hi``,
 are all of this form.  The linear controllers start each QP cold; each SQP
 subproblem after the first starts from the working set of the one before.
@@ -88,8 +89,8 @@ class QpProblem:
     """min 0.5 x'Hx + g'x  s.t.  lb <= x <= ub,  c_lo <= C x <= c_hi.
 
     H is positive definite and given only as its :class:`HessianFactor`.
-    Bounds and row limits may be +-inf, and a bound or row with equal
-    limits is an equality.
+    Bounds and row limits may be +-inf.  A bound or row with equal limits
+    is an ordinary two-sided row, so it holds as an equality.
     """
 
     h_factor: HessianFactor
@@ -207,7 +208,8 @@ def solve_qp(
     Bounds are honored exactly at the returned point.  ``start``, a
     ``working_set`` of an earlier solve on rows of the same layout, hot-starts
     the solve; the diagnostics carry the final ``working_set``.  Adds and
-    drops each count as an iteration; a hot start counts as one.
+    drops each count as an iteration; a hot start counts as one.  Equal
+    limits make a two-sided row that enters as any other row does.
     """
     t0 = time.perf_counter()
     x, its, status, kkt, row_mult, working = dual_active_set(prob, tol, max_iter, start)
@@ -257,7 +259,8 @@ def solve_sqp(
     :class:`HessianFactor` of ``hess + C``.  Where that sum has none, C is
     clipped to PSD; where there is no C or the clipped sum has no factor
     either, :class:`IndefiniteHessianError` is raised.  Equality rows are
-    rows with ``c_lo == c_hi``.  The merit and the KKT residual measure the
+    rows with ``c_lo == c_hi``; the QP treats them as two-sided rows, with
+    no phase of their own.  The merit and the KKT residual measure the
     row violation ``max(c_lo - c, 0) + max(c - c_hi, 0)``, which is ``|c|``
     on an equality row.  Every subproblem after the first starts from the
     working set the previous one ended on (``solve_qp``'s ``start``), the

@@ -130,6 +130,18 @@ INVALID = {
     "k_deepc": {"hankel": {"k_deepc": 9}},
     "k_neural": {"hankel": {"k_neural": 9}},
     "k_neural_cem": {"hankel": {"k_neural": 12}, "controllers": {"cem": {"t_ini": 4, "horizon": 9}}},
+    "nan_kkt_tol": {"controllers": {"mpc": {"kkt_tol": float("nan")}}},
+    "negative_kkt_tol": {"controllers": {"npv_deepc": {"kkt_tol": -1.0}}},
+    "nan_q_weight": {"controllers": {"deepc": {"q": [float("nan"), 0.0]}}},
+    "nan_lambda_g": {"controllers": {"deepc": {"lambda_g": float("nan")}}},
+    "inf_learning_rate": {"model": {"learning_rate": float("inf")}},
+    "huge_int_dt": {"plant": {"dt": 10**400}},
+    "nan_plant_a_s": {"plant": {"a_s": float("nan")}},
+    "nan_reference_value": {"scenario": {"reference": [[0.0, 28.0], [8.0, float("nan")]]}},
+    "nan_target_margin": {"controllers": {"cem": {"target_margin": float("nan")}}},
+    "unordered_reference": {"scenario": {"reference": [[20.0, 29.0], [0.0, 28.0]]}},
+    "unordered_d_schedule": {"scenario": {"d_schedule": [[0.0, 3.0], [6.0, 4.0], [6.0, 5.0]]}},
+    "unordered_cem_d_schedule": {"cem_scenario": {"d_schedule": [[0.0, 2.5], [29.5, 2.5], [24.5, 3.5]]}},
 }
 
 
@@ -145,6 +157,16 @@ class TestCliFlow:
         assert main(["collect", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out" / "dataset.csv").exists()
+
+    def test_train_without_validation_split(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"model": {"val_fraction": 0.0, "max_epochs": 5, "patience": 5}})
+        out = tmp_path / "out"
+        assert main(["collect", "--config", str(cfg_path)]) == 0
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert "validation n/a" in capsys.readouterr().out
+        report = json.loads((out / "train_report.json").read_text())
+        assert report["bfr_validation_percent"] is None
+        assert (out / "model.json").exists()
 
     def test_missing_data_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -93,7 +93,7 @@ class TestSolveQp:
     def test_pinned_variables_stay_put(self):
         # variables 0 and 1 have lb == ub and gradients of opposite sign that
         # push them out of their bounds; they must never leave the active
-        # set.  Each is added as an equality first, one iteration each
+        # set.  Each enters as an ordinary bound, one iteration each
         rng = np.random.default_rng(7)
         m = rng.standard_normal((5, 5))
         h = m.T @ m + np.eye(5)
@@ -155,12 +155,13 @@ class TestSolveQp:
             QpProblem(h_factor=HessianFactor(np.diag([1.0, -1.0])), g=np.zeros(2))
 
 
-def _row_qp(rng, n, m, pinned_rows=0):
+def _row_qp(rng, n, m, pinned_rows=0, pinned_bounds=0):
     """A random strictly convex QP with bounds and two-sided general rows.
 
     The linear term pushes the unconstrained minimizer well outside, so
     rows end active on both sides; the first ``pinned_rows`` rows are
-    equalities.  A point inside the box satisfies every row.  Returns
+    equalities, and the first ``pinned_bounds`` variables have equal bounds.
+    A point inside the box satisfies every row and bound.  Returns
     (h, g, lb, ub, c, lo, hi).
     """
     a = rng.standard_normal((n, n))
@@ -169,10 +170,12 @@ def _row_qp(rng, n, m, pinned_rows=0):
     lb, ub = -rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
     lb[rng.random(n) < 0.2] = -np.inf
     c = rng.standard_normal((m, n))
-    inside = c @ rng.uniform(-0.4, 0.4, n)
+    x_inside = rng.uniform(-0.4, 0.4, n)
+    inside = c @ x_inside
     lo, hi = inside - rng.uniform(0.0, 1.0, m), inside + rng.uniform(0.0, 1.0, m)
     hi[rng.random(m) < 0.2] = np.inf
     lo[:pinned_rows] = hi[:pinned_rows] = inside[:pinned_rows]
+    lb[:pinned_bounds] = ub[:pinned_bounds] = x_inside[:pinned_bounds]
     return h, g, lb, ub, c, lo, hi
 
 
@@ -229,13 +232,14 @@ class TestHessianFactor:
 class TestDualPath:
     """The dual active set on problems with general rows."""
 
-    @pytest.mark.parametrize("pinned_rows", [0, 2])
-    def test_general_rows_pass_kkt_certificate(self, pinned_rows):
+    @pytest.mark.parametrize("pinned_rows, pinned_bounds", [
+        pytest.param(0, 0, id="0"), pytest.param(2, 0, id="2"), pytest.param(0, 2, id="bounds")])
+    def test_general_rows_pass_kkt_certificate(self, pinned_rows, pinned_bounds):
         sides = {"lower": 0, "upper": 0}
         for seed in range(40):
             rng = np.random.default_rng(seed)
             n, m = int(rng.integers(3, 12)), int(rng.integers(2, 8))
-            h, g, lb, ub, c, lo, hi = _row_qp(rng, n, m, pinned_rows)
+            h, g, lb, ub, c, lo, hi = _row_qp(rng, n, m, pinned_rows, pinned_bounds)
             prob = QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi)
             x, diag = solve_qp(prob, tol=1e-10)
             assert diag.status == "optimal", seed
@@ -245,6 +249,10 @@ class TestDualPath:
             assert _violation(x, lb, ub, c, lo, hi) <= 1e-9
             cx = c @ x
             assert np.allclose(cx[:pinned_rows], lo[:pinned_rows], rtol=0.0, atol=1e-10)
+            assert np.array_equal(x[:pinned_bounds], lb[:pinned_bounds])
+            # the optimal set, equal limits included, enters in one batch
+            x_hot, hot = solve_qp(prob, tol=1e-10, start=diag.working_set)
+            assert hot.iterations == 1 and np.max(np.abs(x_hot - x)) <= 1e-9, seed
             free = slice(pinned_rows, m)
             sides["lower"] += int(np.sum(np.abs(cx[free] - lo[free]) <= 1e-9))
             sides["upper"] += int(np.sum(np.abs(cx[free] - hi[free]) <= 1e-9))
@@ -319,27 +327,27 @@ def _signs_ok(c, lo, hi, x, row_mult, tol=1e-9) -> bool:
 
 
 def _hot_start(kind, rng, cold_set, n, lb, hi, pinned_rows):
-    """A start working set of the given kind, built from the cold solve's set."""
-    free = [(int(r), int(s)) for r, s in cold_set if not n <= r < n + pinned_rows]
+    """A start working set of the given kind, built from the cold solve's whole set."""
+    pairs = [(int(r), int(s)) for r, s in cold_set]
     if kind == "active":
         return cold_set
     if kind == "subset":
-        kept = [pair for pair in free if rng.random() < 0.5]
+        kept = [pair for pair in pairs if rng.random() < 0.5]
         extra = [(int(r), int(rng.choice([-1, 1]))) for r in rng.integers(0, n + hi.size, 3)]
         return kept + extra
     if kind == "wrong_sides":
-        return [(r, -s) for r, s in free]
+        return [(r, -s) for r, s in pairs]
     if kind == "dependent":
         # a row listed twice makes the batch dependent
-        first = free[0] if free else (int(np.flatnonzero(np.isfinite(lb))[0]), 1)
-        return free + [first]
+        first = pairs[0] if pairs else (int(np.flatnonzero(np.isfinite(lb))[0]), 1)
+        return pairs + [first]
     if kind == "infinite_limit":
         # sides without a limit: lower sides of unbounded variables, upper sides of open rows
-        return free + [(int(i), 1) for i in np.flatnonzero(~np.isfinite(lb))] + [
+        return pairs + [(int(i), 1) for i in np.flatnonzero(~np.isfinite(lb))] + [
             (n + int(j), -1) for j in np.flatnonzero(~np.isfinite(hi))]
     if kind == "equalities":
-        # rows held as equalities already, on either side
-        return [(n + j, s) for j in range(pinned_rows) for s in (1, -1)] + free
+        # both sides of each equal-limit row: a dependent batch when there is one
+        return [(n + j, s) for j in range(pinned_rows) for s in (1, -1)] + pairs
     raise ValueError(kind)
 
 
@@ -365,12 +373,12 @@ class TestHotStart:
             assert _kkt_certificate(h, g, lb, ub, c, lo, hi, x), seed
             assert _signs_ok(c, lo, hi, x, diag.row_multipliers), seed
             assert np.all(x >= lb) and np.all(x <= ub)
-            if kind == "dependent":
+            if kind == "dependent" or (kind == "equalities" and pinned_rows):
                 # the batch is refused and the solve starts cold
                 assert np.array_equal(x, x_cold) and diag.iterations == cold.iterations, seed
-            if kind in ("active", "infinite_limit", "equalities") and len(cold.working_set) > pinned_rows:
-                # the equalities, then the rest of the optimal set in one batch
-                assert diag.iterations == pinned_rows + 1, seed
+            elif kind in ("active", "infinite_limit", "equalities") and len(cold.working_set):
+                # the optimal set, equal-limit rows included, in one batch
+                assert diag.iterations == 1, seed
             tested += len(start) > 0
         assert tested >= 30
 
