@@ -51,18 +51,6 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
     return out
 
 
-def _load_pipeline_inputs(cfg: RunConfig, out: Path):
-    data_path = out / DATASET_FILE
-    model_path = out / MODEL_FILE
-    if not data_path.exists():
-        raise DataError(f"missing {data_path}; run the collect command first")
-    if not model_path.exists():
-        raise DataError(f"missing {model_path}; run the train command first")
-    traj = load_trajectory_csv(data_path, dt=cfg.plant.dt)
-    model = load_model(model_path)
-    return traj, model
-
-
 def cmd_collect(cfg: RunConfig, out: Path) -> int:
     traj = build_dataset(cfg)
     save_trajectory_csv(traj, out / DATASET_FILE)
@@ -108,10 +96,10 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 
 
 def _pipeline_for_run(cfg: RunConfig, out: Path):
-    try:
-        traj, model = _load_pipeline_inputs(cfg, out)
-    except DataError:
-        return build_pipeline(cfg)
+    """The pipeline on the output directory's dataset and model, each built fresh when absent."""
+    data_path, model_path = out / DATASET_FILE, out / MODEL_FILE
+    traj = load_trajectory_csv(data_path, dt=cfg.plant.dt) if data_path.exists() else None
+    model = load_model(model_path) if model_path.exists() else None
     return build_pipeline(cfg, traj=traj, model=model)
 
 

@@ -50,6 +50,10 @@ class ConfigError(ValueError):
     pass
 
 
+# libyaml's parser when PyYAML was built with it; both give the same documents
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _check_distances(name: str, values) -> None:
     bad = [d for d in values if not D_MIN <= d <= D_MAX]
     if bad:
@@ -168,8 +172,12 @@ class TrackingScenario:
         if bad:
             raise ConfigError(f"unknown controllers {bad}")
         for name in ("controllers", "sweep_distances"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"{name} must name at least one entry")
+            # output files and metric keys are named by entry
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats an entry: {list(values)}")
         _check_schedules(reference=self.reference, d_schedule=self.d_schedule)
         _check_distances("d_schedule distances", [d for _, d in self.d_schedule])
         _check_distances("sweep_distances", self.sweep_distances)
@@ -302,7 +310,7 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     return config_from_dict(data)

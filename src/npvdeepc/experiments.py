@@ -1,11 +1,13 @@
 """Experiment orchestration: pipeline build, closed loops and report files.
 
 Every run is driven by one RunConfig.  The pipeline collects open-loop data,
-trains the predictor and builds the data matrices each controller consumes;
-the scenario runners execute deterministic closed loops and write plot-ready
-CSV/JSON.  Solver wall times never enter the metric files, so reruns with the
-same config and seed are byte-identical; timing lives in a separate
-diagnostics document.
+trains the predictor and builds the data matrices each controller consumes.
+The track, bench and distance-sweep scenarios are lists of tracking runs
+that one runner, :func:`run_tracking_runs`, executes with every configured
+controller; each scenario then shapes its own plot-ready CSV/JSON.  The
+dose scenario keeps its own plant, controller and loop.  Solver wall times
+never enter the metric files, so reruns with the same config and seed are
+byte-identical; timing lives in a separate diagnostics document.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ __all__ = [
     "train_from_config",
     "build_pipeline",
     "piecewise",
+    "TrackingRun",
+    "run_tracking_runs",
     "run_tracking_scenario",
     "run_bench",
     "run_distance_sweep",
@@ -373,88 +377,111 @@ def tracking_metrics(records: list[LoopRecord], t_ini: int) -> RunMetrics:
     )
 
 
-def write_steps_csv(path, records: list[LoopRecord], with_cem: bool = False) -> None:
+def write_table_csv(path, header, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_steps_csv(path, records: list[LoopRecord], with_cem: bool = False) -> None:
     header = ["k", "t", "r_ts", "d", "Ts", "Tg", "Ts_meas", "Tg_meas", "P", "q",
               "cost", "iterations", "qp_iterations", "clipped", "kkt_residual", "status"]
     if with_cem:
         header += ["cem", "cem_est"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in records:
-            row = [rec.k] + [
-                repr(float(v))
-                for v in (rec.t, rec.r_ts, rec.d,
-                          rec.y_true[0], rec.y_true[1], rec.y_meas[0], rec.y_meas[1],
-                          rec.u[0], rec.u[1], rec.cost)
-            ] + [rec.iterations, rec.qp_iterations, rec.clipped, repr(float(rec.kkt_residual)), rec.status]
-            if with_cem:
-                row += [repr(float(rec.cem_true)), repr(float(rec.cem_est))]
-            writer.writerow(row)
+    rows = []
+    for rec in records:
+        row = [rec.k] + [
+            repr(float(v))
+            for v in (rec.t, rec.r_ts, rec.d,
+                      rec.y_true[0], rec.y_true[1], rec.y_meas[0], rec.y_meas[1],
+                      rec.u[0], rec.u[1], rec.cost)
+        ] + [rec.iterations, rec.qp_iterations, rec.clipped, repr(float(rec.kkt_residual)), rec.status]
+        if with_cem:
+            row += [repr(float(rec.cem_true)), repr(float(rec.cem_est))]
+        rows.append(row)
+    write_table_csv(path, header, rows)
+
+
+@dataclass(frozen=True)
+class TrackingRun:
+    """One tracking run, made once per configured controller.
+
+    Its step files are ``<stem>_<controller>_steps.csv``.  ``noise_label``
+    names the measurement-noise stream; a ``{controller}`` field in it gives
+    each controller a stream of its own.  A schedule or step count left at
+    None is the configured scenario's.
+    """
+
+    stem: str
+    noise_sigma: float
+    noise_label: str
+    reference: tuple | None = None
+    d_schedule: tuple | None = None
+    n_steps: int | None = None
+
+
+def run_tracking_runs(
+    cfg: RunConfig, out_dir, runs: list[TrackingRun], pipe: Pipeline | None = None,
+) -> list[dict[str, RunMetrics]]:
+    """Every run with every configured controller; the metrics by controller, one dict per run."""
+    out_dir = Path(out_dir)
+    pipe = pipe if pipe is not None else build_pipeline(cfg)
+    box = surrogate_from_config(cfg).box
+    results = []
+    for run in runs:
+        metrics = {}
+        for name in cfg.scenario.controllers:
+            controller = make_controller(name, cfg, pipe, box)
+            records = run_tracking_loop(
+                cfg, controller, run.noise_sigma, run.noise_label.format(controller=name),
+                reference=run.reference, d_schedule=run.d_schedule, n_steps=run.n_steps,
+            )
+            write_steps_csv(out_dir / f"{run.stem}_{name}_steps.csv", records)
+            metrics[name] = tracking_metrics(records, controller.cfg.t_ini)
+        results.append(metrics)
+    return results
 
 
 def run_tracking_scenario(cfg: RunConfig, out_dir, pipe: Pipeline | None = None) -> dict:
     """One tracking run per configured controller at the configured noise."""
     out_dir = Path(out_dir)
-    pipe = pipe if pipe is not None else build_pipeline(cfg)
-    box = surrogate_from_config(cfg).box
-    sc = cfg.scenario
-    results = {}
-    timing = {}
-    for name in sc.controllers:
-        controller = make_controller(name, cfg, pipe, box)
-        records = run_tracking_loop(cfg, controller, sc.noise_sigma, f"track-{name}")
-        m = tracking_metrics(records, controller.cfg.t_ini)
-        write_steps_csv(out_dir / f"track_{name}_steps.csv", records)
-        results[name] = m.scalar_dict()
-        timing[name] = {"mean_cpu_s": m.mean_cpu_s}
+    noise_sigma = cfg.scenario.noise_sigma
+    (metrics,) = run_tracking_runs(cfg, out_dir, [TrackingRun("track", noise_sigma, "track-{controller}")], pipe)
     doc = {
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
         "scenario": "tracking",
-        "noise_sigma": sc.noise_sigma,
-        "metrics": results,
+        "noise_sigma": noise_sigma,
+        "metrics": {name: m.scalar_dict() for name, m in metrics.items()},
     }
     write_json(out_dir / "track_metrics.json", doc)
-    write_json(out_dir / "track_timing.json", {"timing": timing})
+    write_json(out_dir / "track_timing.json",
+               {"timing": {name: {"mean_cpu_s": m.mean_cpu_s} for name, m in metrics.items()}})
     return doc
 
 
 def run_bench(cfg: RunConfig, out_dir, pipe: Pipeline | None = None) -> dict:
     """All controllers on identical seeds and schedules, with and without noise."""
     out_dir = Path(out_dir)
-    pipe = pipe if pipe is not None else build_pipeline(cfg)
-    box = surrogate_from_config(cfg).box
-    sc = cfg.scenario
-    table_rows = []
-    metrics_doc = {}
-    timing_doc = {}
-    for noise_label, sigma in (("noise_free", 0.0), ("noisy", sc.noise_sigma)):
-        metrics_doc[noise_label] = {}
-        timing_doc[noise_label] = {}
-        for name in sc.controllers:
-            controller = make_controller(name, cfg, pipe, box)
-            records = run_tracking_loop(cfg, controller, sigma, f"bench-{noise_label}")
-            m = tracking_metrics(records, controller.cfg.t_ini)
-            write_steps_csv(out_dir / f"bench_{noise_label}_{name}_steps.csv", records)
-            metrics_doc[noise_label][name] = m.scalar_dict()
-            timing_doc[noise_label][name] = m.mean_cpu_s
-            table_rows.append((name, noise_label, m.rmse, m.ise, m.ju))
+    noises = {"noise_free": 0.0, "noisy": cfg.scenario.noise_sigma}
+    runs = [TrackingRun(f"bench_{label}", sigma, f"bench-{label}") for label, sigma in noises.items()]
+    by_noise = dict(zip(noises, run_tracking_runs(cfg, out_dir, runs, pipe)))
     bench_doc = {
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
         "scenario": "bench",
-        "metrics": metrics_doc,
+        "metrics": {label: {name: m.scalar_dict() for name, m in ms.items()} for label, ms in by_noise.items()},
     }
     write_json(out_dir / "bench_metrics.json", bench_doc)
-    write_json(out_dir / "bench_timing.json", {"timing": timing_doc})
-    with (out_dir / "bench_table.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["controller", "noise", "rmse", "ise", "ju"])
-        for name, noise_label, *values in table_rows:
-            writer.writerow([name, noise_label] + [repr(float(v)) for v in values])
+    write_json(out_dir / "bench_timing.json",
+               {"timing": {label: {name: m.mean_cpu_s for name, m in ms.items()} for label, ms in by_noise.items()}})
+    write_table_csv(out_dir / "bench_table.csv", ["controller", "noise", "rmse", "ise", "ju"], [
+        [name, label] + [repr(float(v)) for v in (m.rmse, m.ise, m.ju)]
+        for label, ms in by_noise.items() for name, m in ms.items()
+    ])
     return bench_doc
 
 
@@ -475,31 +502,17 @@ def sweep_reference(d: float, constants: SurrogateConstants) -> tuple[tuple[floa
 def run_distance_sweep(cfg: RunConfig, out_dir, pipe: Pipeline | None = None) -> dict:
     """Fixed-distance tracking runs across the distance range, noise-free."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pipe = pipe if pipe is not None else build_pipeline(cfg)
-    plant = surrogate_from_config(cfg)
-    box = plant.box
     sc = cfg.scenario
-    rows = []
-    results = {}
-    for d in sc.sweep_distances:
-        reference = sweep_reference(d, plant.constants)
-        results[str(d)] = {}
-        for name in sc.controllers:
-            controller = make_controller(name, cfg, pipe, box)
-            records = run_tracking_loop(
-                cfg, controller, 0.0, f"sweep-{d}",
-                reference=reference, d_schedule=((0.0, d),), n_steps=sc.sweep_n_steps,
-            )
-            m = tracking_metrics(records, controller.cfg.t_ini)
-            rows.append((d, name, m.rmse))
-            results[str(d)][name] = m.rmse
-    with (out_dir / "distance_sweep.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d_mm", "controller", "rmse"])
-        for d, name, v in rows:
-            writer.writerow([repr(float(d)), name, repr(float(v))])
-    doc = {"config_hash": config_hash(cfg), "seed": cfg.seed, "scenario": "distance_sweep", "rmse": results}
+    runs = [
+        TrackingRun(f"sweep_{d}", 0.0, f"sweep-{d}", sweep_reference(d, cfg.plant), ((0.0, d),), sc.sweep_n_steps)
+        for d in sc.sweep_distances
+    ]
+    by_d = list(zip(sc.sweep_distances, run_tracking_runs(cfg, out_dir, runs, pipe)))
+    write_table_csv(out_dir / "distance_sweep.csv", ["d_mm", "controller", "rmse"], [
+        [repr(float(d)), name, repr(float(m.rmse))] for d, ms in by_d for name, m in ms.items()
+    ])
+    rmse = {str(d): {name: m.rmse for name, m in ms.items()} for d, ms in by_d}
+    doc = {"config_hash": config_hash(cfg), "seed": cfg.seed, "scenario": "distance_sweep", "rmse": rmse}
     write_json(out_dir / "distance_sweep.json", doc)
     return doc
 

@@ -9,6 +9,7 @@ from npvdeepc import cli
 from npvdeepc.cli import main
 from npvdeepc.config import ConfigError, config_from_dict, config_hash, load_config
 from npvdeepc.control import ControllerConfig, check_window
+from npvdeepc.experiments import build_dataset
 from npvdeepc.hankel import load_trajectory_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -90,6 +91,12 @@ class TestConfig:
     def test_shipped_config_hash_pinned(self, name, digest):
         assert config_hash(load_config(CONFIGS / name)) == digest
 
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_shipped_config_same_under_libyaml(self, path):
+        text = path.read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
 
 # each value breaks a type or a rule of its runtime config class, so it must fail at load
 INVALID = {
@@ -115,6 +122,8 @@ INVALID = {
     "empty_cem_d_schedule": {"cem_scenario": {"d_schedule": []}},
     "empty_sweep_distances": {"scenario": {"sweep_distances": []}},
     "empty_controllers": {"scenario": {"controllers": []}},
+    "repeated_controller": {"scenario": {"controllers": ["mpc", "deepc", "mpc"]}},
+    "repeated_sweep_distance": {"scenario": {"sweep_distances": [2.0, 3.0, 2.0]}},
     "npv_lambda_g": {"controllers": {"npv_deepc": {"lambda_g": 1.0e12}}},
     "mpc_regularizer": {"controllers": {"mpc": {"regularizer": "two_norm"}}},
     "cem_lambda_sigma": {"controllers": {"cem": {"lambda_sigma": 1.0}}},
@@ -150,6 +159,9 @@ class TestCliFlow:
         bad = tmp_path / "bad.yaml"
         bad.write_text("plant:\n  zzz: 1\n")
         assert main(["collect", "--config", str(bad)]) == 2
+        bad.write_text("plant: [1,\n")
+        assert main(["collect", "--config", str(bad)]) == 2
+        assert "invalid YAML" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(INVALID))
     def test_invalid_value_exit_code(self, tmp_path, capsys, case):
@@ -167,6 +179,20 @@ class TestCliFlow:
         report = json.loads((out / "train_report.json").read_text())
         assert report["bfr_validation_percent"] is None
         assert (out / "model.json").exists()
+
+    def test_run_reuses_dataset_without_model(self, tmp_path, monkeypatch):
+        """A dataset on disk feeds the pipeline even when the model must be trained."""
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["collect", "--config", str(cfg_path), "--seed", "99"]) == 0
+        passed = {}
+        monkeypatch.setattr(cli, "build_pipeline",
+                            lambda cfg, traj=None, model=None: passed.update(traj=traj, model=model))
+        cli._pipeline_for_run(load_config(cfg_path), out)
+        on_disk = load_trajectory_csv(out / "dataset.csv", dt=0.5)
+        assert passed["model"] is None
+        assert np.array_equal(passed["traj"].u, on_disk.u) and np.array_equal(passed["traj"].y, on_disk.y)
+        assert not np.array_equal(on_disk.u, build_dataset(load_config(cfg_path)).u)
 
     def test_missing_data_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path)

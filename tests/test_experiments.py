@@ -109,6 +109,13 @@ def test_distance_sweep_creates_output_dir(tmp_path, monkeypatch):
     assert rows[0] == "d_mm,controller,rmse"
     assert [row.split(",")[:2] for row in rows[1:]] == [[repr(d), "mpc"] for d in cfg.scenario.sweep_distances]
     assert set(doc["rmse"]) == {str(d) for d in cfg.scenario.sweep_distances}
+    # one step file per distance and controller, whose series give that row's RMSE
+    for d, row in zip(cfg.scenario.sweep_distances, rows[1:]):
+        with (out / f"sweep_{d}_mpc_steps.csv").open() as fh:
+            steps = list(csv.DictReader(fh))
+        assert len(steps) == cfg.scenario.sweep_n_steps
+        err = np.array([float(s["Ts"]) - float(s["r_ts"]) for s in steps])
+        assert abs(math.sqrt(np.mean(err ** 2)) - float(row.split(",")[2])) <= 1e-12
 
 
 def test_cem_loop_advances_u_prev(monkeypatch):
