@@ -51,6 +51,14 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
     return out
 
 
+def _read(loader, path: Path, **kwargs):
+    """``loader(path, **kwargs)``; a file it cannot parse raises DataError naming the file."""
+    try:
+        return loader(path, **kwargs)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def cmd_collect(cfg: RunConfig, out: Path) -> int:
     traj = build_dataset(cfg)
     save_trajectory_csv(traj, out / DATASET_FILE)
@@ -67,7 +75,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     data_path = out / DATASET_FILE
     if not data_path.exists():
         raise DataError(f"missing {data_path}; run the collect command first")
-    traj = load_trajectory_csv(data_path, dt=cfg.plant.dt)
+    traj = _read(load_trajectory_csv, data_path, dt=cfg.plant.dt)
     ctl = cfg.controllers.npv_deepc
     model, ds = train_from_config(cfg, traj, ctl.t_ini, ctl.horizon)
     scores = evaluate_bfr_split(model, ds, cfg.model.val_fraction)
@@ -98,8 +106,8 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 def _pipeline_for_run(cfg: RunConfig, out: Path):
     """The pipeline on the output directory's dataset and model, each built fresh when absent."""
     data_path, model_path = out / DATASET_FILE, out / MODEL_FILE
-    traj = load_trajectory_csv(data_path, dt=cfg.plant.dt) if data_path.exists() else None
-    model = load_model(model_path) if model_path.exists() else None
+    traj = _read(load_trajectory_csv, data_path, dt=cfg.plant.dt) if data_path.exists() else None
+    model = _read(load_model, model_path) if model_path.exists() else None
     return build_pipeline(cfg, traj=traj, model=model)
 
 

@@ -88,20 +88,14 @@ class ControllerConfig(ControllerSettings):
     y_hi: tuple[float, ...] = (42.5, 80.0)
 
 
-@dataclass
-class StepResult:
-    """One receding-horizon solve: applied input, prediction and diagnostics."""
+@dataclass(kw_only=True)
+class StepResult(SolveDiagnostics):
+    """One receding-horizon solve: applied input, prediction and the solve's diagnostics."""
 
     u_apply: np.ndarray
     u_seq: np.ndarray          # (horizon, n_u)
     y_pred: np.ndarray         # (horizon, n_y)
     cost: float                # tracking cost recomputed from (u_seq, y_pred)
-    status: str
-    iterations: int
-    kkt_residual: float
-    wall_time_s: float
-    qp_iterations: int = 0     # QP iterations behind the step
-    clipped: int = 0           # SQP subproblems whose curvature term was clipped to PSD
     extras: dict = field(default_factory=dict)
 
 
@@ -234,16 +228,11 @@ class HorizonController:
         u_seq = z[:nu].reshape(cfg.horizon, cfg.n_u)
         y_seq = z[nu:].reshape(cfg.horizon, cfg.n_y)
         result = StepResult(
+            **vars(diag),
             u_apply=u_seq[0].copy(),
             u_seq=u_seq,
             y_pred=y_seq,
             cost=self.cost.value(u_seq, y_seq, r_vec, u_prev),
-            status=diag.status,
-            iterations=diag.iterations,
-            kkt_residual=diag.kkt_residual,
-            wall_time_s=diag.wall_time_s,
-            qp_iterations=diag.qp_iterations,
-            clipped=diag.clipped,
             extras=extras,
         )
         return result.u_apply, result

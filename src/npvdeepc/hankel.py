@@ -281,6 +281,8 @@ def load_trajectory_csv(path, dt: float) -> Trajectory:
         if header != TRAJECTORY_CSV_HEADER:
             raise DimensionError(f"unexpected trajectory header {header}")
         for row in reader:
+            if len(row) != len(header):
+                raise DimensionError(f"line {reader.line_num} of {path} has {len(row)} fields, not {len(header)}")
             rows.append([float(v) for v in row[1:]])
     data = np.asarray(rows, dtype=float)
     if data.size == 0:

@@ -3,28 +3,29 @@
 Provides an SVD pseudo-inverse, one entry point for strictly convex QPs,
 :func:`solve_qp`, and an SQP with an l1 merit and a box trust region for
 the nonlinear programs the neural controllers generate.  ``solve_qp`` is a
-dual active-set solve (Goldfarb & Idnani, Math. Prog. 1983) on a problem
-that carries a Cholesky factor of its positive definite Hessian.  It starts
-at the unconstrained minimizer, or from a given working set, and adds the
-most violated bound or general row ``lo <= C x <= hi`` until none is left;
-a row with equal limits is a two-sided row like any other, with no phase
-of its own, so it holds as an equality.  The linear controllers' condensed
-programs and the SQP subproblems, with their rows ``c_lo <= c(x) <= c_hi``,
-are all of this form.  The linear controllers start each QP cold; each SQP
-subproblem after the first starts from the working set of the one before.
+Goldfarb-Idnani dual active set ("A numerically stable dual method for
+solving strictly convex quadratic programs", Math. Prog. 1983) on a
+problem that carries the :class:`HessianFactor` of its positive definite
+Hessian.  It starts at the unconstrained minimizer, or from a given
+working set (a hot start, as in Ferreau, Bock & Diehl, Int. J. Robust
+Nonlinear Control 2008), and adds the most violated bound or general row
+``lo <= C x <= hi`` until none is left; a row with equal limits is a
+two-sided row like any other, with no phase of its own, so it holds as an
+equality.  The linear controllers' condensed programs and the SQP
+subproblems, with their rows ``c_lo <= c(x) <= c_hi``, are all of this
+form.  The linear controllers start each QP cold; each SQP subproblem
+after the first starts from the working set of the one before.  Every
+solve returns its point and one :class:`SolveDiagnostics`.
 
 Everything is dense numpy; problem sizes stay in the hundreds.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dual_qp import dual_active_set
 
 __all__ = [
     "SolverError",
@@ -64,10 +65,15 @@ def pinv(a: np.ndarray, rcond: float | None = None) -> np.ndarray:
 
 @dataclass
 class SolveDiagnostics:
-    """Outcome of a QP/SQP solve.
+    """Outcome of a QP or SQP solve, and the solve part of a controller step.
 
     ``kkt_residual`` belongs to the returned point.  ``wall_time_s`` reaches
     only the ``*_timing.json`` files; every other field is deterministic.
+    :func:`solve_qp` fills every field but ``clipped``, with ``qp_iterations``
+    equal to ``iterations``.  :func:`solve_sqp` leaves ``row_multipliers``
+    and ``working_set`` at None.  A controller step
+    (:class:`~npvdeepc.control.StepResult`) carries its solve's fields as
+    they are.
     """
 
     status: str                      # optimal | max_iter | infeasible
@@ -128,48 +134,36 @@ class QpProblem:
 
 
 class HessianFactor:
-    """The Cholesky factor L of a positive definite H (H = L L') and L^-T, in one array.
+    """The Cholesky factor ``l`` = L of a positive definite H (H = L L') and ``j0`` = L^-T.
 
-    :func:`solve_qp` steps with L^-T and evaluates its stationarity
-    residual with L.  ``packed`` holds L in its lower triangle and the
-    strict upper triangle of L^-T (whose diagonal is 1 / diag L) above it,
-    so a controller keeps one n x n array for both.  Raises
+    :func:`solve_qp` steps with a copy of L^-T and evaluates its
+    stationarity residual with L; neither array is written after
+    construction, so a controller reuses one factor for every step.  Raises
     :class:`IndefiniteHessianError` when H is not positive definite, or when
     its smallest squared pivot is below 1e-12 times its largest diagonal
     entry: a nearly singular Hessian has no factor.
     """
 
-    __slots__ = ("packed",)
+    __slots__ = ("l", "j0")
 
     def __init__(self, h: np.ndarray):
         h = np.asarray(h, dtype=float)
         try:
-            l_fac = np.linalg.cholesky(h)
+            self.l = np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
             raise IndefiniteHessianError("H is not positive definite")
-        if l_fac.diagonal().min(initial=np.inf) ** 2 <= 1e-12 * h.diagonal().max(initial=0.0):
+        diag = self.l.diagonal()
+        if diag.min(initial=np.inf) ** 2 <= 1e-12 * h.diagonal().max(initial=0.0):
             raise IndefiniteHessianError("H is positive definite only within rounding")
-        self.packed = np.where(_strict_upper(l_fac.shape[0]), np.linalg.inv(l_fac).T, l_fac)
+        # L^-T is upper triangular: keep the strict upper triangle of inv(L)',
+        # whose other entries are zero only up to rounding, and put the exact
+        # reciprocals of diag L on its diagonal
+        self.j0 = np.triu(np.linalg.inv(self.l).T, 1)
+        self.j0.flat[::diag.size + 1] = 1.0 / diag
 
     @property
     def n(self) -> int:
-        return self.packed.shape[0]
-
-    def lower(self) -> np.ndarray:
-        """L."""
-        return np.where(_strict_upper(self.n), 0.0, self.packed)
-
-    def inv_upper(self) -> np.ndarray:
-        """A fresh copy of L^-T."""
-        j = np.where(_strict_upper(self.n), self.packed, 0.0)
-        j.flat[::self.n + 1] = 1.0 / np.diagonal(self.packed)
-        return j
-
-
-@functools.lru_cache(maxsize=16)
-def _strict_upper(n: int) -> np.ndarray:
-    """Strict upper triangle mask, kept: np.tril / np.triu rebuild theirs on every call."""
-    return np.triu(np.ones((n, n), dtype=bool), 1)
+        return self.l.shape[0]
 
 
 def _inf_norm(v) -> float:
@@ -200,23 +194,224 @@ def solve_qp(
     max_iter: int = 200,
     start=None,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Dual active-set solve of a strictly convex QP (:func:`dual_active_set`).
+    """Goldfarb-Idnani dual active set on a factored, strictly convex QP.
 
-    Returns the minimizer and diagnostics with the KKT residual at that
-    point.  The general rows' multipliers ride along for SQP consumption,
-    signed so that bound multipliers alone balance ``Hx + g + C'lam``.
-    Bounds are honored exactly at the returned point.  ``start``, a
-    ``working_set`` of an earlier solve on rows of the same layout, hot-starts
-    the solve; the diagnostics carry the final ``working_set``.  Adds and
-    drops each count as an iteration; a hot start counts as one.  Equal
-    limits make a two-sided row that enters as any other row does.
+    The rows are the bounds and then the general rows, stacked as
+    ``A = [I; C]`` with limits ``lo <= A x <= hi``; a row is active on one
+    side, as ``side * a_k'x >= side * limit``.  With H^-1 = J J', J starts as
+    L^-T and is kept as J0 Q, where Q'L^-1 N = [T; 0] for the active normals
+    N, so the step that adds a normal n is z = J2 J2'n and the multiplier
+    change is T^-1 J1'n.  T^-1 is kept alongside T: an add borders it, a
+    drop inverts the re-triangulated T.
+
+    A row with equal limits has no phase of its own: its two sides are
+    rows like any other, and at most one side of a row is active.  A
+    ``start`` working set, (row, side) pairs with side +1 for a lower and
+    -1 for an upper limit such as an earlier solve's ``working_set`` on
+    rows of the same layout, is added at once: sides with an infinite
+    limit are skipped, rows whose multiplier on the batch would be negative
+    are dropped until none is, and a dependent batch (a repeated row, or
+    both sides of one row) is refused, which leaves the cold start.  Either
+    way the solve starts from a point optimal on its active rows with
+    nonnegative multipliers, as the method allows.  Then each iteration
+    adds the row whose violation, scaled by ``1 + |limit|``, is largest,
+    taking the partial steps that drop an active row whose multiplier would
+    turn negative.  Adds and drops each count as an iteration; a hot start
+    counts as one.  A violated row that admits neither a primal nor a dual
+    step makes the problem infeasible.
+
+    Bound rows are snapped onto their limits and x is clipped into the
+    bounds, so bounds hold exactly at the returned point.  Returns x and its
+    :class:`SolveDiagnostics`.  The KKT residual at that x for the active set
+    and its multipliers is the worst of a row violation, the stationarity
+    residual ``|Hx + g - N u|``, an active row off its limit and a negative
+    multiplier on an active row.  ``row_multipliers`` holds the general
+    rows' multipliers (empty without general rows), signed so that bound
+    multipliers alone balance ``Hx + g + C'row_multipliers`` (negative at a
+    lower limit, positive at an upper one, zero when inactive);
+    ``working_set`` holds the final active rows as an int array of
+    (row, side) pairs.
     """
     t0 = time.perf_counter()
-    x, its, status, kkt, row_mult, working = dual_active_set(prob, tol, max_iter, start)
+    n = prob.n
+    a = np.eye(n) if prob.c is None else np.vstack([np.eye(n), prob.c])
+    lo = prob.lb if prob.c is None else np.concatenate([prob.lb, prob.c_lo])
+    hi = prob.ub if prob.c is None else np.concatenate([prob.ub, prob.c_hi])
+    n_rows = lo.size
+    # both sides as rows of  side * A x >= lim,  scaled by 1 / (1 + |limit|)
+    lim = np.concatenate([lo, -hi])
+    scale = 1.0 / (1.0 + np.where(np.isfinite(lim), np.abs(lim), 0.0))
+    a_sides = np.vstack([a, -a])
+    a_scaled = a_sides * scale[:, None]
+    lim_scaled = lim * scale
+
+    j_mat = prob.h_factor.j0.copy()
+    x = -(j_mat @ (j_mat.T @ prob.g))
+    tri = np.zeros((n, n))
+    tri_inv = np.zeros((n, n))
+    mult = np.zeros(n)
+    rows, sides = [], []
+    blocked = np.zeros(2 * n_rows, dtype=bool)  # both sides of every active row
+    q = 0
+    its = 0
+    status = "optimal"
+
+    def step_data(nv):
+        # J'n, the multiplier change r = T^-1 J1'n and the primal step
+        # z = J2 J2'n for the normal nv
+        d = j_mat.T @ nv
+        d2 = d[q:]
+        return d, tri_inv[:q, :q] @ d[:q], j_mat[:, q:] @ d2, float(d2 @ d2), float(d @ d)
+
+    def add(row, side, d, r, u_new):
+        nonlocal q
+        # a Householder reflection on J2 turns J2'n into (alpha, 0, ..., 0)
+        v = d[q:].copy()
+        vv = float(v @ v)
+        alpha = -np.copysign(np.sqrt(vv), v[0])
+        vv -= 2.0 * alpha * v[0] - alpha * alpha
+        v[0] -= alpha
+        j2 = j_mat[:, q:]
+        j2 -= (j2 @ v)[:, None] * (v * (2.0 / vv))
+        tri[:q, q] = d[:q]
+        tri[q, q] = alpha
+        tri_inv[:q, q] = r / -alpha
+        tri_inv[q, q] = 1.0 / alpha
+        mult[q] = u_new
+        rows.append(row)
+        sides.append(side)
+        blocked[row] = blocked[row + n_rows] = True
+        q += 1
+
+    def drop(pos):
+        nonlocal q
+        # delete column pos of T and restore the triangle on its trailing rows
+        tri[:q, pos:q - 1] = tri[:q, pos + 1:q]
+        tri[:q, q - 1] = 0.0
+        if pos < q - 1:
+            q_s, r_s = np.linalg.qr(tri[pos:q, pos:q - 1], mode="complete")
+            tri[pos:q, pos:q - 1] = r_s
+            j_mat[:, pos:q] = j_mat[:, pos:q] @ q_s
+            tri_inv[:q - 1, :q - 1] = np.linalg.inv(tri[:q - 1, :q - 1])
+        mult[pos:q - 1] = mult[pos + 1:q]
+        row = rows.pop(pos)
+        sides.pop(pos)
+        blocked[row] = blocked[row + n_rows] = False
+        q -= 1
+
+    def hot_start(start):
+        # add the start rows at once: with D = J'N, one QR gives D = Q_b [T; 0],
+        # the multipliers u = T^-1 (T^-T b + J1'g) of the minimizer on the
+        # rows, and that minimizer x = J1 T^-T b - J2 J2'g.  Rows with u < 0
+        # are dropped and the rest factored again; a dependent batch is
+        # refused.  J, T and x change only once every u is nonnegative.
+        nonlocal q, x
+        start = np.asarray(start, dtype=int)
+        ks = start[:, 0] + (start[:, 1] < 0) * n_rows
+        ks = ks[np.isfinite(lim[ks])]
+        d = (a_sides[ks] @ j_mat).T  # J'N
+        jg0 = j_mat.T @ prob.g
+        while ks.size:
+            p = ks.size
+            if p > n:
+                return False
+            q_b, r_b = np.linalg.qr(d, mode="complete")
+            t_new = r_b[:p]
+            r_diag = t_new.diagonal()
+            if (r_diag * r_diag <= 1e-20 * np.einsum("ij,ij->j", d, d)).any():
+                return False
+            t_inv = np.linalg.inv(t_new)
+            jg = q_b.T @ jg0  # J'g with J's new columns
+            w = t_inv.T @ lim[ks]
+            u = t_inv @ (w + jg[:p])
+            keep = u >= 0.0
+            if keep.all():
+                break
+            ks, d = ks[keep], d[:, keep]
+        else:
+            return False
+        j_mat[:] = j_mat @ q_b
+        tri[:p, :p] = t_new
+        tri_inv[:p, :p] = t_inv
+        mult[:p] = u
+        lower = ks < n_rows
+        row_b = ks - ~lower * n_rows
+        rows.extend(row_b.tolist())
+        sides.extend((2.0 * lower - 1.0).tolist())
+        blocked[row_b] = blocked[row_b + n_rows] = True
+        q = p
+        jg[:p] = w  # x = J [T^-T b; -J2'g]
+        jg[p:] *= -1.0
+        x = j_mat @ jg
+        return True
+
+    if start is not None and len(start) and hot_start(start):
+        its += 1
+
+    while status == "optimal":
+        w = a_scaled @ x - lim_scaled
+        w[blocked] = np.inf
+        k = int(w.argmin())
+        if w[k] >= -tol:
+            break
+        if its >= max_iter:
+            status = "max_iter"
+            break
+        row, side = (k, 1.0) if k < n_rows else (k - n_rows, -1.0)
+        nv = side * a[row]
+        b_p = lim[k]
+        u_p = 0.0
+        while True:
+            d, r, z, zn, dn = step_data(nv)
+            # partial step: the first active row whose multiplier hits zero
+            t1, pos = np.inf, -1
+            if q:
+                cand = (r > 0.0).nonzero()[0]
+                if cand.size:
+                    ratios = mult[cand] / r[cand]
+                    j = int(ratios.argmin())
+                    t1, pos = max(float(ratios[j]), 0.0), int(cand[j])
+            full = zn > 1e-20 * dn
+            if not full and pos < 0:
+                status = "infeasible"
+                break
+            t2 = (b_p - float(nv @ x)) / zn if full else np.inf
+            t = min(t1, t2)
+            if full:
+                x = x + t * z
+            if q:
+                mult[:q] -= t * r
+            u_p += t
+            its += 1
+            if t2 <= t1:
+                add(row, side, d, r, u_p)
+                break
+            drop(pos)
+            if its >= max_iter:
+                status = "max_iter"
+                break
+
+    act = np.asarray(rows, dtype=int)
+    act_side = np.asarray(sides, dtype=float)
+    limit = np.where(act_side > 0, lo[act], hi[act])
+    on_bound = act < n
+    x[act[on_bound]] = limit[on_bound]
+    x = np.minimum(np.maximum(x, prob.lb), prob.ub)  # np.clip without its overhead
+
+    l_fac = prob.h_factor.l
+    stat = l_fac @ (l_fac.T @ x) + prob.g - a[act].T @ (act_side * mult[:q])
+    v = a @ x
+    # array methods, not np.max: the same reductions without its dispatch
+    viol = max(float((lo - v).max(initial=0.0)), float((v - hi).max(initial=0.0)))
+    off = float(np.abs(v[act] - limit).max(initial=0.0))
+    wrong_sign = float((-mult[:q]).max(initial=0.0))
+    row_mult = np.zeros(n_rows - n)
+    general = act >= n
+    row_mult[act[general] - n] = -(act_side * mult[:q])[general]
+    kkt = max(float(np.abs(stat).max(initial=0.0)), viol, off, wrong_sign)
     diag = SolveDiagnostics(
         status=status, iterations=its, kkt_residual=kkt, wall_time_s=time.perf_counter() - t0,
-        row_multipliers=row_mult if prob.c is not None else None,
-        working_set=working, qp_iterations=its,
+        row_multipliers=row_mult, working_set=np.array((rows, sides), dtype=int).T, qp_iterations=its,
     )
     return x, diag
 
@@ -342,7 +537,7 @@ def solve_sqp(
             status = "infeasible"
             break
         working = qdiag.working_set
-        lam = qdiag.row_multipliers if qdiag.row_multipliers is not None else np.zeros(m)
+        lam = qdiag.row_multipliers
 
         kkt = _kkt_at_x(lam)
         step_norm = _inf_norm(d)

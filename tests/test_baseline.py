@@ -9,7 +9,7 @@ from npvdeepc.control import ControllerConfig, NonFiniteWindowError, TrackingCos
 from npvdeepc.deepc import DeepcController
 from npvdeepc.hankel import DimensionError, Trajectory, partition
 from npvdeepc.npv import NpvController, hankel_with_params, transform_hankel
-from npvdeepc.optim import HessianFactor, QpProblem
+from npvdeepc.optim import HessianFactor, QpProblem, SolveDiagnostics
 
 from conftest import lti_trajectory, make_lti, random_model
 
@@ -399,9 +399,10 @@ def test_non_finite_window_rejected(kind, monkeypatch):
 @pytest.mark.parametrize("warm_start", [True, False])
 @pytest.mark.parametrize("kind", ["deepc", "mpc", "npv"])
 def test_step_contract(kind, warm_start, monkeypatch):
-    """Every controller's step: result layout, recomputed cost, and its start.
+    """Every controller's step: result layout, recomputed cost, solve record and start.
 
-    The linear controllers' QP takes no start (it starts cold at the
+    A step carries every diagnostics field of its solve as it is.  The
+    linear controllers' QP takes no start (it starts cold at the
     unconstrained minimizer, with no working set) and reports its own
     iterations as its QP work; NPV-DeePC warm-starts from its shifted inputs.
     """
@@ -409,17 +410,21 @@ def test_step_contract(kind, warm_start, monkeypatch):
     # perfbench times each controller through its own entry
     assert "solve_step" in type(ctrl).__dict__
     cfg, nu = ctrl.cfg, ctrl.cost.nu
-    starts = []
+    starts, solves = [], []
     solve_qp, solve_sqp = control.solve_qp, npv.solve_sqp
 
     def spy_qp(prob, **kw):
         assert "start" not in kw
         starts.append((None, prob))
-        return solve_qp(prob, **kw)
+        x, diag = solve_qp(prob, **kw)
+        solves.append(diag)
+        return x, diag
 
     def spy_sqp(cost_fn, eq_fn, lb, ub, x0, **kw):
         starts.append((x0, eq_fn))
-        return solve_sqp(cost_fn, eq_fn, lb, ub, x0, **kw)
+        x, diag = solve_sqp(cost_fn, eq_fn, lb, ub, x0, **kw)
+        solves.append(diag)
+        return x, diag
 
     monkeypatch.setattr(control, "solve_qp", spy_qp)
     monkeypatch.setattr(npv, "solve_sqp", spy_sqp)
@@ -434,8 +439,12 @@ def test_step_contract(kind, warm_start, monkeypatch):
         assert step.y_pred.shape == (cfg.horizon, cfg.n_y)
         assert np.array_equal(u, step.u_seq[0]) and np.array_equal(step.u_apply, step.u_seq[0])
         assert step.cost == TrackingCost(cfg).value(step.u_seq, step.y_pred, r_vec, u_prevs[-1])
+        for f in dataclasses.fields(SolveDiagnostics):
+            assert getattr(step, f.name) is getattr(solves[-1], f.name), f.name
         steps.append(step)
-    assert len(starts) == 2
+    assert len(starts) == len(solves) == 2
+    # a QP reports its multipliers and working set, an SQP neither
+    assert all((step.working_set is None) == (kind == "npv") for step in steps)
     if kind != "npv":
         assert all(isinstance(prob, QpProblem) for _, prob in starts)
         assert all((step.qp_iterations, step.clipped) == (step.iterations, 0) for step in steps)

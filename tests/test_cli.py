@@ -10,7 +10,10 @@ from npvdeepc.cli import main
 from npvdeepc.config import ConfigError, config_from_dict, config_hash, load_config
 from npvdeepc.control import ControllerConfig, check_window
 from npvdeepc.experiments import build_dataset
-from npvdeepc.hankel import load_trajectory_csv
+from npvdeepc.hankel import TRAJECTORY_CSV_HEADER, load_trajectory_csv
+from npvdeepc.hypernet import save_model
+
+from conftest import random_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -211,6 +214,24 @@ class TestCliFlow:
         assert main(["track", "--config", str(cfg_path)]) == 3
         assert "data error: kmat has rank" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, case", [
+        ("train", "dataset_value"),
+        ("track", "dataset_value"),
+        ("track", "dataset_short_row"),
+        ("track", "model_not_json"),
+        ("track", "model_without_layer_specs"),
+        ("verify", "model_schema_version"),
+        ("verify", "model_not_an_object"),
+    ])
+    def test_corrupt_file_exit_code(self, tmp_path, capsys, command, case):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        path = _corrupt_file(out, case)
+        assert main([command, "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot read") and str(path) in err
+
     def test_collect_deterministic_bytes(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -228,6 +249,27 @@ class TestCliFlow:
         base = (out / "dataset.csv").read_bytes()
         assert main(["collect", "--config", str(cfg_path), "--seed", "99"]) == 0
         assert (out / "dataset.csv").read_bytes() != base
+
+
+def _corrupt_file(out: Path, case: str) -> Path:
+    """Write the corrupt dataset or model file of ``case`` into ``out``; returns its path."""
+    if case.startswith("dataset"):
+        row = "0,abc,2.0,30.0,40.0,3.0" if case == "dataset_value" else "0,4.0,2.0,30.0"
+        path = out / "dataset.csv"
+        path.write_text(",".join(TRAJECTORY_CSV_HEADER) + "\n" + row + "\n")
+        return path
+    path = out / "model.json"
+    if case in ("model_not_json", "model_not_an_object"):
+        path.write_text('{"schema_version": 1, "dims": ' if case == "model_not_json" else "[1, 2]")
+        return path
+    save_model(random_model(np.random.default_rng(0)), path)
+    doc = json.loads(path.read_text())
+    if case == "model_without_layer_specs":
+        del doc["layer_specs"]
+    else:
+        doc["schema_version"] = 99
+    path.write_text(json.dumps(doc))
+    return path
 
 
 @pytest.fixture(scope="module")

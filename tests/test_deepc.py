@@ -300,7 +300,7 @@ class TestCondensedForm:
             assert max(arr.shape) < ctrl.n_g, name
 
     def test_keeps_the_hessian_once(self, lti_hankel):
-        # exact and noisy data alike keep only the factor, one owned array:
+        # exact and noisy data alike keep only the factor, two owned arrays:
         # over (u, v) on exact data, whose 10 left-null rows fix y but for
         # v's 2 coordinates, and over z = (u, y) on noisy data
         nu = ny = 2 * lti_config().horizon
@@ -308,7 +308,7 @@ class TestCondensedForm:
         noisy = DeepcController(noisy_lti_hankel(), lti_config())
         for ctrl in (exact, noisy):
             assert not {"h", "a_eq", "b_ini"} & vars(ctrl).keys()
-            assert ctrl.h_factor.packed.base is None
+            assert ctrl.h_factor.l.base is None and ctrl.h_factor.j0.base is None
         assert exact.h_factor.n == nu + 2 and exact.gamma.shape == (ny, nu + 2)
         assert noisy.h_factor.n == nu + ny and noisy.gamma is None
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npvdeepc import optim
 from npvdeepc.optim import (
@@ -179,14 +180,65 @@ def _row_qp(rng, n, m, pinned_rows=0, pinned_bounds=0):
     return h, g, lb, ub, c, lo, hi
 
 
+def _nnls(a, b):
+    """argmin |a w - b| over w >= 0, by the Lawson-Hanson active set.
+
+    Lawson & Hanson, *Solving Least Squares Problems* (1974), ch. 23: move
+    the column with the largest positive gradient into the passive set,
+    solve least squares on that set, and step back to the last nonnegative
+    point, dropping the columns that reach zero, until the passive solution
+    is nonnegative.  On nearly parallel columns the gradient's sign is lost
+    in rounding, so where no gradient is positive a column still enters if
+    least squares with it gives it a positive weight and a smaller residual.
+    """
+    n = a.shape[1]
+    w = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+
+    def least_squares(cols):
+        s = np.zeros(n)
+        s[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+        return s
+
+    def entering():
+        grad = a.T @ (b - a @ w)
+        grad[passive] = -np.inf
+        if grad.max() > 0.0:
+            return int(grad.argmax())
+        res = np.linalg.norm(b - a @ w)
+        for k in np.flatnonzero(~passive):
+            s = least_squares(passive | (np.arange(n) == k))
+            if s[k] > 0.0 and np.linalg.norm(b - a @ s) < res:
+                return k
+        return None
+
+    for _ in range(3 * n):
+        j = entering()
+        if j is None:
+            break
+        passive[j] = True
+        s = least_squares(passive)
+        while (passive & (s < 0.0)).any():
+            neg = np.flatnonzero(passive & (s < 0.0))
+            ratio = w[neg] / (w[neg] - s[neg])
+            w += ratio.min() * (s - w)
+            w[neg[ratio.argmin()]] = 0.0
+            passive &= w > 0.0
+            s = least_squares(passive)
+        w = s
+    return w
+
+
 def _kkt_certificate(h, g, lb, ub, c, lo, hi, x, tol=1e-8) -> bool:
     """Whether x satisfies the KKT conditions of the QP, checked without a solver.
 
-    x must be feasible.  The multipliers are fitted by least squares on the
-    normals of the bounds and rows that hold at x (a lower side with the
-    normal +a, an upper side with -a), must balance the gradient, and must be
-    nonnegative on every side that is not an equality.  For a strictly
-    convex H that makes x the unique minimizer.
+    x must be feasible.  Every side of a bound or row that holds at x gives a
+    normal (+a for a lower side, -a for an upper one), and nonnegative
+    multipliers on those normals, fitted by :func:`_nnls`, must balance the
+    gradient.  An equal-limit row holds on both sides, so its multiplier is
+    free.  For a strictly convex H that makes x the unique minimizer; unlike
+    a plain least-squares fit, the fit finds nonnegative multipliers where
+    the active normals are dependent, as at a degenerate vertex.
     """
     if _violation(x, lb, ub, c, lo, hi) > tol:
         return False
@@ -194,13 +246,11 @@ def _kkt_certificate(h, g, lb, ub, c, lo, hi, x, tol=1e-8) -> bool:
     v = a @ x
     lo_all, hi_all = np.concatenate([lb, lo]), np.concatenate([ub, hi])
     at_lo = np.isfinite(lo_all) & (np.abs(v - lo_all) <= tol * (1.0 + np.abs(lo_all)))
-    at_hi = ~at_lo & np.isfinite(hi_all) & (np.abs(v - hi_all) <= tol * (1.0 + np.abs(hi_all)))
+    at_hi = np.isfinite(hi_all) & (np.abs(v - hi_all) <= tol * (1.0 + np.abs(hi_all)))
     normals = np.vstack([a[at_lo], -a[at_hi]]).T
-    free_sign = np.concatenate([(lo_all == hi_all)[at_lo], np.zeros(int(at_hi.sum()), dtype=bool)])
     grad = h @ x + g
-    lam = np.linalg.lstsq(normals, grad, rcond=None)[0] if normals.size else np.zeros(0)
-    stat = np.max(np.abs(grad - normals @ lam), initial=0.0)
-    return stat <= tol * (1.0 + np.max(np.abs(grad))) and np.all(lam[~free_sign] >= -tol)
+    stat = np.max(np.abs(grad - normals @ _nnls(normals, grad)), initial=0.0)
+    return bool(stat <= tol * (1.0 + np.max(np.abs(grad))))
 
 
 def _violation(x, lb, ub, c, lo, hi) -> float:
@@ -211,17 +261,29 @@ def _violation(x, lb, ub, c, lo, hi) -> float:
 
 class TestHessianFactor:
     def test_packs_factor_and_inverse(self):
+        # l = L, and j0 = L^-T with the exact reciprocals of diag L on its diagonal
         rng = np.random.default_rng(13)
         a = rng.standard_normal((7, 7))
         h = a.T @ a + np.eye(7)
         fac = HessianFactor(h)
-        l_fac, j = fac.lower(), fac.inv_upper()
-        assert fac.packed.shape == (7, 7)
-        assert np.allclose(l_fac @ l_fac.T, h, rtol=0.0, atol=1e-12)
-        assert np.allclose(j.T @ l_fac, np.eye(7), rtol=0.0, atol=1e-12)
-        # each call hands out a fresh copy, which the dual path overwrites
-        j[:] = 0.0
-        assert np.allclose(fac.inv_upper().T @ l_fac, np.eye(7), rtol=0.0, atol=1e-12)
+        assert fac.n == 7 and fac.l.shape == fac.j0.shape == (7, 7)
+        assert np.array_equal(fac.l, np.tril(fac.l)) and np.array_equal(fac.j0, np.triu(fac.j0))
+        assert np.array_equal(np.diagonal(fac.j0), 1.0 / np.diagonal(fac.l))
+        assert np.allclose(fac.l @ fac.l.T, h, rtol=0.0, atol=1e-12)
+        assert np.allclose(fac.j0.T @ fac.l, np.eye(7), rtol=0.0, atol=1e-12)
+
+    def test_solve_leaves_factor_unchanged(self):
+        # every controller step reuses one factor: the dual path must work on
+        # a copy of j0, through adds, drops and a hot start alike
+        rng = np.random.default_rng(14)
+        h, g, lb, ub, c, lo, hi = _row_qp(rng, 8, 5, 1)
+        fac = HessianFactor(h)
+        l_fac, j0 = fac.l.copy(), fac.j0.copy()
+        prob = QpProblem(h_factor=fac, g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi)
+        _, cold = solve_qp(prob)
+        _, hot = solve_qp(prob, start=cold.working_set[::2])
+        assert cold.iterations > 2 and hot.iterations > 1
+        assert np.array_equal(fac.l, l_fac) and np.array_equal(fac.j0, j0)
 
     @pytest.mark.parametrize("h", [np.diag([1.0, -1.0]), np.diag([1.0, 1e-14]), np.zeros((2, 2))])
     def test_rejects_singular_or_indefinite(self, h):
@@ -426,6 +488,101 @@ class TestHotStart:
                 else:
                     assert diag.status == "optimal", seed
         assert capped >= 10
+
+
+def _degenerate_qp(rng, n, extra, duplicates=0, near_parallel=0, pinned=0):
+    """A strictly convex QP whose minimizer x* is a degenerate vertex.
+
+    ``n + extra`` random rows hold at x*, more than there are variables, each
+    on a random side and with a multiplier that is zero for about 40 % of
+    them.  ``duplicates`` of them are repeated exactly and ``near_parallel``
+    repeated with their normal tilted by 1e-8, both holding at x* too, and
+    ``pinned`` bounds hold at x* with their own multipliers.  Three more rows
+    and the other bounds stay at least 0.1 away.  g makes the multipliers
+    balance H x* + g, so x* is the unique minimizer.  Returns
+    (h, g, lb, ub, c, lo, hi, x*).
+    """
+    a = rng.standard_normal((n, n))
+    h = a.T @ a + 0.1 * np.eye(n)
+    x_star = rng.uniform(-1.0, 1.0, n)
+    act = rng.standard_normal((n + extra, n))
+    act = np.vstack([
+        act,
+        act[rng.integers(0, len(act), duplicates)],
+        act[rng.integers(0, len(act), near_parallel)] + 1e-8 * rng.standard_normal((near_parallel, n)),
+    ])
+    side = rng.choice([-1.0, 1.0], len(act))
+    mult = rng.uniform(0.0, 2.0, len(act)) * (rng.random(len(act)) < 0.6)
+    c = np.vstack([act, rng.standard_normal((3, n))])
+    v = c @ x_star
+    gap_lo, gap_hi = rng.uniform(0.1, 1.0, len(c)), rng.uniform(0.1, 1.0, len(c))
+    gap_lo[:len(act)][side > 0] = 0.0
+    gap_hi[:len(act)][side < 0] = 0.0
+    lb, ub = x_star - rng.uniform(0.1, 1.0, n), x_star + rng.uniform(0.1, 1.0, n)
+    bound_mult = np.zeros(n)
+    for i, s in zip(rng.choice(n, min(pinned, n), replace=False), rng.choice([-1.0, 1.0], n)):
+        (lb if s > 0 else ub)[i] = x_star[i]
+        bound_mult[i] = s * rng.uniform(0.0, 2.0)
+    g = -h @ x_star + act.T @ (side * mult) + bound_mult
+    return h, g, lb, ub, c, v - gap_lo, v + gap_hi, x_star
+
+
+class TestCertificate:
+    """Degenerate vertices that the solver and the certificate must both handle,
+    and near misses the certificate must reject."""
+
+    @staticmethod
+    def _solve_and_certify(h, g, lb, ub, c, lo, hi, x_star):
+        prob = QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi)
+        x, diag = solve_qp(prob, tol=1e-10)
+        assert diag.status == "optimal" and diag.kkt_residual <= 1e-8
+        assert np.max(np.abs(x - x_star)) <= 1e-7
+        assert _kkt_certificate(h, g, lb, ub, c, lo, hi, x)
+        return prob, x, diag
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), extra=st.integers(1, 8), pinned=st.integers(0, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_degenerate_vertex(self, seed, n, extra, pinned):
+        self._solve_and_certify(*_degenerate_qp(np.random.default_rng(seed), n, extra, pinned=pinned))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), extra=st.integers(0, 4),
+           duplicates=st.integers(0, 3), near_parallel=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_duplicate_and_near_parallel_rows(self, seed, n, extra, duplicates, near_parallel):
+        qp = _degenerate_qp(np.random.default_rng(seed), n, extra, max(duplicates, 1), near_parallel)
+        self._solve_and_certify(*qp)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), extra=st.integers(0, 8),
+           duplicates=st.integers(0, 2), near_parallel=st.integers(0, 2), pinned=st.integers(0, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_hot_start_from_cold_working_set(self, seed, n, extra, duplicates, near_parallel, pinned):
+        qp = _degenerate_qp(np.random.default_rng(seed), n, extra, duplicates, near_parallel, pinned)
+        prob, x, cold = self._solve_and_certify(*qp)
+        x_hot, hot = solve_qp(prob, tol=1e-10, start=cold.working_set)
+        assert hot.status == "optimal" and hot.kkt_residual <= 1e-8
+        assert np.max(np.abs(x_hot - x)) <= 1e-9
+
+    def test_rejects_moved_and_tightened_solutions(self):
+        # a minimizer moved by 1e-6, and the minimizer of the program with
+        # every finite row slab narrowed by a quarter on each side, are not
+        # minimizers of the program
+        tightened = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(3, 12)), int(rng.integers(2, 8))
+            h, g, lb, ub, c, lo, hi = _row_qp(rng, n, m)
+            x, _ = solve_qp(QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi), tol=1e-10)
+            assert _kkt_certificate(h, g, lb, ub, c, lo, hi, x), seed
+            for _ in range(2):
+                assert not _kkt_certificate(h, g, lb, ub, c, lo, hi, x + 1e-6 * rng.choice([-1.0, 1.0], n)), seed
+            width = np.where(np.isfinite(hi), hi - lo, 1.0)
+            prob = QpProblem(h_factor=HessianFactor(h), g=g, lb=lb, ub=ub, c=c,
+                             c_lo=lo + 0.25 * width, c_hi=hi - 0.25 * width)
+            x_t, diag = solve_qp(prob, tol=1e-10)
+            if diag.status == "optimal" and np.max(np.abs(x_t - x)) > 1e-6:
+                assert not _kkt_certificate(h, g, lb, ub, c, lo, hi, x_t), seed
+                tightened += 1
+        assert tightened >= 30
 
 
 class TestSolveSqp:
