@@ -14,7 +14,7 @@ import numpy as np
 
 from .control import ControllerConfig, HorizonController, LinearQpController
 from .hankel import DimensionError, Trajectory
-from .optim import HessianFactor, QpProblem, solve_qp  # noqa: F401  (solve_qp kept: perfbench tests read baseline.solve_qp)
+from .optim import HessianFactor, solve_qp  # noqa: F401  (solve_qp kept: perfbench tests read baseline.solve_qp)
 
 __all__ = [
     "ArxModel", "identify_arx", "arx_rollout", "arx_prediction_map", "arx_rollout_affine", "MpcController",
@@ -153,16 +153,14 @@ def arx_rollout(model: ArxModel, y_hist, u_hist, u_fut) -> np.ndarray:
 class MpcController(LinearQpController):
     """Receding-horizon MPC on the identified ARX model, in condensed form.
 
-    The ARX rollout ``y = gamma u + f`` with the free response
-    ``f = B_ini w_ini + b_0`` is affine in the future inputs and the past
-    window, with matrices that depend only on the ARX coefficients and the
-    horizons, so all of it is built once per controller.  The outputs are
-    eliminated: a step solves over the inputs u only, with the Hessian
-    ``h_u + gamma' h_y gamma`` factored once, the linear term
-    ``g_u + gamma'(g_y + h_y f)``, the input box as bounds and the output
-    box as the general rows ``y_lo - f <= gamma u <= y_hi - f``; then
-    ``y = gamma u + f``.  No rollout runs in a step.  The step is
-    :meth:`HorizonController.solve_step`.
+    The ARX rollout ``y = gamma u + y_map w_ini + y_0`` is affine in the
+    future inputs and the past window, with matrices that depend only on the
+    ARX coefficients and the horizons, so all of it is built once per
+    controller.  The outputs are eliminated: the step of
+    :class:`~npvdeepc.control.LinearQpController` solves over the inputs u
+    only (no free coordinates v), with the Hessian
+    ``h_u + gamma' h_y gamma`` factored once.  No rollout runs in a step.
+    The step is :meth:`HorizonController.solve_step`.
     """
 
     def __init__(self, model: ArxModel, cfg: ControllerConfig):
@@ -173,26 +171,10 @@ class MpcController(LinearQpController):
         self.model = model
         n_ini = cfg.t_ini * (cfg.n_u + cfg.n_y)
         self.gamma = m[:, n_ini:-1].copy()
-        self.b_ini = m[:, :n_ini].copy()
-        self.b_0 = m[:, -1].copy()
+        self.y_map = m[:, :n_ini].copy()
+        self.y_0 = m[:, -1].copy()
         # h_u is positive definite (every move weight r > 0), so the factor exists
         self.h_factor = HessianFactor(self.cost.h_u + self.gamma.T @ self.cost.h_y @ self.gamma)
-
-    def _free_response(self, w_ini: np.ndarray) -> np.ndarray:
-        return self.b_ini @ w_ini + self.b_0
-
-    def _problem(self, w_ini, r_vec, u_prev):
-        nu = self.cost.nu
-        f = self._free_response(w_ini)
-        g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
-        return QpProblem(
-            h_factor=self.h_factor, g=g_u + self.gamma.T @ (g_y + 2.0 * self.cost.q_bar * f),
-            lb=self.lb[:nu], ub=self.ub[:nu],
-            c=self.gamma, c_lo=self.lb[nu:] - f, c_hi=self.ub[nu:] - f,
-        )
-
-    def _z(self, x, w_ini):
-        return np.concatenate([x, self.gamma @ x + self._free_response(w_ini)])
 
     # an entry of its own, so profilers and perfbench time each controller apart
     solve_step = HorizonController.solve_step

@@ -69,6 +69,16 @@ def _check_schedules(**schedules) -> None:
             raise ConfigError(f"{name} t_start values must be strictly increasing, got {starts}")
 
 
+def _check_output_box(y_lb_relax: float, y_ub_margin: float) -> None:
+    """Reject a floor relaxation and ceiling margin that empty a channel of the plant's output box."""
+    box = BoxConstraints()
+    for i, (lo, hi) in enumerate(zip(box.y_lo, box.y_hi)):
+        if lo - y_lb_relax > hi - y_ub_margin:
+            raise ConfigError(
+                f"y_lb_relax {y_lb_relax} and y_ub_margin {y_ub_margin} empty output {i}'s box [{lo}, {hi}]"
+            )
+
+
 def _check_step_counts(**counts: int) -> None:
     for name, n in counts.items():
         if n < 1:
@@ -120,6 +130,13 @@ class CemSection(ControllerSettings):
     target_margin: float = 0.02  # extra dose aimed for, absorbs estimate error
     r_du: float = 1e-3           # input-move penalty in the dose program
     y_ub_margin: float = 0.4     # internal tightening of the Ts ceiling
+    y_lb_relax: typing.ClassVar[float] = 1.0  # the dose controller's output floor relaxation; not a setting
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.r_du > 0:
+            raise ValueError(f"r_du must be > 0, got {self.r_du}")
+        _check_output_box(self.y_lb_relax, self.y_ub_margin)
 
 
 @dataclass(frozen=True)
@@ -184,6 +201,7 @@ class TrackingScenario:
         _check_step_counts(n_steps=self.n_steps, sweep_n_steps=self.sweep_n_steps)
         if not self.noise_sigma >= 0.0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        _check_output_box(self.y_lb_relax, self.y_ub_margin)
 
 
 @dataclass(frozen=True)
@@ -221,8 +239,14 @@ class RunConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
     def __post_init__(self):
-        # each Hankel needs at least one column of depth t_ini + horizon
         ctl = self.controllers
+        # DeePC's Hankel and the frozen network are built at npv_deepc's horizons
+        want = (ctl.npv_deepc.t_ini, ctl.npv_deepc.horizon)
+        for section in ("deepc", "neural_deepc"):
+            got = (getattr(ctl, section).t_ini, getattr(ctl, section).horizon)
+            if got != want:
+                raise ConfigError(f"controllers.{section}: (t_ini, horizon) {got} must match npv_deepc's {want}")
+        # each Hankel needs at least one column of depth t_ini + horizon
         for name, k, sections in (
             ("k_deepc", self.hankel.k_deepc, ("npv_deepc",)),
             ("k_neural", self.hankel.k_neural, ("npv_deepc", "cem")),

@@ -194,10 +194,10 @@ class TrackingCost:
 class HorizonController:
     """One receding-horizon step over z = (u, y), shared by every controller.
 
-    The box ``lb``/``ub`` over z is built once; :meth:`linear_term` prices
-    the current reference.  A step checks the window, calls the subclass's
-    :meth:`_solve` and builds the :class:`StepResult`.  ``n_p`` counts the
-    parameter channels the predictor reads; with 0, ``p_hist`` is ignored.
+    The box ``lb``/``ub`` over z is built once.  A step checks the window,
+    calls the subclass's :meth:`_solve` and builds the :class:`StepResult`.
+    ``n_p`` counts the parameter channels the predictor reads; with 0,
+    ``p_hist`` is ignored.
     """
 
     n_p = 0
@@ -209,10 +209,6 @@ class HorizonController:
         y_lo, y_hi = self.cost.y_bounds()
         self.lb = np.concatenate([u_lo, y_lo])
         self.ub = np.concatenate([u_hi, y_hi])
-
-    def linear_term(self, r_vec, u_prev) -> np.ndarray:
-        """Linear term of the tracking cost over z for the reference and previous input."""
-        return np.concatenate(self.cost.linear_terms(r_vec, u_prev))
 
     def _solve(self, u_ini, y_ini, p_hist, r_vec, u_prev) -> tuple[np.ndarray, SolveDiagnostics, dict]:
         """The solution z, its diagnostics and the controller's extras for one checked window."""
@@ -241,24 +237,21 @@ class HorizonController:
 class LinearQpController(HorizonController):
     """Receding-horizon control by one strictly convex condensed QP per step.
 
-    A subclass constructor builds the program's fixed operators once,
-    including the :class:`~npvdeepc.optim.HessianFactor` ``h_factor`` of its
-    condensed Hessian, which :func:`~npvdeepc.optim.solve_qp` needs.  The
-    solve starts cold at the unconstrained minimizer, and
-    ``cfg.warm_start`` does not apply.  A step forms only the
-    window-dependent terms (:meth:`_problem`), solves, raises
-    :class:`SolverError` on an infeasible program and maps the solution to
-    z = (u, y) (:meth:`_z`).  Subclasses may override :meth:`_extras`.
-    Neither linear predictor uses the parameter, so ``p_hist`` is ignored.
+    A subclass constructor only builds the fixed operators: ``h_factor``, the
+    :class:`~npvdeepc.optim.HessianFactor` of the condensed Hessian, and for
+    the past window w_ini = (u_ini, y_ini) either ``g_ini`` with ``gamma``
+    None, or the output map y = ``gamma`` x + f, f = ``y_map`` w_ini + ``y_0``
+    over x = (u, v), with an optional ``g_ini``.  The QP is over z = (u, y)
+    with the (u, y) box in the first case.  In the second it is over x, with
+    the input box on u, v free and the output box as the general rows
+    y_lo - f <= gamma x <= y_hi - f.  The solve starts cold at the
+    unconstrained minimizer (``cfg.warm_start`` does not apply) and raises
+    :class:`SolverError` on an infeasible program.  Neither linear predictor
+    uses the parameter, so ``p_hist`` is ignored.
     """
 
-    def _problem(self, w_ini: np.ndarray, r_vec, u_prev: np.ndarray) -> QpProblem:
-        """The step QP for the past window w_ini = (u_ini, y_ini)."""
-        raise NotImplementedError
-
-    def _z(self, x: np.ndarray, w_ini: np.ndarray) -> np.ndarray:
-        """z = (u, y) from the QP solution."""
-        return x
+    gamma: np.ndarray | None = None
+    g_ini: np.ndarray | None = None
 
     def _extras(self, w_ini: np.ndarray, z: np.ndarray) -> dict:
         """Controller-specific entries of :attr:`StepResult.extras`."""
@@ -266,13 +259,29 @@ class LinearQpController(HorizonController):
 
     def _solve(self, u_ini, y_ini, p_hist, r_vec, u_prev):
         w_ini = np.concatenate([u_ini, y_ini])
-        x, diag = solve_qp(
-            self._problem(w_ini, r_vec, u_prev), tol=min(self.cfg.kkt_tol, 1e-8), max_iter=self.cfg.qp_max_iter
-        )
+        g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
+        nu = self.cost.nu
+        if self.gamma is None:
+            problem = QpProblem(
+                h_factor=self.h_factor, g=np.concatenate([g_u, g_y]) + self.g_ini @ w_ini, lb=self.lb, ub=self.ub
+            )
+        else:
+            f = self.y_map @ w_ini + self.y_0
+            g = self.gamma.T @ (g_y + 2.0 * self.cost.q_bar * f)
+            if self.g_ini is not None:
+                g += self.g_ini @ w_ini
+            g[:nu] += g_u
+            v_free = np.full(g.size - nu, np.inf)
+            problem = QpProblem(
+                h_factor=self.h_factor, g=g,
+                lb=np.concatenate([self.lb[:nu], -v_free]), ub=np.concatenate([self.ub[:nu], v_free]),
+                c=self.gamma, c_lo=self.lb[nu:] - f, c_hi=self.ub[nu:] - f,
+            )
+        x, diag = solve_qp(problem, tol=min(self.cfg.kkt_tol, 1e-8), max_iter=self.cfg.qp_max_iter)
         if diag.status == "infeasible":
             raise SolverError(
                 f"{type(self).__name__} step infeasible: kkt_residual={diag.kkt_residual:.3e}, "
                 f"iterations={diag.iterations}"
             )
-        z = self._z(x, w_ini)
+        z = x if self.gamma is None else np.concatenate([x[:nu], self.gamma @ x + f])
         return z, diag, self._extras(w_ini, z)

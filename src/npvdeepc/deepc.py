@@ -12,7 +12,8 @@ reduction of Dörfler, Coulson & Markovsky (IEEE TAC 2023).  On exact
 (u, y); they fix the outputs up to a few free coordinates v, so y is
 eliminated once as well and a step solves over (u, v) with the output box
 as general rows, the shape of the ARX-MPC program.  Either way the
-condensed Hessian is factored once and each step is one call of
+condensed Hessian is factored once, and the step of
+:class:`~npvdeepc.control.LinearQpController` is one call of
 :func:`~npvdeepc.optim.solve_qp`.
 
 Two regularizers on g are available; the projection form penalizes only the
@@ -26,7 +27,7 @@ import numpy as np
 
 from .control import ControllerConfig, HorizonController, LinearQpController
 from .hankel import DimensionError, HankelSet, RankDeficientError
-from .optim import HessianFactor, IndefiniteHessianError, QpProblem, pinv, solve_qp  # noqa: F401  (solve_qp kept: perfbench tests read deepc.solve_qp)
+from .optim import HessianFactor, IndefiniteHessianError, pinv, solve_qp  # noqa: F401  (solve_qp kept: perfbench tests read deepc.solve_qp)
 
 __all__ = ["build_projector", "DeepcController"]
 
@@ -46,17 +47,15 @@ def build_projector(hs: HankelSet) -> np.ndarray:
 class DeepcController(LinearQpController):
     """Receding-horizon DeePC over a fixed Hankel data set, in condensed form.
 
-    Only the condensed operators are kept, as owned arrays no larger than
-    the (u, y) block, and the Hessian only as its
-    :class:`~npvdeepc.optim.HessianFactor` ``h_factor``.  Without left-null
-    rows the step solves over z = (u, y) with the (u, y) box, and ``g_ini``
-    prices the window through the eliminated (g, sigma) cost.  With them
-    (exact data) it solves over x = (u, v), and ``y = gamma x + y_map w_ini``
-    (``gamma`` and ``y_map`` are None otherwise).  Construction raises
-    :class:`~npvdeepc.hankel.RankDeficientError` when those rows constrain
-    the inputs alone, and :class:`~npvdeepc.optim.IndefiniteHessianError`
-    when the condensed Hessian has no factor.  The step is
-    :meth:`HorizonController.solve_step`.
+    Only the operators of :class:`~npvdeepc.control.LinearQpController`'s
+    program are kept, as owned arrays no larger than the (u, y) block.
+    ``g_ini`` prices the window through the eliminated (g, sigma) cost.
+    Without left-null rows ``gamma`` is None and the step solves over
+    z = (u, y); with them (exact data) over x = (u, v), with ``y_0`` zero.
+    Construction raises :class:`~npvdeepc.hankel.RankDeficientError` when
+    those rows constrain the inputs alone, and
+    :class:`~npvdeepc.optim.IndefiniteHessianError` when the condensed
+    Hessian has no factor.  The step is :meth:`HorizonController.solve_step`.
     """
 
     def __init__(self, hankel_set: HankelSet, cfg: ControllerConfig):
@@ -100,14 +99,14 @@ class DeepcController(LinearQpController):
         p = m.T @ h_w @ m
         p = 0.5 * (p + p.T)
 
-        h = self.cost.hessian() + p[n_ini:, n_ini:]
+        p_z = p[n_ini:, n_ini:]
+        h = self.cost.hessian() + p_z
         self.g_ini = p[n_ini:, :n_ini].copy()
         self.sigma_map = m[ng:].copy()
         # N z = -N_p (u_ini, y_ini); no rows when A_w has full row rank
         left_null = u[:, rank:].T
-        self.gamma = self.y_map = None
         if left_null.shape[0]:
-            h = self._eliminate_outputs(h, left_null[:, n_ini:], -left_null[:, :n_ini])
+            h = self._eliminate_outputs(h, p_z[:, nu:], left_null[:, n_ini:], -left_null[:, :n_ini])
         try:
             self.h_factor = HessianFactor(h)
         except IndefiniteHessianError as exc:
@@ -116,15 +115,17 @@ class DeepcController(LinearQpController):
                 "minimizer, for example with lambda_g 0 and zero output weights q and p"
             ) from None
 
-    def _eliminate_outputs(self, h: np.ndarray, a_z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _eliminate_outputs(self, h: np.ndarray, p_y: np.ndarray, a_z: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Solve the left-null rows ``a_z z = b w_ini`` for y once; return the reduced Hessian.
 
         With a_z = [A_u, A_y] and A_y of full row rank, the outputs on the
         rows are y = gamma x + y_map w_ini over x = (u, v), with
         gamma = [-A_y^+ A_u, K], K a basis of null(A_y), and
         y_map = A_y^+ b.  So z = T x + (0, y_map w_ini) with
-        T = [I 0; gamma], the Hessian becomes T'HT and ``g_ini`` takes the
-        window's part T'(g_ini + H_y y_map), H_y the output columns of H.
+        T = [I 0; gamma], and the Hessian becomes T'HT.  Of the window's
+        term T'(g_ini + H_y y_map), H_y the output columns of H, the step
+        adds the tracking part itself; ``g_ini`` keeps T'(g_ini + P_y y_map),
+        P_y = ``p_y`` the output columns of the (g, sigma) cost.
         """
         nu = self.cost.nu
         a_u, a_y = a_z[:, :nu], a_z[:, nu:]
@@ -138,32 +139,10 @@ class DeepcController(LinearQpController):
         a_y_pinv = (vt_y[:rank].T / s_y) @ u_y.T
         self.gamma = np.hstack([-a_y_pinv @ a_u, vt_y[rank:].T])
         self.y_map = a_y_pinv @ b
+        self.y_0 = np.zeros(self.y_map.shape[0])
         t = np.vstack([np.eye(nu, self.gamma.shape[1]), self.gamma])
-        self.g_ini = t.T @ (self.g_ini + h[:, nu:] @ self.y_map)
+        self.g_ini = t.T @ (self.g_ini + p_y @ self.y_map)
         return t.T @ h @ t
-
-    def _problem(self, w_ini, r_vec, u_prev):
-        if self.gamma is None:
-            return QpProblem(
-                h_factor=self.h_factor, g=self.linear_term(r_vec, u_prev) + self.g_ini @ w_ini,
-                lb=self.lb, ub=self.ub,
-            )
-        nu = self.cost.nu
-        g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
-        g = self.gamma.T @ g_y + self.g_ini @ w_ini
-        g[:nu] += g_u
-        v_free = np.full(g.size - nu, np.inf)
-        f = self.y_map @ w_ini
-        return QpProblem(
-            h_factor=self.h_factor, g=g,
-            lb=np.concatenate([self.lb[:nu], -v_free]), ub=np.concatenate([self.ub[:nu], v_free]),
-            c=self.gamma, c_lo=self.lb[nu:] - f, c_hi=self.ub[nu:] - f,
-        )
-
-    def _z(self, x: np.ndarray, w_ini: np.ndarray) -> np.ndarray:
-        if self.gamma is None:
-            return x
-        return np.concatenate([x[:self.cost.nu], self.gamma @ x + self.y_map @ w_ini])
 
     def _extras(self, w_ini: np.ndarray, z: np.ndarray) -> dict:
         sigma = self.sigma_map @ np.concatenate([w_ini, z])

@@ -539,7 +539,7 @@ def run_cem_loop(cfg: RunConfig, nh: NeuralHankel, noise_sigma: float, noise_lab
     cem_cfg = cfg.controllers.cem
     scc = cfg.cem_scenario
     plant = surrogate_from_config(cfg, b_s_override=scc.b_s)
-    ctl_cfg = controller_config(cem_cfg, 1.0, cem_cfg.y_ub_margin, plant.box)
+    ctl_cfg = controller_config(cem_cfg, cem_cfg.y_lb_relax, cem_cfg.y_ub_margin, plant.box)
     controller = CemController(
         nh, ctl_cfg,
         cem_target=cem_cfg.target + cem_cfg.target_margin, dt=plant.dt, r_du=cem_cfg.r_du,

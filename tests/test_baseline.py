@@ -9,7 +9,7 @@ from npvdeepc.control import ControllerConfig, NonFiniteWindowError, TrackingCos
 from npvdeepc.deepc import DeepcController
 from npvdeepc.hankel import DimensionError, Trajectory, partition
 from npvdeepc.npv import NpvController, hankel_with_params, transform_hankel
-from npvdeepc.optim import HessianFactor, QpProblem, SolveDiagnostics
+from npvdeepc.optim import HessianFactor, QpProblem, SolveDiagnostics, SolverError
 
 from conftest import lti_trajectory, make_lti, random_model
 
@@ -290,7 +290,7 @@ class TestMpcRolloutMap:
                 u_hist = 10 * rng.standard_normal((cfg.t_ini, 2))
                 gamma, offset = arx_rollout_affine(model, y_hist, u_hist, cfg.horizon)
                 assert np.array_equal(ctrl.gamma, gamma)
-                free = ctrl.b_ini @ np.concatenate([u_hist.ravel(), y_hist.ravel()]) + ctrl.b_0
+                free = ctrl.y_map @ np.concatenate([u_hist.ravel(), y_hist.ravel()]) + ctrl.y_0
                 assert np.allclose(free, offset, rtol=0.0, atol=1e-12)
                 # oracle: one-step predictions fed back under zero future input
                 y_all, u_all = list(y_hist), list(u_hist) + [np.zeros(2)] * cfg.horizon
@@ -339,7 +339,7 @@ class TestMpcRolloutMap:
             assert np.allclose(ctrl.ub[nu:] - prob.c_hi, offset, rtol=0.0, atol=1e-12)
             rows = np.hstack([-gamma, np.eye(ny)])
             ref_prob = QpProblem(
-                h_factor=HessianFactor(h + rho * rows.T @ rows), g=ctrl.linear_term(r_vec, u_prev),
+                h_factor=HessianFactor(h + rho * rows.T @ rows), g=np.concatenate(ctrl.cost.linear_terms(r_vec, u_prev)),
                 lb=ctrl.lb, ub=ctrl.ub, c=rows, c_lo=offset, c_hi=offset,
             )
             x_ref, diag_ref = solve_qp(ref_prob, **kw)
@@ -462,6 +462,19 @@ def test_step_contract(kind, warm_start, monkeypatch):
     # the SQP runs over the inputs alone, and its rows are the predicted outputs
     assert np.array_equal(x0, u_shift)
     assert problem(x0)[0].shape == (cfg.horizon * cfg.n_y,)
+
+
+@pytest.mark.parametrize("kind", ["deepc", "mpc"])
+def test_unreachable_output_box_raises_solver_error(kind):
+    # an output box far above every output the input box can reach: the
+    # step's QP is infeasible, and the step names the controller
+    ctrl = _window_controller(kind, y_lo=(1e3, 1e3), y_hi=(1e3 + 1.0, 1e3 + 1.0))
+    # on exact data DeePC also carries the output box as general rows
+    assert ctrl.gamma is not None
+    traj = lti_trajectory(300, seed=21)
+    window = slice(0, ctrl.cfg.t_ini)
+    with pytest.raises(SolverError, match=f"^{type(ctrl).__name__} step infeasible"):
+        ctrl.solve_step(traj.u[window], traj.y[window], None, np.zeros(2), traj.u[ctrl.cfg.t_ini - 1])
 
 
 def _loop_tracking_cost(cfg, u_seq, y_seq, r_vec, u_prev) -> float:

@@ -154,6 +154,12 @@ INVALID = {
     "unordered_reference": {"scenario": {"reference": [[20.0, 29.0], [0.0, 28.0]]}},
     "unordered_d_schedule": {"scenario": {"d_schedule": [[0.0, 3.0], [6.0, 4.0], [6.0, 5.0]]}},
     "unordered_cem_d_schedule": {"cem_scenario": {"d_schedule": [[0.0, 2.5], [29.5, 2.5], [24.5, 3.5]]}},
+    "empty_output_box_margin": {"scenario": {"y_ub_margin": 30.0}},
+    "empty_output_box_relax": {"scenario": {"y_lb_relax": -30.0}},
+    "cem_empty_output_box": {"controllers": {"cem": {"y_ub_margin": 30.0}}},
+    "deepc_horizon": {"controllers": {"deepc": {"horizon": 8}}},
+    "neural_deepc_t_ini": {"controllers": {"neural_deepc": {"t_ini": 3}}},
+    "cem_r_du": {"controllers": {"cem": {"r_du": 0.0}}},
 }
 
 
