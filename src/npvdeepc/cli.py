@@ -190,9 +190,6 @@ def main(argv=None) -> int:
 
     try:
         return COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (DataError, DimensionError, NonFiniteWindowError, RankDeficientError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -155,7 +155,11 @@ class Pipeline:
     frozen_hankel: NeuralHankel
     p_cols: np.ndarray
     arx: ArxModel
-    bfr_scores: dict
+
+
+def neural_hankel_blocks(cfg: RunConfig, traj: Trajectory, t_ini: int, horizon: int):
+    """The (HankelSet, p_cols) pair of the neural operators, over ``k_neural`` samples."""
+    return hankel_with_params(traj, t_ini, horizon, n_cols=cfg.hankel.k_neural - (t_ini + horizon) + 1)
 
 
 def build_pipeline(
@@ -171,22 +175,18 @@ def build_pipeline(
     ctl = cfg.controllers.npv_deepc
     if traj is None:
         traj = build_dataset(cfg)
-    dataset = WindowDataset.from_trajectory(traj, ctl.t_ini, ctl.horizon)
     if model is None:
         model, _ = train_from_config(cfg, traj, ctl.t_ini, ctl.horizon)
-    bfr_scores = evaluate_bfr_split(model, dataset, cfg.model.val_fraction)
 
     deepc_hs = partition(traj, ctl.t_ini, ctl.horizon, n_cols=cfg.hankel.k_deepc - (ctl.t_ini + ctl.horizon) + 1)
-    neural_hs, p_cols = hankel_with_params(
-        traj, ctl.t_ini, ctl.horizon, n_cols=cfg.hankel.k_neural - (ctl.t_ini + ctl.horizon) + 1
-    )
+    neural_hs, p_cols = neural_hankel_blocks(cfg, traj, ctl.t_ini, ctl.horizon)
     nh = transform_hankel(model, neural_hs, p_cols)
     nh_frozen = transform_hankel(model.frozen(), neural_hs, p_cols)
     arx = identify_arx(traj, cfg.controllers.mpc.n_a, cfg.controllers.mpc.n_b)
     return Pipeline(
         traj=traj, model=model,
         deepc_hankel=deepc_hs, neural_hankel_set=neural_hs, neural_hankel=nh,
-        frozen_hankel=nh_frozen, p_cols=p_cols, arx=arx, bfr_scores=bfr_scores,
+        frozen_hankel=nh_frozen, p_cols=p_cols, arx=arx,
     )
 
 
@@ -201,21 +201,22 @@ def controller_config(section, scenario_lb_relax: float, scenario_ub_margin: flo
     )
 
 
+# each tracking controller: its class and the Pipeline operand it is built on
+_CONTROLLERS = {
+    "npv_deepc": (NpvController, "neural_hankel"),
+    "neural_deepc": (NpvController, "frozen_hankel"),
+    "deepc": (DeepcController, "deepc_hankel"),
+    "mpc": (MpcController, "arx"),
+}
+
+
 def make_controller(name: str, cfg: RunConfig, pipe: Pipeline, box: BoxConstraints):
+    if name not in _CONTROLLERS:
+        raise ValueError(f"unknown controller {name!r}")
+    cls, operand = _CONTROLLERS[name]
     sc = cfg.scenario
-    if name == "npv_deepc":
-        c = controller_config(cfg.controllers.npv_deepc, sc.y_lb_relax, sc.y_ub_margin, box)
-        return NpvController(pipe.neural_hankel, c)
-    if name == "neural_deepc":
-        c = controller_config(cfg.controllers.neural_deepc, sc.y_lb_relax, sc.y_ub_margin, box)
-        return NpvController(pipe.frozen_hankel, c)
-    if name == "deepc":
-        c = controller_config(cfg.controllers.deepc, sc.y_lb_relax, sc.y_ub_margin, box)
-        return DeepcController(pipe.deepc_hankel, c)
-    if name == "mpc":
-        c = controller_config(cfg.controllers.mpc, sc.y_lb_relax, sc.y_ub_margin, box)
-        return MpcController(pipe.arx, c)
-    raise ValueError(f"unknown controller {name!r}")
+    return cls(getattr(pipe, operand),
+               controller_config(getattr(cfg.controllers, name), sc.y_lb_relax, sc.y_ub_margin, box))
 
 
 def piecewise(schedule, t: float) -> float:
@@ -282,45 +283,38 @@ def _run_loop(plant: SurrogatePlant, controller, u_start: np.ndarray, goal, refe
     """
     box, dt = plant.box, plant.dt
     t_ini = controller.cfg.t_ini
-
-    def measure(cem_est):
+    hist_u, hist_y, hist_p = [], [], []
+    records = []
+    cem_est = 0.0
+    for k in range(t_ini + n_steps):
+        t = k * dt
+        d_now = piecewise(d_schedule, t)
+        if k < t_ini:
+            u = u_start
+        else:
+            r_ts = piecewise(reference, t)
+            u, step = controller.solve_step(
+                np.asarray(hist_u[-t_ini:]).ravel(), np.asarray(hist_y[-t_ini:]).ravel(),
+                np.array(hist_p[-t_ini:]), goal(r_ts, cem_est), hist_u[-1] if u_prev is None else u_prev,
+            )
+            u = box.clip_u(u)
+        # the measurement of this step, taken after the solve so the goal
+        # above saw the dose estimate of the steps before it
         y_true = plant.outputs()
         y_meas = y_true + (rng_noise.normal(0.0, noise_sigma, 2) if noise_sigma else 0.0)
-        return y_true, y_meas, cem_update(cem_est, y_meas[0], dt / 60.0)
-
-    hist_u, hist_y, hist_p = [], [], []
-    cem_est = 0.0
-    for k in range(t_ini):
-        _, y_meas, cem_est = measure(cem_est)
-        hist_u.append(u_start)
-        hist_y.append(y_meas)
-        hist_p.append(piecewise(d_schedule, k * dt))
-        plant.step(u_start, hist_p[-1])
-
-    records = []
-    u_last = u_start
-    for k in range(t_ini, t_ini + n_steps):
-        t = k * dt
-        r_ts = piecewise(reference, t)
-        d_now = piecewise(d_schedule, t)
-        u, step = controller.solve_step(
-            np.asarray(hist_u[-t_ini:]).ravel(), np.asarray(hist_y[-t_ini:]).ravel(),
-            np.array(hist_p[-t_ini:]), goal(r_ts, cem_est), u_last if u_prev is None else u_prev,
-        )
-        u = box.clip_u(u)
-        y_true, y_meas, cem_est = measure(cem_est)
-        records.append(LoopRecord(
-            k=k, t=t, r_ts=r_ts, d=d_now, y_true=y_true, y_meas=y_meas, u=u,
-            cost=step.cost, iterations=step.iterations,
-            qp_iterations=step.qp_iterations, clipped=step.clipped,
-            kkt_residual=step.kkt_residual, status=step.status,
-            wall_time_s=step.wall_time_s, cem_true=plant.state.cem, cem_est=cem_est,
-        ))
+        cem_est = cem_update(cem_est, y_meas[0], dt / 60.0)
+        if k >= t_ini:
+            records.append(LoopRecord(
+                k=k, t=t, r_ts=r_ts, d=d_now, y_true=y_true, y_meas=y_meas, u=u,
+                cost=step.cost, iterations=step.iterations,
+                qp_iterations=step.qp_iterations, clipped=step.clipped,
+                kkt_residual=step.kkt_residual, status=step.status,
+                wall_time_s=step.wall_time_s, cem_true=plant.state.cem, cem_est=cem_est,
+            ))
         hist_u.append(u)
         hist_y.append(y_meas)
         hist_p.append(d_now)
         plant.step(u, d_now)
-        u_last = u
     return records
 
 
@@ -523,10 +517,7 @@ def build_cem_pipeline(cfg: RunConfig) -> NeuralHankel:
     plant = surrogate_from_config(cfg, b_s_override=cfg.cem_scenario.b_s)
     traj = build_dataset(cfg, plant=plant, label="cem-dataset")
     model, _ = train_from_config(cfg, traj, cem_cfg.t_ini, cem_cfg.horizon, label="cem-train")
-    hs, p_cols = hankel_with_params(
-        traj, cem_cfg.t_ini, cem_cfg.horizon,
-        n_cols=cfg.hankel.k_neural - (cem_cfg.t_ini + cem_cfg.horizon) + 1,
-    )
+    hs, p_cols = neural_hankel_blocks(cfg, traj, cem_cfg.t_ini, cem_cfg.horizon)
     return transform_hankel(model, hs, p_cols)
 
 
@@ -687,14 +678,7 @@ def run_verification(cfg: RunConfig, pipe: Pipeline | None = None) -> dict:
     theta_eff = pipe.model.effective_output_map()
     stack = pipe.neural_hankel.stack()
     yf_syn = theta_eff @ stack
-    hs_syn = HankelSet(
-        up=pipe.neural_hankel_set.up, yp=pipe.neural_hankel_set.yp,
-        uf=pipe.neural_hankel_set.uf, yf=yf_syn,
-        t_ini=t_ini, horizon=horizon,
-        n_u=pipe.neural_hankel_set.n_u, n_y=pipe.neural_hankel_set.n_y,
-        k_source=pipe.neural_hankel_set.k_source,
-    )
-    nh_syn = transform_hankel(pipe.model, hs_syn, pipe.p_cols)
+    nh_syn = transform_hankel(pipe.model, replace(pipe.neural_hankel_set, yf=yf_syn), pipe.p_cols)
     _, violation = lemma2_residual(nh_syn)
     rng_w = np.random.default_rng(seed_for(cfg.seed, "verify-lemma2"))
     worst = 0.0
@@ -723,7 +707,7 @@ def run_verification(cfg: RunConfig, pipe: Pipeline | None = None) -> dict:
 
         def phi_and_jacobian(u_f):
             nn_in = pipe.model.nn_input(w.u_ini, w.y_ini, u_f, w.p_hist)
-            return pipe.model.phi_hl(nn_in), pipe.model.jacobian_phi_hl_future_u_raw(nn_in)
+            return pipe.model.features(pipe.model.hyper_forward(nn_in.p_vec), nn_in.u_nn)
 
         worst_rel = max(worst_rel, check_jacobian(phi_and_jacobian, w.u_f))
     checks["jacobian_fd"] = {"passed": worst_rel < 1e-6, "max_relative_error": worst_rel}

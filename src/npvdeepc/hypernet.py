@@ -4,8 +4,9 @@ A tanh MLP maps stacked past inputs/outputs plus the candidate future inputs
 to the stacked future outputs.  The hidden-layer weights are produced by an
 affine hypernetwork conditioned on the measured scheduling-parameter history,
 so the feature basis tracks the operating condition while the output layer
-stays fixed.  Training is full-batch ADAM on mean squared error; forward,
-backward and input Jacobians are all closed-form numpy.
+stays fixed.  Training is ADAM on mean squared error, over shuffled
+minibatches or the full batch; forward, backward and input Jacobians are
+all closed-form numpy.
 
 All network-facing quantities live in min-max normalized coordinates; public
 helpers accept raw signals and normalize/denormalize at the boundary.
@@ -533,7 +534,11 @@ def _init_params(rng, layer_specs, nu_p, nu_y, sens_scale):
 
 
 def train(dataset: WindowDataset, cfg: TrainConfig, seed: int) -> HyperDnnModel:
-    """Fit the predictor on a window dataset with full-batch ADAM.
+    """Fit the predictor on a window dataset with ADAM.
+
+    Each epoch takes one step per shuffled minibatch of ``cfg.batch_size``
+    training windows, or one full-batch step when that is None or covers
+    every training window.
 
     The split is contiguous in time (leading fraction trains, trailing
     fraction validates) to keep overlapping windows out of the held-out set.

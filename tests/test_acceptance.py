@@ -144,7 +144,12 @@ def test_criterion_06_problem_size(cfg, pipe):
 
 
 def test_criterion_07_model_quality(cfg, pipe):
-    bfr_val = pipe.bfr_scores["validation"]
+    from npvdeepc.experiments import evaluate_bfr_split
+    from npvdeepc.hypernet import WindowDataset
+
+    ctl = cfg.controllers.npv_deepc
+    ds = WindowDataset.from_trajectory(pipe.traj, ctl.t_ini, ctl.horizon)
+    bfr_val = evaluate_bfr_split(pipe.model, ds, cfg.model.val_fraction)["validation"]
     ok = bfr_val is not None and bfr_val >= 85.0 and pipe.build_seconds < 600.0
     _report(
         "criterion 7: held-out BFR >= 85% within 10 min training",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,8 +11,9 @@ from npvdeepc.cli import main
 from npvdeepc.config import ConfigError, config_from_dict, config_hash, load_config
 from npvdeepc.control import ControllerConfig, check_window
 from npvdeepc.experiments import build_dataset
-from npvdeepc.hankel import TRAJECTORY_CSV_HEADER, load_trajectory_csv
+from npvdeepc.hankel import TRAJECTORY_CSV_HEADER, load_trajectory_csv, save_trajectory_csv
 from npvdeepc.hypernet import save_model
+from npvdeepc.optim import SolverError
 
 from conftest import random_model
 
@@ -219,6 +221,38 @@ class TestCliFlow:
         cfg_path = write_config(tmp_path, {"model": {"hidden_sizes": [8]}})
         assert main(["track", "--config", str(cfg_path)]) == 3
         assert "data error: kmat has rank" in capsys.readouterr().err
+
+    def test_diverged_training_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"model": {"learning_rate": 1e200, "max_epochs": 5}})
+        assert main(["collect", "--config", str(cfg_path)]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(cfg_path)]) == 4
+        assert "solver error: training diverged" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_solver_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def track_without_solution(cfg, out):
+            raise SolverError("no feasible input")
+
+        monkeypatch.setitem(cli.COMMANDS, "track", track_without_solution)
+        assert main(["track", "--config", str(write_config(tmp_path))]) == 4
+        assert "solver error: no feasible input" in capsys.readouterr().err
+
+    def test_failed_verification_exit_code(self, tmp_path, capsys):
+        # the flow held over the first k_neural samples: the inputs under the
+        # neural Hankel are not persistently exciting, and only that check fails
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["collect", "--config", str(cfg_path)]) == 0
+        traj = load_trajectory_csv(out / "dataset.csv", dt=0.5)
+        u = traj.u.copy()
+        u[:SMALL["hankel"]["k_neural"], 1] = 2.0
+        save_trajectory_csv(dataclasses.replace(traj, u=u), out / "dataset.csv")
+        assert main(["verify", "--config", str(cfg_path)]) == 5
+        report = json.loads((out / "verify_report.json").read_text())
+        assert [name for name, entry in report["checks"].items() if not entry["passed"]] == ["input_pe_rank"]
+        assert not report["all_passed"]
+        assert "verification failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, case", [
         ("train", "dataset_value"),

@@ -31,9 +31,11 @@ class RecordingCem:
     def __init__(self, nh, cfg, cem_target, dt, r_du):
         self.cfg = cfg
         self.u_prev_seen = []
+        self.goals = []
 
     def solve_step(self, u_ini, y_ini, p_hist, cem_now, u_prev):
         self.u_prev_seen.append(np.asarray(u_prev, dtype=float).copy())
+        self.goals.append(cem_now)
         return _distinct_step(len(self.u_prev_seen) - 1, self.cfg.horizon)
 
 
@@ -43,10 +45,12 @@ class RecordingTracker:
     def __init__(self, cfg):
         self.cfg = cfg
         self.calls = []
+        self.windows = []
 
     def solve_step(self, u_ini, y_ini, p_hist, goal, u_prev):
         self.calls.append((np.array(p_hist, dtype=float), np.array(goal, dtype=float),
                            np.array(u_prev, dtype=float)))
+        self.windows.append((np.array(u_ini, dtype=float), np.array(y_ini, dtype=float)))
         return _distinct_step(len(self.calls) - 1, self.cfg.horizon)
 
 
@@ -72,6 +76,29 @@ def test_tracking_loop_step_protocol():
     # the windows span every distance of the schedule and both references
     assert {tuple(p) for p, _, _ in ctl.calls} >= {(3.0, 3.0, 4.0), (4.0, 4.0, 5.0)}
     assert {g[0] for _, g, _ in ctl.calls} == {30.0, 31.0}
+
+
+def test_ambient_start_warms_up_on_the_input_floor():
+    """With ``initial: ambient`` the plant starts at ambient temperature and
+    the t_ini warm-up steps hold box.u_lo: the first step's window shows
+    both, and its u_prev is u_lo."""
+    cfg = RunConfig()
+    cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, initial="ambient"))
+    ctl = RecordingTracker(ControllerConfig(t_ini=3, horizon=4))
+    records = experiments.run_tracking_loop(cfg, ctl, 0.0, "ambient", n_steps=2)
+    plant = surrogate_from_config(cfg)
+    u_lo = np.asarray(plant.box.u_lo, dtype=float)
+    plant.reset(PlantState(d=piecewise(cfg.scenario.d_schedule, 0.0)))
+    assert plant.outputs()[0] == plant.constants.t_amb
+    y_warm = []
+    for k in range(3):
+        y_warm.append(plant.outputs())
+        plant.step(u_lo, piecewise(cfg.scenario.d_schedule, k * plant.dt))
+    u_ini, y_ini = ctl.windows[0]
+    assert np.array_equal(u_ini, np.tile(u_lo, 3))
+    assert np.array_equal(y_ini, np.ravel(y_warm))
+    assert np.array_equal(ctl.calls[0][2], u_lo)
+    assert records[0].k == 3 and np.array_equal(records[0].y_true, plant.outputs())
 
 
 def test_steps_csv_carries_solver_counts(tmp_path):
@@ -134,6 +161,25 @@ def test_cem_loop_advances_u_prev(monkeypatch):
     assert np.array_equal(seen[0], surrogate_from_config(cfg).box.u_lo)
     for k in range(1, len(records)):
         assert np.array_equal(seen[k], records[k - 1].u)
+
+
+def test_cem_goal_is_the_estimate_before_the_step(monkeypatch):
+    """A dose step's goal is the estimate over the measurements before it;
+    its own measurement, taken after the solve, enters the next goal."""
+    made = []
+
+    def factory(*args, **kwargs):
+        made.append(RecordingCem(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(experiments, "CemController", factory)
+    cfg = RunConfig()
+    cfg = dataclasses.replace(cfg, cem_scenario=dataclasses.replace(cfg.cem_scenario, n_steps=20))
+    records = run_cem_loop(cfg, None, 0.2, "goal")
+    goals = made[0].goals
+    assert records[-1].cem_est > records[-2].cem_est > 0.0  # the check below can tell the steps apart
+    assert goals[0] == 0.0  # the ambient warm-up delivers no dose
+    assert goals[1:] == [rec.cem_est for rec in records[:-1]]
 
 
 def _dose_records(cem_series, dt=0.5):

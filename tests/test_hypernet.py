@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -373,6 +375,23 @@ class TestTraining:
         m2 = train(ds, cfg, seed=7)
         for key in m1.params:
             assert np.array_equal(m1.params[key], m2.params[key])
+
+    def test_early_stopping_restores_best_epoch(self, rng):
+        # noise targets: the validation loss stops improving long before
+        # max_epochs, and the run stops `patience` epochs after its best
+        ds = toy_dataset(rng, n_windows=40)
+        cfg = TrainConfig(hidden_sizes=(8,), modulated=(True,), learning_rate=1e-2,
+                          max_epochs=2000, patience=20, val_fraction=0.35)
+        model = train(ds, cfg, seed=2)
+        h = model.history
+        assert h.stopped_epoch < cfg.max_epochs
+        assert h.stopped_epoch == h.best_epoch + cfg.patience
+        assert h.val_loss[h.best_epoch - 1] == min(h.val_loss)
+        # the same run cut at best_epoch ends on the parameters it returned
+        cut = train(ds, dataclasses.replace(cfg, max_epochs=h.best_epoch), seed=2)
+        assert cut.history.train_loss == h.train_loss[:h.best_epoch]
+        for key in model.params:
+            assert np.array_equal(model.params[key], cut.params[key]), key
 
 
 class TestModelIo:

@@ -584,6 +584,27 @@ class TestCurvatureGate:
         np.linalg.cholesky(hess + curv0)
         assert np.allclose(factors[0], hess + curv0, rtol=0.0, atol=1e-12)
 
+    def test_two_hidden_layers_solve_on_gauss_newton_model(self, setup):
+        # a deeper stack has no closed-form curvature: every subproblem runs
+        # on B alone, so none is clipped, and the steps still converge.  On B
+        # alone the SQP converges linearly; the step at 150 / 31 degC takes
+        # more than the default 50 iterations, so the cap is raised here
+        traj = setup[0]
+        ds = WindowDataset.from_trajectory(traj, T_INI, HORIZON)
+        model = train(ds, TrainConfig(hidden_sizes=(10, 10), modulated=(True, False),
+                                      max_epochs=100, patience=100), seed=0)
+        hs, p_cols = hankel_with_params(traj, T_INI, HORIZON, n_cols=200)
+        cfg = wide_cfg(max_iter=200)
+        ctrl = NpvController(transform_hankel(model, hs, p_cols), cfg)
+        for start, r_ts in ((100, 30.0), (150, 31.0), (200, 29.0)):
+            w = Window.from_trajectory(traj, start, T_INI, HORIZON)
+            layers = model.hyper_forward(model.normalize_p(w.p_hist))
+            assert model.feature_curvature(layers, np.zeros(model.nu_l), np.ones(model.nu_l)) is None
+            _, step = ctrl.solve_step(w.u_ini, w.y_ini, w.p_hist, np.array([r_ts, 40.0]), [4.0, 3.0])
+            assert step.status == "optimal", start
+            assert step.clipped == 0
+            assert step.kkt_residual <= cfg.kkt_tol
+
 
 def _mean_parameter(model) -> np.ndarray:
     """Normalized training-mean hypernet input, through the public normalize_p."""

@@ -678,6 +678,34 @@ class TestSolveSqp:
             assert diag.kkt_residual >= abs(x @ x - k), seed
         assert statuses == {"max_iter", "infeasible"}
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(1, 4),
+           qp_max_iter=st.integers(1, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_capped_subproblems_stay_in_box(self, seed, n, m, qp_max_iter):
+        # rows A x + B x^2 = b through a point of the box, solved with one or
+        # two QP iterations a subproblem: a capped step leaves the linearized
+        # rows unmet, which in most of these programs sends the SQP through
+        # the penalty raise of a step with no predicted merit reduction
+        rng = np.random.default_rng(seed)
+        a, b_sq = rng.standard_normal((m, n)), rng.standard_normal((m, n))
+        x_feas = rng.uniform(-1.0, 1.0, n)
+        b = a @ x_feas + b_sq @ x_feas ** 2
+        target = rng.uniform(-2.0, 2.0, n)
+        lb, ub = np.full(n, -2.0), np.full(n, 2.0)
+        tol = 1e-6
+
+        def cost(x):
+            return 0.5 * float((x - target) @ (x - target)), x - target, np.eye(n)
+
+        def rows(x):
+            return a @ x + b_sq @ x ** 2 - b, a + b_sq * (2.0 * x)
+
+        x, diag = solve_sqp(cost, rows, lb, ub, rng.uniform(-2.0, 2.0, n), tol=tol, qp_max_iter=qp_max_iter)
+        assert np.all(lb <= x) and np.all(x <= ub)
+        assert np.isfinite(diag.kkt_residual)
+        if diag.status == "optimal":
+            assert diag.kkt_residual <= 10 * tol
+
     def test_curvature_callback_gets_iterate_hessian_and_jacobian(self):
         def cost(x):
             return float(x @ x), 2.0 * x, np.diag([2.0, 4.0])
