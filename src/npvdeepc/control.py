@@ -13,6 +13,7 @@ an SQP otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "NonFiniteWindowError",
     "StepResult",
     "TrackingCost",
+    "check_target",
     "check_window",
 ]
 
@@ -100,7 +102,7 @@ class StepResult(SolveDiagnostics):
 
 
 class NonFiniteWindowError(ValueError):
-    """A past window holds a NaN or infinite measurement."""
+    """A past window, the reference or the previous input holds a NaN or infinite value."""
 
 
 def check_window(cfg: ControllerConfig, u_ini, y_ini, p_hist=None, n_p: int = 0):
@@ -121,10 +123,33 @@ def check_window(cfg: ControllerConfig, u_ini, y_ini, p_hist=None, n_p: int = 0)
         raise DimensionError(
             f"parameter history length {np.size(p_hist)} does not match n_p * t_ini = {n_p * cfg.t_ini}"
         )
-    for name, v in (("u_ini", u_ini), ("y_ini", y_ini), ("p_hist", p_hist)):
-        if v is not None and not np.all(np.isfinite(v)):
-            raise NonFiniteWindowError(f"{name} holds a non-finite value")
+    _check_finite(u_ini=u_ini, y_ini=y_ini, p_hist=p_hist)
     return u_ini, y_ini
+
+
+def check_target(cfg: ControllerConfig, r_vec, u_prev):
+    """The reference and the previously applied input as flat float vectors.
+
+    ``r_vec`` must hold one value per output and ``u_prev`` one per input.
+    As in :func:`check_window`, a wrong length raises DimensionError and a
+    non-finite value NonFiniteWindowError.
+    """
+    r_vec = np.asarray(r_vec, dtype=float).ravel()
+    u_prev = np.asarray(u_prev, dtype=float).ravel()
+    if r_vec.size != cfg.n_y or u_prev.size != cfg.n_u:
+        raise DimensionError(
+            f"reference and previous input lengths ({r_vec.size}, {u_prev.size}) do not match "
+            f"n_y = {cfg.n_y} and n_u = {cfg.n_u}"
+        )
+    _check_finite(r_vec=r_vec, u_prev=u_prev)
+    return r_vec, u_prev
+
+
+def _check_finite(**vectors) -> None:
+    for name, v in vectors.items():
+        # the array method, not np.all: the same test without its dispatch
+        if v is not None and not np.isfinite(v).all():
+            raise NonFiniteWindowError(f"{name} holds a non-finite value")
 
 
 class TrackingCost:
@@ -195,7 +220,8 @@ class HorizonController:
     """One receding-horizon step over z = (u, y), shared by every controller.
 
     The box ``lb``/``ub`` over z is built once.  A step checks the window,
-    calls the subclass's :meth:`_solve` and builds the :class:`StepResult`.
+    the reference and the previous input, calls the subclass's
+    :meth:`_solve` and builds the :class:`StepResult`.
     ``n_p`` counts the parameter channels the predictor reads; with 0,
     ``p_hist`` is ignored.
     """
@@ -218,7 +244,7 @@ class HorizonController:
         """Solve the program for the current window and return the first input."""
         cfg = self.cfg
         u_ini, y_ini = check_window(cfg, u_ini, y_ini, p_hist if self.n_p else None, self.n_p)
-        u_prev = np.asarray(u_prev, dtype=float)
+        r_vec, u_prev = check_target(cfg, r_vec, u_prev)
         z, diag, extras = self._solve(u_ini, y_ini, p_hist, r_vec, u_prev)
         nu = self.cost.nu
         u_seq = z[:nu].reshape(cfg.horizon, cfg.n_u)
@@ -248,6 +274,14 @@ class LinearQpController(HorizonController):
     unconstrained minimizer (``cfg.warm_start`` does not apply) and raises
     :class:`SolverError` on an infeasible program.  Neither linear predictor
     uses the parameter, so ``p_hist`` is ignored.
+
+    In the first case only g changes from step to step: the first step
+    builds the box-only :class:`~npvdeepc.optim.QpProblem` once, with its
+    side scales and scaled limits, and every step passes its g through
+    :meth:`~npvdeepc.optim.QpProblem.with_g`.  From then on ``lb`` and ``ub``
+    are read-only, so a write raises instead of leaving that program stale.
+    In the second case the row limits move with f, and each step builds its
+    program.
     """
 
     gamma: np.ndarray | None = None
@@ -257,14 +291,18 @@ class LinearQpController(HorizonController):
         """Controller-specific entries of :attr:`StepResult.extras`."""
         return {}
 
+    @cached_property
+    def _box_qp(self) -> QpProblem:
+        """The box-only program over z with g = 0, built at the first step without an output map."""
+        self.lb.flags.writeable = self.ub.flags.writeable = False
+        return QpProblem(h_factor=self.h_factor, g=np.zeros(self.lb.size), lb=self.lb, ub=self.ub)
+
     def _solve(self, u_ini, y_ini, p_hist, r_vec, u_prev):
         w_ini = np.concatenate([u_ini, y_ini])
         g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
         nu = self.cost.nu
         if self.gamma is None:
-            problem = QpProblem(
-                h_factor=self.h_factor, g=np.concatenate([g_u, g_y]) + self.g_ini @ w_ini, lb=self.lb, ub=self.ub
-            )
+            problem = self._box_qp.with_g(np.concatenate([g_u, g_y]) + self.g_ini @ w_ini)
         else:
             f = self.y_map @ w_ini + self.y_0
             g = self.gamma.T @ (g_y + 2.0 * self.cost.q_bar * f)

@@ -17,13 +17,22 @@ form.  The linear controllers start each QP cold; each SQP subproblem
 after the first starts from the working set of the one before.  Every
 solve returns its point and one :class:`SolveDiagnostics`.
 
+A solve pays only for what changes and for its iterations.  A
+:class:`QpProblem` builds its rows' side limits and scales once, as
+vectors, and a program whose only change is g keeps them
+(:meth:`QpProblem.with_g`), as a linear controller's box-only program does
+from step to step.  A box-only program carries no identity matrix: its
+rows are the bounds, addressed by index.  A solve that ends with no active
+row skips the active-set terms of its KKT residual, which are all zero.
+
 Everything is dense numpy; problem sizes stay in the hundreds.
 """
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,8 +104,16 @@ class QpProblem:
     """min 0.5 x'Hx + g'x  s.t.  lb <= x <= ub,  c_lo <= C x <= c_hi.
 
     H is positive definite and given only as its :class:`HessianFactor`.
-    Bounds and row limits may be +-inf.  A bound or row with equal limits
-    is an ordinary two-sided row, so it holds as an equality.
+    ``g`` must be finite.  Bounds and row limits may be +-inf but not NaN.
+    A bound or row with equal limits is an ordinary two-sided row, so it
+    holds as an equality.
+
+    Construction also builds the side data :func:`solve_qp` reads, three
+    vectors over the 2 (n + m) sides of the rows (bounds first, then the
+    general rows; lower sides, then upper): ``lim``, each side's limit in
+    ``side * a_k'x >= lim``; ``scale`` = 1 / (1 + |limit|), 1 on an infinite
+    side; and ``lim_scaled`` = ``scale * lim``.  A program that changes
+    only its g from one solve to the next keeps them: :meth:`with_g`.
     """
 
     h_factor: HessianFactor
@@ -106,9 +123,12 @@ class QpProblem:
     c: np.ndarray | None = None
     c_lo: np.ndarray | None = None
     c_hi: np.ndarray | None = None
+    lim: np.ndarray = field(init=False, repr=False)
+    scale: np.ndarray = field(init=False, repr=False)
+    lim_scaled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float).ravel()
+        self.g = _finite_g(self.g)
         n = self.g.size
         if self.h_factor.n != n:
             raise ValueError(f"h_factor size {self.h_factor.n} does not match g length {n}")
@@ -116,8 +136,11 @@ class QpProblem:
         self.ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float).ravel()
         if self.lb.size != n or self.ub.size != n:
             raise ValueError("bound lengths do not match the variable count")
+        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
+            raise ValueError("bounds must not be NaN")
         if (self.lb > self.ub).any():
             raise ValueError("bounds must satisfy lb <= ub")
+        lo, hi = self.lb, self.ub
         if self.c is not None:
             self.c = np.atleast_2d(np.asarray(self.c, dtype=float))
             m = self.c.shape[0]
@@ -125,12 +148,39 @@ class QpProblem:
             self.c_hi = np.full(m, np.inf) if self.c_hi is None else np.asarray(self.c_hi, dtype=float).ravel()
             if self.c.shape[1] != n or self.c_lo.size != m or self.c_hi.size != m:
                 raise ValueError(f"C shape {self.c.shape} or its limits do not match n={n}")
+            if np.isnan(self.c_lo).any() or np.isnan(self.c_hi).any():
+                raise ValueError("row limits must not be NaN")
             if (self.c_lo > self.c_hi).any():
                 raise ValueError("row limits must satisfy c_lo <= c_hi")
+            lo, hi = np.concatenate([lo, self.c_lo]), np.concatenate([hi, self.c_hi])
+        self.lim = np.concatenate([lo, -hi])
+        self.scale = 1.0 / (1.0 + np.where(np.isfinite(self.lim), np.abs(self.lim), 0.0))
+        self.lim_scaled = self.lim * self.scale
 
     @property
     def n(self) -> int:
         return self.g.size
+
+    def with_g(self, g) -> QpProblem:
+        """This program with the linear term ``g``.
+
+        Only ``g`` is checked.  Every other array, the side data included,
+        is shared with this program rather than copied or checked again, so
+        neither program may be written into.
+        """
+        prob = copy.copy(self)
+        prob.g = _finite_g(g, self.n)
+        return prob
+
+
+def _finite_g(g, n: int | None = None) -> np.ndarray:
+    """``g`` as a flat float vector; raises ValueError when it is not finite or not n long."""
+    g = np.asarray(g, dtype=float).ravel()
+    if n is not None and g.size != n:
+        raise ValueError(f"g has {g.size} entries, the program {n} variables")
+    if not np.isfinite(g).all():
+        raise ValueError("g must be finite")
+    return g
 
 
 class HessianFactor:
@@ -198,7 +248,9 @@ def solve_qp(
 
     The rows are the bounds and then the general rows, stacked as
     ``A = [I; C]`` with limits ``lo <= A x <= hi``; a row is active on one
-    side, as ``side * a_k'x >= side * limit``.  With H^-1 = J J', J starts as
+    side, as ``side * a_k'x >= side * limit``.  A program without general
+    rows never forms A: bound row k is the unit vector e_k, and its sides'
+    scaled values are ``scale * (+-x)``.  With H^-1 = J J', J starts as
     L^-T and is kept as J0 Q, where Q'L^-1 N = [T; 0] for the active normals
     N, so the step that adds a normal n is z = J2 J2'n and the multiplier
     change is T^-1 J1'n.  T^-1 is kept alongside T: an add borders it, a
@@ -234,16 +286,16 @@ def solve_qp(
     """
     t0 = time.perf_counter()
     n = prob.n
-    a = np.eye(n) if prob.c is None else np.vstack([np.eye(n), prob.c])
-    lo = prob.lb if prob.c is None else np.concatenate([prob.lb, prob.c_lo])
-    hi = prob.ub if prob.c is None else np.concatenate([prob.ub, prob.c_hi])
-    n_rows = lo.size
     # both sides as rows of  side * A x >= lim,  scaled by 1 / (1 + |limit|)
-    lim = np.concatenate([lo, -hi])
-    scale = 1.0 / (1.0 + np.where(np.isfinite(lim), np.abs(lim), 0.0))
-    a_sides = np.vstack([a, -a])
-    a_scaled = a_sides * scale[:, None]
-    lim_scaled = lim * scale
+    lim, scale, lim_scaled = prob.lim, prob.scale, prob.lim_scaled
+    n_rows = lim.size // 2
+    if prob.c is None:
+        # the rows are the bounds, A = I: a side's scaled value is scale * (+-x)
+        a = a_sides = None
+    else:
+        a = np.vstack([np.eye(n), prob.c])
+        a_sides = np.vstack([a, -a])
+        a_scaled = a_sides * scale[:, None]
 
     j_mat = prob.h_factor.j0.copy()
     x = -(j_mat @ (j_mat.T @ prob.g))
@@ -309,7 +361,8 @@ def solve_qp(
         start = np.asarray(start, dtype=int)
         ks = start[:, 0] + (start[:, 1] < 0) * n_rows
         ks = ks[np.isfinite(lim[ks])]
-        d = (a_sides[ks] @ j_mat).T  # J'N
+        sides_n = np.vstack([np.eye(n), -np.eye(n)]) if a_sides is None else a_sides
+        d = (sides_n[ks] @ j_mat).T  # J'N
         jg0 = j_mat.T @ prob.g
         while ks.size:
             p = ks.size
@@ -349,7 +402,7 @@ def solve_qp(
         its += 1
 
     while status == "optimal":
-        w = a_scaled @ x - lim_scaled
+        w = scale * np.concatenate([x, -x]) - lim_scaled if a is None else a_scaled @ x - lim_scaled
         w[blocked] = np.inf
         k = int(w.argmin())
         if w[k] >= -tol:
@@ -358,7 +411,7 @@ def solve_qp(
             status = "max_iter"
             break
         row, side = (k, 1.0) if k < n_rows else (k - n_rows, -1.0)
-        nv = side * a[row]
+        nv = side * (np.eye(1, n, row)[0] if a is None else a[row])
         b_p = lim[k]
         u_p = 0.0
         while True:
@@ -391,23 +444,35 @@ def solve_qp(
                 status = "max_iter"
                 break
 
-    act = np.asarray(rows, dtype=int)
-    act_side = np.asarray(sides, dtype=float)
-    limit = np.where(act_side > 0, lo[act], hi[act])
-    on_bound = act < n
-    x[act[on_bound]] = limit[on_bound]
+    # the finish: with no active row, the active-set terms below are all zero
+    lo, hi = lim[:n_rows], -lim[n_rows:]
+    if q:
+        act = np.asarray(rows, dtype=int)
+        act_side = np.asarray(sides, dtype=float)
+        limit = np.where(act_side > 0, lo[act], hi[act])
+        on_bound = act < n
+        x[act[on_bound]] = limit[on_bound]
     x = np.minimum(np.maximum(x, prob.lb), prob.ub)  # np.clip without its overhead
 
     l_fac = prob.h_factor.l
-    stat = l_fac @ (l_fac.T @ x) + prob.g - a[act].T @ (act_side * mult[:q])
-    v = a @ x
+    stat = l_fac @ (l_fac.T @ x) + prob.g
+    v = x if a is None else a @ x
     # array methods, not np.max: the same reductions without its dispatch
     viol = max(float((lo - v).max(initial=0.0)), float((v - hi).max(initial=0.0)))
-    off = float(np.abs(v[act] - limit).max(initial=0.0))
-    wrong_sign = float((-mult[:q]).max(initial=0.0))
+    off = wrong_sign = 0.0
     row_mult = np.zeros(n_rows - n)
-    general = act >= n
-    row_mult[act[general] - n] = -(act_side * mult[:q])[general]
+    if q:
+        signed = act_side * mult[:q]
+        if a is None:
+            n_u = np.zeros(n)  # N u, the bounds' normals being unit vectors
+            n_u[act] = signed
+            stat -= n_u
+        else:
+            stat -= a[act].T @ signed
+        off = float(np.abs(v[act] - limit).max())
+        wrong_sign = float((-mult[:q]).max())
+        general = act >= n
+        row_mult[act[general] - n] = -signed[general]
     kkt = max(float(np.abs(stat).max(initial=0.0)), viol, off, wrong_sign)
     diag = SolveDiagnostics(
         status=status, iterations=its, kkt_residual=kkt, wall_time_s=time.perf_counter() - t0,

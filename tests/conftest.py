@@ -1,6 +1,11 @@
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from npvdeepc.config import load_config
+from npvdeepc.experiments import build_pipeline
 from npvdeepc.hankel import Trajectory
 from npvdeepc.hypernet import (
     ChannelScaler,
@@ -13,6 +18,24 @@ from npvdeepc.hypernet import (
     train,
 )
 from npvdeepc.plant import LtiPlant
+
+
+CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
+
+
+@pytest.fixture(scope="session")
+def cfg():
+    """The desk-scale configuration."""
+    return load_config(CONFIG_PATH)
+
+
+@pytest.fixture(scope="session")
+def pipe(cfg):
+    """The desk pipeline (dataset, trained model, operators), built once per session."""
+    t0 = time.perf_counter()
+    p = build_pipeline(cfg)
+    p.build_seconds = time.perf_counter() - t0
+    return p
 
 
 @pytest.fixture
@@ -85,3 +108,82 @@ def toy_dataset(rng, n_windows=20, t_ini=2, horizon=3, n_u=2, n_y=2, n_p=1) -> W
         t_ini=t_ini,
         horizon=horizon,
     )
+
+
+def _nnls(a, b):
+    """argmin |a w - b| over w >= 0, by the Lawson-Hanson active set.
+
+    Lawson & Hanson, *Solving Least Squares Problems* (1974), ch. 23: move
+    the column with the largest positive gradient into the passive set,
+    solve least squares on that set, and step back to the last nonnegative
+    point, dropping the columns that reach zero, until the passive solution
+    is nonnegative.  On nearly parallel columns the gradient's sign is lost
+    in rounding, so where no gradient is positive a column still enters if
+    least squares with it gives it a positive weight and a smaller residual.
+    """
+    n = a.shape[1]
+    w = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+
+    def least_squares(cols):
+        s = np.zeros(n)
+        s[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+        return s
+
+    def entering():
+        grad = a.T @ (b - a @ w)
+        grad[passive] = -np.inf
+        if grad.max() > 0.0:
+            return int(grad.argmax())
+        res = np.linalg.norm(b - a @ w)
+        for k in np.flatnonzero(~passive):
+            s = least_squares(passive | (np.arange(n) == k))
+            if s[k] > 0.0 and np.linalg.norm(b - a @ s) < res:
+                return k
+        return None
+
+    for _ in range(3 * n):
+        j = entering()
+        if j is None:
+            break
+        passive[j] = True
+        s = least_squares(passive)
+        while (passive & (s < 0.0)).any():
+            neg = np.flatnonzero(passive & (s < 0.0))
+            ratio = w[neg] / (w[neg] - s[neg])
+            w += ratio.min() * (s - w)
+            w[neg[ratio.argmin()]] = 0.0
+            passive &= w > 0.0
+            s = least_squares(passive)
+        w = s
+    return w
+
+
+def _kkt_certificate(h, g, lb, ub, c, lo, hi, x, tol=1e-8) -> bool:
+    """Whether x satisfies the KKT conditions of the QP, checked without a solver.
+
+    x must be feasible.  Every side of a bound or row that holds at x gives a
+    normal (+a for a lower side, -a for an upper one), and nonnegative
+    multipliers on those normals, fitted by :func:`_nnls`, must balance the
+    gradient.  An equal-limit row holds on both sides, so its multiplier is
+    free.  For a strictly convex H that makes x the unique minimizer; unlike
+    a plain least-squares fit, the fit finds nonnegative multipliers where
+    the active normals are dependent, as at a degenerate vertex.
+    """
+    if _violation(x, lb, ub, c, lo, hi) > tol:
+        return False
+    a = np.vstack([np.eye(g.size), c])
+    v = a @ x
+    lo_all, hi_all = np.concatenate([lb, lo]), np.concatenate([ub, hi])
+    at_lo = np.isfinite(lo_all) & (np.abs(v - lo_all) <= tol * (1.0 + np.abs(lo_all)))
+    at_hi = np.isfinite(hi_all) & (np.abs(v - hi_all) <= tol * (1.0 + np.abs(hi_all)))
+    normals = np.vstack([a[at_lo], -a[at_hi]]).T
+    grad = h @ x + g
+    stat = np.max(np.abs(grad - normals @ _nnls(normals, grad)), initial=0.0)
+    return bool(stat <= tol * (1.0 + np.max(np.abs(grad))))
+
+
+def _violation(x, lb, ub, c, lo, hi) -> float:
+    v = np.concatenate([x, c @ x])
+    lo, hi = np.concatenate([lb, lo]), np.concatenate([ub, hi])
+    return float(max(np.max(lo - v, initial=0.0), np.max(v - hi, initial=0.0)))

@@ -3,7 +3,8 @@
 Each test implements one release criterion at its stated tolerance and prints
 one PASS/FAIL line.  The heavy products (dataset, trained model, Hankel
 operators, benchmark runs) are built once per session from the desk-scale
-configuration in ``configs/desk.yaml`` with a fixed seed.  A few guards
+configuration in ``configs/desk.yaml`` with a fixed seed (the ``cfg`` and
+``pipe`` fixtures live in ``conftest.py``).  A few guards
 without a criterion of their own read the same products.
 """
 
@@ -15,16 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from npvdeepc.config import load_config
 from npvdeepc.experiments import (
-    build_pipeline,
     run_bench,
     run_cem,
     run_distance_sweep,
     run_verification,
 )
-
-CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
 
 _RESULTS = []
 
@@ -34,20 +31,6 @@ def _report(criterion: str, passed: bool, detail: str = "") -> None:
     print(line)
     _RESULTS.append(line)
     assert passed, line
-
-
-@pytest.fixture(scope="session")
-def cfg():
-    config = load_config(CONFIG_PATH)
-    return config
-
-
-@pytest.fixture(scope="session")
-def pipe(cfg):
-    t0 = time.perf_counter()
-    p = build_pipeline(cfg)
-    p.build_seconds = time.perf_counter() - t0
-    return p
 
 
 @pytest.fixture(scope="session")

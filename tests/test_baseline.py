@@ -374,6 +374,10 @@ def test_wrong_window_length_raises_dimension_error(kind):
     if kind == "npv":
         with pytest.raises(DimensionError, match="parameter history length"):
             ctrl.solve_step(np.zeros(n), np.zeros(n), p_hist[1:], np.zeros(2), np.zeros(2))
+    # the reference and the previous input, one value per output and input
+    for r_vec, u_prev in ((np.zeros(1), np.zeros(2)), (np.zeros(2), np.zeros(1)), (np.zeros(3), np.zeros(2))):
+        with pytest.raises(DimensionError, match="reference and previous input lengths"):
+            ctrl.solve_step(np.zeros(n), np.zeros(n), p_hist, r_vec, u_prev)
 
 
 @pytest.mark.parametrize("kind", ["deepc", "mpc", "npv"])
@@ -389,11 +393,14 @@ def test_non_finite_window_rejected(kind, monkeypatch):
     monkeypatch.setattr(npv, "solve_sqp", no_solve)
     # the linear predictors ignore the parameter history
     names = ("u_ini", "y_ini", "p_hist") if kind == "npv" else ("u_ini", "y_ini")
-    for name, bad in zip(names, (np.inf, np.nan, np.nan)):
-        window = {"u_ini": np.full(n, 0.5), "y_ini": np.full(n, 0.5), "p_hist": np.full(cfg.t_ini, 4.0)}
+    bads = (np.inf, np.nan, np.nan)[:len(names)] + (np.nan, -np.inf)
+    # the reference and the previous input are checked as well
+    for name, bad in zip(names + ("r_vec", "u_prev"), bads):
+        window = {"u_ini": np.full(n, 0.5), "y_ini": np.full(n, 0.5), "p_hist": np.full(cfg.t_ini, 4.0),
+                  "r_vec": np.full(2, 0.5), "u_prev": np.full(2, 0.5)}
         window[name][-1] = bad
         with pytest.raises(NonFiniteWindowError, match=name):
-            ctrl.solve_step(window["u_ini"], window["y_ini"], window["p_hist"], np.zeros(2), np.zeros(2))
+            ctrl.solve_step(window["u_ini"], window["y_ini"], window["p_hist"], window["r_vec"], window["u_prev"])
 
 
 @pytest.mark.parametrize("warm_start", [True, False])

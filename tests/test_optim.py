@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import _kkt_certificate, _violation
 from npvdeepc import optim
 from npvdeepc.optim import (
     HessianFactor,
@@ -155,6 +156,38 @@ class TestSolveQp:
         with pytest.raises(IndefiniteHessianError):
             QpProblem(h_factor=HessianFactor(np.diag([1.0, -1.0])), g=np.zeros(2))
 
+    def test_non_finite_g_and_nan_limits_rejected(self):
+        # lb > ub is False for NaN, so NaN limits need a check of their own;
+        # infinite limits stay allowed
+        factor, c = HessianFactor(np.eye(2)), np.ones((1, 2))
+        for bad in ({"g": [np.nan, 0.0]}, {"g": [np.inf, 0.0]}, {"lb": [np.nan, 0.0]}, {"ub": [0.0, np.nan]},
+                    {"c": c, "c_lo": [np.nan]}, {"c": c, "c_hi": [np.nan]}):
+            with pytest.raises(ValueError, match="finite|NaN"):
+                QpProblem(**{"h_factor": factor, "g": np.zeros(2), **bad})
+        prob = QpProblem(h_factor=factor, g=np.zeros(2), lb=[-np.inf, 0.0], ub=[np.inf, np.inf],
+                         c=c, c_lo=[-np.inf], c_hi=[1.0])
+        with pytest.raises(ValueError, match="finite"):
+            prob.with_g([0.0, -np.inf])
+        with pytest.raises(ValueError, match="entries"):
+            prob.with_g(np.zeros(3))
+
+    def test_with_g_shares_the_fixed_part(self):
+        # a program that changes only g solves as one built from scratch,
+        # and shares every other array with the program it came from
+        rng = np.random.default_rng(4)
+        h, g, lb, ub, c, lo, hi = _row_qp(rng, 6, 4, pinned_rows=1)
+        factor = HessianFactor(h)
+        for rows in ({}, {"c": c, "c_lo": lo, "c_hi": hi}):
+            prob = QpProblem(h_factor=factor, g=np.zeros(6), lb=lb, ub=ub, **rows)
+            step = prob.with_g(g)
+            assert prob.g.max() == prob.g.min() == 0.0
+            for name in ("lb", "ub", "c", "c_lo", "c_hi", "lim", "scale", "lim_scaled"):
+                assert getattr(step, name) is getattr(prob, name), name
+            x, diag = solve_qp(step, tol=1e-10)
+            x_ref, ref = solve_qp(QpProblem(h_factor=factor, g=g, lb=lb, ub=ub, **rows), tol=1e-10)
+            assert np.array_equal(x, x_ref) and diag.kkt_residual == ref.kkt_residual
+            assert np.array_equal(diag.working_set, ref.working_set) and len(diag.working_set)
+
 
 def _row_qp(rng, n, m, pinned_rows=0, pinned_bounds=0):
     """A random strictly convex QP with bounds and two-sided general rows.
@@ -178,85 +211,6 @@ def _row_qp(rng, n, m, pinned_rows=0, pinned_bounds=0):
     lo[:pinned_rows] = hi[:pinned_rows] = inside[:pinned_rows]
     lb[:pinned_bounds] = ub[:pinned_bounds] = x_inside[:pinned_bounds]
     return h, g, lb, ub, c, lo, hi
-
-
-def _nnls(a, b):
-    """argmin |a w - b| over w >= 0, by the Lawson-Hanson active set.
-
-    Lawson & Hanson, *Solving Least Squares Problems* (1974), ch. 23: move
-    the column with the largest positive gradient into the passive set,
-    solve least squares on that set, and step back to the last nonnegative
-    point, dropping the columns that reach zero, until the passive solution
-    is nonnegative.  On nearly parallel columns the gradient's sign is lost
-    in rounding, so where no gradient is positive a column still enters if
-    least squares with it gives it a positive weight and a smaller residual.
-    """
-    n = a.shape[1]
-    w = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-
-    def least_squares(cols):
-        s = np.zeros(n)
-        s[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
-        return s
-
-    def entering():
-        grad = a.T @ (b - a @ w)
-        grad[passive] = -np.inf
-        if grad.max() > 0.0:
-            return int(grad.argmax())
-        res = np.linalg.norm(b - a @ w)
-        for k in np.flatnonzero(~passive):
-            s = least_squares(passive | (np.arange(n) == k))
-            if s[k] > 0.0 and np.linalg.norm(b - a @ s) < res:
-                return k
-        return None
-
-    for _ in range(3 * n):
-        j = entering()
-        if j is None:
-            break
-        passive[j] = True
-        s = least_squares(passive)
-        while (passive & (s < 0.0)).any():
-            neg = np.flatnonzero(passive & (s < 0.0))
-            ratio = w[neg] / (w[neg] - s[neg])
-            w += ratio.min() * (s - w)
-            w[neg[ratio.argmin()]] = 0.0
-            passive &= w > 0.0
-            s = least_squares(passive)
-        w = s
-    return w
-
-
-def _kkt_certificate(h, g, lb, ub, c, lo, hi, x, tol=1e-8) -> bool:
-    """Whether x satisfies the KKT conditions of the QP, checked without a solver.
-
-    x must be feasible.  Every side of a bound or row that holds at x gives a
-    normal (+a for a lower side, -a for an upper one), and nonnegative
-    multipliers on those normals, fitted by :func:`_nnls`, must balance the
-    gradient.  An equal-limit row holds on both sides, so its multiplier is
-    free.  For a strictly convex H that makes x the unique minimizer; unlike
-    a plain least-squares fit, the fit finds nonnegative multipliers where
-    the active normals are dependent, as at a degenerate vertex.
-    """
-    if _violation(x, lb, ub, c, lo, hi) > tol:
-        return False
-    a = np.vstack([np.eye(g.size), c])
-    v = a @ x
-    lo_all, hi_all = np.concatenate([lb, lo]), np.concatenate([ub, hi])
-    at_lo = np.isfinite(lo_all) & (np.abs(v - lo_all) <= tol * (1.0 + np.abs(lo_all)))
-    at_hi = np.isfinite(hi_all) & (np.abs(v - hi_all) <= tol * (1.0 + np.abs(hi_all)))
-    normals = np.vstack([a[at_lo], -a[at_hi]]).T
-    grad = h @ x + g
-    stat = np.max(np.abs(grad - normals @ _nnls(normals, grad)), initial=0.0)
-    return bool(stat <= tol * (1.0 + np.max(np.abs(grad))))
-
-
-def _violation(x, lb, ub, c, lo, hi) -> float:
-    v = np.concatenate([x, c @ x])
-    lo, hi = np.concatenate([lb, lo]), np.concatenate([ub, hi])
-    return float(max(np.max(lo - v, initial=0.0), np.max(v - hi, initial=0.0)))
 
 
 class TestHessianFactor:
@@ -527,6 +481,31 @@ def _degenerate_qp(rng, n, extra, duplicates=0, near_parallel=0, pinned=0):
     return h, g, lb, ub, c, v - gap_lo, v + gap_hi, x_star
 
 
+def _box_vertex_qp(rng, n, pinned=0):
+    """A strictly convex box-only QP whose minimizer x* lies on its bounds.
+
+    Each variable is free, at its lower bound or at its upper bound, and an
+    active bound's multiplier is zero for about 40 % of them, so x* can be
+    a degenerate vertex.  The first ``pinned`` variables have equal bounds
+    at x*, with a multiplier of either sign that is also zero for about
+    40 % of them.  The other bounds stay at least 0.1 away.  g makes the
+    multipliers balance H x* + g, so x* is the unique minimizer.  Returns
+    (h, g, lb, ub, x*).
+    """
+    a = rng.standard_normal((n, n))
+    h = a.T @ a + 0.1 * np.eye(n)
+    x_star = rng.uniform(-1.0, 1.0, n)
+    lb, ub = x_star - rng.uniform(0.1, 1.0, n), x_star + rng.uniform(0.1, 1.0, n)
+    at = rng.integers(0, 3, n)  # 0 free, 1 at the lower bound, 2 at the upper
+    lb[at == 1], ub[at == 2] = x_star[at == 1], x_star[at == 2]
+    mult = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.6)
+    bound_mult = np.where(at == 1, mult, np.where(at == 2, -mult, 0.0))
+    p = min(pinned, n)
+    lb[:p] = ub[:p] = x_star[:p]
+    bound_mult[:p] = rng.uniform(-2.0, 2.0, p) * (rng.random(p) < 0.6)
+    return h, -h @ x_star + bound_mult, lb, ub, x_star
+
+
 class TestCertificate:
     """Degenerate vertices that the solver and the certificate must both handle,
     and near misses the certificate must reject."""
@@ -561,6 +540,24 @@ class TestCertificate:
         x_hot, hot = solve_qp(prob, tol=1e-10, start=cold.working_set)
         assert hot.status == "optimal" and hot.kkt_residual <= 1e-8
         assert np.max(np.abs(x_hot - x)) <= 1e-9
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), pinned=st.integers(0, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_box_as_bounds_and_as_rows(self, seed, n, pinned):
+        # a box-only program, solved with no identity rows, and the same box
+        # written as general rows C = I with infinite bounds: one minimizer,
+        # certified both ways, also where equal bounds pass through a
+        # degenerate vertex
+        h, g, lb, ub, x_star = _box_vertex_qp(np.random.default_rng(seed), n, pinned)
+        factor = HessianFactor(h)
+        x_box, box = solve_qp(QpProblem(h_factor=factor, g=g, lb=lb, ub=ub), tol=1e-10)
+        x_row, row = solve_qp(QpProblem(h_factor=factor, g=g, c=np.eye(n), c_lo=lb, c_hi=ub), tol=1e-10)
+        assert box.status == row.status == "optimal"
+        assert max(box.kkt_residual, row.kkt_residual) <= 1e-8
+        assert np.max(np.abs(x_box - x_row)) <= 1e-9
+        assert np.max(np.abs(x_box - x_star)) <= 1e-7
+        assert _kkt_certificate(h, g, lb, ub, np.zeros((0, n)), np.zeros(0), np.zeros(0), x_box)
+        assert _kkt_certificate(h, g, np.full(n, -np.inf), np.full(n, np.inf), np.eye(n), lb, ub, x_row)
 
     def test_rejects_moved_and_tightened_solutions(self):
         # a minimizer moved by 1e-6, and the minimizer of the program with
