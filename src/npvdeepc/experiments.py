@@ -150,10 +150,8 @@ class Pipeline:
     traj: Trajectory
     model: HyperDnnModel
     deepc_hankel: HankelSet
-    neural_hankel_set: HankelSet
     neural_hankel: NeuralHankel
     frozen_hankel: NeuralHankel
-    p_cols: np.ndarray
     arx: ArxModel
 
 
@@ -185,8 +183,7 @@ def build_pipeline(
     arx = identify_arx(traj, cfg.controllers.mpc.n_a, cfg.controllers.mpc.n_b)
     return Pipeline(
         traj=traj, model=model,
-        deepc_hankel=deepc_hs, neural_hankel_set=neural_hs, neural_hankel=nh,
-        frozen_hankel=nh_frozen, p_cols=p_cols, arx=arx,
+        deepc_hankel=deepc_hs, neural_hankel=nh, frozen_hankel=nh_frozen, arx=arx,
     )
 
 
@@ -678,7 +675,8 @@ def run_verification(cfg: RunConfig, pipe: Pipeline | None = None) -> dict:
     theta_eff = pipe.model.effective_output_map()
     stack = pipe.neural_hankel.stack()
     yf_syn = theta_eff @ stack
-    nh_syn = transform_hankel(pipe.model, replace(pipe.neural_hankel_set, yf=yf_syn), pipe.p_cols)
+    neural_hs, p_cols = neural_hankel_blocks(cfg, pipe.traj, t_ini, horizon)
+    nh_syn = transform_hankel(pipe.model, replace(neural_hs, yf=yf_syn), p_cols)
     _, violation = lemma2_residual(nh_syn)
     rng_w = np.random.default_rng(seed_for(cfg.seed, "verify-lemma2"))
     worst = 0.0
@@ -707,7 +705,7 @@ def run_verification(cfg: RunConfig, pipe: Pipeline | None = None) -> dict:
 
         def phi_and_jacobian(u_f):
             nn_in = pipe.model.nn_input(w.u_ini, w.y_ini, u_f, w.p_hist)
-            return pipe.model.features(pipe.model.hyper_forward(nn_in.p_vec), nn_in.u_nn)
+            return pipe.model.features(pipe.model.hyper_forward(nn_in.p_vec), nn_in.u_nn)[:2]
 
         worst_rel = max(worst_rel, check_jacobian(phi_and_jacobian, w.u_f))
     checks["jacobian_fd"] = {"passed": worst_rel < 1e-6, "max_relative_error": worst_rel}

@@ -9,6 +9,7 @@ operational form of the fundamental lemma for LTI behaviors.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -271,7 +272,7 @@ def load_trajectory_csv(path, dt: float) -> Trajectory:
     """Read a ``k,P,q,Ts,Tg,d`` file back into a Trajectory.
 
     The sample period is not stored in the file; it travels with the run
-    configuration.
+    configuration.  A NaN or infinite value raises ValueError naming its line.
     """
     path = Path(path)
     rows = []
@@ -283,7 +284,10 @@ def load_trajectory_csv(path, dt: float) -> Trajectory:
         for row in reader:
             if len(row) != len(header):
                 raise DimensionError(f"line {reader.line_num} of {path} has {len(row)} fields, not {len(header)}")
-            rows.append([float(v) for v in row[1:]])
+            values = [float(v) for v in row[1:]]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"line {reader.line_num} of {path} holds a non-finite value")
+            rows.append(values)
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise DimensionError(f"empty trajectory file {path}")

@@ -237,8 +237,7 @@ class HyperDnnModel:
 
     def phi_hl(self, nn_in: NnInput) -> np.ndarray:
         """Feature vector of the last hidden layer; components in (-1, 1)."""
-        z, _ = _tanh_stack(self.hyper_forward(nn_in.p_vec), nn_in.u_nn, self.dims.future_u_slice)
-        return z
+        return _tanh_stack(self.hyper_forward(nn_in.p_vec), nn_in.u_nn, self.dims.future_u_slice)[-1][0]
 
     def phi_hl_batch(self, u_nn: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Batched feature map: (B, nu_u), (B, nu_p) -> (B, nu_L)."""
@@ -254,14 +253,13 @@ class HyperDnnModel:
         weights are constants with respect to the future inputs and the chain
         rule runs through the tanh layers alone.
         """
-        _, jac = self.features(self.hyper_forward(nn_in.p_vec), nn_in.u_nn)
+        _, jac, _ = self.features(self.hyper_forward(nn_in.p_vec), nn_in.u_nn)
         return jac
 
-    def phi_curvature_future_u_raw(self, nn_in: NnInput, weights: np.ndarray) -> np.ndarray | None:
-        """Weighted second derivative sum_k weights_k * d2(phi_k)/du_f du_f."""
+    def phi_curvature_future_u_raw(self, nn_in: NnInput, weights: np.ndarray) -> np.ndarray:
+        """Weighted second derivative sum_k weights_k * d2(phi_k)/du_f du_f, at any depth."""
         layers = self.hyper_forward(nn_in.p_vec)
-        z, _ = _tanh_stack(layers, nn_in.u_nn, self.dims.future_u_slice)
-        return self.feature_curvature(layers, z, weights)
+        return self.feature_curvature(layers, _tanh_stack(layers, nn_in.u_nn, self.dims.future_u_slice), weights)
 
     # ----- per-step maps under fixed hidden weights -----------------------
     #
@@ -269,30 +267,42 @@ class HyperDnnModel:
     # controller step computes ``hyper_forward`` once and passes the layer
     # list to these for every candidate input of its solve.
 
-    def features(self, layers, u_nn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Feature vector and its raw future-input Jacobian, from one forward pass.
+    def features(self, layers, u_nn: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        """Feature vector, its raw future-input Jacobian and the pass's tape.
 
         ``layers`` is the ``hyper_forward`` list of the step's parameter
-        vector and ``u_nn`` the normalized network input.
+        vector and ``u_nn`` the normalized network input.  The tape holds
+        each layer's activation and pre-activation Jacobian, which is all
+        :meth:`feature_curvature` needs, so one forward pass serves the
+        features, the Jacobian and the curvature.
         """
-        z, jac = _tanh_stack(layers, u_nn, self.dims.future_u_slice)
-        return z, jac * self._future_u_gain[None, :]
+        tape = _tanh_stack(layers, u_nn, self.dims.future_u_slice)
+        z, a = tape[-1]
+        return z, (1.0 - z ** 2)[:, None] * a * self._future_u_gain[None, :], tape
 
-    def feature_curvature(self, layers, z: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+    def feature_curvature(self, layers, tape, weights: np.ndarray) -> np.ndarray:
         """Weighted raw future-input curvature sum_k weights_k * d2(phi_k)/du_f du_f.
 
-        Closed form for the single-hidden-layer architecture (d2 tanh =
-        -2 tanh (1 - tanh^2)) at the activation ``z`` :meth:`features`
-        returned, with no forward pass of its own; deeper stacks return None
-        and the caller falls back to the Gauss-Newton model.  The block is
-        exact and may be indefinite: the caller decides whether the local
-        program is convex enough to use it unclipped.
+        One adjoint pass over the ``tape`` of :meth:`features` (Pearlmutter,
+        "Fast exact multiplication by the Hessian", 1994), exact at every
+        depth: with lam_L = weights and A_l the layer's pre-activation
+        Jacobian in raw units, the curvature is
+        sum_l A_l' diag(-2 z_l (1 - z_l^2) lam_l) A_l, since d2 tanh =
+        -2 tanh (1 - tanh^2), and lam_{l-1} = W_l' ((1 - z_l^2) lam_l)
+        carries the weights back a layer.  The block is exact and may be
+        indefinite: the caller decides whether the local program is convex
+        enough to use it unclipped.
         """
-        if len(layers) != 1:
-            return None
-        w_f = layers[0][0][:, self.dims.future_u_slice] * self._future_u_gain[None, :]
-        coef = -2.0 * z * (1.0 - z ** 2) * np.asarray(weights, dtype=float)
-        return (w_f * coef[:, None]).T @ w_f
+        lam = np.asarray(weights, dtype=float)
+        terms = []
+        for i in reversed(range(len(tape))):
+            z, a = tape[i]
+            a = a * self._future_u_gain[None, :]
+            coef = -2.0 * z * (1.0 - z ** 2) * lam
+            terms.append((a * coef[:, None]).T @ a)
+            if i:
+                lam = layers[i][0].T @ ((1.0 - z ** 2) * lam)
+        return sum(terms[1:], terms[0])
 
     @functools.cached_property
     def _future_u_gain(self) -> np.ndarray:
@@ -319,20 +329,23 @@ def _hidden_layers(layer_specs, params, p_vec) -> list[tuple[np.ndarray, np.ndar
     ]
 
 
-def _tanh_stack(layers, u_nn, future: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Last hidden activation of one input and its Jacobian wrt ``u_nn[future]``.
+def _tanh_stack(layers, u_nn, future: slice) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each hidden layer's activation z_l and pre-activation Jacobian A_l wrt
+    ``u_nn[future]``, for one input.
 
-    The only per-sample pass through the tanh layers; every per-sample map of
+    A_1 = W_1[:, future] and A_l = W_l diag(1 - z_{l-1}^2) A_{l-1}.  The only
+    per-sample pass through the tanh layers; every per-sample map of
     ``HyperDnnModel`` goes through it.
     """
     z = np.asarray(u_nn, dtype=float).ravel()
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite network input")
-    jac = None
+    tape = []
     for w, b in layers:
+        a = w[:, future] if not tape else w @ ((1.0 - z ** 2)[:, None] * tape[-1][1])
         z = np.tanh(w @ z + b)
-        jac = (1.0 - z ** 2)[:, None] * (w[:, future] if jac is None else w @ jac)
-    return z, jac
+        tape.append((z, a))
+    return tape
 
 
 # --------------------------------------------------------------------------
@@ -691,10 +704,43 @@ def load_model(path) -> HyperDnnModel:
         p=ChannelScaler(**doc["scalers"]["p"]),
     )
     p_mean = doc.get("p_train_mean")
-    return HyperDnnModel(
-        dims=dims,
-        layer_specs=specs,
-        params=params,
-        scalers=scalers,
-        p_train_mean=None if p_mean is None else np.asarray(p_mean, dtype=float),
-    )
+    p_mean = None if p_mean is None else np.asarray(p_mean, dtype=float)
+    _check_structure(dims, specs, params, scalers, p_mean)
+    return HyperDnnModel(dims=dims, layer_specs=specs, params=params, scalers=scalers, p_train_mean=p_mean)
+
+
+def _check_structure(dims: ModelDims, specs: list[LayerSpec], params, scalers: Scalers, p_mean) -> None:
+    """Raise ValueError unless the layers chain from the network input, every
+    parameter a layer's kind needs has the shape the dims and specs imply, each
+    scaler (and the training-mean parameter) has one entry per channel, and
+    every value is finite with lo < hi in each scaler channel."""
+    if not specs:
+        raise ValueError("model has no hidden layer")
+    shapes = {}
+    in_dim = dims.nu_u
+    for i, spec in enumerate(specs):
+        out, inp = spec.out_dim, spec.in_dim
+        if inp != in_dim:
+            raise ValueError(f"layer {i} takes {inp} inputs, expected {in_dim}")
+        in_dim = out
+        if spec.kind == "hyper":
+            shapes.update({f"h{i}_base_w": (out, inp), f"h{i}_base_b": (out,),
+                           f"h{i}_sens_w": (dims.nu_p, out, inp), f"h{i}_sens_b": (out, dims.nu_p)})
+        else:
+            shapes.update({f"f{i}_w": (out, inp), f"f{i}_b": (out,)})
+    shapes.update({"out_w": (dims.nu_y, in_dim), "out_b": (dims.nu_y,)})
+    for name, shape in shapes.items():
+        if name not in params:
+            raise ValueError(f"missing parameter {name}")
+        if params[name].shape != shape:
+            raise ValueError(f"parameter {name} has shape {params[name].shape}, expected {shape}")
+        if not np.all(np.isfinite(params[name])):
+            raise ValueError(f"parameter {name} holds a non-finite value")
+    for name, n_ch in (("u", dims.n_u), ("y", dims.n_y), ("p", dims.n_p)):
+        scaler = getattr(scalers, name)
+        if scaler.lo.size != n_ch or scaler.hi.size != n_ch:
+            raise ValueError(f"scaler {name} has {scaler.lo.size} / {scaler.hi.size} entries, expected {n_ch}")
+        if not np.all(np.isfinite(scaler.lo) & np.isfinite(scaler.hi) & (scaler.hi > scaler.lo)):
+            raise ValueError(f"scaler {name} needs finite lo < hi in every channel")
+    if p_mean is not None and (p_mean.size != dims.nu_p or not np.all(np.isfinite(p_mean))):
+        raise ValueError(f"p_train_mean needs {dims.nu_p} finite entries, got {p_mean.tolist()}")

@@ -201,8 +201,10 @@ class NpvController(HorizonController):
     is positive definite as every ``r`` weight is positive.  The output box
     enters as the rows y_lo <= y(u) <= y_hi.  The curvature term is
     C = sum_i w_i d2y_i/du2 with w = g_y plus the row multipliers, so B + C
-    is the Lagrangian's exact Hessian; :func:`solve_sqp` keeps C unclipped
-    where B + C has a Cholesky factor.  Construction fails with
+    is the Lagrangian's exact Hessian at every network depth: C comes from
+    one adjoint pass over the candidate's ``features`` tape
+    (:meth:`HyperDnnModel.feature_curvature`).  :func:`solve_sqp` keeps C
+    unclipped where B + C has a Cholesky factor.  Construction fails with
     :class:`RankDeficientError` unless kmat has full column rank: a kernel
     direction of kmat would leave an output correction free that this
     program does not carry.
@@ -267,11 +269,11 @@ class NpvController(HorizonController):
             for seen, point in cache:
                 if seen == key:
                     return point
-            phi, jac_phi = self.model.features(layers, self._network_input(u_ini_n, y_ini_n, u))
+            phi, jac_phi, tape = self.model.features(layers, self._network_input(u_ini_n, y_ini_n, u))
             y = theta @ np.concatenate([phi, [1.0]])
             jac = theta_feat @ jac_phi
             f, g_u, g_y, h_uu, h_yy = parts(u, y)
-            point = (phi, y, jac, g_y, (f, g_u + jac.T @ g_y, h_uu + jac.T @ h_yy @ jac))
+            point = (tape, y, jac, g_y, (f, g_u + jac.T @ g_y, h_uu + jac.T @ h_yy @ jac))
             cache[:] = [(key, point)] + cache[:1]
             return point
 
@@ -283,11 +285,11 @@ class NpvController(HorizonController):
             return y[r0:], jac[r0:]
 
         def lag_hess(u, lam, hess, jac):
-            phi, _, _, g_y, _ = at(u)
+            tape, _, _, g_y, _ = at(u)
             w = g_y.copy()
             w[r0:] += lam
-            block = self.model.feature_curvature(layers, phi, theta_feat.T @ w)
-            return None if block is None else 0.5 * (block + block.T)
+            block = self.model.feature_curvature(layers, tape, theta_feat.T @ w)
+            return 0.5 * (block + block.T)
 
         return cost_fn, row_fn, lag_hess, lambda u: at(u)[1]
 

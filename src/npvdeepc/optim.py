@@ -504,8 +504,9 @@ def solve_sqp(
             analytic Jacobian; pass None when unconstrained.
         lb, ub: variable bounds (+-inf allowed).
         x0: start point, clipped into the bounds.
-        lag_hess_fn: optional (x, lam, hess, jac) -> curvature term C added
-            to the subproblem Hessian, or None for none.  ``lam`` holds the
+        lag_hess_fn: (x, lam, hess, jac) -> curvature term C, an array
+            added to the subproblem Hessian; only the function itself may
+            be None, for no curvature term.  ``lam`` holds the
             last subproblem's row multipliers (zero at first), signed so
             that ``grad + jac' lam`` vanishes on the free variables at a KKT
             point; ``hess`` and ``jac`` are the cost Hessian and the row

@@ -262,6 +262,12 @@ class TestCliFlow:
         ("track", "model_without_layer_specs"),
         ("verify", "model_schema_version"),
         ("verify", "model_not_an_object"),
+        ("verify", "model_without_sens_w"),
+        ("verify", "model_out_w_short"),
+        ("verify", "model_layer_out_dim"),
+        ("verify", "model_scaler_channels"),
+        ("train", "dataset_nan"),
+        ("track", "dataset_nan"),
     ])
     def test_corrupt_file_exit_code(self, tmp_path, capsys, command, case):
         cfg_path = write_config(tmp_path)
@@ -292,9 +298,17 @@ class TestCliFlow:
 
 
 def _corrupt_file(out: Path, case: str) -> Path:
-    """Write the corrupt dataset or model file of ``case`` into ``out``; returns its path."""
+    """Write the corrupt dataset or model file of ``case`` into ``out``; returns its path.
+
+    A model file is a random model at the horizons of ``SMALL``, so that only
+    its corruption can keep the pipeline from being built on it.
+    """
     if case.startswith("dataset"):
-        row = "0,abc,2.0,30.0,40.0,3.0" if case == "dataset_value" else "0,4.0,2.0,30.0"
+        row = {
+            "dataset_value": "0,abc,2.0,30.0,40.0,3.0",
+            "dataset_short_row": "0,4.0,2.0,30.0",
+            "dataset_nan": "0,4.0,2.0,nan,40.0,3.0",
+        }[case]
         path = out / "dataset.csv"
         path.write_text(",".join(TRAJECTORY_CSV_HEADER) + "\n" + row + "\n")
         return path
@@ -302,10 +316,18 @@ def _corrupt_file(out: Path, case: str) -> Path:
     if case in ("model_not_json", "model_not_an_object"):
         path.write_text('{"schema_version": 1, "dims": ' if case == "model_not_json" else "[1, 2]")
         return path
-    save_model(random_model(np.random.default_rng(0)), path)
+    save_model(random_model(np.random.default_rng(0), t_ini=4, horizon=6, hidden=(16,)), path)
     doc = json.loads(path.read_text())
     if case == "model_without_layer_specs":
         del doc["layer_specs"]
+    elif case == "model_without_sens_w":
+        del doc["params"]["h0_sens_w"]
+    elif case == "model_out_w_short":
+        doc["params"]["out_w"] = [row[:-1] for row in doc["params"]["out_w"]]
+    elif case == "model_layer_out_dim":
+        doc["layer_specs"][0]["out_dim"] = 15
+    elif case == "model_scaler_channels":
+        doc["scalers"]["u"] = {"lo": [-1.0], "hi": [1.0]}
     else:
         doc["schema_version"] = 99
     path.write_text(json.dumps(doc))

@@ -174,3 +174,18 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert np.array_equal(back.u, traj.u)
     assert np.array_equal(back.y, traj.y)
     assert np.array_equal(back.p, traj.p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_trajectory_csv_rejects_non_finite_value(tmp_path, value):
+    # the value on the file's fourth line (third sample) names that line
+    traj = lti_trajectory(6, seed=12)
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(Trajectory(u=traj.u, y=traj.y, p=np.ones((6, 1)), dt=0.5), path)
+    lines = path.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[3] = value
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 4 of .* non-finite"):
+        load_trajectory_csv(path, dt=0.5)

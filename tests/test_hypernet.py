@@ -289,18 +289,24 @@ class TestJacobian:
         scale = max(np.max(np.abs(analytic)), 1e-8)
         assert np.max(np.abs(fd - analytic)) / scale < 1e-6
 
-    def test_curvature_at_features_activation(self, rng):
-        # the weighted curvature from the activation features returned, against
-        # central differences of the weighted Jacobian; the wrapper agrees
+    @pytest.mark.parametrize("hidden, modulated", [
+        ((6,), (True,)),
+        ((5, 4), (True, False)),
+        ((4, 5, 3), (True, False, True)),
+    ], ids=["one_layer", "two_layers", "three_layers"])
+    def test_curvature_at_features_activation(self, rng, hidden, modulated):
+        # the weighted curvature from the tape features returned, against
+        # central differences of the weighted Jacobian, at every depth; it is
+        # symmetric to rounding and the wrapper agrees
         for trial in range(5):
-            model = random_model(rng, hidden=(6,), modulated=(True,))
+            model = random_model(rng, hidden=hidden, modulated=modulated)
             d = model.dims
             nn_in = model.nn_input(rng.uniform(-0.8, 0.8, d.t_ini * d.n_u), rng.uniform(-0.8, 0.8, d.t_ini * d.n_y),
                                    rng.uniform(-0.8, 0.8, d.horizon * d.n_u), rng.uniform(-0.8, 0.8, d.t_ini * d.n_p))
             layers = model.hyper_forward(nn_in.p_vec)
             weights = rng.standard_normal(model.nu_l)
-            z, _ = model.features(layers, nn_in.u_nn)
-            curv = model.feature_curvature(layers, z, weights)
+            _, _, tape = model.features(layers, nn_in.u_nn)
+            curv = model.feature_curvature(layers, tape, weights)
             gain = np.tile(model.scalers.u.gain, d.horizon)
             step = 1e-6
             fd = np.zeros_like(curv)
@@ -310,7 +316,9 @@ class TestJacobian:
                 hi = model.features(layers, nn_in.u_nn + e)[1].T @ weights
                 lo = model.features(layers, nn_in.u_nn - e)[1].T @ weights
                 fd[:, j] = (hi - lo) / (2 * step)
-            assert np.max(np.abs(fd - curv)) / max(np.max(np.abs(curv)), 1e-8) < 1e-6
+            scale = max(np.max(np.abs(curv)), 1e-8)
+            assert np.max(np.abs(fd - curv)) / scale < 1e-6
+            assert np.max(np.abs(curv - curv.T)) / scale < 1e-13
             assert np.array_equal(model.phi_curvature_future_u_raw(nn_in, weights), curv)
 
     def test_zero_weights_zero_jacobian(self, rng):
@@ -318,13 +326,13 @@ class TestJacobian:
         model.params["h0_base_w"][:] = 0.0
         model.params["h0_sens_w"][:] = 0.0
         layers = model.hyper_forward(np.full(model.dims.nu_p, 0.2))
-        _, jac = model.features(layers, rng.uniform(-1, 1, model.dims.nu_u))
+        _, jac, _ = model.features(layers, rng.uniform(-1, 1, model.dims.nu_u))
         assert np.array_equal(jac, np.zeros((model.nu_l, model.dims.n_u * model.dims.horizon)))
 
     def test_jacobian_shape_excludes_past(self, rng):
         model = random_model(rng)
         d = model.dims
-        _, jac = model.features(model.hyper_forward(np.zeros(d.nu_p)), rng.uniform(-1, 1, d.nu_u))
+        _, jac, _ = model.features(model.hyper_forward(np.zeros(d.nu_p)), rng.uniform(-1, 1, d.nu_u))
         assert jac.shape == (model.nu_l, d.n_u * d.horizon)
         assert d.future_u_slice.stop - d.future_u_slice.start == d.n_u * d.horizon
         assert d.future_u_slice.stop == d.nu_u
@@ -394,6 +402,20 @@ class TestTraining:
             assert np.array_equal(model.params[key], cut.params[key]), key
 
 
+# the load_model error of each malformed file in TestModelIo::test_structure_checked
+MALFORMED_MODEL_FILES = {
+    "no_layers": "no hidden layer",
+    "layer_chain": "layer 1 takes 6 inputs, expected 5",
+    "fixed_bias": r"f1_b has shape \(3,\), expected \(4,\)",
+    "sens_b": "missing parameter h0_sens_b",
+    "out_b": r"out_b has shape \(5,\), expected \(6,\)",
+    "scaler_p": "scaler p has 2 / 2 entries, expected 1",
+    "p_train_mean": r"p_train_mean needs 2 finite entries, got \[0.0, 0.0, 0.0\]",
+    "nan_parameter": "parameter out_b holds a non-finite value",
+    "flat_scaler": "scaler u needs finite lo < hi in every channel",
+}
+
+
 class TestModelIo:
     def test_bit_exact_roundtrip(self, rng, tmp_path):
         ds = toy_dataset(rng, n_windows=30)
@@ -440,4 +462,36 @@ class TestModelIo:
         doc["schema_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="schema"):
+            load_model(path)
+
+    @pytest.mark.parametrize("case", list(MALFORMED_MODEL_FILES))
+    def test_structure_checked(self, rng, tmp_path, case):
+        # a file that parses but does not describe one consistent network
+        # fails at load, naming what is wrong; the intact file loads
+        import json
+
+        path = tmp_path / "model.json"
+        save_model(random_model(rng, hidden=(5, 4), modulated=(True, False)), path)
+        load_model(path)
+        doc = json.loads(path.read_text())
+        if case == "no_layers":
+            doc["layer_specs"] = []
+        elif case == "layer_chain":
+            doc["layer_specs"][1]["in_dim"] = 6
+        elif case == "fixed_bias":
+            doc["params"]["f1_b"] = doc["params"]["f1_b"][:3]
+        elif case == "sens_b":
+            del doc["params"]["h0_sens_b"]
+        elif case == "out_b":
+            doc["params"]["out_b"] = doc["params"]["out_b"][:5]
+        elif case == "scaler_p":
+            doc["scalers"]["p"] = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+        elif case == "nan_parameter":
+            doc["params"]["out_b"][0] = float("nan")
+        elif case == "flat_scaler":
+            doc["scalers"]["u"]["hi"][1] = doc["scalers"]["u"]["lo"][1]
+        else:
+            doc["p_train_mean"] = [0.0, 0.0, 0.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=MALFORMED_MODEL_FILES[case]):
             load_model(path)

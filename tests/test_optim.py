@@ -714,7 +714,7 @@ class TestSolveSqp:
 
         def lag_hess(x, lam, hess, jac):
             seen.append((x.copy(), hess, jac))
-            return None
+            return np.zeros((2, 2))
 
         solve_sqp(cost, eq, np.full(2, -10.0), np.full(2, 10.0), x0=np.array([1.0, 1.0]),
                   lag_hess_fn=lag_hess)
