@@ -175,6 +175,7 @@ class MpcController(LinearQpController):
         self.y_0 = m[:, -1].copy()
         # h_u is positive definite (every move weight r > 0), so the factor exists
         self.h_factor = HessianFactor(self.cost.h_u + self.gamma.T @ self.cost.h_y @ self.gamma)
+        self._fold_operators()
 
     # an entry of its own, so profilers and perfbench time each controller apart
     solve_step = HorizonController.solve_step

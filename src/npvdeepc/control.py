@@ -197,6 +197,13 @@ class TrackingCost:
         g_u = -2.0 * self.diff.T @ (self._r_bar * (self.e_prev @ np.asarray(u_prev, dtype=float)))
         return g_u, g_y
 
+    def linear_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G_u, G_y) with (g_u, g_y) = (G_u u_prev, G_y r_vec): :meth:`linear_terms`, column by column."""
+        n_u, n_y = self.cfg.n_u, self.cfg.n_y
+        g_u = np.column_stack([self.linear_terms(np.zeros(n_y), e)[0] for e in np.eye(n_u)])
+        g_y = np.column_stack([self.linear_terms(e, np.zeros(n_u))[1] for e in np.eye(n_y)])
+        return g_u, g_y
+
     def value(self, u_seq: np.ndarray, y_seq: np.ndarray, r_vec, u_prev) -> float:
         """Direct evaluation of the tracking cost from horizon sequences.
 
@@ -263,7 +270,8 @@ class HorizonController:
 class LinearQpController(HorizonController):
     """Receding-horizon control by one strictly convex condensed QP per step.
 
-    A subclass constructor only builds the fixed operators: ``h_factor``, the
+    A subclass constructor builds the fixed operators and then calls
+    :meth:`_fold_operators`.  The operators are ``h_factor``, the
     :class:`~npvdeepc.optim.HessianFactor` of the condensed Hessian, and for
     the past window w_ini = (u_ini, y_ini) either ``g_ini`` with ``gamma``
     None, or the output map y = ``gamma`` x + f, f = ``y_map`` w_ini + ``y_0``
@@ -275,13 +283,16 @@ class LinearQpController(HorizonController):
     :class:`SolverError` on an infeasible program.  Neither linear predictor
     uses the parameter, so ``p_hist`` is ignored.
 
-    In the first case only g changes from step to step: the first step
-    builds the box-only :class:`~npvdeepc.optim.QpProblem` once, with its
-    side scales and scaled limits, and every step passes its g through
-    :meth:`~npvdeepc.optim.QpProblem.with_g`.  From then on ``lb`` and ``ub``
-    are read-only, so a write raises instead of leaving that program stale.
-    In the second case the row limits move with f, and each step builds its
-    program.
+    The QP's linear term is affine in the step's data: g = ``g_map``
+    (w_ini, r, u_prev) + ``g_0``, the tracking cost's terms and the
+    window's folded into one matrix and one vector that
+    :meth:`_fold_operators` builds with the other operators.  The first
+    step builds the :class:`~npvdeepc.optim.QpProblem` once, with g = 0 and,
+    with an output map, the rows and their stacked sides.  Every step forms
+    g with one product and passes it, and with an output map the row limits
+    of its f, through :meth:`~npvdeepc.optim.QpProblem.with_g`.  From the
+    first step on ``lb`` and ``ub`` are read-only, so a write raises instead
+    of leaving that program stale.
     """
 
     gamma: np.ndarray | None = None
@@ -291,30 +302,56 @@ class LinearQpController(HorizonController):
         """Controller-specific entries of :attr:`StepResult.extras`."""
         return {}
 
+    def _fold_operators(self) -> None:
+        """Build ``g_map`` and ``g_0`` from the operators and the tracking cost.
+
+        Over z the linear term is g_z = (G_u u_prev, G_y r + 2 q_bar f), f
+        the free response (zero without an output map), plus ``g_ini``
+        w_ini; over x, with z = T x + (0, f) and T = [I 0; gamma], it is
+        T' g_z plus ``g_ini`` w_ini.
+        """
+        cfg, nu = self.cfg, self.cost.nu
+        n_ini = cfg.t_ini * (cfg.n_u + cfg.n_y)
+        g_u, g_y = self.cost.linear_maps()
+        # columns over the stacked (w_ini, r, u_prev)
+        g_map = np.zeros((nu + self.cost.ny, n_ini + cfg.n_y + cfg.n_u))
+        g_map[:nu, n_ini + cfg.n_y:] = g_u
+        g_map[nu:, n_ini:n_ini + cfg.n_y] = g_y
+        g_0 = np.zeros(g_map.shape[0])
+        if self.gamma is not None:
+            two_q = 2.0 * self.cost.q_bar
+            g_map[nu:, :n_ini] = two_q[:, None] * self.y_map
+            g_0[nu:] = two_q * self.y_0
+            t = np.vstack([np.eye(nu, self.gamma.shape[1]), self.gamma])
+            g_map, g_0 = t.T @ g_map, t.T @ g_0
+        if self.g_ini is not None:
+            g_map[:, :n_ini] += self.g_ini
+        self.g_map, self.g_0 = g_map, g_0
+
     @cached_property
-    def _box_qp(self) -> QpProblem:
-        """The box-only program over z with g = 0, built at the first step without an output map."""
+    def _qp(self) -> QpProblem:
+        """The program with g = 0, built at the first step; the box is read-only from then on."""
         self.lb.flags.writeable = self.ub.flags.writeable = False
-        return QpProblem(h_factor=self.h_factor, g=np.zeros(self.lb.size), lb=self.lb, ub=self.ub)
+        if self.gamma is None:
+            return QpProblem(h_factor=self.h_factor, g=np.zeros(self.g_0.size), lb=self.lb, ub=self.ub)
+        nu = self.cost.nu
+        v_free = np.full(self.g_0.size - nu, np.inf)
+        return QpProblem(
+            h_factor=self.h_factor, g=np.zeros(self.g_0.size),
+            lb=np.concatenate([self.lb[:nu], -v_free]), ub=np.concatenate([self.ub[:nu], v_free]),
+            c=self.gamma, c_lo=self.lb[nu:], c_hi=self.ub[nu:],
+        )
 
     def _solve(self, u_ini, y_ini, p_hist, r_vec, u_prev):
-        w_ini = np.concatenate([u_ini, y_ini])
-        g_u, g_y = self.cost.linear_terms(r_vec, u_prev)
+        data = np.concatenate([u_ini, y_ini, r_vec, u_prev])
+        w_ini = data[:u_ini.size + y_ini.size]
+        g = self.g_map @ data + self.g_0
         nu = self.cost.nu
         if self.gamma is None:
-            problem = self._box_qp.with_g(np.concatenate([g_u, g_y]) + self.g_ini @ w_ini)
+            problem = self._qp.with_g(g)
         else:
             f = self.y_map @ w_ini + self.y_0
-            g = self.gamma.T @ (g_y + 2.0 * self.cost.q_bar * f)
-            if self.g_ini is not None:
-                g += self.g_ini @ w_ini
-            g[:nu] += g_u
-            v_free = np.full(g.size - nu, np.inf)
-            problem = QpProblem(
-                h_factor=self.h_factor, g=g,
-                lb=np.concatenate([self.lb[:nu], -v_free]), ub=np.concatenate([self.ub[:nu], v_free]),
-                c=self.gamma, c_lo=self.lb[nu:] - f, c_hi=self.ub[nu:] - f,
-            )
+            problem = self._qp.with_g(g, self.lb[nu:] - f, self.ub[nu:] - f)
         x, diag = solve_qp(problem, tol=min(self.cfg.kkt_tol, 1e-8), max_iter=self.cfg.qp_max_iter)
         if diag.status == "infeasible":
             raise SolverError(

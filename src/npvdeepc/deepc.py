@@ -67,6 +67,7 @@ class DeepcController(LinearQpController):
         super().__init__(cfg)
         self.n_g = hankel_set.n_cols
         self._condense(hankel_set)
+        self._fold_operators()
 
     def _condense(self, hs: HankelSet) -> None:
         """Eliminate w = (g, sigma) from the QP, then y where rows fix it.

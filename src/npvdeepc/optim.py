@@ -19,11 +19,15 @@ solve returns its point and one :class:`SolveDiagnostics`.
 
 A solve pays only for what changes and for its iterations.  A
 :class:`QpProblem` builds its rows' side limits and scales once, as
-vectors, and a program whose only change is g keeps them
-(:meth:`QpProblem.with_g`), as a linear controller's box-only program does
-from step to step.  A box-only program carries no identity matrix: its
-rows are the bounds, addressed by index.  A solve that ends with no active
-row skips the active-set terms of its KKT residual, which are all zero.
+vectors, and with general rows stacks their sides once; a program whose
+rows stay fixed shares all of it and takes a new g, and new row limits,
+through :meth:`QpProblem.with_g`, as a linear controller's program does
+from step to step (the explicit-MPC view of Bemporad, Morari, Dua &
+Pistikopoulos, Automatica 2002: the QP's data are affine in the step's
+parameter, and only that part moves).  A bound row is never a vector:
+its J'n is a row of J and its n'x an entry of x, in a box-only program
+and beside general rows alike.  A solve that ends with no active row
+skips the active-set terms of its KKT residual, which are all zero.
 
 Everything is dense numpy; problem sizes stay in the hundreds.
 """
@@ -31,6 +35,7 @@ Everything is dense numpy; problem sizes stay in the hundreds.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -104,16 +109,20 @@ class QpProblem:
     """min 0.5 x'Hx + g'x  s.t.  lb <= x <= ub,  c_lo <= C x <= c_hi.
 
     H is positive definite and given only as its :class:`HessianFactor`.
-    ``g`` must be finite.  Bounds and row limits may be +-inf but not NaN.
-    A bound or row with equal limits is an ordinary two-sided row, so it
-    holds as an equality.
+    ``g`` must be finite.  Bounds and row limits may be infinite, but not
+    NaN, and no lower limit may be +inf nor upper limit -inf: such a row
+    admits no x.  A bound or row with equal limits is an ordinary two-sided
+    row, so it holds as an equality.
 
     Construction also builds the side data :func:`solve_qp` reads, three
     vectors over the 2 (n + m) sides of the rows (bounds first, then the
     general rows; lower sides, then upper): ``lim``, each side's limit in
     ``side * a_k'x >= lim``; ``scale`` = 1 / (1 + |limit|), 1 on an infinite
-    side; and ``lim_scaled`` = ``scale * lim``.  A program that changes
-    only its g from one solve to the next keeps them: :meth:`with_g`.
+    side; and ``lim_scaled`` = ``scale * lim``.  With general rows it stacks
+    the sides' normals once, ``a_sides`` = [I; C; -I; -C]; without them
+    there is no matrix, the rows being the bounds.  A program whose general
+    rows stay fixed from one solve to the next takes a new g, and new row
+    limits, through :meth:`with_g`.
     """
 
     h_factor: HessianFactor
@@ -126,34 +135,29 @@ class QpProblem:
     lim: np.ndarray = field(init=False, repr=False)
     scale: np.ndarray = field(init=False, repr=False)
     lim_scaled: np.ndarray = field(init=False, repr=False)
+    a_sides: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.g = _finite_g(self.g)
         n = self.g.size
         if self.h_factor.n != n:
             raise ValueError(f"h_factor size {self.h_factor.n} does not match g length {n}")
-        self.lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float).ravel()
-        self.ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float).ravel()
-        if self.lb.size != n or self.ub.size != n:
-            raise ValueError("bound lengths do not match the variable count")
-        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
-            raise ValueError("bounds must not be NaN")
-        if (self.lb > self.ub).any():
-            raise ValueError("bounds must satisfy lb <= ub")
-        lo, hi = self.lb, self.ub
+        self.lb, self.ub = _limits(self.lb, self.ub, n, "bounds")
         if self.c is not None:
             self.c = np.atleast_2d(np.asarray(self.c, dtype=float))
-            m = self.c.shape[0]
-            self.c_lo = np.full(m, -np.inf) if self.c_lo is None else np.asarray(self.c_lo, dtype=float).ravel()
-            self.c_hi = np.full(m, np.inf) if self.c_hi is None else np.asarray(self.c_hi, dtype=float).ravel()
-            if self.c.shape[1] != n or self.c_lo.size != m or self.c_hi.size != m:
-                raise ValueError(f"C shape {self.c.shape} or its limits do not match n={n}")
-            if np.isnan(self.c_lo).any() or np.isnan(self.c_hi).any():
-                raise ValueError("row limits must not be NaN")
-            if (self.c_lo > self.c_hi).any():
-                raise ValueError("row limits must satisfy c_lo <= c_hi")
-            lo, hi = np.concatenate([lo, self.c_lo]), np.concatenate([hi, self.c_hi])
-        self.lim = np.concatenate([lo, -hi])
+            if self.c.shape[1] != n:
+                raise ValueError(f"C shape {self.c.shape} does not match n={n}")
+            self.c_lo, self.c_hi = _limits(self.c_lo, self.c_hi, self.c.shape[0], "row limits")
+            a = np.vstack([np.eye(n), self.c])
+            self.a_sides = np.vstack([a, -a])
+        self._side_data()
+
+    def _side_data(self) -> None:
+        """``lim``, ``scale`` and ``lim_scaled`` from the limits."""
+        if self.c is None:
+            self.lim = np.concatenate([self.lb, -self.ub])
+        else:
+            self.lim = np.concatenate([self.lb, self.c_lo, -self.ub, -self.c_hi])
         self.scale = 1.0 / (1.0 + np.where(np.isfinite(self.lim), np.abs(self.lim), 0.0))
         self.lim_scaled = self.lim * self.scale
 
@@ -161,15 +165,26 @@ class QpProblem:
     def n(self) -> int:
         return self.g.size
 
-    def with_g(self, g) -> QpProblem:
-        """This program with the linear term ``g``.
+    def with_g(self, g, c_lo=None, c_hi=None) -> QpProblem:
+        """This program with the linear term ``g`` and, if given, new row limits.
 
-        Only ``g`` is checked.  Every other array, the side data included,
-        is shared with this program rather than copied or checked again, so
-        neither program may be written into.
+        Only what is given is checked: ``g``, and ``c_lo`` and ``c_hi`` as
+        at construction (against the limits kept where only one is given).
+        New row limits rebuild ``lim``, ``scale`` and ``lim_scaled``.  Every
+        other array, the factor, C, the bounds and the stacked sides
+        included, is shared with this program rather than copied or checked
+        again, so neither program may be written into.
         """
         prob = copy.copy(self)
         prob.g = _finite_g(g, self.n)
+        if c_lo is not None or c_hi is not None:
+            if self.c is None:
+                raise ValueError("a program without general rows takes no row limits")
+            prob.c_lo, prob.c_hi = _limits(
+                self.c_lo if c_lo is None else c_lo, self.c_hi if c_hi is None else c_hi,
+                self.c.shape[0], "row limits",
+            )
+            prob._side_data()
         return prob
 
 
@@ -181,6 +196,27 @@ def _finite_g(g, n: int | None = None) -> np.ndarray:
     if not np.isfinite(g).all():
         raise ValueError("g must be finite")
     return g
+
+
+def _limits(lo, hi, m: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``lo`` and ``hi`` as flat float vectors of length m, None being -inf and +inf.
+
+    Raises ValueError on a wrong length, a NaN, ``lo > hi``, and a lower
+    limit of +inf or an upper limit of -inf, which no point meets though
+    ``lo <= hi`` holds.  One test covers every case, since ``lo <= hi`` is
+    False at a NaN; a failure is then named.
+    """
+    lo = np.full(m, -np.inf) if lo is None else np.asarray(lo, dtype=float).ravel()
+    hi = np.full(m, np.inf) if hi is None else np.asarray(hi, dtype=float).ravel()
+    if lo.size != m or hi.size != m:
+        raise ValueError(f"{what} have lengths ({lo.size}, {hi.size}), not {m}")
+    if not ((lo <= hi).all() and lo.max(initial=-np.inf) < np.inf and hi.min(initial=np.inf) > -np.inf):
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError(f"{what} must not be NaN")
+        if (lo > hi).any():
+            raise ValueError(f"{what} must satisfy lower <= upper")
+        raise ValueError(f"{what}: a lower limit of +inf or an upper limit of -inf admits no point")
+    return lo, hi
 
 
 class HessianFactor:
@@ -248,12 +284,17 @@ def solve_qp(
 
     The rows are the bounds and then the general rows, stacked as
     ``A = [I; C]`` with limits ``lo <= A x <= hi``; a row is active on one
-    side, as ``side * a_k'x >= side * limit``.  A program without general
-    rows never forms A: bound row k is the unit vector e_k, and its sides'
-    scaled values are ``scale * (+-x)``.  With H^-1 = J J', J starts as
-    L^-T and is kept as J0 Q, where Q'L^-1 N = [T; 0] for the active normals
-    N, so the step that adds a normal n is z = J2 J2'n and the multiplier
-    change is T^-1 J1'n.  T^-1 is kept alongside T: an add borders it, a
+    side, as ``side * a_k'x >= side * limit``.  The solve reads the side
+    data of ``prob`` and, with general rows, its stacked sides ``a_sides``,
+    which it only scales.  A program without general rows has no A: bound
+    row k is the unit vector e_k, and its sides' scaled values are
+    ``scale * (+-x)``.  Wherever it is, a bound row's J'n is row k of J,
+    negated on the upper side, and its n'x is ``+-x[k]``; a zero of that
+    row is taken as +0.0, as the product J'n gives it, so the Householder
+    sign of an add is the same either way.  With H^-1 = J J', J starts as
+    L^-T and is kept as J0 Q, where Q'L^-1 N = [T; 0] for the active
+    normals N, so the step that adds a normal n is z = J2 J2'n and the
+    multiplier change is T^-1 J1'n.  T^-1 is kept alongside T: an add borders it, a
     drop inverts the re-triangulated T.
 
     A row with equal limits has no phase of its own: its two sides are
@@ -286,15 +327,16 @@ def solve_qp(
     """
     t0 = time.perf_counter()
     n = prob.n
-    # both sides as rows of  side * A x >= lim,  scaled by 1 / (1 + |limit|)
+    # both sides as rows of  side * A x >= lim,  scaled by 1 / (1 + |limit|);
+    # without general rows the rows are the bounds, A = I, and a side's
+    # scaled value is scale * (+-x)
     lim, scale, lim_scaled = prob.lim, prob.scale, prob.lim_scaled
+    a_sides = prob.a_sides
     n_rows = lim.size // 2
-    if prob.c is None:
-        # the rows are the bounds, A = I: a side's scaled value is scale * (+-x)
-        a = a_sides = None
+    if a_sides is None:
+        a = None
     else:
-        a = np.vstack([np.eye(n), prob.c])
-        a_sides = np.vstack([a, -a])
+        a = a_sides[:n_rows]
         a_scaled = a_sides * scale[:, None]
 
     j_mat = prob.h_factor.j0.copy()
@@ -308,21 +350,21 @@ def solve_qp(
     its = 0
     status = "optimal"
 
-    def step_data(nv):
-        # J'n, the multiplier change r = T^-1 J1'n and the primal step
-        # z = J2 J2'n for the normal nv
-        d = j_mat.T @ nv
+    def step_data(d):
+        # the multiplier change r = T^-1 J1'n and the primal step z = J2 J2'n
+        # for the normal n with J'n = d
         d2 = d[q:]
-        return d, tri_inv[:q, :q] @ d[:q], j_mat[:, q:] @ d2, float(d2 @ d2), float(d @ d)
+        return tri_inv[:q, :q] @ d[:q], j_mat[:, q:] @ d2, float(d2 @ d2), float(d @ d)
 
-    def add(row, side, d, r, u_new):
+    def add(row, side, d, r, u_new, vv):
         nonlocal q
-        # a Householder reflection on J2 turns J2'n into (alpha, 0, ..., 0)
+        # a Householder reflection on J2 turns J2'n into (alpha, 0, ..., 0);
+        # vv = |J2'n|^2, step_data's zn
         v = d[q:].copy()
-        vv = float(v @ v)
-        alpha = -np.copysign(np.sqrt(vv), v[0])
-        vv -= 2.0 * alpha * v[0] - alpha * alpha
-        v[0] -= alpha
+        v0 = float(v[0])
+        alpha = -math.copysign(math.sqrt(vv), v0)
+        vv -= 2.0 * alpha * v0 - alpha * alpha
+        v[0] = v0 - alpha
         j2 = j_mat[:, q:]
         j2 -= (j2 @ v)[:, None] * (v * (2.0 / vv))
         tri[:q, q] = d[:q]
@@ -361,8 +403,13 @@ def solve_qp(
         start = np.asarray(start, dtype=int)
         ks = start[:, 0] + (start[:, 1] < 0) * n_rows
         ks = ks[np.isfinite(lim[ks])]
-        sides_n = np.vstack([np.eye(n), -np.eye(n)]) if a_sides is None else a_sides
-        d = (sides_n[ks] @ j_mat).T  # J'N
+        if a_sides is None:
+            # J'N of bound sides: J's rows, negated on upper sides (ks >= n);
+            # + 0.0 and 0.0 - give a zero the +0.0 of the product J'N
+            j_rows = j_mat[ks % n]
+            d = np.where((ks < n)[:, None], j_rows + 0.0, 0.0 - j_rows).T
+        else:
+            d = (a_sides[ks] @ j_mat).T  # J'N
         jg0 = j_mat.T @ prob.g
         while ks.size:
             p = ks.size
@@ -411,11 +458,20 @@ def solve_qp(
             status = "max_iter"
             break
         row, side = (k, 1.0) if k < n_rows else (k - n_rows, -1.0)
-        nv = side * (np.eye(1, n, row)[0] if a is None else a[row])
-        b_p = lim[k]
+        nv = None if row < n else a_sides[k]
+        b_p = float(lim[k])
         u_p = 0.0
         while True:
-            d, r, z, zn, dn = step_data(nv)
+            if nv is None:
+                # a bound's normal is +-e_row: J'n is a row of J and n'x an
+                # entry of x.  + 0.0 and 0.0 - give a zero of J'n the +0.0 of
+                # the product J'n, as the Householder sign in add reads it
+                d = j_mat[row] + 0.0 if side > 0 else 0.0 - j_mat[row]
+                nx = side * float(x[row])
+            else:
+                d = j_mat.T @ nv
+                nx = float(nv @ x)
+            r, z, zn, dn = step_data(d)
             # partial step: the first active row whose multiplier hits zero
             t1, pos = np.inf, -1
             if q:
@@ -428,7 +484,7 @@ def solve_qp(
             if not full and pos < 0:
                 status = "infeasible"
                 break
-            t2 = (b_p - float(nv @ x)) / zn if full else np.inf
+            t2 = (b_p - nx) / zn if full else np.inf
             t = min(t1, t2)
             if full:
                 x = x + t * z
@@ -437,7 +493,7 @@ def solve_qp(
             u_p += t
             its += 1
             if t2 <= t1:
-                add(row, side, d, r, u_p)
+                add(row, side, d, r, u_p, zn)
                 break
             drop(pos)
             if its >= max_iter:

@@ -4,9 +4,12 @@ stale, and answers that a solver-free KKT certificate accepts."""
 import numpy as np
 import pytest
 
-from conftest import _kkt_certificate
+from conftest import _kkt_certificate, lti_trajectory
 from npvdeepc import control
+from npvdeepc.control import ControllerConfig
+from npvdeepc.deepc import DeepcController
 from npvdeepc.experiments import make_controller, run_tracking_loop, surrogate_from_config
+from npvdeepc.hankel import partition
 from npvdeepc.optim import QpProblem, solve_qp
 
 
@@ -78,6 +81,42 @@ def test_fixed_part_does_not_go_stale(kind, cfg, pipe, monkeypatch):
         # the box program is built: a write to the box would leave it stale
         with pytest.raises(ValueError, match="read-only"):
             ctrl.lb[0] = 0.0
+
+
+def _piecewise_g(ctrl, w_ini, r_vec, u_prev):
+    """The QP's linear term built piece by piece from the tracking cost and the operators."""
+    g_u, g_y = ctrl.cost.linear_terms(r_vec, u_prev)
+    if ctrl.gamma is None:
+        return np.concatenate([g_u, g_y]) + ctrl.g_ini @ w_ini
+    f = ctrl.y_map @ w_ini + ctrl.y_0
+    g = ctrl.gamma.T @ (g_y + 2.0 * ctrl.cost.q_bar * f)
+    if ctrl.g_ini is not None:
+        g += ctrl.g_ini @ w_ini
+    g[:ctrl.cost.nu] += g_u
+    return g
+
+
+@pytest.mark.parametrize("kind", ["deepc", "exact_deepc", "mpc"])
+def test_affine_linear_term_matches_piecewise(kind, cfg, pipe):
+    # DeePC on the noisy desk data has no output map, DeePC on exact LTI
+    # data and ARX-MPC have one; over random windows, references and
+    # previous inputs g_map (w_ini, r, u_prev) + g_0 is the piecewise g
+    if kind == "exact_deepc":
+        lti_cfg = ControllerConfig(t_ini=4, horizon=6, q=(1.0, 1.0), r=(0.1, 0.2), p=(1.0, 0.5),
+                                   lambda_g=1.0, lambda_sigma=1e6, u_lo=(-5.0, -5.0), u_hi=(5.0, 5.0),
+                                   y_lo=(-50.0, -50.0), y_hi=(50.0, 50.0))
+        ctrl = DeepcController(partition(lti_trajectory(300, seed=21), t_ini=4, horizon=6), lti_cfg)
+    else:
+        ctrl = _desk_controller(kind, cfg, pipe)
+    assert (ctrl.gamma is None) == (kind == "deepc")
+    c = ctrl.cfg
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        w_ini = rng.uniform(-50.0, 50.0, c.t_ini * (c.n_u + c.n_y))
+        r_vec, u_prev = rng.uniform(-50.0, 50.0, c.n_y), rng.uniform(-10.0, 10.0, c.n_u)
+        g_ref = _piecewise_g(ctrl, w_ini, r_vec, u_prev)
+        g = ctrl.g_map @ np.concatenate([w_ini, r_vec, u_prev]) + ctrl.g_0
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
 
 @pytest.mark.parametrize("kind", ["deepc", "mpc"])

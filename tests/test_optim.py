@@ -171,6 +171,57 @@ class TestSolveQp:
         with pytest.raises(ValueError, match="entries"):
             prob.with_g(np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [{"lb": [np.inf, 0.0]}, {"ub": [0.0, -np.inf]},
+                                     {"c_lo": [np.inf]}, {"c_hi": [-np.inf]}])
+    def test_unsatisfiable_infinite_limit_rejected(self, bad):
+        # lb = +inf or ub = -inf passes lb <= ub against an infinite other
+        # side, yet no x meets it; the solve would fail on an empty working set
+        factor, c = HessianFactor(np.eye(2)), np.ones((1, 2))
+        with pytest.raises(ValueError, match="admits no point"):
+            QpProblem(h_factor=factor, g=np.zeros(2), c=c, **bad)
+        if "lb" not in bad and "ub" not in bad:
+            prob = QpProblem(h_factor=factor, g=np.zeros(2), c=c)
+            with pytest.raises(ValueError, match="admits no point"):
+                prob.with_g(np.zeros(2), **bad)
+
+    def test_with_g_rejects_bad_row_limits(self):
+        factor = HessianFactor(np.eye(2))
+        prob = QpProblem(h_factor=factor, g=np.zeros(2), c=np.ones((1, 2)), c_lo=[0.0], c_hi=[1.0])
+        for bad, match in (({"g": [np.inf, 0.0]}, "finite"), ({"g": [np.nan, 0.0], "c_lo": [0.0]}, "finite"),
+                           ({"c_lo": [np.nan]}, "NaN"), ({"c_hi": [np.nan]}, "NaN"),
+                           ({"c_lo": [2.0]}, "lower <= upper"), ({"c_lo": [1.0], "c_hi": [0.0]}, "lower <= upper"),
+                           ({"c_lo": [0.0, 0.0]}, "lengths"), ({"c_hi": np.ones(2)}, "lengths")):
+            with pytest.raises(ValueError, match=match):
+                prob.with_g(**{"g": np.zeros(2), **bad})
+        with pytest.raises(ValueError, match="no row limits"):
+            QpProblem(h_factor=factor, g=np.zeros(2)).with_g(np.zeros(2), c_lo=[0.0])
+
+    def test_with_g_takes_new_row_limits(self):
+        # a program whose rows stay fixed takes a new g and new row limits:
+        # it solves as one built from scratch, shares the factor, C, the
+        # bounds and the stacked sides, and writes into none of them
+        rng = np.random.default_rng(5)
+        h, g, lb, ub, c, lo, hi = _row_qp(rng, 6, 4, pinned_rows=1)
+        factor = HessianFactor(h)
+        prob = QpProblem(h_factor=factor, g=np.zeros(6), lb=lb, ub=ub, c=c, c_lo=lo - 1.0, c_hi=hi + 1.0)
+        names = ("g", "lb", "ub", "c", "c_lo", "c_hi", "lim", "scale", "lim_scaled", "a_sides")
+        before = {name: getattr(prob, name).copy() for name in names}
+        step = prob.with_g(g, c_lo=lo, c_hi=hi)
+        for name in ("h_factor", "lb", "ub", "c", "a_sides"):
+            assert getattr(step, name) is getattr(prob, name), name
+        for name in names:
+            assert np.array_equal(getattr(prob, name), before[name]), name
+        fresh = QpProblem(h_factor=factor, g=g, lb=lb, ub=ub, c=c, c_lo=lo, c_hi=hi)
+        for name in names:
+            assert np.array_equal(getattr(step, name), getattr(fresh, name)), name
+        x, diag = solve_qp(step, tol=1e-10)
+        x_ref, ref = solve_qp(fresh, tol=1e-10)
+        assert np.array_equal(x, x_ref) and diag.kkt_residual == ref.kkt_residual
+        assert np.array_equal(diag.working_set, ref.working_set) and (diag.working_set[:, 0] >= 6).any()
+        # one side given keeps the other
+        upper = prob.with_g(g, c_hi=hi)
+        assert np.shares_memory(upper.c_lo, prob.c_lo) and np.array_equal(upper.c_hi, hi)
+
     def test_with_g_shares_the_fixed_part(self):
         # a program that changes only g solves as one built from scratch,
         # and shares every other array with the program it came from
@@ -558,6 +609,34 @@ class TestCertificate:
         assert np.max(np.abs(x_box - x_star)) <= 1e-7
         assert _kkt_certificate(h, g, lb, ub, np.zeros((0, n)), np.zeros(0), np.zeros(0), x_box)
         assert _kkt_certificate(h, g, np.full(n, -np.inf), np.full(n, np.inf), np.eye(n), lb, ub, x_row)
+
+    @pytest.mark.parametrize("hot", [False, True])
+    def test_bound_rows_step_as_identity_rows_bit_for_bit(self, hot):
+        # a bound's J'n is read off J's rows, and the identity rows' J'n is a
+        # product: both give a zero as +0.0, so the Householder signs, and
+        # with them every step, agree to the bit.  A -0.0 (J's row negated
+        # for an upper bound, whose leading entries are zero since L^-T is
+        # triangular) would flip a sign and move the last bits
+        compared = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 10))
+            h, g, lb, ub, _ = _box_vertex_qp(rng, n)
+            factor = HessianFactor(h)
+            box = QpProblem(h_factor=factor, g=g, lb=lb, ub=ub)
+            rows = QpProblem(h_factor=factor, g=g, c=np.eye(n), c_lo=lb, c_hi=ub)
+            start = solve_qp(box, tol=1e-10)[1].working_set if hot else None
+            x_box, d_box = solve_qp(box, tol=1e-10, start=start)
+            x_row, d_row = solve_qp(rows, tol=1e-10, start=None if start is None else start + [n, 0])
+            assert d_box.iterations == d_row.iterations, seed
+            assert np.array_equal(d_box.working_set + [n, 0], d_row.working_set), seed
+            # active bounds are snapped onto their limits and x is clipped
+            # into the bounds; general rows are left as they are
+            act, side = d_box.working_set.T
+            x_row[act] = np.where(side > 0, lb[act], ub[act])
+            assert np.array_equal(x_box, np.clip(x_row, lb, ub)), seed
+            compared += (side < 0).any() and act.size < n
+        assert compared >= 10
 
     def test_rejects_moved_and_tightened_solutions(self):
         # a minimizer moved by 1e-6, and the minimizer of the program with
