@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, config_hash, load_config
@@ -43,6 +44,7 @@ EXIT_VERIFY = 5
 DATASET_FILE = "dataset.csv"
 MODEL_FILE = "model.json"
 REPORT_FILE = "train_report.json"
+TIMING_FILE = "train_timing.json"
 
 
 def _out_dir(cfg: RunConfig, override: str | None) -> Path:
@@ -77,7 +79,9 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
         raise DataError(f"missing {data_path}; run the collect command first")
     traj = _read(load_trajectory_csv, data_path, dt=cfg.plant.dt)
     ctl = cfg.controllers.npv_deepc
+    start = time.perf_counter()
     model, ds = train_from_config(cfg, traj, ctl.t_ini, ctl.horizon)
+    fit_s = time.perf_counter() - start
     scores = evaluate_bfr_split(model, ds, cfg.model.val_fraction)
     save_model(model, out / MODEL_FILE)
     report = {
@@ -95,6 +99,9 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
         },
     }
     write_json(out / REPORT_FILE, report)
+    epochs = model.history.stopped_epoch
+    write_json(out / TIMING_FILE, {"timing": {"fit_wall_s": fit_s, "epochs": epochs,
+                                              "ms_per_epoch": 1e3 * fit_s / epochs}})
     print(
         f"trained {model.history.stopped_epoch} epochs; "
         f"BFR train {_percent(scores['train'])} / validation {_percent(scores['validation'])} "

@@ -357,50 +357,59 @@ def _outer_rows(p, z):
 
     The sensitivity term sum_k p_k S_k z of a modulated layer is linear in
     this product, so each batched contraction over sens_w (nu_p, out, in)
-    becomes one matrix product.
+    becomes one matrix product.  Each entry is one product p_bk * z_bj.
     """
-    return (p[:, :, None] * z[:, None, :]).reshape(p.shape[0], -1)
+    return np.einsum("bi,bj->bij", p, z).reshape(p.shape[0], -1)
 
 
 def _forward_hidden(layer_specs, params, u, p):
-    """Hidden-layer activations for a batch; returns (z_last, all_activations)."""
+    """Hidden-layer activations for a batch; returns (z_last, tape).
+
+    ``tape[i]`` is ``(z_i, lift_i)``: layer i's input and, for a modulated
+    layer, its lift ``_outer_rows(p, z_i)`` (None for a fixed one); the last
+    entry is ``(z_last, None)``.  ``_backward_batch`` reads the lifts from the
+    tape instead of forming them again.
+    """
     z = u
-    acts = [u]
+    tape = []
     for i, spec in enumerate(layer_specs):
         if spec.kind == "hyper":
+            lift = _outer_rows(p, z)
             zpre = (
                 z @ params[f"h{i}_base_w"].T
                 + params[f"h{i}_base_b"]
-                + _outer_rows(p, z) @ params[f"h{i}_sens_w"].transpose(0, 2, 1).reshape(-1, spec.out_dim)
+                + lift @ params[f"h{i}_sens_w"].transpose(0, 2, 1).reshape(-1, spec.out_dim)
                 + p @ params[f"h{i}_sens_b"].T
             )
         else:
+            lift = None
             zpre = z @ params[f"f{i}_w"].T + params[f"f{i}_b"]
+        tape.append((z, lift))
         z = np.tanh(zpre)
-        acts.append(z)
-    return z, acts
+    tape.append((z, None))
+    return z, tape
 
 
 def _forward_batch(layer_specs, params, u, p):
-    z, acts = _forward_hidden(layer_specs, params, u, p)
-    return z @ params["out_w"].T + params["out_b"], acts
+    z, tape = _forward_hidden(layer_specs, params, u, p)
+    return z @ params["out_w"].T + params["out_b"], tape
 
 
-def _backward_batch(layer_specs, params, acts, p, d_yhat):
+def _backward_batch(layer_specs, params, tape, p, d_yhat):
     grads = {
-        "out_w": d_yhat.T @ acts[-1],
+        "out_w": d_yhat.T @ tape[-1][0],
         "out_b": d_yhat.sum(axis=0),
     }
     dz = d_yhat @ params["out_w"]
     for i in reversed(range(len(layer_specs))):
         spec = layer_specs[i]
-        z_out, z_in = acts[i + 1], acts[i]
+        (z_in, lift), z_out = tape[i], tape[i + 1][0]
         dpre = dz * (1.0 - z_out ** 2)
         if spec.kind == "hyper":
             grads[f"h{i}_base_w"] = dpre.T @ z_in
             grads[f"h{i}_base_b"] = dpre.sum(axis=0)
             grads[f"h{i}_sens_w"] = (
-                (dpre.T @ _outer_rows(p, z_in)).reshape(spec.out_dim, -1, spec.in_dim).transpose(1, 0, 2)
+                (dpre.T @ lift).reshape(spec.out_dim, -1, spec.in_dim).transpose(1, 0, 2)
             )
             grads[f"h{i}_sens_b"] = dpre.T @ p
             if i:
@@ -546,6 +555,16 @@ def _init_params(rng, layer_specs, nu_p, nu_y, sens_scale):
     return params
 
 
+def _views(flat, shapes) -> dict[str, np.ndarray]:
+    """Named views into ``flat``, laid out one after another in ``shapes`` order."""
+    views, start = {}, 0
+    for k, shape in shapes.items():
+        size = int(np.prod(shape))
+        views[k] = flat[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
 def train(dataset: WindowDataset, cfg: TrainConfig, seed: int) -> HyperDnnModel:
     """Fit the predictor on a window dataset with ADAM.
 
@@ -557,6 +576,13 @@ def train(dataset: WindowDataset, cfg: TrainConfig, seed: int) -> HyperDnnModel:
     fraction validates) to keep overlapping windows out of the held-out set.
     Early stopping restores the best-validation parameters.  Identical seed
     and config reproduce bit-identical parameters.
+
+    The parameters are named views into one flat vector, so the ADAM moments
+    are flat too, one step is three vector updates and the early-stopping
+    snapshot is one copy.  The validation set's first-layer lift is formed
+    again at each epoch rather than held for the fit: held, it pins a block
+    of a few MB in the allocator's heap and raises the peak resident memory
+    of later work.
     """
     n = dataset.n_windows
     n_u, n_y, n_p = dataset.channel_dims
@@ -581,14 +607,16 @@ def train(dataset: WindowDataset, cfg: TrainConfig, seed: int) -> HyperDnnModel:
         layer_specs.append(LayerSpec(kind="hyper" if mod else "fixed", in_dim=in_dim, out_dim=size))
         in_dim = size
     rng = np.random.default_rng(seed)
-    params = _init_params(rng, layer_specs, dims.nu_p, dims.nu_y, cfg.init_sens_scale)
+    init = _init_params(rng, layer_specs, dims.nu_p, dims.nu_y, cfg.init_sens_scale)
+    shapes = {k: v.shape for k, v in init.items()}
+    flat = np.concatenate(list(init.values()), axis=None)
+    params = _views(flat, shapes)
 
-    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
-    keys = sorted(params)
+    adam_m = np.zeros_like(flat)
+    adam_v = np.zeros_like(flat)
     t = 0
     history_train, history_val = [], []
-    best_loss, best_epoch, best_params = np.inf, 0, {k: v.copy() for k, v in params.items()}
+    best_loss, best_epoch, best_flat = np.inf, 0, flat.copy()
     stale = 0
 
     n_tr = u_tr.shape[0]
@@ -600,19 +628,18 @@ def train(dataset: WindowDataset, cfg: TrainConfig, seed: int) -> HyperDnnModel:
             batches = [order[i:i + cfg.batch_size] for i in range(0, n_tr, cfg.batch_size)]
         loss_num = 0.0
         for sel in batches:
-            yhat, acts = _forward_batch(layer_specs, params, u_tr[sel], p_tr[sel])
+            yhat, tape = _forward_batch(layer_specs, params, u_tr[sel], p_tr[sel])
             err = yhat - y_tr[sel]
             loss_num += float(np.sum(err ** 2))
-            grads = _backward_batch(layer_specs, params, acts, p_tr[sel], 2.0 * err / err.size)
+            grads = _backward_batch(layer_specs, params, tape, p_tr[sel], 2.0 * err / err.size)
+            g = np.concatenate([grads[k] for k in shapes], axis=None)
 
             t += 1
             bc1 = 1.0 - ADAM_BETA1 ** t
             bc2 = 1.0 - ADAM_BETA2 ** t
-            for k in keys:
-                g = grads[k]
-                adam_m[k] = ADAM_BETA1 * adam_m[k] + (1.0 - ADAM_BETA1) * g
-                adam_v[k] = ADAM_BETA2 * adam_v[k] + (1.0 - ADAM_BETA2) * g * g
-                params[k] -= cfg.learning_rate * (adam_m[k] / bc1) / (np.sqrt(adam_v[k] / bc2) + ADAM_EPS)
+            adam_m = ADAM_BETA1 * adam_m + (1.0 - ADAM_BETA1) * g
+            adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * g * g
+            flat -= cfg.learning_rate * (adam_m / bc1) / (np.sqrt(adam_v / bc2) + ADAM_EPS)
         loss = loss_num / y_tr.size
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, loss)
@@ -626,7 +653,7 @@ def train(dataset: WindowDataset, cfg: TrainConfig, seed: int) -> HyperDnnModel:
             monitor = loss
         if monitor < best_loss - 1e-14:
             best_loss, best_epoch = monitor, epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_flat = flat.copy()
             stale = 0
         else:
             stale += 1
@@ -638,7 +665,7 @@ def train(dataset: WindowDataset, cfg: TrainConfig, seed: int) -> HyperDnnModel:
     return HyperDnnModel(
         dims=dims,
         layer_specs=layer_specs,
-        params=best_params,
+        params=_views(best_flat, shapes),
         scalers=scalers,
         p_train_mean=p_mean,
         history=TrainHistory(

@@ -109,7 +109,8 @@ class QpProblem:
     """min 0.5 x'Hx + g'x  s.t.  lb <= x <= ub,  c_lo <= C x <= c_hi.
 
     H is positive definite and given only as its :class:`HessianFactor`.
-    ``g`` must be finite.  Bounds and row limits may be infinite, but not
+    ``g`` must be finite.  Row limits need rows: without ``c`` they must
+    be None or empty.  Bounds and row limits may be infinite, but not
     NaN, and no lower limit may be +inf nor upper limit -inf: such a row
     admits no x.  A bound or row with equal limits is an ordinary two-sided
     row, so it holds as an equality.
@@ -150,6 +151,8 @@ class QpProblem:
             self.c_lo, self.c_hi = _limits(self.c_lo, self.c_hi, self.c.shape[0], "row limits")
             a = np.vstack([np.eye(n), self.c])
             self.a_sides = np.vstack([a, -a])
+        elif any(lim is not None and np.size(lim) for lim in (self.c_lo, self.c_hi)):
+            raise ValueError("a program without general rows takes no row limits")
         self._side_data()
 
     def _side_data(self) -> None:

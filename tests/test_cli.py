@@ -351,6 +351,10 @@ class TestPipelineCommands:
         assert "bfr_train_percent" in report and "bfr_validation_percent" in report
         assert report["bfr_train_percent"] > 0
         assert len(report["loss_history"]["train"]) == report["epochs_run"]
+        timing = json.loads((out / "train_timing.json").read_text())["timing"]
+        assert timing["epochs"] == report["epochs_run"]
+        assert timing["fit_wall_s"] > 0
+        assert timing["ms_per_epoch"] == pytest.approx(1e3 * timing["fit_wall_s"] / timing["epochs"])
 
     def test_model_reload_bit_identical(self, trained_out):
         from npvdeepc.hypernet import load_model

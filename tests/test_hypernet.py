@@ -6,13 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from npvdeepc.hankel import HankelSet, Window
 from npvdeepc.hypernet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ChannelScaler,
     DegenerateChannelError,
+    LayerSpec,
     NnInput,
     TrainConfig,
     _backward_batch,
+    _fit_scalers,
     _forward_batch,
     _forward_hidden,
+    _init_params,
+    assemble_normalized,
     load_model,
     predict_batch,
     save_model,
@@ -400,6 +407,152 @@ class TestTraining:
         assert cut.history.train_loss == h.train_loss[:h.best_epoch]
         for key in model.params:
             assert np.array_equal(model.params[key], cut.params[key]), key
+
+
+def _reference_train(dataset, cfg, seed):
+    """The trainer as a plain per-key ADAM loop, with each kernel forming its
+    own lifts by broadcasting; ``train`` must match it bit for bit.
+
+    Returns (params, train_loss, val_loss, best_epoch).
+    """
+
+    def outer_rows(p, z):
+        return (p[:, :, None] * z[:, None, :]).reshape(p.shape[0], -1)
+
+    def forward(specs, params, u, p):
+        z, acts = u, [u]
+        for i, spec in enumerate(specs):
+            if spec.kind == "hyper":
+                zpre = (
+                    z @ params[f"h{i}_base_w"].T
+                    + params[f"h{i}_base_b"]
+                    + outer_rows(p, z) @ params[f"h{i}_sens_w"].transpose(0, 2, 1).reshape(-1, spec.out_dim)
+                    + p @ params[f"h{i}_sens_b"].T
+                )
+            else:
+                zpre = z @ params[f"f{i}_w"].T + params[f"f{i}_b"]
+            z = np.tanh(zpre)
+            acts.append(z)
+        return z @ params["out_w"].T + params["out_b"], acts
+
+    def backward(specs, params, acts, p, d_yhat):
+        grads = {"out_w": d_yhat.T @ acts[-1], "out_b": d_yhat.sum(axis=0)}
+        dz = d_yhat @ params["out_w"]
+        for i in reversed(range(len(specs))):
+            spec = specs[i]
+            z_out, z_in = acts[i + 1], acts[i]
+            dpre = dz * (1.0 - z_out ** 2)
+            if spec.kind == "hyper":
+                grads[f"h{i}_base_w"] = dpre.T @ z_in
+                grads[f"h{i}_base_b"] = dpre.sum(axis=0)
+                grads[f"h{i}_sens_w"] = (
+                    (dpre.T @ outer_rows(p, z_in)).reshape(spec.out_dim, -1, spec.in_dim).transpose(1, 0, 2)
+                )
+                grads[f"h{i}_sens_b"] = dpre.T @ p
+                if i:
+                    dz = (dpre @ params[f"h{i}_base_w"]
+                          + outer_rows(p, dpre) @ params[f"h{i}_sens_w"].reshape(-1, spec.in_dim))
+            else:
+                grads[f"f{i}_w"] = dpre.T @ z_in
+                grads[f"f{i}_b"] = dpre.sum(axis=0)
+                if i:
+                    dz = dpre @ params[f"f{i}_w"]
+        return grads
+
+    n = dataset.n_windows
+    n_train = n - int(round(cfg.val_fraction * n))
+    train_ds = dataset.rows(slice(0, n_train))
+    val_ds = dataset.rows(slice(n_train, n)) if n_train < n else None
+    scalers = _fit_scalers(train_ds)
+    u_tr, p_tr, y_tr = assemble_normalized(train_ds, scalers, cfg.hyper_input)
+    if val_ds is not None:
+        u_va, p_va, y_va = assemble_normalized(val_ds, scalers, cfg.hyper_input)
+    specs, in_dim = [], u_tr.shape[1]
+    for size, mod in zip(cfg.hidden_sizes, cfg.modulated):
+        specs.append(LayerSpec(kind="hyper" if mod else "fixed", in_dim=in_dim, out_dim=size))
+        in_dim = size
+    rng = np.random.default_rng(seed)
+    params = _init_params(rng, specs, p_tr.shape[1], y_tr.shape[1], cfg.init_sens_scale)
+
+    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
+    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    keys = sorted(params)
+    t = 0
+    history_train, history_val = [], []
+    best_loss, best_epoch, best_params = np.inf, 0, {k: v.copy() for k, v in params.items()}
+    stale = 0
+    n_tr = u_tr.shape[0]
+    for epoch in range(1, cfg.max_epochs + 1):
+        if cfg.batch_size is None or cfg.batch_size >= n_tr:
+            batches = [slice(None)]
+        else:
+            order = rng.permutation(n_tr)
+            batches = [order[i:i + cfg.batch_size] for i in range(0, n_tr, cfg.batch_size)]
+        loss_num = 0.0
+        for sel in batches:
+            yhat, acts = forward(specs, params, u_tr[sel], p_tr[sel])
+            err = yhat - y_tr[sel]
+            loss_num += float(np.sum(err ** 2))
+            grads = backward(specs, params, acts, p_tr[sel], 2.0 * err / err.size)
+            t += 1
+            bc1 = 1.0 - ADAM_BETA1 ** t
+            bc2 = 1.0 - ADAM_BETA2 ** t
+            for k in keys:
+                g = grads[k]
+                adam_m[k] = ADAM_BETA1 * adam_m[k] + (1.0 - ADAM_BETA1) * g
+                adam_v[k] = ADAM_BETA2 * adam_v[k] + (1.0 - ADAM_BETA2) * g * g
+                params[k] -= cfg.learning_rate * (adam_m[k] / bc1) / (np.sqrt(adam_v[k] / bc2) + ADAM_EPS)
+        loss = loss_num / y_tr.size
+        history_train.append(loss)
+        if val_ds is not None:
+            yhat_va, _ = forward(specs, params, u_va, p_va)
+            monitor = float(np.mean((yhat_va - y_va) ** 2))
+            history_val.append(monitor)
+        else:
+            monitor = loss
+        if monitor < best_loss - 1e-14:
+            best_loss, best_epoch = monitor, epoch
+            best_params = {k: v.copy() for k, v in params.items()}
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    return best_params, history_train, history_val, best_epoch
+
+
+class TestTrainingMatchesPerKeyLoop:
+    """``train`` keeps its parameters in one flat vector and reuses its lifts;
+    every value must still equal the per-key loop's, bit for bit."""
+
+    @staticmethod
+    def _assert_same(ds, cfg, seed):
+        model = train(ds, cfg, seed=seed)
+        params, train_loss, val_loss, best_epoch = _reference_train(ds, cfg, seed)
+        assert list(model.params) == list(params)
+        for key, value in params.items():
+            assert np.array_equal(model.params[key], value), key
+        assert np.array_equal(model.history.train_loss, train_loss)
+        assert np.array_equal(model.history.val_loss, val_loss)
+        assert model.history.best_epoch == best_epoch
+        return model
+
+    @pytest.mark.parametrize("val_fraction", [0.0, 0.3])
+    @pytest.mark.parametrize("batch_size", [None, 8])
+    @pytest.mark.parametrize("modulated", [(True,), (True, False), (False, True), (True, True)])
+    def test_stacks_batches_and_splits(self, rng, modulated, batch_size, val_fraction):
+        ds = toy_dataset(rng, n_windows=40, n_p=2)
+        cfg = TrainConfig(hidden_sizes=(6, 5)[:len(modulated)], modulated=modulated,
+                          learning_rate=1e-2, max_epochs=25, patience=25,
+                          val_fraction=val_fraction, batch_size=batch_size)
+        self._assert_same(ds, cfg, seed=3)
+
+    def test_early_stopping_restores_an_earlier_snapshot(self, rng):
+        ds = toy_dataset(rng, n_windows=40, n_p=2)
+        cfg = TrainConfig(hidden_sizes=(8,), modulated=(True,), learning_rate=1e-2,
+                          max_epochs=2000, patience=10, val_fraction=0.35, batch_size=8)
+        model = self._assert_same(ds, cfg, seed=2)
+        assert model.history.best_epoch < model.history.stopped_epoch < cfg.max_epochs
 
 
 # the load_model error of each malformed file in TestModelIo::test_structure_checked

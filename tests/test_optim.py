@@ -196,6 +196,19 @@ class TestSolveQp:
         with pytest.raises(ValueError, match="no row limits"):
             QpProblem(h_factor=factor, g=np.zeros(2)).with_g(np.zeros(2), c_lo=[0.0])
 
+    @pytest.mark.parametrize("limits", [{"c_lo": [5.0], "c_hi": [np.nan]}, {"c_lo": [5.0]}, {"c_hi": [1.0]}])
+    def test_row_limits_without_rows_rejected(self, limits):
+        # limits without C used to be kept and ignored: the program solved to
+        # the unconstrained minimizer
+        with pytest.raises(ValueError, match="no row limits"):
+            QpProblem(HessianFactor(np.eye(2)), [-1.0, -1.0], **limits)
+
+    def test_empty_row_limits_without_rows_accepted(self):
+        # solve_sqp passes empty limits with c=None when it has no rows
+        prob = QpProblem(HessianFactor(np.eye(2)), [-1.0, -1.0], c_lo=np.zeros(0), c_hi=np.zeros(0))
+        x, diag = solve_qp(prob)
+        assert diag.status == "optimal" and np.array_equal(x, [1.0, 1.0])
+
     def test_with_g_takes_new_row_limits(self):
         # a program whose rows stay fixed takes a new g and new row limits:
         # it solves as one built from scratch, shares the factor, C, the
